@@ -2,7 +2,7 @@
 
 Construction and evaluation of s-adic / nega-s-adic / Cantor-series
 expansions in exact rational arithmetic, cylinder geometry with an
-independent brute-force oracle, and Hausdorff-Besicovitch dimensions via
+independent level oracle, and Hausdorff-Besicovitch dimensions via
 Moran-type equations, closed forms and box counting.
 """
 
@@ -57,7 +57,6 @@ from .families import (
     membership_prefix,
     parse_family,
 )
-from .kernels import BACKEND, HAVE_C
 from .radix import (
     CantorBasis,
     DigitString,

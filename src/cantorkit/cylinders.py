@@ -1,4 +1,4 @@
-"""Exact cylinder geometry: interval formulas, an enumeration oracle, gaps,
+"""Exact cylinder geometry: interval formulas, a level oracle, gaps,
 orderings and covering sums.
 
 Closed-form intervals exist for the run-length families S/Su (any u), NSu
@@ -7,28 +7,28 @@ affine contraction, so its hull is the prefix value plus a signed rescale of
 the whole-set hull.  For every other enumerable family the hull is computed
 exactly as the fixed point of the family's affine digit maps.
 
-The tail-extrema oracle never touches those formulas: it walks *all*
-admissible digit continuations of an address out to a given rank, closes
-each one with a periodic admissible tail (so every enumerated value is an
-actual member of the set), and returns the exact min/max.  Containment of
-the oracle interval in the formula interval, with Hausdorff distance below
-the geometric tail bound, is the package's independent evidence for the
-interval formulas.
+The tail-extrema oracle never touches those formulas.  It takes every
+admissible digit continuation of an address out to a given rank, closes each
+one with a periodic admissible tail (so every value it ranges over is an
+actual member of the set), and returns the exact min/max.  Each level's
+choices act as monotone affine maps on the levels below, so that min/max
+follows from one interval step per level instead of a walk over every
+continuation.  Containment of the oracle interval in the formula interval,
+with Hausdorff distance below the geometric tail bound, is the package's
+independent evidence for the interval formulas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Sequence
 
-from . import kernels
-from .errors import CapExceededError, FamilyConstraintError, UnsupportedFamilyError
+from .errors import FamilyConstraintError, UnsupportedFamilyError
 from .families import (
     BLOCK_KINDS,
     DEFAULT_CAP,
-    CylinderAddress,
     FamilySpec,
     address_frame,
     as_address,
@@ -359,7 +359,7 @@ def cylinder_hull(fam: FamilySpec, addr) -> IntervalR:
     return IntervalR(value - scale * hi, value - scale * lo)
 
 
-# -- the brute-force oracle ------------------------------------------------------
+# -- the level oracle -------------------------------------------------------------
 
 _ORACLE_KINDS = ("S", "Su", "NSu", "Sminus", "Tilde", "Blocks", "MDper")
 
@@ -367,7 +367,15 @@ _LOCAL_CACHE: dict = {}
 
 
 def _oracle_levels(fam: FamilySpec, depth: int, phase: int):
-    """Continuation tree + closure tail for the enumeration kernel."""
+    """Continuation tree and closure tail of the oracle at one phase.
+
+    Returns (levels, exp_parity, tnum, tden).  `levels` has one list of
+    choices per rank below the address.  A choice (exp_inc, ((coef, off), ...))
+    advances the running exponent E by exp_inc and adds coef * s^-(E + off)
+    per term, sign-flipped by the parity of E + off when `exp_parity`.  After
+    the last level the closure tail (tnum/tden) * s^-E, under the same sign
+    rule, makes every leaf the exact local value of a member of the set.
+    """
     s, u = fam.s, fam.u or 0
     if fam.kind in ("S", "Su"):
         digits = fam.run_digits
@@ -410,27 +418,56 @@ def _oracle_levels(fam: FamilySpec, depth: int, phase: int):
     raise UnsupportedFamilyError(f"the oracle cannot enumerate {fam.kind} continuations")
 
 
+def _level_minmax(
+    s: int, levels, exp_parity: bool, tail: Fraction
+) -> tuple[Fraction, Fraction]:
+    """Exact min/max over every leaf of an `_oracle_levels` tree.
+
+    Relative to its own exponent, the value below a level is x -> g + k*x of
+    the value below the next level, with g = sum(coef * sig(off) * s^-off)
+    and k = sig(exp_inc) * s^-exp_inc for the choice taken, where sig(n) is
+    (-1)^n under `exp_parity` and 1 otherwise.  A level offers the same
+    choices whatever was chosen above it, so one interval step per level,
+    deepest first from the closure tail, gives the extremes exactly.
+    """
+
+    def sig(n: int) -> int:
+        return -1 if exp_parity and n % 2 else 1
+
+    lo = hi = tail
+    for choices in reversed(levels):
+        maps = [
+            (
+                sum((Fraction(coef * sig(off), s**off) for coef, off in terms), Fraction(0)),
+                Fraction(sig(exp_inc), s**exp_inc),
+            )
+            for exp_inc, terms in choices
+        ]
+        lo, hi = (
+            min(g + k * (lo if k > 0 else hi) for g, k in maps),
+            max(g + k * (hi if k > 0 else lo) for g, k in maps),
+        )
+    return lo, hi
+
+
 def _oracle_local(fam: FamilySpec, depth: int, phase: int) -> tuple[Fraction, Fraction]:
     key = (fam.core_key(), depth, phase)
     hit = _LOCAL_CACHE.get(key)
     if hit is not None:
         return hit
     levels, parity, tnum, tden = _oracle_levels(fam, depth, phase)
-    wmin, wmax, emax = kernels.local_extrema(fam.s, levels, parity, tnum, tden)
-    denom = fam.s**emax * tden
-    res = (Fraction(wmin, denom), Fraction(wmax, denom))
+    res = _level_minmax(fam.s, levels, parity, Fraction(tnum, tden))
     _LOCAL_CACHE[key] = res
     return res
 
 
-def tail_extrema_oracle(
-    fam: FamilySpec, addr, depth: int, cap: int = DEFAULT_CAP
-) -> OracleResult:
+def tail_extrema_oracle(fam: FamilySpec, addr, depth: int) -> OracleResult:
     """Exact min/max over all admissible continuations of `addr` to rank `depth`.
 
     Every continuation is closed with a periodic admissible tail, so the
     returned interval sits inside the true cylinder hull; the rigorous bound
-    guarantees the true hull lies within it inflated by `bound`.
+    guarantees the true hull lies within it inflated by `bound`.  `leaves` is
+    the number of continuations the interval ranges over.
     """
     if depth < 1:
         raise ValueError("oracle depth must be >= 1")
@@ -438,13 +475,6 @@ def tail_extrema_oracle(
         raise UnsupportedFamilyError(f"the oracle cannot enumerate {fam.kind} continuations")
     addr = as_address(fam, addr)
     value, sign, e, phase = address_frame(fam, addr)
-    leaves = 1
-    for level in range(1, depth + 1):
-        leaves *= fam.branching(level, phase)
-        if leaves > cap:
-            raise CapExceededError(
-                f"oracle needs {leaves}+ continuations at depth {depth}, cap is {cap}"
-            )
     lo, hi = _oracle_local(fam, depth, phase)
     scale = Fraction(1, fam.s**e)
     if sign > 0:
@@ -452,6 +482,7 @@ def tail_extrema_oracle(
     else:
         iv = IntervalR(value - scale * hi, value - scale * lo)
     bound = _oracle_bound(fam, e, depth, phase)
+    leaves = prod(fam.branching(level, phase) for level in range(1, depth + 1))
     return OracleResult(interval=iv, bound=bound, leaves=leaves)
 
 
@@ -527,27 +558,35 @@ def _predicted_orientation(fam: FamilySpec, addr_base: tuple, p: int, q: int) ->
     return "right-to-left" if rank % 2 == 0 else "left-to-right"
 
 
-def ordering_check(fam: FamilySpec, addr) -> OrderingReport:
-    """Verify the sibling layout under `addr` against the predicted cases."""
-    _require_formula_family(fam)
-    if fam.degenerate:
-        raise FamilyConstraintError("degenerate family has no sibling pair")
-    addr = as_address(fam, addr)
-    digits = fam.run_digits
+def _ordering_entries(
+    fam: FamilySpec, addr_base: tuple, children: dict[int, IntervalR]
+) -> tuple[OrderingEntry, ...]:
+    """Observed against predicted layout of each adjacent sibling pair, given
+    the children's intervals keyed by digit."""
     entries = []
-    for p, q in zip(digits, digits[1:]):
-        a = cylinder_interval(fam, addr.base + (p,))
-        b = cylinder_interval(fam, addr.base + (q,))
+    for p, q in zip(fam.run_digits, fam.run_digits[1:]):
+        a, b = children[p], children[q]
         if a.hi < b.lo:
             observed = "left-to-right"
         elif b.hi < a.lo:
             observed = "right-to-left"
         else:
             observed = "overlap"
-        predicted = _predicted_orientation(fam, addr.base, p, q)
+        predicted = _predicted_orientation(fam, addr_base, p, q)
         ok = observed != "overlap" and (predicted is None or predicted == observed)
         entries.append(OrderingEntry(p, q, predicted, observed, ok))
-    return OrderingReport(addr.base, tuple(entries), all(e.ok for e in entries))
+    return tuple(entries)
+
+
+def ordering_check(fam: FamilySpec, addr) -> OrderingReport:
+    """Verify the sibling layout under `addr` against the predicted cases."""
+    _require_formula_family(fam)
+    if fam.degenerate:
+        raise FamilyConstraintError("degenerate family has no sibling pair")
+    addr = as_address(fam, addr)
+    children = {c: cylinder_interval(fam, addr.base + (c,)) for c in fam.run_digits}
+    entries = _ordering_entries(fam, addr.base, children)
+    return OrderingReport(addr.base, entries, all(e.ok for e in entries))
 
 
 def covering_sum(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> Fraction:
@@ -611,48 +650,41 @@ def verify_family(
     Checks, over all addresses of rank <= depth: oracle containment with the
     geometric tail bound, child nesting, the exact ratio law, nonempty
     sibling gaps, predicted orderings, the covering-sum decay law, and the
-    Sminus diameter/endpoint consistency identity.
+    Sminus diameter/endpoint consistency identity.  Addresses are visited
+    once each, rank by rank; the children's intervals of an address are
+    computed once and shared by the checks that compare siblings.
     """
     _require_formula_family(fam)
     s = fam.s
-    addresses: list[CylinderAddress] = []
-    for r in range(depth + 1):
-        addresses.extend(enumerate_addresses(fam, r, cap=cap))
-    results = []
+    digits = fam.run_digits
+    oracle_f, nest_f, ratio_f, part_f, gap_f, ord_f = [], [], [], [], [], []
+    n_addr = n_child = n_pair = 0
+    for rank in range(depth + 1):
+        for addr in enumerate_addresses(fam, rank, cap=cap):
+            parent = cylinder_interval(fam, addr)
+            oracle = tail_extrema_oracle(fam, addr, oracle_depth)
+            n_addr += 1
+            if not parent.contains(oracle.interval):
+                _fail(oracle_f, addr.base, oracle.interval, parent, "oracle escapes formula")
+            elif parent.hausdorff(oracle.interval) > oracle.bound:
+                _fail(
+                    oracle_f,
+                    addr.base,
+                    parent.hausdorff(oracle.interval),
+                    oracle.bound,
+                    "Hausdorff distance above tail bound",
+                )
+            if rank == depth:
+                continue
 
-    # oracle containment + Hausdorff bound
-    checked, failures = 0, []
-    for addr in addresses:
-        formula = cylinder_interval(fam, addr)
-        oracle = tail_extrema_oracle(fam, addr, oracle_depth, cap=cap)
-        checked += 1
-        if not formula.contains(oracle.interval):
-            _fail(failures, addr.base, oracle.interval, formula, "oracle escapes formula")
-        elif formula.hausdorff(oracle.interval) > oracle.bound:
-            _fail(
-                failures,
-                addr.base,
-                formula.hausdorff(oracle.interval),
-                oracle.bound,
-                "Hausdorff distance above tail bound",
-            )
-    results.append(PropertyResult("interval-vs-oracle", checked, not failures, tuple(failures)))
-
-    # nesting + ratio law + partition
-    nest_f, ratio_f, part_f = [], [], []
-    checked = 0
-    for addr in addresses:
-        if addr.rank >= depth:
-            continue
-        parent = cylinder_interval(fam, addr)
-        child_sum = Fraction(0)
-        for c in fam.run_digits:
-            child = cylinder_interval(fam, addr.base + (c,))
-            checked += 1
-            if not parent.contains(child):
-                _fail(nest_f, addr.base + (c,), child, parent, "child escapes parent")
-            if parent.width:
-                if child.width * s**c != parent.width:
+            # nesting + ratio law + partition
+            children = {c: cylinder_interval(fam, addr.base + (c,)) for c in digits}
+            child_sum = Fraction(0)
+            for c, child in children.items():
+                n_child += 1
+                if not parent.contains(child):
+                    _fail(nest_f, addr.base + (c,), child, parent, "child escapes parent")
+                if parent.width and child.width * s**c != parent.width:
                     _fail(
                         ratio_f,
                         addr.base + (c,),
@@ -660,36 +692,20 @@ def verify_family(
                         Fraction(1, s**c),
                         "ratio law",
                     )
-            child_sum += child.width
-        if parent.width and child_sum > parent.width:
-            _fail(part_f, addr.base, child_sum, parent.width, "children exceed parent length")
-    results.append(PropertyResult("nesting", checked, not nest_f, tuple(nest_f)))
-    results.append(PropertyResult("ratio-law", checked, not ratio_f, tuple(ratio_f)))
-    results.append(PropertyResult("partition", checked, not part_f, tuple(part_f)))
+                child_sum += child.width
+            if parent.width and child_sum > parent.width:
+                _fail(part_f, addr.base, child_sum, parent.width, "children exceed parent length")
 
-    # sibling gaps + orderings
-    gap_f, ord_f = [], []
-    gaps_checked = orders_checked = 0
-    digits = fam.run_digits
-    if len(digits) > 1:
-        for addr in addresses:
-            if addr.rank >= depth:
-                continue
-            for p, q in zip(digits, digits[1:]):
-                a = cylinder_interval(fam, addr.base + (p,))
-                b = cylinder_interval(fam, addr.base + (q,))
-                gaps_checked += 1
-                lo, hi = (a, b) if a.lo <= b.lo else (b, a)
-                if lo.hi >= hi.lo:
-                    _fail(gap_f, addr.base, lo.hi, hi.lo, f"siblings {p},{q} touch or overlap")
-                if q == p + 1:
-                    gap = gap_interval(fam, addr, p)
-                    if gap is None or gap.width <= 0:
-                        _fail(gap_f, addr.base, a, b, f"empty gap between {p},{p + 1}")
-            report = ordering_check(fam, addr)
-            orders_checked += len(report.entries)
-            if not report.passed:
-                bad = next(e for e in report.entries if not e.ok)
+            # sibling gaps + orderings
+            entries = _ordering_entries(fam, addr.base, children)
+            n_pair += len(entries)
+            for e in entries:
+                if e.observed == "overlap":
+                    a, b = children[e.p], children[e.q]
+                    lo, hi = (a, b) if a.lo <= b.lo else (b, a)
+                    _fail(gap_f, addr.base, lo.hi, hi.lo, f"siblings {e.p},{e.q} touch or overlap")
+            bad = next((e for e in entries if not e.ok), None)
+            if bad is not None:
                 _fail(
                     ord_f,
                     addr.base,
@@ -697,21 +713,29 @@ def verify_family(
                     bad.predicted,
                     f"pair ({bad.p},{bad.q}) orientation",
                 )
-    results.append(PropertyResult("sibling-gaps", gaps_checked, not gap_f, tuple(gap_f)))
-    results.append(PropertyResult("ordering", orders_checked, not ord_f, tuple(ord_f)))
+    results = [
+        PropertyResult("interval-vs-oracle", n_addr, not oracle_f, tuple(oracle_f)),
+        PropertyResult("nesting", n_child, not nest_f, tuple(nest_f)),
+        PropertyResult("ratio-law", n_child, not ratio_f, tuple(ratio_f)),
+        PropertyResult("partition", n_child, not part_f, tuple(part_f)),
+        PropertyResult("sibling-gaps", n_pair, not gap_f, tuple(gap_f)),
+        PropertyResult("ordering", n_pair, not ord_f, tuple(ord_f)),
+    ]
 
-    # geometric covering-sum law
+    # geometric covering-sum law, over the depths the cap lets through
     cov_f = []
     rho = sum(Fraction(1, s**a) for a in digits)
     base_sum = covering_sum(fam, 0)
     cov_depth = min(depth + 2, 8)
+    summed = 0
     for d in range(cov_depth + 1):
         if len(digits) ** d > cap:
             break
         total = covering_sum(fam, d, cap=cap)
+        summed += 1
         if total != base_sum * rho**d:
             _fail(cov_f, (d,), total, base_sum * rho**d, "covering law")
-    results.append(PropertyResult("covering-law", cov_depth + 1, not cov_f, tuple(cov_f)))
+    results.append(PropertyResult("covering-law", summed, not cov_f, tuple(cov_f)))
 
     # Sminus endpoint/diameter consistency
     if fam.kind == "Sminus":

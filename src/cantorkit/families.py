@@ -361,6 +361,12 @@ def family_blocks(fam: FamilySpec) -> tuple[tuple[int, ...], ...]:
     elif fam.kind == "Sminus":
         blocks = [(0,) * (p - 1) + (p,) for p in fam.run_digits]
     elif fam.kind == "Tilde":
+        # (1,) plus v^(k-1) k for 2 <= k <= s-1 and each of the s-1 digits v != k
+        digits = 1 + (fam.s - 1) * (fam.s * (fam.s - 1) // 2 - 1)
+        if digits > DEFAULT_CAP:
+            raise CapExceededError(
+                f"Tilde(s={fam.s}) blocks hold {digits} digits, above the cap {DEFAULT_CAP}"
+            )
         seen = {(1,)}
         for k in range(2, fam.s):
             for v in range(fam.s):

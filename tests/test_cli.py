@@ -58,6 +58,8 @@ def test_verify_exit_zero(capsys):
     assert code == 0
     assert "all properties hold" in out
     assert "[pass] interval-vs-oracle" in out
+    # its oracle ranges over 6^8 continuations, above the enumeration cap
+    assert main(["verify", "S(s=7)", "--depth", "2"]) == 0
 
 
 def test_verify_json_format(capsys):
@@ -116,6 +118,7 @@ def test_blocks_output(capsys):
     payload = json.loads(out)
     assert payload["count"] == 7
     assert payload["histogram"] == {"1": 1, "2": 3, "3": 3}
+    assert main(["blocks", "Tilde(s=3000)"]) == 1
 
 
 def test_convert_round_trip(capsys):

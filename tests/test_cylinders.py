@@ -93,6 +93,16 @@ def test_oracle_whole_set_s3():
     assert cylinder_interval(S3, ()).contains(o.interval)
 
 
+def test_oracle_beyond_enumeration_cap():
+    # 4^12 continuations: more than DEFAULT_CAP, exact all the same
+    fam = parse_family("S(s=5)")
+    o = tail_extrema_oracle(fam, (), 12)
+    iv = cylinder_interval(fam, ())
+    assert o.leaves == 4**12
+    assert iv.contains(o.interval)
+    assert iv.hausdorff(o.interval) <= o.bound
+
+
 def test_oracle_whole_set_sminus():
     o = tail_extrema_oracle(SM3, (), 12)
     iv = cylinder_interval(SM3, ())
@@ -229,6 +239,13 @@ def test_verify_family_passes():
     for text in ("S(s=3)", "Su(s=4,u=2)", "NSu(s=3,u=0)", "Sminus(s=3)"):
         rep = verify_family(parse_family(text), depth=3, oracle_depth=8)
         assert rep.passed, [(r.name, r.failures) for r in rep.results if not r.passed]
+
+
+def test_verify_counts_covering_depths_summed():
+    # the cap admits depths 0..3 (4^3 = 64 <= 100 < 4^4) of the 0..4 planned
+    rep = verify_family(parse_family("S(s=5)"), depth=2, oracle_depth=3, cap=100)
+    cov = next(r for r in rep.results if r.name == "covering-law")
+    assert rep.passed and cov.checked == 4
 
 
 def test_verify_rejects_nonformula_families():

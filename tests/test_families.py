@@ -79,6 +79,10 @@ def test_tilde_block_count():
         assert bs.size == s * s - 3 * s + 3
     bs4 = blocks_of_family(parse_family("Tilde(s=4)"))
     assert bs4.counts() == {1: 1, 2: 3, 3: 3}
+    # refused from the digit count, before any block is built
+    for s in (127, 3000):
+        with pytest.raises(CapExceededError):
+            blocks_of_family(parse_family(f"Tilde(s={s})"))
 
 
 def test_md_analytic_and_mdper_blocks():

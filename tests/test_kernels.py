@@ -1,9 +1,12 @@
+"""The oracle's level recursion against a brute-force walk over every leaf."""
+
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from cantorkit import kernels
+from cantorkit import parse_family, tail_extrema_oracle
+from cantorkit.cylinders import _level_minmax, _oracle_levels
 
 
 def _eval_tree(s, levels, exp_parity, tnum, tden):
@@ -45,6 +48,7 @@ def _random_levels(rng, s, depth):
     return levels
 
 
+# the recursion and the brute-force walk are the two implementations compared
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("exp_parity", (False, True))
 def test_backends_match_reference(seed, exp_parity):
@@ -53,43 +57,48 @@ def test_backends_match_reference(seed, exp_parity):
     levels = _random_levels(rng, s, rng.randint(1, 4))
     tnum, tden = rng.randint(-4, 4), rng.randint(1, 9)
     want = _eval_tree(s, levels, exp_parity, tnum, tden)
-    for backend in ("python",) + (("cython",) if kernels.HAVE_C else ()):
-        wmin, wmax, emax = kernels.local_extrema(s, levels, exp_parity, tnum, tden, backend=backend)
-        denom = s**emax * tden
-        assert (F(wmin, denom), F(wmax, denom)) == want, (backend, seed)
+    assert _level_minmax(s, levels, exp_parity, F(tnum, tden)) == want, seed
+
+
+@pytest.mark.parametrize(
+    "text,depth,phase",
+    [
+        ("S(s=4)", 6, 0),
+        ("Su(s=5,u=2)", 5, 0),
+        ("NSu(s=4,u=0)", 5, 0),
+        ("NSu(s=5,u=2)", 5, 0),
+        ("Sminus(s=4)", 4, 0),
+        ("Sminus(s=4)", 5, 0),
+        ("Tilde(s=4)", 3, 0),
+        ("Blocks(s=3,B=[0 2;1])", 6, 0),
+        ("MDper(s=3,m=[3,5])", 5, 0),
+        ("MDper(s=3,m=[3,5])", 5, 1),
+    ],
+)
+def test_family_trees_match_reference(text, depth, phase):
+    fam = parse_family(text)
+    levels, parity, tnum, tden = _oracle_levels(fam, depth, phase)
+    want = _eval_tree(fam.s, levels, parity, tnum, tden)
+    assert _level_minmax(fam.s, levels, parity, F(tnum, tden)) == want
 
 
 def test_parity_sign_hand_case():
     # one level, digit 1 or 2 with coef = digit: values -1/3 and +2/9
     levels = [[(1, ((1, 1),)), (2, ((2, 2),))]]
-    wmin, wmax, emax = kernels.local_extrema(3, levels, True, 0, 1)
-    denom = 3**emax
-    assert F(wmin, denom) == F(-1, 3)
-    assert F(wmax, denom) == F(2, 9)
+    assert _level_minmax(3, levels, True, F(0)) == (F(-1, 3), F(2, 9))
 
 
-def test_python_fallback_on_overflow():
-    # emax far beyond 128-bit range must still give exact answers
+def test_exact_at_exponent_160():
     levels = [[(40, ((1, 40),))]] * 4  # single path, exponent 160
-    wmin, wmax, emax = kernels.local_extrema(7, levels, False, 0, 1)
-    assert emax == 160
-    assert F(wmin, 7**emax) == sum(F(1, 7 ** (40 * k)) for k in range(1, 5))
-    if kernels.HAVE_C:
-        with pytest.raises(OverflowError):
-            kernels.local_extrema(7, levels, False, 0, 1, backend="cython")
+    want = sum(F(1, 7 ** (40 * k)) for k in range(1, 5))
+    assert _level_minmax(7, levels, False, F(0)) == (want, want)
+    assert _eval_tree(7, levels, False, 0, 1) == (want, want)
 
 
 def test_leaf_count_and_validation():
-    levels = [[(1, ()), (2, ())], [(1, ())]]
-    assert kernels.leaf_count(levels) == 2
+    assert tail_extrema_oracle(parse_family("Tilde(s=4)"), (), 3).leaves == 7**3
+    assert tail_extrema_oracle(parse_family("MDper(s=3,m=[3,5])"), (1,), 4).leaves == 3**4
     with pytest.raises(ValueError):
-        kernels.local_extrema(3, [[]], False, 0, 1)
+        _level_minmax(3, [[]], False, F(0))
     with pytest.raises(ValueError):
-        kernels.local_extrema(3, levels, False, 0, 0)
-    with pytest.raises(ValueError):
-        kernels.local_extrema(3, levels, False, 0, 1, backend="weird")
-
-
-def test_backend_reports():
-    assert kernels.BACKEND in ("cython", "python")
-    assert kernels.BACKEND == ("cython" if kernels.HAVE_C else "python")
+        tail_extrema_oracle(parse_family("S(s=3)"), (), 0)
