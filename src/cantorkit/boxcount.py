@@ -11,7 +11,8 @@ boxes of width 3^-n for the classical Cantor set) with no boundary noise.
 Subdividing only the cylinders still wider than eps gives the same cell set
 as deepening every address uniformly: hull endpoints are attained by set
 members, so each undersized piece touches exactly the cells its deepest
-descendants touch.
+descendants touch.  The walk carries each cylinder's affine frame and
+applies one digit map per child.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from fractions import Fraction
 from statistics import linear_regression
 from typing import Sequence
 
-from .cylinders import cylinder_hull, set_interval
+from .cylinders import frame_hull, set_interval
 from .errors import CapExceededError, UnsupportedFamilyError
-from .families import DEFAULT_CAP, FamilySpec, level_choices
+from .families import DEFAULT_CAP, FamilySpec, address_frame, child_frames
 
 
 @dataclass(frozen=True)
@@ -71,16 +72,15 @@ def boxes_at_scale(fam: FamilySpec, eps, depth: int = 0, cap: int = DEFAULT_CAP)
     total = -((-span.numerator) // span.denominator)  # ceil: number of mesh cells
     cells: set[int] = set()
     visited = 0
-    stack: list[tuple] = [()]
+    stack = [(0, address_frame(fam, ()))]
     while stack:
-        base = stack.pop()
+        rank, frame = stack.pop()
         visited += 1
         if visited > cap:
             raise CapExceededError(f"cover needs more than {cap} cylinders at eps={eps}")
-        iv = cylinder_hull(fam, base)
-        if iv.width > eps or len(base) < depth:
-            for sel in level_choices(fam, len(base) + 1):
-                stack.append(base + (sel,))
+        iv = frame_hull(fam, frame)
+        if iv.width > eps or rank < depth:
+            stack.extend((rank + 1, child) for _, child in child_frames(fam, frame))
             continue
         qa = (iv.lo - hull.lo) / eps
         qb = (iv.hi - hull.lo) / eps

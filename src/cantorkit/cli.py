@@ -64,10 +64,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _ints(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(t) for t in text.replace(",", " ").split())
+    try:
+        return tuple(int(t) for t in text.replace(",", " ").split())
+    except ValueError as exc:
+        raise FamilyParseError(f"bad integer list {text!r}: {exc}") from None
+
+
+def _depth(text: str) -> int:
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _scales(text: str) -> tuple[int, int]:
@@ -163,8 +169,10 @@ def _parse_selectors(fam, text):
         # pairs m:e separated by commas, e.g. "3:2,5:1"
         out = []
         for part in text.split(","):
-            m, _, e = part.partition(":")
-            out.append((int(m), int(e)))
+            pair = _ints(part.replace(":", " "))
+            if part.count(":") != 1 or len(pair) != 2:
+                raise FamilyParseError(f"MD selectors are gap:digit pairs, got {part!r}")
+            out.append(pair)
         return tuple(out)
     return _ints(text)
 
@@ -281,7 +289,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def common(p, fmt="json"):
-        p.add_argument("--depth", type=int, default=8)
+        p.add_argument("--depth", type=_depth, default=8)
         p.add_argument("--cap", type=int, default=DEFAULT_CAP)
         p.add_argument("--format", choices=("json", "csv", "text"), default=fmt)
         p.add_argument("--out", default=None)
@@ -352,10 +360,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except FamilyParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except CantorkitError as exc:
+    except (CantorkitError, ValueError) as exc:
+        # every library error, bad numbers included, is a usage error
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -4,24 +4,30 @@ orderings and covering sums.
 Closed-form intervals exist for the run-length families S/Su (any u), NSu
 with u = 0, and Sminus; each cylinder is the image of the whole set under an
 affine contraction, so its hull is the prefix value plus a signed rescale of
-the whole-set hull.  For every other enumerable family the hull is computed
-exactly as the fixed point of the family's affine digit maps.
+the whole-set hull.  Everything else here works from the digit maps of
+`families.digit_map`: a cylinder's frame (value, scale, phase) maps the
+local hull at its phase onto the cylinder's hull, and that local hull is
+the fixed point of the phase's maps (`solve_affine_hull`; MDper's phases
+have their own closed form).  Traversals carry frames and apply one map per
+child.
 
-The tail-extrema oracle never touches those formulas.  It takes every
+The tail-extrema oracle never touches the closed forms.  It takes every
 admissible digit continuation of an address out to a given rank, closes each
 one with a periodic admissible tail (so every value it ranges over is an
 actual member of the set), and returns the exact min/max.  Each level's
 choices act as monotone affine maps on the levels below, so that min/max
-follows from one interval step per level instead of a walk over every
-continuation.  Containment of the oracle interval in the formula interval,
-with Hausdorff distance below the geometric tail bound, is the package's
-independent evidence for the interval formulas.
+follows from one interval step per level (the step `solve_affine_hull`
+iterates) instead of a walk over every continuation.  Containment of the
+oracle interval in the formula interval, with Hausdorff distance below the
+geometric tail bound, is the package's independent evidence for the
+interval formulas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, prod
 from typing import Sequence
 
@@ -30,9 +36,12 @@ from .families import (
     BLOCK_KINDS,
     DEFAULT_CAP,
     FamilySpec,
+    Frame,
+    address_count,
     address_frame,
     as_address,
-    enumerate_addresses,
+    child_frames,
+    digit_maps,
     family_blocks,
 )
 
@@ -126,8 +135,12 @@ def sminus_diameter_constant(s: int) -> Fraction:
 _FORMULA_KINDS = ("S", "Su", "NSu", "Sminus")
 
 
+def _has_closed_form(fam: FamilySpec) -> bool:
+    return fam.kind in _FORMULA_KINDS and not (fam.kind == "NSu" and fam.u != 0)
+
+
 def _require_formula_family(fam: FamilySpec) -> None:
-    if fam.kind not in _FORMULA_KINDS or (fam.kind == "NSu" and fam.u != 0):
+    if not _has_closed_form(fam):
         raise UnsupportedFamilyError(
             f"no closed cylinder formula for {fam.label()}; use the oracle hull"
         )
@@ -175,7 +188,7 @@ def cylinder_interval(fam: FamilySpec, addr) -> IntervalR:
 
 def cylinder_diameter(fam: FamilySpec, addr) -> Fraction:
     """Exact diameter; equals s^-(c_1+...+c_n) times the whole-set diameter."""
-    if fam.kind in _FORMULA_KINDS and not (fam.kind == "NSu" and fam.u != 0):
+    if _has_closed_form(fam):
         return cylinder_interval(fam, addr).width
     return cylinder_hull(fam, addr).width
 
@@ -198,18 +211,10 @@ def solve_affine_hull(maps: Sequence[tuple[Fraction, Fraction]]) -> tuple[Fracti
         raise ValueError("affine maps must be contractions")
     bound = max(abs(g) for g, _ in maps) / (1 - kmax) + 1
     lo, hi = -bound, bound
-
-    def step(lo, hi):
-        cand_lo = [(g + (k * lo if k > 0 else k * hi), i) for i, (g, k) in enumerate(maps)]
-        cand_hi = [(g + (k * hi if k > 0 else k * lo), i) for i, (g, k) in enumerate(maps)]
-        blo, ilo = min(cand_lo)
-        bhi, ihi = max(cand_hi)
-        return blo, bhi, ilo, ihi
-
     prev_sel = None
     stable = 0
     for _ in range(400):
-        lo, hi, ilo, ihi = step(lo, hi)
+        lo, hi, ilo, ihi = _interval_step(maps, lo, hi)
         sel = (ilo, ihi)
         stable = stable + 1 if sel == prev_sel else 0
         prev_sel = sel
@@ -235,24 +240,16 @@ def solve_affine_hull(maps: Sequence[tuple[Fraction, Fraction]]) -> tuple[Fracti
     raise RuntimeError("affine hull iteration did not stabilise")
 
 
-def _local_maps(fam: FamilySpec) -> list[tuple[Fraction, Fraction]]:
-    s, u = fam.s, fam.u or 0
-    if fam.kind in ("S", "Su"):
-        return [(Fraction(a - u, s**a), Fraction(1, s**a)) for a in fam.run_digits]
-    if fam.kind == "NSu":
-        return [
-            (Fraction((a - u) * (-1) ** a, s**a), Fraction((-1) ** a, s**a))
-            for a in fam.run_digits
-        ]
-    if fam.kind == "Sminus":
-        return [(Fraction(-a, s**a), Fraction(-1, s**a)) for a in fam.run_digits]
-    if fam.kind in BLOCK_KINDS:
-        out = []
-        for b in family_blocks(fam):
-            val = sum(Fraction(d, s**i) for i, d in enumerate(b, 1))
-            out.append((val, Fraction(1, s ** len(b))))
-        return out
-    raise UnsupportedFamilyError(f"{fam.kind} has no single-phase digit maps")
+def _interval_step(maps, lo, hi) -> tuple[Fraction, Fraction, int, int]:
+    """Hull of the images of [lo, hi] under the monotone maps x -> g + k*x,
+    with the indices of the maps attaining its two ends."""
+    new_lo, ilo = min((g + k * (lo if k > 0 else hi), i) for i, (g, k) in enumerate(maps))
+    new_hi, ihi = max((g + k * (hi if k > 0 else lo), i) for i, (g, k) in enumerate(maps))
+    return new_lo, new_hi, ilo, ihi
+
+
+def _local_maps(fam: FamilySpec, phase: int = 0) -> list[tuple[Fraction, Fraction]]:
+    return [(g, k) for _, g, k, _ in digit_maps(fam, phase).values()]
 
 
 def _mdper_hulls(s: int, period: tuple[int, ...]) -> list[IntervalR]:
@@ -294,27 +291,18 @@ def _mdper_hulls(s: int, period: tuple[int, ...]) -> list[IntervalR]:
     return hulls
 
 
-_HULL_CACHE: dict = {}
-
-
-def _local_hull(fam: FamilySpec, phase: int = 0) -> tuple[Fraction, Fraction]:
+@lru_cache(maxsize=256)
+def _local_hull(fam: FamilySpec, phase: int) -> tuple[Fraction, Fraction]:
     """Exact hull of the local tail-value set (family constant excluded)."""
-    key = (fam.core_key(), phase)
-    hit = _HULL_CACHE.get(key)
-    if hit is not None:
-        return hit
     if fam.kind == "MDper":
         iv = _mdper_hulls(fam.s, fam.period)[phase]
-        res = (iv.lo, iv.hi)
-    else:
-        res = solve_affine_hull(_local_maps(fam))
-    _HULL_CACHE[key] = res
-    return res
+        return iv.lo, iv.hi
+    return solve_affine_hull(_local_maps(fam))
 
 
 def set_interval(fam: FamilySpec) -> IntervalR:
     """Exact hull [inf, sup] of the whole family."""
-    if fam.kind in _FORMULA_KINDS and not (fam.kind == "NSu" and fam.u != 0):
+    if _has_closed_form(fam):
         return cylinder_interval(fam, ())
     if fam.kind == "MD":
         # sup -> 0 as the first gap grows; inf pairs the shortest gap with the
@@ -322,11 +310,7 @@ def set_interval(fam: FamilySpec) -> IntervalR:
         return IntervalR(Fraction(-(fam.s - 1), fam.s**3), Fraction(0))
     if fam.kind == "Cantor":
         return _cantor_interval(fam)
-    value0, sign, e, phase = address_frame(fam, ())
-    lo, hi = _local_hull(fam, phase)
-    if sign > 0:
-        return IntervalR(value0 + lo, value0 + hi)
-    return IntervalR(value0 - hi, value0 - lo)
+    return cylinder_hull(fam, ())
 
 
 def _cantor_interval(fam: FamilySpec) -> IntervalR:
@@ -345,120 +329,61 @@ def _cantor_interval(fam: FamilySpec) -> IntervalR:
     return IntervalR(lo * closure, hi * closure)
 
 
+def _frame_image(frame: Frame, lo: Fraction, hi: Fraction) -> IntervalR:
+    """The image of [lo, hi] under the frame's map x -> value + scale * x."""
+    value, scale, _ = frame
+    a, b = value + scale * lo, value + scale * hi
+    return IntervalR(a, b) if scale > 0 else IntervalR(b, a)
+
+
+def frame_hull(fam: FamilySpec, frame: Frame) -> IntervalR:
+    """Exact hull of the cylinder with the given affine frame."""
+    return _frame_image(frame, *_local_hull(fam, frame[2]))
+
+
 def cylinder_hull(fam: FamilySpec, addr) -> IntervalR:
     """Exact hull of any enumerable cylinder via the affine frame.
 
     For the closed-form families this coincides with `cylinder_interval`;
     it additionally covers NSu with u > 0, Blocks/Tilde and MDper.
     """
-    value, sign, e, phase = address_frame(fam, addr)
-    lo, hi = _local_hull(fam, phase)
-    scale = Fraction(1, fam.s**e)
-    if sign > 0:
-        return IntervalR(value + scale * lo, value + scale * hi)
-    return IntervalR(value - scale * hi, value - scale * lo)
+    return frame_hull(fam, address_frame(fam, addr))
 
 
 # -- the level oracle -------------------------------------------------------------
 
-_ORACLE_KINDS = ("S", "Su", "NSu", "Sminus", "Tilde", "Blocks", "MDper")
+def _level_minmax(levels, x0: Fraction) -> tuple[Fraction, Fraction]:
+    """Exact min/max of f_1(f_2(...f_d(x0))) over every choice of f_j, a map
+    x -> g + k*x from the list levels[j-1].
 
-_LOCAL_CACHE: dict = {}
-
-
-def _oracle_levels(fam: FamilySpec, depth: int, phase: int):
-    """Continuation tree and closure tail of the oracle at one phase.
-
-    Returns (levels, exp_parity, tnum, tden).  `levels` has one list of
-    choices per rank below the address.  A choice (exp_inc, ((coef, off), ...))
-    advances the running exponent E by exp_inc and adds coef * s^-(E + off)
-    per term, sign-flipped by the parity of E + off when `exp_parity`.  After
-    the last level the closure tail (tnum/tden) * s^-E, under the same sign
-    rule, makes every leaf the exact local value of a member of the set.
+    Each level offers the same maps whatever was chosen above it, so one
+    interval step per level, deepest first, gives the extremes exactly.
     """
-    s, u = fam.s, fam.u or 0
-    if fam.kind in ("S", "Su"):
-        digits = fam.run_digits
-        levels = [[(a, ((a - u, a),)) for a in digits]] * depth
-        a = digits[0]
-        return levels, False, a - u, s**a - 1
-    if fam.kind == "NSu":
-        digits = fam.run_digits
-        levels = [[(a, ((a - u, a),)) for a in digits]] * depth
-        a = digits[0]
-        if a % 2 == 0:
-            return levels, True, a - u, s**a - 1
-        return levels, True, -(a - u), s**a + 1
-    if fam.kind == "Sminus":
-        digits = fam.run_digits
-        levels = [
-            [(a, ((a if j % 2 == 0 else -a, a),)) for a in digits] for j in range(1, depth + 1)
-        ]
-        a = digits[0]
-        tnum = a if (depth + 1) % 2 == 0 else -a
-        return levels, False, tnum, s**a + 1
-    if fam.kind in BLOCK_KINDS:
-        blocks = family_blocks(fam)
-        levels = [
-            [(len(b), tuple((d, i) for i, d in enumerate(b, 1) if d)) for b in blocks]
-        ] * depth
-        b = blocks[0]
-        tnum = sum(d * s ** (len(b) - i) for i, d in enumerate(b, 1))
-        return levels, False, tnum, s ** len(b) - 1
-    if fam.kind == "MDper":
-        t = len(fam.period)
-        levels = []
-        for j in range(1, depth + 1):
-            m = fam.period[(phase + j - 1) % t]
-            levels.append(
-                [(m, (() if e == 0 else ((e if j % 2 == 0 else -e, m),))) for e in range(s)]
-            )
-        # the all-zero continuation is itself admissible: no closure needed
-        return levels, False, 0, 1
-    raise UnsupportedFamilyError(f"the oracle cannot enumerate {fam.kind} continuations")
-
-
-def _level_minmax(
-    s: int, levels, exp_parity: bool, tail: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Exact min/max over every leaf of an `_oracle_levels` tree.
-
-    Relative to its own exponent, the value below a level is x -> g + k*x of
-    the value below the next level, with g = sum(coef * sig(off) * s^-off)
-    and k = sig(exp_inc) * s^-exp_inc for the choice taken, where sig(n) is
-    (-1)^n under `exp_parity` and 1 otherwise.  A level offers the same
-    choices whatever was chosen above it, so one interval step per level,
-    deepest first from the closure tail, gives the extremes exactly.
-    """
-
-    def sig(n: int) -> int:
-        return -1 if exp_parity and n % 2 else 1
-
-    lo = hi = tail
-    for choices in reversed(levels):
-        maps = [
-            (
-                sum((Fraction(coef * sig(off), s**off) for coef, off in terms), Fraction(0)),
-                Fraction(sig(exp_inc), s**exp_inc),
-            )
-            for exp_inc, terms in choices
-        ]
-        lo, hi = (
-            min(g + k * (lo if k > 0 else hi) for g, k in maps),
-            max(g + k * (hi if k > 0 else lo) for g, k in maps),
-        )
+    lo = hi = x0
+    for maps in reversed(levels):
+        lo, hi, _, _ = _interval_step(maps, lo, hi)
     return lo, hi
 
 
+@lru_cache(maxsize=256)
 def _oracle_local(fam: FamilySpec, depth: int, phase: int) -> tuple[Fraction, Fraction]:
-    key = (fam.core_key(), depth, phase)
-    hit = _LOCAL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    levels, parity, tnum, tden = _oracle_levels(fam, depth, phase)
-    res = _level_minmax(fam.s, levels, parity, Fraction(tnum, tden))
-    _LOCAL_CACHE[key] = res
-    return res
+    """Exact min/max of the local tail value over every continuation `depth`
+    levels deep from `phase`, each closed by repeating the first selector of
+    the phase it ends at (for MDper the digit 0, admissible at every phase),
+    so every value is that of a member of the set."""
+    levels = []
+    for _ in range(depth):
+        levels.append(_local_maps(fam, phase))
+        phase = next(iter(digit_maps(fam, phase).values()))[3]
+    g, k = _local_maps(fam, phase)[0]
+    return _level_minmax(levels, g / (1 - k))
+
+
+def _oracle_interval(fam: FamilySpec, frame: Frame, depth: int) -> tuple[IntervalR, Fraction]:
+    """The oracle interval of the cylinder with this frame, and its tail bound."""
+    _, scale, phase = frame
+    iv = _frame_image(frame, *_oracle_local(fam, depth, phase))
+    return iv, _oracle_bound(fam, scale, depth, phase)
 
 
 def tail_extrema_oracle(fam: FamilySpec, addr, depth: int) -> OracleResult:
@@ -471,22 +396,13 @@ def tail_extrema_oracle(fam: FamilySpec, addr, depth: int) -> OracleResult:
     """
     if depth < 1:
         raise ValueError("oracle depth must be >= 1")
-    if fam.kind not in _ORACLE_KINDS:
-        raise UnsupportedFamilyError(f"the oracle cannot enumerate {fam.kind} continuations")
-    addr = as_address(fam, addr)
-    value, sign, e, phase = address_frame(fam, addr)
-    lo, hi = _oracle_local(fam, depth, phase)
-    scale = Fraction(1, fam.s**e)
-    if sign > 0:
-        iv = IntervalR(value + scale * lo, value + scale * hi)
-    else:
-        iv = IntervalR(value - scale * hi, value - scale * lo)
-    bound = _oracle_bound(fam, e, depth, phase)
-    leaves = prod(fam.branching(level, phase) for level in range(1, depth + 1))
+    frame = address_frame(fam, addr)
+    iv, bound = _oracle_interval(fam, frame, depth)
+    leaves = prod(fam.branching(level, frame[2]) for level in range(1, depth + 1))
     return OracleResult(interval=iv, bound=bound, leaves=leaves)
 
 
-def _oracle_bound(fam: FamilySpec, prefix_exp: int, depth: int, phase: int) -> Fraction:
+def _oracle_bound(fam: FamilySpec, prefix_scale: Fraction, depth: int, phase: int) -> Fraction:
     s = fam.s
     if fam.kind in ("S", "Su", "NSu", "Sminus"):
         tail_exp = depth  # every continuation digit adds at least 1
@@ -495,7 +411,7 @@ def _oracle_bound(fam: FamilySpec, prefix_exp: int, depth: int, phase: int) -> F
     else:  # MDper: the next `depth` gaps are known exactly
         t = len(fam.period)
         tail_exp = sum(fam.period[(phase + j) % t] for j in range(depth))
-    return Fraction(s, s - 1) * Fraction(1, s ** (prefix_exp + tail_exp))
+    return Fraction(s, s - 1) * abs(prefix_scale) / s**tail_exp
 
 
 # -- gaps, orderings, coverings ---------------------------------------------------
@@ -591,25 +507,34 @@ def ordering_check(fam: FamilySpec, addr) -> OrderingReport:
 
 def covering_sum(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> Fraction:
     """Exact total length of the rank-`depth` cylinder cover."""
+    address_count(fam, depth, cap)
+    # a cylinder's length is |scale| times its phase's local hull length, so
+    # the walk carries (scale, phase) alone, one digit map per child
+    scales: dict[int, Fraction] = {}
+    stack = [(0, Fraction(1), 0)]
+    while stack:
+        rank, scale, phase = stack.pop()
+        if rank == depth:
+            scales[phase] = scales.get(phase, 0) + abs(scale)
+        else:
+            stack.extend((rank + 1, scale * k, nxt) for _, _, k, nxt in digit_maps(fam, phase).values())
     total = Fraction(0)
-    for addr in enumerate_addresses(fam, depth, cap=cap):
-        total += cylinder_hull(fam, addr).width
+    for phase, scale in scales.items():
+        lo, hi = _local_hull(fam, phase)
+        total += scale * (hi - lo)
     return total
 
 
 def cylinder_report(fam: FamilySpec, addr, child: int | None = None) -> CylinderReport:
     addr = as_address(fam, addr)
-    iv = (
-        cylinder_interval(fam, addr)
-        if fam.kind in _FORMULA_KINDS and not (fam.kind == "NSu" and fam.u != 0)
-        else cylinder_hull(fam, addr)
-    )
+    closed = _has_closed_form(fam)
+    iv = cylinder_interval(fam, addr) if closed else cylinder_hull(fam, addr)
     ratio = None
     if child is not None:
         child_iv = cylinder_hull(fam, addr.base + (child,))
         ratio = child_iv.width / iv.width if iv.width else None
     orientation = None
-    if fam.kind in _FORMULA_KINDS and not (fam.kind == "NSu" and fam.u != 0) and not fam.degenerate:
+    if closed and not fam.degenerate:
         report = ordering_check(fam, addr)
         seen = {e.observed for e in report.entries}
         orientation = seen.pop() if len(seen) == 1 else "mixed"
@@ -650,69 +575,75 @@ def verify_family(
     Checks, over all addresses of rank <= depth: oracle containment with the
     geometric tail bound, child nesting, the exact ratio law, nonempty
     sibling gaps, predicted orderings, the covering-sum decay law, and the
-    Sminus diameter/endpoint consistency identity.  Addresses are visited
-    once each, rank by rank; the children's intervals of an address are
-    computed once and shared by the checks that compare siblings.
+    Sminus diameter/endpoint consistency identity.  Addresses are walked
+    depth-first, each child's frame one digit map from its parent's; the
+    children's intervals of an address are computed once, shared by the
+    checks that compare siblings, and passed down as the parents of the
+    next rank.
     """
     _require_formula_family(fam)
+    address_count(fam, depth, cap)
     s = fam.s
     digits = fam.run_digits
     oracle_f, nest_f, ratio_f, part_f, gap_f, ord_f = [], [], [], [], [], []
     n_addr = n_child = n_pair = 0
-    for rank in range(depth + 1):
-        for addr in enumerate_addresses(fam, rank, cap=cap):
-            parent = cylinder_interval(fam, addr)
-            oracle = tail_extrema_oracle(fam, addr, oracle_depth)
-            n_addr += 1
-            if not parent.contains(oracle.interval):
-                _fail(oracle_f, addr.base, oracle.interval, parent, "oracle escapes formula")
-            elif parent.hausdorff(oracle.interval) > oracle.bound:
-                _fail(
-                    oracle_f,
-                    addr.base,
-                    parent.hausdorff(oracle.interval),
-                    oracle.bound,
-                    "Hausdorff distance above tail bound",
-                )
-            if rank == depth:
-                continue
+    stack = [((), address_frame(fam, ()), cylinder_interval(fam, ()))]
+    while stack:
+        base, frame, parent = stack.pop()
+        oracle, bound = _oracle_interval(fam, frame, oracle_depth)
+        n_addr += 1
+        if not parent.contains(oracle):
+            _fail(oracle_f, base, oracle, parent, "oracle escapes formula")
+        elif parent.hausdorff(oracle) > bound:
+            _fail(
+                oracle_f,
+                base,
+                parent.hausdorff(oracle),
+                bound,
+                "Hausdorff distance above tail bound",
+            )
+        if len(base) == depth:
+            continue
 
-            # nesting + ratio law + partition
-            children = {c: cylinder_interval(fam, addr.base + (c,)) for c in digits}
-            child_sum = Fraction(0)
-            for c, child in children.items():
-                n_child += 1
-                if not parent.contains(child):
-                    _fail(nest_f, addr.base + (c,), child, parent, "child escapes parent")
-                if parent.width and child.width * s**c != parent.width:
-                    _fail(
-                        ratio_f,
-                        addr.base + (c,),
-                        child.width / parent.width,
-                        Fraction(1, s**c),
-                        "ratio law",
-                    )
-                child_sum += child.width
-            if parent.width and child_sum > parent.width:
-                _fail(part_f, addr.base, child_sum, parent.width, "children exceed parent length")
-
-            # sibling gaps + orderings
-            entries = _ordering_entries(fam, addr.base, children)
-            n_pair += len(entries)
-            for e in entries:
-                if e.observed == "overlap":
-                    a, b = children[e.p], children[e.q]
-                    lo, hi = (a, b) if a.lo <= b.lo else (b, a)
-                    _fail(gap_f, addr.base, lo.hi, hi.lo, f"siblings {e.p},{e.q} touch or overlap")
-            bad = next((e for e in entries if not e.ok), None)
-            if bad is not None:
+        # nesting + ratio law + partition
+        children = {c: cylinder_interval(fam, base + (c,)) for c in digits}
+        child_sum = Fraction(0)
+        for c, child in children.items():
+            n_child += 1
+            if not parent.contains(child):
+                _fail(nest_f, base + (c,), child, parent, "child escapes parent")
+            if parent.width and child.width * s**c != parent.width:
                 _fail(
-                    ord_f,
-                    addr.base,
-                    bad.observed,
-                    bad.predicted,
-                    f"pair ({bad.p},{bad.q}) orientation",
+                    ratio_f,
+                    base + (c,),
+                    child.width / parent.width,
+                    Fraction(1, s**c),
+                    "ratio law",
                 )
+            child_sum += child.width
+        if parent.width and child_sum > parent.width:
+            _fail(part_f, base, child_sum, parent.width, "children exceed parent length")
+
+        # sibling gaps + orderings
+        entries = _ordering_entries(fam, base, children)
+        n_pair += len(entries)
+        for e in entries:
+            if e.observed == "overlap":
+                a, b = children[e.p], children[e.q]
+                lo, hi = (a, b) if a.lo <= b.lo else (b, a)
+                _fail(gap_f, base, lo.hi, hi.lo, f"siblings {e.p},{e.q} touch or overlap")
+        bad = next((e for e in entries if not e.ok), None)
+        if bad is not None:
+            _fail(
+                ord_f,
+                base,
+                bad.observed,
+                bad.predicted,
+                f"pair ({bad.p},{bad.q}) orientation",
+            )
+        # reversed, so addresses come off the stack in lexicographic order
+        for c, child_frame in reversed(list(child_frames(fam, frame))):
+            stack.append((base + (c,), child_frame, children[c]))
     results = [
         PropertyResult("interval-vs-oracle", n_addr, not oracle_f, tuple(oracle_f)),
         PropertyResult("nesting", n_child, not nest_f, tuple(nest_f)),

@@ -17,6 +17,12 @@ their prefix sums):
               digits ranging over all of {0..s-1}
 * ``Blocks``  s-adic numbers built from an explicit finite block set
 * ``Cantor``  Cantor series with per-level digit subsets I_j
+
+Every kind but Cantor is the attractor of monotone affine digit maps.  A
+selector writes a digit block into the expansion and maps the local tail
+value after it by x -> g + k*x (`digit_map`); MDper's gap phases make its
+maps a graph-directed system.  Frames (value, scale, phase) fold those maps
+along an address, so every traversal applies one map per child.
 """
 
 from __future__ import annotations
@@ -24,10 +30,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache
 from itertools import product
 from math import gcd
-from typing import Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     CapExceededError,
@@ -42,8 +49,6 @@ DEFAULT_CAP = 10**6
 
 KINDS = ("S", "Su", "NSu", "Sminus", "Tilde", "MD", "MDper", "Blocks", "Cantor")
 
-#: kinds whose addresses are run-length digits a with value terms at s^-(A_n)
-RUN_KINDS = ("S", "Su", "NSu", "Sminus")
 #: kinds whose addresses are indices into a finite block list
 BLOCK_KINDS = ("Tilde", "Blocks")
 
@@ -148,13 +153,9 @@ class FamilySpec:
 
     def branching(self, level: int = 1, phase: int = 0) -> int:
         """Number of admissible selectors at one address level."""
-        if self.kind in RUN_KINDS or self.kind == "MDper":
-            return len(self.run_digits)
-        if self.kind in BLOCK_KINDS:
-            return len(family_blocks(self))
-        if self.kind == "Cantor":
-            return len(self.level_sets[(phase + level - 1) % len(self.level_sets)])
-        raise UnsupportedFamilyError(f"{self.kind} has unbounded branching")
+        if self.kind == "MD":
+            raise UnsupportedFamilyError("MD has unbounded branching")
+        return len(level_choices(self, phase + level))
 
     @property
     def degenerate(self) -> bool:
@@ -353,38 +354,29 @@ def _histogram(blocks) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(h.items()))
 
 
+@lru_cache(maxsize=256)
 def family_blocks(fam: FamilySpec) -> tuple[tuple[int, ...], ...]:
     """The raw block tuple of a family with finitely many blocks."""
-    u = fam.u or 0
-    if fam.kind in ("S", "Su", "NSu"):
-        blocks = [(u,) * (p - 1) + (p,) for p in fam.run_digits]
-    elif fam.kind == "Sminus":
-        blocks = [(0,) * (p - 1) + (p,) for p in fam.run_digits]
-    elif fam.kind == "Tilde":
+    if fam.kind == "Blocks":
+        return fam.blocks
+    if fam.kind == "Tilde":
         # (1,) plus v^(k-1) k for 2 <= k <= s-1 and each of the s-1 digits v != k
         digits = 1 + (fam.s - 1) * (fam.s * (fam.s - 1) // 2 - 1)
         if digits > DEFAULT_CAP:
             raise CapExceededError(
                 f"Tilde(s={fam.s}) blocks hold {digits} digits, above the cap {DEFAULT_CAP}"
             )
-        seen = {(1,)}
+        blocks = {(1,)}
         for k in range(2, fam.s):
-            for v in range(fam.s):
-                if v != k:
-                    seen.add((v,) * (k - 1) + (k,))
-        blocks = list(seen)
-    elif fam.kind == "Blocks":
-        return fam.blocks
+            blocks.update((v,) * (k - 1) + (k,) for v in range(fam.s) if v != k)
     elif fam.kind == "MDper":
         if fam.s ** len(fam.period) > DEFAULT_CAP:
             raise CapExceededError("MDper period blocks exceed the enumeration cap")
-        blocks = []
-        for eps in product(range(fam.s), repeat=len(fam.period)):
-            blocks.append(
-                reduce(lambda acc, me: acc + (0,) * (me[0] - 1) + (me[1],), zip(fam.period, eps), ())
-            )
+        # one block per period: the phase blocks in sequence
+        phases = [[m[0] for m in digit_maps(fam, p).values()] for p in range(len(fam.period))]
+        blocks = [sum(combo, ()) for combo in product(*phases)]
     else:
-        raise UnsupportedFamilyError(f"{fam.kind} has no finite block list")
+        blocks = [m[0] for m in digit_maps(fam, 0).values()]
     return tuple(sorted(blocks, key=lambda b: (len(b), b)))
 
 
@@ -420,19 +412,7 @@ class CylinderAddress:
 
 
 def validate_selectors(fam: FamilySpec, sel: Sequence) -> None:
-    kind = fam.kind
-    if kind in RUN_KINDS:
-        for a in sel:
-            a = int(a)
-            if not 1 <= a < fam.s:
-                raise FamilyConstraintError(f"digit {a} outside {{1..{fam.s - 1}}}")
-            if kind in ("Su", "NSu") and a == fam.u:
-                raise FamilyConstraintError(f"digit {a} equals the excluded digit u")
-    elif kind == "MDper":
-        for e in sel:
-            if not 0 <= int(e) < fam.s:
-                raise FamilyConstraintError(f"digit {e} outside {{0..{fam.s - 1}}}")
-    elif kind == "MD":
+    if fam.kind == "MD":
         for entry in sel:
             try:
                 m, e = entry
@@ -442,16 +422,16 @@ def validate_selectors(fam: FamilySpec, sel: Sequence) -> None:
                 raise FamilyConstraintError(f"MD gap {m} must be odd and >= 3")
             if not 1 <= e < fam.s:
                 raise FamilyConstraintError(f"MD digit {e} must be nonzero and < {fam.s}")
-    elif kind in BLOCK_KINDS:
-        nb = len(family_blocks(fam))
-        for i in sel:
-            if not 0 <= int(i) < nb:
-                raise FamilyConstraintError(f"block index {i} outside 0..{nb - 1}")
-    else:  # Cantor
+    elif fam.kind == "Cantor":
         for j, e in enumerate(sel, 1):
             I = fam.level_sets[(j - 1) % len(fam.level_sets)]
             if int(e) not in I:
                 raise FamilyConstraintError(f"digit {e} not in level-{j} set {I}")
+    else:
+        choices = digit_maps(fam, 0)  # every phase offers the same selectors
+        for x in sel:
+            if x not in choices:
+                raise FamilyConstraintError(f"selector {x!r} not admissible in {fam.label()}")
 
 
 def as_address(fam: FamilySpec, addr) -> CylinderAddress:
@@ -471,8 +451,8 @@ def level_choices(fam: FamilySpec, level: int) -> tuple[int, ...]:
     return fam.run_digits
 
 
-def enumerate_addresses(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> list[CylinderAddress]:
-    """All admissible rank-`depth` addresses, lexicographically sorted."""
+def address_count(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> int:
+    """Number of rank-`depth` addresses; CapExceededError when above `cap`."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if fam.kind == "MD":
@@ -482,13 +462,72 @@ def enumerate_addresses(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> 
         total *= fam.branching(level)
         if total > cap:
             raise CapExceededError(f"{total}+ addresses at depth {depth} exceed cap {cap}")
-    if fam.kind == "Cantor":
-        pools = [fam.level_sets[(j - 1) % len(fam.level_sets)] for j in range(1, depth + 1)]
-    elif fam.kind in BLOCK_KINDS:
-        pools = [range(len(family_blocks(fam)))] * depth
-    else:
-        pools = [fam.run_digits] * depth
+    return total
+
+
+def enumerate_addresses(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> list[CylinderAddress]:
+    """All admissible rank-`depth` addresses, lexicographically sorted."""
+    address_count(fam, depth, cap)
+    pools = [level_choices(fam, level) for level in range(1, depth + 1)]
     return [CylinderAddress(fam, combo) for combo in product(*pools)]
+
+
+# -- affine digit maps ----------------------------------------------------------
+
+#: (value, scale, phase): a cylinder is the image of the local tail set at
+#: `phase` under x -> value + scale * x
+Frame = tuple[Fraction, Fraction, int]
+
+
+def digit_map(fam: FamilySpec, sel, phase: int = 0) -> tuple[tuple[int, ...], Fraction, Fraction, int]:
+    """(block, g, k, next_phase) of one selector at `phase`.
+
+    The selector (a run digit; a block index for Tilde/Blocks; a digit for
+    MDper; a (gap, digit) pair for MD) writes `block` into the digit
+    expansion, and the local tail value from it on is x -> g + k*x of the
+    local tail value at `next_phase`.
+    """
+    s, kind = fam.s, fam.kind
+    if kind in ("S", "Su", "NSu"):
+        k = Fraction((-1) ** sel if kind == "NSu" else 1, s**sel)
+        return (fam.u,) * (sel - 1) + (sel,), (sel - fam.u) * k, k, 0
+    if kind == "Sminus":
+        k = Fraction(-1, s**sel)
+        return (0,) * (sel - 1) + (sel,), sel * k, k, 0
+    if kind in BLOCK_KINDS:
+        block = family_blocks(fam)[sel]
+        n = len(block)
+        g = Fraction(sum(d * s ** (n - i) for i, d in enumerate(block, 1)), s**n)
+        return block, g, Fraction(1, s**n), 0
+    if kind == "MD":
+        (m, eps), nxt = sel, 0
+    elif kind == "MDper":
+        m, eps, nxt = fam.period[phase], sel, (phase + 1) % len(fam.period)
+    else:
+        raise UnsupportedFamilyError(f"{kind} has no affine digit maps")
+    k = Fraction(-1, s**m)
+    return (0,) * (m - 1) + (eps,), eps * k, k, nxt
+
+
+@lru_cache(maxsize=256)
+def digit_maps(fam: FamilySpec, phase: int) -> Mapping:
+    """selector -> `digit_map` at `phase`, in `level_choices` order."""
+    return MappingProxyType({sel: digit_map(fam, sel, phase) for sel in level_choices(fam, 1)})
+
+
+def _fold(fam: FamilySpec, sels: Sequence, frame: Frame) -> Frame:
+    value, scale, phase = frame
+    for sel in sels:
+        _, g, k, phase = digit_map(fam, sel, phase)
+        value, scale = value + scale * g, scale * k
+    return value, scale, phase
+
+
+def child_frames(fam: FamilySpec, frame: Frame) -> Iterator[tuple[object, Frame]]:
+    """(selector, child frame) for each selector below `frame`: one map per child."""
+    value, scale, phase = frame
+    for sel, (_, g, k, nxt) in digit_maps(fam, phase).items():
+        yield sel, (value + scale * g, scale * k, nxt)
 
 
 # -- membership ----------------------------------------------------------------
@@ -563,57 +602,11 @@ def _family_const(fam: FamilySpec) -> Fraction:
     return Fraction(0)
 
 
-def _local_value(fam: FamilySpec, sel: Sequence, phase: int = 0) -> tuple[Fraction, int, int]:
-    """(P, sign, exp) with the partial local sum P of the selector sequence and
-    the factor sign * s^-exp multiplying whatever continues after it."""
-    s = fam.s
-    kind = fam.kind
-    u = fam.u or 0
-    P = Fraction(0)
-    e = 0
-    if kind in ("S", "Su"):
-        for a in sel:
-            e += a
-            P += Fraction(a - u, s**e)
-        return P, 1, e
-    if kind == "NSu":
-        for a in sel:
-            e += a
-            P += Fraction((a - u) * (-1) ** e, s**e)
-        return P, (-1) ** e, e
-    if kind == "Sminus":
-        for j, a in enumerate(sel, 1):
-            e += a
-            P += Fraction((-1) ** j * a, s**e)
-        return P, (-1) ** len(sel), e
-    if kind == "MDper":
-        t = len(fam.period)
-        for j, eps in enumerate(sel, 1):
-            e += fam.period[(phase + j - 1) % t]
-            P += Fraction((-1) ** j * eps, s**e)
-        return P, (-1) ** len(sel), e
-    if kind == "MD":
-        for j, (m, eps) in enumerate(sel, 1):
-            e += m
-            P += Fraction((-1) ** j * eps, s**e)
-        return P, (-1) ** len(sel), e
-    if kind in BLOCK_KINDS:
-        blocks = family_blocks(fam)
-        for i in sel:
-            for d in blocks[i]:
-                e += 1
-                P += Fraction(d, s**e)
-        return P, 1, e
-    raise UnsupportedFamilyError(f"{kind} values are not s-adic-framed")
-
-
-def address_frame(fam: FamilySpec, addr) -> tuple[Fraction, int, int, int]:
-    """(prefix_value, sign, exp, phase): the cylinder of `addr` is the image of
-    the family's local tail set under x -> prefix_value + sign * s^-exp * x."""
+def address_frame(fam: FamilySpec, addr) -> Frame:
+    """(value, scale, phase) of `addr`: its cylinder is the image of the
+    family's local tail set at `phase` under x -> value + scale * x."""
     addr = as_address(fam, addr)
-    P, sign, e = _local_value(fam, addr.base)
-    phase = addr.rank % len(fam.period) if fam.kind == "MDper" else 0
-    return _family_const(fam) + P, sign, e, phase
+    return _fold(fam, addr.base, (_family_const(fam), Fraction(1), 0))
 
 
 def eval_family_point(fam: FamilySpec, alphas, tail: Sequence = ()) -> Fraction:
@@ -626,46 +619,26 @@ def eval_family_point(fam: FamilySpec, alphas, tail: Sequence = ()) -> Fraction:
         from .radix import eval_cantor
 
         return eval_cantor(addr.base, fam.basis)
-    addr = as_address(fam, alphas)
-    value, sign, e, phase = address_frame(fam, addr)
+    value, scale, phase = address_frame(fam, alphas)
     if tail:
         tail = tuple(tail)
         validate_selectors(fam, tail)
-        if fam.kind == "MDper" and len(tail) % len(fam.period) != 0:
-            raise FamilyConstraintError(
-                "MDper tails must cover whole gap periods to repeat cleanly"
-            )
-        Pt, sign_t, e_t = _local_value(fam, tail, phase)
-        k = Fraction(sign_t, fam.s**e_t)
-        value += Fraction(sign, fam.s**e) * Pt / (1 - k)
+        # the tail's own map x -> tv + tk*x has the tail value as fixed point
+        tv, tk, end = _fold(fam, tail, (Fraction(0), Fraction(1), phase))
+        if end != phase:
+            raise FamilyConstraintError("MDper tails must cover whole gap periods to repeat cleanly")
+        value += scale * tv / (1 - tk)
     return value
 
 
 def expand_address(fam: FamilySpec, addr) -> DigitString:
     """The full digit string an address fixes in the family's expansion."""
-    addr = as_address(fam, addr)
-    u = fam.u or 0
-    out: list[int] = []
-    if fam.kind in ("S", "Su", "NSu"):
-        for a in addr.base:
-            out.extend([u] * (a - 1))
-            out.append(a)
-    elif fam.kind == "Sminus":
-        for a in addr.base:
-            out.extend([0] * (a - 1))
-            out.append(a)
-    elif fam.kind == "MDper":
-        for j, eps in enumerate(addr.base):
-            out.extend([0] * (fam.period[j % len(fam.period)] - 1))
-            out.append(eps)
-    elif fam.kind == "MD":
-        for m, eps in addr.base:
-            out.extend([0] * (m - 1))
-            out.append(eps)
-    elif fam.kind in BLOCK_KINDS:
-        blocks = family_blocks(fam)
-        for i in addr.base:
-            out.extend(blocks[i])
-    else:
+    if fam.kind == "Cantor":
         raise UnsupportedFamilyError("Cantor addresses have no single-base digit form")
+    addr = as_address(fam, addr)
+    out: list[int] = []
+    phase = 0
+    for sel in addr.base:
+        block, _, _, phase = digit_map(fam, sel, phase)
+        out.extend(block)
     return DigitString(fam.s, tuple(out))

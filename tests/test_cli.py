@@ -140,13 +140,13 @@ def test_verify_failure_reports_address_and_rationals(capsys, monkeypatch):
     import cantorkit.cylinders as cyl
 
     monkeypatch.setattr(cyl, "_nega0_bounds", lambda s: (Fraction(-1, 3), Fraction(1, 5)))
-    cyl._HULL_CACHE.clear()
-    cyl._LOCAL_CACHE.clear()
+    cyl._local_hull.cache_clear()
+    cyl._oracle_local.cache_clear()
     code, out = run(capsys, "verify", "NSu(s=3,u=0)", "--depth", "2")
     assert code == 2
     assert "FAIL" in out and "addr=" in out and "/" in out
-    cyl._HULL_CACHE.clear()
-    cyl._LOCAL_CACHE.clear()
+    cyl._local_hull.cache_clear()
+    cyl._oracle_local.cache_clear()
 
 
 def test_dim_text_and_csv_formats(capsys):
@@ -170,3 +170,28 @@ def test_out_file(tmp_path, capsys):
     code = main(["dim", "S(s=3)", "--out", str(target)])
     assert code == 0
     assert json.loads(target.read_text())["family"] == "S(s=3)"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "S(s=3)", "--alphas", "x"),
+        ("eval", "MD(s=2)", "--alphas", "3"),
+        ("cylinder", "S(s=3)", "--addr", "1,x"),
+        ("convert", "--base", "3", "--digits", "0,x", "--target", "negasadic"),
+        ("boxcount", "S(s=3)", "--scales", "5:4"),
+        ("convert", "--base", "3", "--digits", "0,2", "--target", "negasadic", "--length", "-1"),
+        ("enumerate", "S(s=3)", "--depth", "-1"),
+    ],
+)
+def test_bad_input_is_an_error_not_a_traceback(capsys, argv):
+    assert main(list(argv)) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ("verify", "cover"))
+def test_negative_depth_rejected(capsys, command):
+    assert main([command, "S(s=3)", "--depth", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --depth" in captured.err

@@ -1,0 +1,70 @@
+"""The digit-map table pinned by independent evaluators.
+
+A family point computed by folding the affine maps must equal the radix value
+of the digit string the same selectors write, closed by the tail's digits
+repeated forever; it must lie in its cylinder's hull; and the digit string
+must be a member prefix.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cantorkit import (
+    FamilySpec,
+    cylinder_hull,
+    cylinder_interval,
+    eval_family_point,
+    eval_negasadic,
+    eval_sadic,
+    expand_address,
+    membership_prefix,
+)
+from cantorkit.cylinders import _has_closed_form
+from cantorkit.families import level_choices
+
+
+@st.composite
+def families(draw):
+    kind = draw(st.sampled_from(("S", "Su", "NSu", "Sminus", "Tilde", "Blocks", "MDper")))
+    if kind in ("Su", "NSu"):
+        s = draw(st.integers(3, 6))
+        return FamilySpec(kind, s, u=draw(st.integers(0, s - 1)))
+    if kind in ("S", "Sminus"):
+        return FamilySpec(kind, draw(st.integers(3, 6)))
+    if kind == "Tilde":
+        return FamilySpec(kind, draw(st.integers(3, 5)))
+    s = draw(st.integers(2, 4))
+    if kind == "MDper":
+        period = draw(st.lists(st.sampled_from((3, 5, 7)), min_size=1, max_size=3))
+        return FamilySpec(kind, s, period=tuple(period))
+    block = st.lists(st.integers(0, s - 1), min_size=1, max_size=3).map(tuple)
+    return FamilySpec(kind, s, blocks=tuple(draw(st.lists(block, min_size=1, max_size=4, unique=True))))
+
+
+@st.composite
+def cases(draw):
+    fam = draw(families())
+    choices = st.sampled_from(level_choices(fam, 1))
+    addr = tuple(draw(st.lists(choices, max_size=4)))
+    # a tail must return to the phase it starts at: whole MDper gap periods
+    unit = len(fam.period) if fam.kind == "MDper" else 1
+    size = unit * draw(st.integers(1, 3 if unit == 1 else 2))
+    tail = tuple(draw(st.lists(choices, min_size=size, max_size=size)))
+    return fam, addr, tail
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cases())
+def test_maps_agree_with_digit_strings_and_hulls(case):
+    fam, addr, tail = case
+    point = eval_family_point(fam, addr, tail)
+    prefix = expand_address(fam, addr).digits
+    if fam.kind != "Sminus":  # Sminus signs follow the run index, not the digit position
+        tail_digits = expand_address(fam, addr + tail).digits[len(prefix):]
+        radix = eval_negasadic if fam.kind in ("NSu", "MDper") else eval_sadic
+        assert point == radix(expand_address(fam, addr), tail_digits)
+    hull = cylinder_hull(fam, addr)
+    assert hull.lo <= point <= hull.hi
+    if _has_closed_form(fam):
+        assert cylinder_interval(fam, addr) == hull
+    assert membership_prefix(fam, prefix)

@@ -2,48 +2,44 @@
 
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
-from cantorkit import parse_family, tail_extrema_oracle
-from cantorkit.cylinders import _level_minmax, _oracle_levels
+from cantorkit import GapSequence, parse_family, tail_extrema_oracle
+from cantorkit.cylinders import _level_minmax, _oracle_local
+from cantorkit.families import family_blocks
+from cantorkit.radix import DigitString, eval_negas_cantor, eval_negasadic, eval_sadic
 
 
-def _eval_tree(s, levels, exp_parity, tnum, tden):
-    """Reference: enumerate leaves recursively with Fraction arithmetic."""
-    best = []
+def _eval_tree(levels, x0):
+    """Reference: every leaf f_1(f_2(...f_d(x0))), f_j = (g, k) from levels[j-1]."""
+    leaves = []
 
-    def walk(lvl, e, val):
+    def walk(lvl, offset, scale):
         if lvl == len(levels):
-            tail = F(tnum, tden) / s**e
-            if exp_parity and e % 2 == 1:
-                tail = -tail
-            best.append(val + tail)
+            leaves.append(offset + scale * x0)
             return
-        for exp_inc, terms in levels[lvl]:
-            v = val
-            for coef, off in terms:
-                term = F(coef, s ** (e + off))
-                if exp_parity and (e + off) % 2 == 1:
-                    term = -term
-                v += term
-            walk(lvl + 1, e + exp_inc, v)
+        for g, k in levels[lvl]:
+            walk(lvl + 1, offset + scale * g, scale * k)
 
-    walk(0, 0, F(0))
-    return min(best), max(best)
+    walk(0, F(0), F(1))
+    return min(leaves), max(leaves)
 
 
-def _random_levels(rng, s, depth):
+def _random_levels(rng, s, depth, exp_parity):
+    """Per-level digit maps: k = sign * s^-e, g = sum of coef * s^-off, off <= e;
+    the sign is (-1)^e under `exp_parity` and +1 otherwise."""
     levels = []
     for _ in range(depth):
         choices = []
         for _ in range(rng.randint(1, 3)):
-            exp_inc = rng.randint(1, 3)
-            terms = tuple(
-                (rng.randint(-(s - 1), s - 1), rng.randint(1, exp_inc))
-                for _ in range(rng.randint(0, 2))
+            e = rng.randint(1, 3)
+            g = sum(
+                (F(rng.randint(-(s - 1), s - 1), s ** rng.randint(1, e)) for _ in range(rng.randint(0, 2))),
+                F(0),
             )
-            choices.append((exp_inc, terms))
+            choices.append((g, F((-1) ** e if exp_parity else 1, s**e)))
         levels.append(choices)
     return levels
 
@@ -54,10 +50,33 @@ def _random_levels(rng, s, depth):
 def test_backends_match_reference(seed, exp_parity):
     rng = random.Random(seed)
     s = rng.randint(2, 5)
-    levels = _random_levels(rng, s, rng.randint(1, 4))
-    tnum, tden = rng.randint(-4, 4), rng.randint(1, 9)
-    want = _eval_tree(s, levels, exp_parity, tnum, tden)
-    assert _level_minmax(s, levels, exp_parity, F(tnum, tden)) == want, seed
+    levels = _random_levels(rng, s, rng.randint(1, 4), exp_parity)
+    x0 = F(rng.randint(-4, 4), rng.randint(1, 9))
+    assert _level_minmax(levels, x0) == _eval_tree(levels, x0), seed
+
+
+def _local_value(fam, phase, sels):
+    """Local tail value of a continuation closed by repeating the first
+    selector, from the radix evaluators and the paper's digit blocks."""
+    s, u = fam.s, fam.u or 0
+    if fam.kind in ("S", "Su", "NSu"):
+        digits = DigitString(s, tuple(d for a in sels for d in (u,) * (a - 1) + (a,)))
+        a0 = fam.run_digits[0]
+        tail = (u,) * (a0 - 1) + (a0,)
+        if fam.kind == "NSu":
+            return eval_negasadic(digits, tail) + F(u, s + 1)
+        return eval_sadic(digits, tail) - F(u, s - 1)
+    if fam.kind == "Sminus":
+        # sum (-1)^n a_n s^-(a_1+...+a_n), then the tail a0 a0 ... summed geometrically
+        head = eval_negas_cantor(sels, GapSequence.explicit(sels), s)
+        a0 = fam.run_digits[0]
+        return head + F((-1) ** (len(sels) + 1) * a0, s ** sum(sels) * (s**a0 + 1))
+    if fam.kind == "MDper":
+        # the closing digit is 0: nothing after the continuation
+        gaps = fam.period[phase:] + fam.period[:phase]
+        return eval_negas_cantor(sels, GapSequence.periodic(gaps), s)
+    blocks = family_blocks(fam)
+    return eval_sadic(DigitString(s, tuple(d for i in sels for d in blocks[i])), blocks[0])
 
 
 @pytest.mark.parametrize(
@@ -77,28 +96,32 @@ def test_backends_match_reference(seed, exp_parity):
 )
 def test_family_trees_match_reference(text, depth, phase):
     fam = parse_family(text)
-    levels, parity, tnum, tden = _oracle_levels(fam, depth, phase)
-    want = _eval_tree(fam.s, levels, parity, tnum, tden)
-    assert _level_minmax(fam.s, levels, parity, F(tnum, tden)) == want
+    if fam.kind in ("Tilde", "Blocks"):
+        choices = range(len(family_blocks(fam)))
+    else:
+        choices = fam.run_digits
+    values = [_local_value(fam, phase, sels) for sels in product(choices, repeat=depth)]
+    assert _oracle_local(fam, depth, phase) == (min(values), max(values))
 
 
 def test_parity_sign_hand_case():
-    # one level, digit 1 or 2 with coef = digit: values -1/3 and +2/9
-    levels = [[(1, ((1, 1),)), (2, ((2, 2),))]]
-    assert _level_minmax(3, levels, True, F(0)) == (F(-1, 3), F(2, 9))
+    # one nega-3-adic level: digit 1 at position 1 or digit 2 at position 2,
+    # values -1/3 and +2/9
+    levels = [[(F(-1, 3), F(-1, 3)), (F(2, 9), F(1, 9))]]
+    assert _level_minmax(levels, F(0)) == (F(-1, 3), F(2, 9))
 
 
 def test_exact_at_exponent_160():
-    levels = [[(40, ((1, 40),))]] * 4  # single path, exponent 160
+    levels = [[(F(1, 7**40), F(1, 7**40))]] * 4  # single path, exponent 160
     want = sum(F(1, 7 ** (40 * k)) for k in range(1, 5))
-    assert _level_minmax(7, levels, False, F(0)) == (want, want)
-    assert _eval_tree(7, levels, False, 0, 1) == (want, want)
+    assert _level_minmax(levels, F(0)) == (want, want)
+    assert _eval_tree(levels, F(0)) == (want, want)
 
 
 def test_leaf_count_and_validation():
     assert tail_extrema_oracle(parse_family("Tilde(s=4)"), (), 3).leaves == 7**3
     assert tail_extrema_oracle(parse_family("MDper(s=3,m=[3,5])"), (1,), 4).leaves == 3**4
     with pytest.raises(ValueError):
-        _level_minmax(3, [[]], False, F(0))
+        _level_minmax([[]], F(0))
     with pytest.raises(ValueError):
         tail_extrema_oracle(parse_family("S(s=3)"), (), 0)
