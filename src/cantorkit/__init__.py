@@ -13,6 +13,7 @@ from .cylinders import (
     OracleResult,
     VerificationReport,
     covering_sum,
+    covering_sums,
     cylinder_diameter,
     cylinder_hull,
     cylinder_interval,

@@ -11,8 +11,10 @@ boxes of width 3^-n for the classical Cantor set) with no boundary noise.
 Subdividing only the cylinders still wider than eps gives the same cell set
 as deepening every address uniformly: hull endpoints are attained by set
 members, so each undersized piece touches exactly the cells its deepest
-descendants touch.  The walk carries each cylinder's affine frame and
-applies one digit map per child.
+descendants touch.  The cover at a finer eps refines the one at a coarser
+eps, so one walk of the cylinder tree counts every scale: it carries each
+cylinder's affine frame, applies one digit map per child, and finds the
+mesh cells of each scale by integer division.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from statistics import linear_regression
 from typing import Sequence
 
-from .cylinders import frame_hull, set_interval
+from .cylinders import _local_hull, set_interval
 from .errors import CapExceededError, UnsupportedFamilyError
 from .families import DEFAULT_CAP, FamilySpec, address_frame, child_frames
 
@@ -54,48 +56,79 @@ class FitResult:
         object.__setattr__(self, "r2", min(self.r2, 1.0))
 
 
+def _cover_counts(fam: FamilySpec, epss: Sequence[Fraction], depth: int, cap: int) -> list[int]:
+    """Mesh cells touched at each width of the descending list `epss`, from
+    one walk of the cylinder tree.
+
+    A node is terminal for scale i when it is the first on its path with
+    rank >= depth and hull width <= epss[i].  Each node carries the index of
+    the first scale still open on its path, so the walk descends only while
+    the finest scale is open: it visits exactly the nodes of the finest
+    scale's own walk, which contains every coarser one.
+    """
+    if fam.kind in ("MD", "Cantor"):
+        raise UnsupportedFamilyError(f"{fam.kind} cylinders cannot be enumerated for counting")
+    if any(eps <= 0 for eps in epss):
+        raise ValueError("eps must be positive")
+    hull = set_interval(fam)
+    if hull.width == 0:
+        return [1] * len(epss)
+    # eps_i = p/q, so each mesh index floor(x/eps_i) is one integer division
+    pq = [(eps.numerator, eps.denominator) for eps in epss]
+    hn, hd = hull.width.numerator, hull.width.denominator
+    last = [-((-hn * q) // (hd * p)) - 1 for p, q in pq]  # ceil(width/eps) cells
+    cells: list[set[int]] = [set() for _ in epss]
+    local: dict[int, tuple] = {}  # phase -> local hull ends as integer pairs, and width
+    n_scales = len(epss)
+    visited = 0
+    # the root frame shifted by -inf: every frame's value is then measured
+    # from the mesh's anchor, and so are the hull ends it maps to
+    value, scale, phase = address_frame(fam, ())
+    stack = [(0, 0, (value - hull.lo, scale, phase))]
+    while stack:
+        rank, first, frame = stack.pop()
+        visited += 1
+        if visited > cap:
+            raise CapExceededError(f"cover needs more than {cap} cylinders at eps={epss[-1]}")
+        value, scale, phase = frame
+        if phase not in local:
+            lo, hi = _local_hull(fam, phase)
+            local[phase] = (lo.numerator, lo.denominator, hi.numerator, hi.denominator, hi - lo)
+        ln, ld, un, ud, lw = local[phase]
+        sn, sd = scale.numerator, scale.denominator
+        wn, wd = abs(sn) * lw.numerator, sd * lw.denominator  # hull width, unreduced
+        end = first
+        if rank >= depth:
+            while end < n_scales and wn * pq[end][1] <= wd * pq[end][0]:
+                end += 1
+        if end > first:
+            if sn < 0:
+                ln, ld, un, ud = un, ud, ln, ld
+            # hull ends value + scale * (local end) over one denominator each
+            vn, vd = value.numerator, value.denominator
+            an, ad = vn * sd * ld + sn * ln * vd, vd * sd * ld
+            bn, bd = vn * sd * ud + sn * un * vd, vd * sd * ud
+            for i in range(first, end):
+                p, q = pq[i]
+                k1 = min((an * q) // (ad * p), last[i])
+                k2, rem = divmod(bn * q, bd * p)
+                if rem == 0:
+                    k2 -= 1  # a right end on a mesh line claims nothing beyond it
+                cells[i].update(range(k1, min(max(k2, k1), last[i]) + 1))
+        if end < n_scales:
+            stack.extend((rank + 1, end, child) for _, child in child_frames(fam, frame))
+    return [len(c) for c in cells]
+
+
 def boxes_at_scale(fam: FamilySpec, eps, depth: int = 0, cap: int = DEFAULT_CAP) -> ScaleCount:
     """Number of eps-mesh cells touched by a cylinder cover of the family.
 
     `depth` is the minimum rank a cylinder must reach before it may be
     counted; beyond that, cylinders split until their hulls measure <= eps.
     """
-    if fam.kind in ("MD", "Cantor"):
-        raise UnsupportedFamilyError(f"{fam.kind} cylinders cannot be enumerated for counting")
     eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    hull = set_interval(fam)
-    if hull.width == 0:
-        return ScaleCount(float(eps), 1)
-    span = hull.width / eps
-    total = -((-span.numerator) // span.denominator)  # ceil: number of mesh cells
-    cells: set[int] = set()
-    visited = 0
-    stack = [(0, address_frame(fam, ()))]
-    while stack:
-        rank, frame = stack.pop()
-        visited += 1
-        if visited > cap:
-            raise CapExceededError(f"cover needs more than {cap} cylinders at eps={eps}")
-        iv = frame_hull(fam, frame)
-        if iv.width > eps or rank < depth:
-            stack.extend((rank + 1, child) for _, child in child_frames(fam, frame))
-            continue
-        qa = (iv.lo - hull.lo) / eps
-        qb = (iv.hi - hull.lo) / eps
-        k1 = qa.numerator // qa.denominator
-        k1 = min(max(k1, 0), total - 1)
-        if iv.width == 0:
-            cells.add(k1)
-            continue
-        if qb.denominator == 1:
-            k2 = qb.numerator - 1  # right endpoint on a mesh line claims nothing beyond
-        else:
-            k2 = qb.numerator // qb.denominator
-        k2 = min(max(k2, k1), total - 1)
-        cells.update(range(k1, k2 + 1))
-    return ScaleCount(float(eps), len(cells))
+    (count,) = _cover_counts(fam, [eps], depth, cap)
+    return ScaleCount(float(eps), count)
 
 
 def fit_dimension(points: Sequence[ScaleCount]) -> FitResult:
@@ -123,7 +156,11 @@ def box_dimension(
     fam: FamilySpec, n_lo: int = 4, n_hi: int = 10, cap: int = DEFAULT_CAP
 ) -> tuple[FitResult, list[ScaleCount]]:
     """Fit over the aligned scales eps = s^-n, n = n_lo..n_hi."""
+    if n_lo < 0:
+        raise ValueError("scale exponents must be >= 0")
     if n_hi - n_lo < 2:
         raise ValueError("need at least 3 scales")
-    points = [boxes_at_scale(fam, Fraction(1, fam.s**n), cap=cap) for n in range(n_lo, n_hi + 1)]
+    epss = [Fraction(1, fam.s**n) for n in range(n_lo, n_hi + 1)]
+    counts = _cover_counts(fam, epss, 0, cap)
+    points = [ScaleCount(float(eps), count) for eps, count in zip(epss, counts)]
     return fit_dimension(points), points

@@ -77,7 +77,9 @@ def _depth(text: str) -> int:
 
 
 def _scales(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition(":")
+    lo, sep, hi = text.partition(":")
+    if not (sep and lo.strip().isdigit() and hi.strip().isdigit()):
+        raise argparse.ArgumentTypeError(f"must be n_lo:n_hi with integers >= 0, got {text!r}")
     return int(lo), int(hi)
 
 
@@ -228,8 +230,7 @@ def _cmd_verify(args) -> int:
 def _cmd_cover(args) -> int:
     fam = parse_family(args.family)
     rows = ["depth,exact,float"]
-    for d in range(args.depth + 1):
-        total = cyl.covering_sum(fam, d, cap=args.cap)
+    for d, total in enumerate(cyl.covering_sums(fam, args.depth, cap=args.cap)):
         rows.append(f"{d},{total.numerator}/{total.denominator},{_jfloat(float(total))}")
     _emit("\n".join(rows), args.out)
     return 0

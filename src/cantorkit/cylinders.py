@@ -336,18 +336,14 @@ def _frame_image(frame: Frame, lo: Fraction, hi: Fraction) -> IntervalR:
     return IntervalR(a, b) if scale > 0 else IntervalR(b, a)
 
 
-def frame_hull(fam: FamilySpec, frame: Frame) -> IntervalR:
-    """Exact hull of the cylinder with the given affine frame."""
-    return _frame_image(frame, *_local_hull(fam, frame[2]))
-
-
 def cylinder_hull(fam: FamilySpec, addr) -> IntervalR:
     """Exact hull of any enumerable cylinder via the affine frame.
 
     For the closed-form families this coincides with `cylinder_interval`;
     it additionally covers NSu with u > 0, Blocks/Tilde and MDper.
     """
-    return frame_hull(fam, address_frame(fam, addr))
+    frame = address_frame(fam, addr)
+    return _frame_image(frame, *_local_hull(fam, frame[2]))
 
 
 # -- the level oracle -------------------------------------------------------------
@@ -505,24 +501,32 @@ def ordering_check(fam: FamilySpec, addr) -> OrderingReport:
     return OrderingReport(addr.base, entries, all(e.ok for e in entries))
 
 
-def covering_sum(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> Fraction:
-    """Exact total length of the rank-`depth` cylinder cover."""
+def covering_sums(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> list[Fraction]:
+    """Exact total length of the rank-d cylinder cover, for each d = 0..depth."""
     address_count(fam, depth, cap)
     # a cylinder's length is |scale| times its phase's local hull length, so
-    # the walk carries (scale, phase) alone, one digit map per child
-    scales: dict[int, Fraction] = {}
-    stack = [(0, Fraction(1), 0)]
-    while stack:
-        rank, scale, phase = stack.pop()
-        if rank == depth:
-            scales[phase] = scales.get(phase, 0) + abs(scale)
-        else:
-            stack.extend((rank + 1, scale * k, nxt) for _, _, k, nxt in digit_maps(fam, phase).values())
-    total = Fraction(0)
-    for phase, scale in scales.items():
-        lo, hi = _local_hull(fam, phase)
-        total += scale * (hi - lo)
-    return total
+    # each rank needs only the total |scale| per phase, stepped one level at
+    # a time through the digit maps
+    mass = {0: Fraction(1)}
+    sums = []
+    for rank in range(depth + 1):
+        total = Fraction(0)
+        for phase, m in mass.items():
+            lo, hi = _local_hull(fam, phase)
+            total += m * (hi - lo)
+        sums.append(total)
+        if rank < depth:
+            step: dict[int, Fraction] = {}
+            for phase, m in mass.items():
+                for _, _, k, nxt in digit_maps(fam, phase).values():
+                    step[nxt] = step.get(nxt, 0) + m * abs(k)
+            mass = step
+    return sums
+
+
+def covering_sum(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> Fraction:
+    """Exact total length of the rank-`depth` cylinder cover."""
+    return covering_sums(fam, depth, cap)[-1]
 
 
 def cylinder_report(fam: FamilySpec, addr, child: int | None = None) -> CylinderReport:
@@ -656,16 +660,12 @@ def verify_family(
     # geometric covering-sum law, over the depths the cap lets through
     cov_f = []
     rho = sum(Fraction(1, s**a) for a in digits)
-    base_sum = covering_sum(fam, 0)
     cov_depth = min(depth + 2, 8)
-    summed = 0
-    for d in range(cov_depth + 1):
-        if len(digits) ** d > cap:
-            break
-        total = covering_sum(fam, d, cap=cap)
-        summed += 1
-        if total != base_sum * rho**d:
-            _fail(cov_f, (d,), total, base_sum * rho**d, "covering law")
+    summed = next((d for d in range(cov_depth + 1) if len(digits) ** d > cap), cov_depth + 1)
+    sums = covering_sums(fam, max(summed - 1, 0), cap=cap)
+    for d, total in enumerate(sums[:summed]):
+        if total != sums[0] * rho**d:
+            _fail(cov_f, (d,), total, sums[0] * rho**d, "covering law")
     results.append(PropertyResult("covering-law", summed, not cov_f, tuple(cov_f)))
 
     # Sminus endpoint/diameter consistency

@@ -4,13 +4,17 @@ from fractions import Fraction as F
 import pytest
 
 from cantorkit import (
+    CapExceededError,
     ScaleCount,
     boxes_at_scale,
     box_dimension,
+    cylinder_hull,
     family_dimension,
     fit_dimension,
     parse_family,
 )
+from cantorkit.boxcount import _cover_counts
+from cantorkit.families import level_choices
 
 LOG32 = math.log(2) / math.log(3)
 
@@ -101,3 +105,57 @@ def test_mdper_box_dimension():
     fam = parse_family("MDper(s=2,m=[3])")
     fit, _ = box_dimension(fam, 4, 12)
     assert abs(fit.slope - 1 / 3) <= 0.02
+
+
+ONE_WALK_FAMILIES = (
+    "Tilde(s=3)",
+    "S(s=3)",
+    "Su(s=5,u=2)",
+    "NSu(s=4,u=1)",
+    "Sminus(s=3)",
+    "Blocks(s=3,B=[0 2;1])",
+    "MDper(s=3,m=[3,5])",
+)
+
+
+@pytest.mark.parametrize("text", ONE_WALK_FAMILIES)
+def test_one_walk_matches_one_scale_counts(text):
+    fam = parse_family(text)
+    _, points = box_dimension(fam, 1, 6)
+    assert [p.count for p in points] == [boxes_at_scale(fam, F(1, fam.s**n)).count for n in range(1, 7)]
+
+
+@pytest.mark.parametrize("text", ONE_WALK_FAMILIES)
+def test_one_walk_takes_any_descending_widths(text):
+    fam = parse_family(text)
+    epss = [F(2, 3), F(1, 7), F(1, 10), F(3, 100), F(3, 100), F(1, 250)]
+    for depth in (0, 2):
+        expected = [boxes_at_scale(fam, eps, depth=depth).count for eps in epss]
+        assert _cover_counts(fam, epss, depth, 10**6) == expected
+
+
+def _walk_size(fam, eps):
+    """Nodes of the one-scale walk at eps, where a node splits while its hull
+    is wider than eps; counted by address with a stack no deeper than the tree."""
+    total, stack = 0, [()]
+    while stack:
+        addr = stack.pop()
+        total += 1
+        if cylinder_hull(fam, addr).width > eps:
+            stack.extend(addr + (c,) for c in level_choices(fam, len(addr) + 1))
+    return total
+
+
+# the middle-thirds set has hulls exactly s^-n wide, so ties with eps occur
+@pytest.mark.parametrize("text", ("S(s=3)", "Blocks(s=3,B=[0;2])", "Blocks(s=3,B=[0 2;1])", "MDper(s=3,m=[3,5])"))
+def test_cap_bounds_the_finest_walk(text):
+    fam = parse_family(text)
+    visited = _walk_size(fam, F(1, fam.s**7))
+    with pytest.raises(CapExceededError):
+        box_dimension(fam, 2, 7, cap=visited - 1)
+    box_dimension(fam, 2, 7, cap=visited)
+
+
+def test_negative_scale_exponent_rejected():
+    with pytest.raises(ValueError):
+        box_dimension(parse_family("S(s=3)"), -3, 2)

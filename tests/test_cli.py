@@ -182,6 +182,7 @@ def test_out_file(tmp_path, capsys):
         ("boxcount", "S(s=3)", "--scales", "5:4"),
         ("convert", "--base", "3", "--digits", "0,2", "--target", "negasadic", "--length", "-1"),
         ("enumerate", "S(s=3)", "--depth", "-1"),
+        ("boxcount", "S(s=3)", "--scales=-3:2"),
     ],
 )
 def test_bad_input_is_an_error_not_a_traceback(capsys, argv):
@@ -195,3 +196,10 @@ def test_negative_depth_rejected(capsys, command):
     assert main([command, "S(s=3)", "--depth", "-1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "argument --depth" in captured.err
+
+
+@pytest.mark.parametrize("scales", ("-3:2", "x:4", "4"))
+def test_malformed_scales_rejected(capsys, scales):
+    assert main(["boxcount", "S(s=3)", f"--scales={scales}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --scales" in captured.err

@@ -3,10 +3,12 @@ from fractions import Fraction as F
 import pytest
 
 from cantorkit import (
+    CapExceededError,
     FamilyConstraintError,
     IntervalR,
     UnsupportedFamilyError,
     covering_sum,
+    covering_sums,
     cylinder_diameter,
     cylinder_hull,
     cylinder_interval,
@@ -218,6 +220,34 @@ def test_covering_sums():
     for n in range(9):
         assert covering_sum(S3, n) == base * F(4, 9) ** n
     assert covering_sum(SM3, 0) == sminus_diameter_constant(3)
+
+
+@pytest.mark.parametrize(
+    "text",
+    (
+        "S(s=3)",
+        "Su(s=5,u=2)",
+        "NSu(s=4,u=1)",
+        "Sminus(s=4)",
+        "Tilde(s=3)",
+        "Blocks(s=3,B=[0 2;1])",
+        "MDper(s=3,m=[3,5])",
+    ),
+)
+def test_covering_sums_match_enumerated_hulls(text):
+    # reference: the hull widths of every enumerated rank-d cylinder; odd and
+    # even depths end MDper's addresses in each of its two phases
+    fam = parse_family(text)
+    depth = 4
+    reference = [sum(cylinder_hull(fam, a).width for a in enumerate_addresses(fam, d)) for d in range(depth + 1)]
+    assert covering_sums(fam, depth) == reference
+    assert covering_sum(fam, depth) == reference[-1]
+
+
+def test_covering_sums_keep_the_address_cap():
+    with pytest.raises(CapExceededError):
+        covering_sums(S3, 5, cap=2**5 - 1)
+    assert len(covering_sums(S3, 5, cap=2**5)) == 6
 
 
 def test_sminus_diameter_constant_identity():
