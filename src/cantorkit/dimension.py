@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import OutOfRangeError, UnsupportedFamilyError
-from .families import BlockSet, FamilySpec, blocks_of_family
+from .families import BlockSet, FamilySpec, blocks_of_family, check_cantor_alignment
 from .radix import CantorBasis
 
 ROOT_TOL = 1e-13
@@ -230,25 +230,36 @@ def lambda_dimension(lam: float, l: int) -> DimensionResult:
 class CantorSeriesEstimate:
     """Running dimension ratios r_n for a digit-restricted Cantor series.
 
-    ``proxy`` is the minimum of r_n over the trailing window, reported as a
-    stand-in for the liminf (which no finite prefix determines)."""
+    ``ratios`` holds r_n for the trailing window n = terms-window+1..terms.
+    ``proxy`` is their minimum, reported as a stand-in for the liminf (which
+    no finite prefix determines)."""
 
     ratios: tuple[float, ...]
     proxy: float
     window: int
+    terms: int
     side_condition_last: float
     side_condition_slow: bool
 
     def to_dimension_result(self) -> DimensionResult:
-        tail = self.ratios[-self.window :]
         return DimensionResult(
             self.proxy,
             "liminf-estimate",
             0.0,
-            (min(tail), max(tail)),
-            len(self.ratios),
-            note=f"min of r_n over the last {self.window} of {len(self.ratios)} terms",
+            (min(self.ratios), max(self.ratios)),
+            self.terms,
+            note=f"min of r_n over the last {self.window} of {self.terms} terms",
         )
+
+
+def _periodic_prefix(cycle: Sequence[float]) -> Callable[[int], float]:
+    """n -> sum of the first n terms of the sequence repeating ``cycle``.
+
+    That sum is (n // P) * fsum(cycle) + fsum(first n % P terms) for the
+    period P; both fsums are correctly rounded and computed once."""
+    partial = [math.fsum(cycle[:r]) for r in range(len(cycle) + 1)]
+    period, total = len(cycle), partial[-1]
+    return lambda n: (n // period) * total + partial[n % period]
 
 
 def cantor_series_dim_estimate(
@@ -259,57 +270,44 @@ def cantor_series_dim_estimate(
 ) -> CantorSeriesEstimate:
     """r_n = sum_(j<=n) log|I_j| / sum_(j<=n) log d_j plus a liminf proxy.
 
-    Logs are accumulated (never the products themselves), so bases like
-    d_n = 2^n stay exact in float range.  The side condition
-    log d_n / log(d_1...d_n) -> 0 is evaluated on the horizon and flagged
-    (not failed) when it is still above 0.1 at n_max.
+    Logs are summed (never the products themselves), so bases like d_n = 2^n
+    stay in float range.  Both prefix sums have closed forms: the level-set
+    logs and a constant or periodic basis repeat with their period P, so a
+    sum is (n // P) * fsum(cycle) + fsum(first n % P terms), and a power
+    basis d_n = b^n sums to log(b) * n(n+1)/2.  Each is one or two roundings
+    of correctly rounded sums, about 1 ulp, so r_n is built in O(1) for just
+    the n in the trailing window.  The side condition
+    log d_n / log(d_1...d_n) -> 0 is evaluated at n_max and flagged (not
+    failed) when it is still above 0.1.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if window is not None and window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     sets = [tuple(sorted(set(int(d) for d in I))) for I in level_sets]
     if not sets:
         raise ValueError("need at least one level digit set")
     for I in sets:
         if not I:
             raise ValueError("empty level digit set")
-    q = len(sets)
-    # digits must fit below every basis element they pair with
-    probe = max(q, len(basis.values) or 1, 1)
-    for j in range(1, probe * 2 + 1):
-        I = sets[(j - 1) % q]
-        dj = basis.d(j) if basis.kind != "power" else basis.base  # d_1 is smallest
-        if dj < 2:
-            raise ValueError(f"basis element d_{j} = {dj} must be > 1")
-        if I[-1] >= dj and basis.kind != "power":
-            raise ValueError(f"digit {I[-1]} >= d_{j} = {dj}")
-        if basis.kind == "power" and I[-1] >= basis.base:
-            raise ValueError(f"digit {I[-1]} >= d_1 = {basis.base}")
-    log_sizes = [math.log(len(I)) for I in sets]
-    # Kahan-compensated accumulators: 10^5 naive additions would drift the
-    # constant-basis ratio past the 1e-12 the estimate is good for
-    num = num_c = 0.0
-    den = den_c = 0.0
-    ratios = []
-    side = 1.0
-    for n in range(1, n_max + 1):
-        ld = basis.log_d(n)
-        y = log_sizes[(n - 1) % q] - num_c
-        t = num + y
-        num_c = (t - num) - y
-        num = t
-        y = ld - den_c
-        t = den + y
-        den_c = (t - den) - y
-        den = t
-        ratios.append(num / den)
-        side = ld / den
-    w = window if window is not None else max(100, n_max // 10)
-    w = min(w, n_max)
-    proxy = min(ratios[-w:])
+    check_cantor_alignment(basis, sets)
+    sum_log_sizes = _periodic_prefix([math.log(len(I)) for I in sets])
+    if basis.kind == "power":
+        log_b = math.log(basis.base)
+
+        def sum_log_d(n):
+            return log_b * (n * (n + 1) // 2)
+
+    else:
+        sum_log_d = _periodic_prefix([math.log(v) for v in basis.values])
+    w = min(window if window is not None else max(100, n_max // 10), n_max)
+    ratios = tuple(sum_log_sizes(n) / sum_log_d(n) for n in range(n_max - w + 1, n_max + 1))
+    side = basis.log_d(n_max) / sum_log_d(n_max)
     return CantorSeriesEstimate(
-        ratios=tuple(ratios),
-        proxy=proxy,
+        ratios=ratios,
+        proxy=min(ratios),
         window=w,
+        terms=n_max,
         side_condition_last=side,
         side_condition_slow=side > 0.1,
     )

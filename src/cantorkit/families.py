@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import lcm
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -51,6 +51,24 @@ KINDS = ("S", "Su", "NSu", "Sminus", "Tilde", "MD", "MDper", "Blocks", "Cantor")
 
 #: kinds whose addresses are indices into a finite block list
 BLOCK_KINDS = ("Tilde", "Blocks")
+
+
+def check_cantor_alignment(basis: CantorBasis, level_sets: Sequence[Sequence[int]]) -> None:
+    """Raise unless each level's largest digit lies below the d_j it pairs with.
+
+    Level j uses digit set I_((j-1) mod q); for a constant or periodic basis
+    the pairing repeats after lcm(p, q) levels, so one such cycle decides.  A
+    power basis grows, so its smallest element d_1 decides."""
+    if basis.kind == "power":
+        for I in level_sets:
+            if max(I) >= basis.base:
+                raise InvalidDigitError(f"digit {max(I)} not below every d_j >= {basis.base}")
+        return
+    q = len(level_sets)
+    for j in range(1, lcm(len(basis.values), q) + 1):
+        top = max(level_sets[(j - 1) % q])
+        if top >= basis.d(j):
+            raise InvalidDigitError(f"digit {top} >= d_{j} = {basis.d(j)}")
 
 
 @dataclass(frozen=True)
@@ -119,24 +137,9 @@ class FamilySpec:
                 if I[0] < 0:
                     raise InvalidDigitError("negative digit in level set")
             object.__setattr__(self, "level_sets", sets)
-            self._check_cantor_alignment()
+            check_cantor_alignment(self.basis, sets)
         elif self.basis is not None or self.level_sets is not None:
             raise FamilyConstraintError(f"{kind} takes no Cantor basis")
-
-    def _check_cantor_alignment(self):
-        basis, sets = self.basis, self.level_sets
-        if basis.kind == "power":
-            worst = basis.base  # d_1 is the smallest level
-            for I in sets:
-                if I[-1] >= worst:
-                    raise InvalidDigitError(f"digit {I[-1]} not below every d_j >= {worst}")
-            return
-        p, q = len(basis.values), len(sets)
-        span = p * q // gcd(p, q)
-        for j in range(1, span + 1):
-            I = sets[(j - 1) % q]
-            if I[-1] >= basis.d(j):
-                raise InvalidDigitError(f"digit {I[-1]} >= d_{j} = {basis.d(j)}")
 
     # -- structural helpers -------------------------------------------------
 
@@ -166,22 +169,6 @@ class FamilySpec:
             return self.branching() <= 1
         except UnsupportedFamilyError:
             return False
-
-    def core_key(self) -> tuple:
-        """Canonical identity for caching; S(s) and Su(s, u=0) coincide."""
-        if self.kind in ("S", "Su"):
-            return ("run+", self.s, self.u)
-        if self.kind == "NSu":
-            return ("run-", self.s, self.u)
-        if self.kind == "Sminus":
-            return ("runalt", self.s)
-        if self.kind in BLOCK_KINDS:
-            return ("blocks", self.s, family_blocks(self))
-        if self.kind == "MDper":
-            return ("mdper", self.s, self.period)
-        if self.kind == "MD":
-            return ("md", self.s)
-        return ("cantor", self.basis, self.level_sets)
 
     def label(self) -> str:
         """Canonical grammar form of this family."""

@@ -1,7 +1,9 @@
 """Exact evaluation of positional number expansions.
 
-Everything here is computed over `fractions.Fraction`; floating point never
-enters this module.  Supported expansions, for an integer base s > 1:
+Everything here is computed over `fractions.Fraction`.  The one
+float-valued function is `CantorBasis.log_d`, which gives the dimension
+estimates log d_n without materialising d_n.  Supported expansions, for an
+integer base s > 1:
 
 * s-adic:                 x = sum_n  a_n s^-n,          a_n in {0..s-1}
 * nega-s-adic:            x = sum_n (-1)^n a_n s^-n
@@ -16,6 +18,7 @@ arithmetic); those two tail forms are the only closures supported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -101,8 +104,6 @@ class CantorBasis:
 
     def log_d(self, n: int) -> float:
         """log d_n without materialising d_n (d_n can be astronomically big)."""
-        import math
-
         if self.kind == "power":
             return n * math.log(self.base)
         return math.log(self.d(n))

@@ -194,10 +194,98 @@ def test_cantor_series_estimate():
     assert est.proxy <= 2 / (3000 * 0.9 + 1) + 1e-9
     r = est.to_dimension_result()
     assert r.method == "liminf-estimate" and r.iterations == 3000
+    assert r.note == "min of r_n over the last 300 of 3000 terms"
+    assert est.terms == 3000 and len(est.ratios) == est.window == 300
     with pytest.raises(ValueError):
         cantor_series_dim_estimate(CantorBasis.constant(3), [(0, 5)], 100)
     with pytest.raises(ValueError):
         cantor_series_dim_estimate(CantorBasis.constant(3), [()], 100)
+
+
+@pytest.mark.parametrize("window", [0, -5])
+def test_cantor_series_estimate_refuses_empty_window(window):
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        cantor_series_dim_estimate(CantorBasis.constant(3), [(0, 2)], 50, window=window)
+
+
+def test_cantor_series_alignment_checks_a_whole_lcm_cycle():
+    # level 12 pairs I_2 = {0,4} with d_12 = 3; 2 * max(p, q) = 10 levels miss it
+    basis, sets = CantorBasis.periodic([5, 5, 3]), [(0, 1), (0, 4), (0, 1), (0, 1), (0, 1)]
+    with pytest.raises(ValueError, match="digit 4 >= d_12 = 3"):
+        cantor_series_dim_estimate(basis, sets, 100)
+    with pytest.raises(ValueError, match="digit 4 >= d_12 = 3"):
+        parse_family("Cantor(d=[5,5,3],I=[{0,1},{0,4},{0,1},{0,1},{0,1}])")
+
+
+def _kahan_estimate(basis, level_sets, n_max):
+    """Reference: r_n by a Kahan-compensated running sum over every n <= n_max.
+
+    Returns (min and max of r_n over the default window, side condition)."""
+    log_sizes = [math.log(len(set(I))) for I in level_sets]
+    num = num_c = den = den_c = 0.0
+    ratios = []
+    for n in range(1, n_max + 1):
+        ld = basis.log_d(n)
+        y = log_sizes[(n - 1) % len(log_sizes)] - num_c
+        t = num + y
+        num_c = (t - num) - y
+        num = t
+        y = ld - den_c
+        t = den + y
+        den_c = (t - den) - y
+        den = t
+        ratios.append(num / den)
+    tail = ratios[-min(max(100, n_max // 10), n_max) :]
+    return min(tail), max(tail), ld / den
+
+
+QUERY_CANTOR = (
+    "Cantor(d=[3],I=[{0,2}])",
+    "Cantor(d=[4,5],I=[{0,3},{1,2,4}])",
+    "Cantor(d=[3,4,5],I=[{0,2},{1,3},{0,4}])",
+    "Cantor(d=[2,3],I=[{0,1},{0,2}])",
+    "Cantor(d=[5],I=[{0,2,4}])",
+    "Cantor(d=[6],I=[{1,4}])",
+)
+
+
+@pytest.mark.parametrize(
+    "basis, level_sets, n_max",
+    [
+        pytest.param(parse_family(t).basis, parse_family(t).level_sets, 100_000, id=t)
+        for t in QUERY_CANTOR
+    ]
+    + [
+        pytest.param(CantorBasis.constant(7), [(0, 3), (1, 2, 5), (6,)], 100_000, id="d=7"),
+        pytest.param(CantorBasis.power(2), [(0, 1)], 3000, id="d=2^n"),
+        pytest.param(CantorBasis.power(3), [(0, 2), (1,)], 10_000, id="d=3^n"),
+    ],
+)
+def test_cantor_series_estimate_matches_kahan_loop(basis, level_sets, n_max):
+    est = cantor_series_dim_estimate(basis, level_sets, n_max)
+    got = (est.proxy, max(est.ratios), est.side_condition_last)
+    for new, ref in zip(got, _kahan_estimate(basis, level_sets, n_max)):
+        assert abs(new - ref) <= 4 * math.ulp(ref)
+        assert f"{new:.12g}" == f"{ref:.12g}"
+
+
+@pytest.mark.parametrize("text", QUERY_CANTOR)
+def test_cantor_series_estimate_near_periodic_limit(text):
+    # over one lcm cycle of C levels the ratio is exactly L = A_C / B_C, and
+    # r_n - L = (a_r - L b_r) / B_n with r = n mod C and a, b the within-cycle
+    # prefix sums of log|I_j| and log d_j
+    fam = parse_family(text)
+    values, sets = fam.basis.values, fam.level_sets
+    cycle = math.lcm(len(values), len(sets))
+    a = [math.fsum(math.log(len(sets[j % len(sets)])) for j in range(r)) for r in range(cycle + 1)]
+    b = [math.fsum(math.log(values[j % len(values)]) for j in range(r)) for r in range(cycle + 1)]
+    limit = a[cycle] / b[cycle]
+    spread = max(abs(a[r] - limit * b[r]) for r in range(cycle))
+    n_max = 100_000
+    est = cantor_series_dim_estimate(fam.basis, sets, n_max)
+    first = n_max - est.window + 1
+    prefix_d = math.fsum(math.log(values[j % len(values)]) for j in range(first))
+    assert abs(est.proxy - limit) <= spread / prefix_d + 4 * math.ulp(limit)
 
 
 def test_family_dimension_rejects_cantor_kind():

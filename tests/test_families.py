@@ -214,6 +214,5 @@ def test_cantor_restrict_family():
 
 def test_s_and_su0_coincide():
     a, b = parse_family("S(s=4)"), parse_family("Su(s=4,u=0)")
-    assert a.core_key() == b.core_key()
     assert blocks_of_family(a).blocks == blocks_of_family(b).blocks
     assert eval_family_point(a, (2, 3)) == eval_family_point(b, (2, 3))
