@@ -25,7 +25,7 @@ from fractions import Fraction
 from statistics import linear_regression
 from typing import Sequence
 
-from .cylinders import _local_hull, set_interval
+from .cylinders import _local_hulls, set_interval
 from .errors import CapExceededError, UnsupportedFamilyError
 from .families import DEFAULT_CAP, FamilySpec, address_frame, child_frames
 
@@ -66,8 +66,8 @@ def _cover_counts(fam: FamilySpec, epss: Sequence[Fraction], depth: int, cap: in
     the finest scale is open: it visits exactly the nodes of the finest
     scale's own walk, which contains every coarser one.
     """
-    if fam.kind in ("MD", "Cantor"):
-        raise UnsupportedFamilyError(f"{fam.kind} cylinders cannot be enumerated for counting")
+    if fam.kind == "MD":
+        raise UnsupportedFamilyError("MD cylinders cannot be enumerated for counting")
     if any(eps <= 0 for eps in epss):
         raise ValueError("eps must be positive")
     hull = set_interval(fam)
@@ -78,7 +78,11 @@ def _cover_counts(fam: FamilySpec, epss: Sequence[Fraction], depth: int, cap: in
     hn, hd = hull.width.numerator, hull.width.denominator
     last = [-((-hn * q) // (hd * p)) - 1 for p, q in pq]  # ceil(width/eps) cells
     cells: list[set[int]] = [set() for _ in epss]
-    local: dict[int, tuple] = {}  # phase -> local hull ends as integer pairs, and width
+    # phase -> local hull ends as integer pairs, and its width
+    local = {
+        phase: (lo.numerator, lo.denominator, hi.numerator, hi.denominator, hi - lo)
+        for phase, (lo, hi) in _local_hulls(fam).items()
+    }
     n_scales = len(epss)
     visited = 0
     # the root frame shifted by -inf: every frame's value is then measured
@@ -91,9 +95,6 @@ def _cover_counts(fam: FamilySpec, epss: Sequence[Fraction], depth: int, cap: in
         if visited > cap:
             raise CapExceededError(f"cover needs more than {cap} cylinders at eps={epss[-1]}")
         value, scale, phase = frame
-        if phase not in local:
-            lo, hi = _local_hull(fam, phase)
-            local[phase] = (lo.numerator, lo.denominator, hi.numerator, hi.denominator, hi - lo)
         ln, ld, un, ud, lw = local[phase]
         sn, sd = scale.numerator, scale.denominator
         wn, wd = abs(sn) * lw.numerator, sd * lw.denominator  # hull width, unreduced

@@ -70,10 +70,15 @@ def _ints(text: str) -> tuple[int, ...]:
         raise FamilyParseError(f"bad integer list {text!r}: {exc}") from None
 
 
-def _depth(text: str) -> int:
-    if not text.strip().isdigit():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return int(text)
+def _at_least(low: int):
+    """argparse type: an integer >= `low`, written in plain digits."""
+
+    def parse(text: str) -> int:
+        if not text.strip().isdigit() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def _scales(text: str) -> tuple[int, int]:
@@ -93,11 +98,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _dim_payload(family_text: str) -> dict:
     fam = parse_family(family_text)
-    if fam.kind == "Cantor":
-        est = dim.cantor_series_dim_estimate(fam.basis, fam.level_sets, n_max=100_000)
-        result = est.to_dimension_result()
-    else:
-        result = dim.family_dimension(fam)
+    result = dim.family_dimension(fam)
     payload = {
         "family": fam.label(),
         "alpha": result.alpha,
@@ -290,8 +291,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def common(p, fmt="json"):
-        p.add_argument("--depth", type=_depth, default=8)
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+        p.add_argument("--depth", type=_at_least(0), default=8)
+        p.add_argument("--cap", type=_at_least(1), default=DEFAULT_CAP)
         p.add_argument("--format", choices=("json", "csv", "text"), default=fmt)
         p.add_argument("--out", default=None)
 

@@ -6,17 +6,18 @@ with u = 0, and Sminus; each cylinder is the image of the whole set under an
 affine contraction, so its hull is the prefix value plus a signed rescale of
 the whole-set hull.  Everything else here works from the digit maps of
 `families.digit_map`: a cylinder's frame (value, scale, phase) maps the
-local hull at its phase onto the cylinder's hull, and that local hull is
-the fixed point of the phase's maps (`solve_affine_hull`; MDper's phases
-have their own closed form).  Traversals carry frames and apply one map per
-child.
+local hull at its phase onto the cylinder's hull.  The local hulls of all
+phases are the exact fixed point of one graph-directed system
+(`solve_phase_hulls`), the same for one-phase kinds, MDper's gap phases and
+a periodic Cantor series' levels.  Traversals carry frames and apply one map
+per child.
 
 The tail-extrema oracle never touches the closed forms.  It takes every
 admissible digit continuation of an address out to a given rank, closes each
 one with a periodic admissible tail (so every value it ranges over is an
 actual member of the set), and returns the exact min/max.  Each level's
 choices act as monotone affine maps on the levels below, so that min/max
-follows from one interval step per level (the step `solve_affine_hull`
+follows from one interval step per level (the step `solve_phase_hulls`
 iterates) instead of a walk over every continuation.  Containment of the
 oracle interval in the formula interval, with Hausdorff distance below the
 geometric tail bound, is the package's independent evidence for the
@@ -28,12 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
-from typing import Sequence
+from math import prod
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .errors import FamilyConstraintError, UnsupportedFamilyError
 from .families import (
-    BLOCK_KINDS,
     DEFAULT_CAP,
     FamilySpec,
     Frame,
@@ -42,7 +43,6 @@ from .families import (
     as_address,
     child_frames,
     digit_maps,
-    family_blocks,
 )
 
 
@@ -195,49 +195,27 @@ def cylinder_diameter(fam: FamilySpec, addr) -> Fraction:
 
 # -- exact hulls for arbitrary enumerable families ------------------------------
 
+#: phase -> (the phase's digit maps as (g, k) pairs, the next phase)
+PhaseMaps = Mapping[int, tuple[tuple[tuple[Fraction, Fraction], ...], int]]
 
-def solve_affine_hull(maps: Sequence[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction]:
-    """Exact hull [lo, hi] of the attractor of x -> g_i + k_i * x, |k_i| < 1.
 
-    Iterates the interval map until the extremal selectors stabilise, then
-    solves the resulting 2x2 linear system exactly and verifies it is the
-    true fixed point.
-    """
-    maps = [(Fraction(g), Fraction(k)) for g, k in maps]
-    if not maps:
-        raise ValueError("need at least one affine map")
-    kmax = max(abs(k) for _, k in maps)
-    if kmax >= 1:
-        raise ValueError("affine maps must be contractions")
-    bound = max(abs(g) for g, _ in maps) / (1 - kmax) + 1
-    lo, hi = -bound, bound
-    prev_sel = None
-    stable = 0
-    for _ in range(400):
-        lo, hi, ilo, ihi = _interval_step(maps, lo, hi)
-        sel = (ilo, ihi)
-        stable = stable + 1 if sel == prev_sel else 0
-        prev_sel = sel
-        if stable < 3:
-            continue
-        g1, k1 = maps[ilo]
-        g2, k2 = maps[ihi]
-        if k1 > 0 and k2 > 0:
-            L, H = g1 / (1 - k1), g2 / (1 - k2)
-        elif k1 > 0:
-            L = g1 / (1 - k1)
-            H = g2 + k2 * L
-        elif k2 > 0:
-            H = g2 / (1 - k2)
-            L = g1 + k1 * H
-        else:
-            L = (g1 + k1 * g2) / (1 - k1 * k2)
-            H = g2 + k2 * L
-        ok_lo = L == min(g + (k * L if k > 0 else k * H) for g, k in maps)
-        ok_hi = H == max(g + (k * H if k > 0 else k * L) for g, k in maps)
-        if ok_lo and ok_hi and L <= H:
-            return L, H
-    raise RuntimeError("affine hull iteration did not stabilise")
+@lru_cache(maxsize=256)
+def _phase_maps(fam: FamilySpec) -> PhaseMaps:
+    """The digit maps and the next phase of each phase reachable from 0.
+
+    The one place that lists a family's phases: a power-basis Cantor series
+    reads a new basis element at every level, so its phases never recur and
+    it is refused here rather than walked forever."""
+    if fam.kind == "Cantor" and fam.basis.kind == "power":
+        raise UnsupportedFamilyError("a power-basis Cantor series has no finite phase set")
+    system: dict = {}
+    phase = 0
+    while phase not in system:
+        maps = digit_maps(fam, phase).values()
+        nxt = next(iter(maps))[3]
+        system[phase] = (tuple((g, k) for _, g, k, _ in maps), nxt)
+        phase = nxt
+    return MappingProxyType(system)
 
 
 def _interval_step(maps, lo, hi) -> tuple[Fraction, Fraction, int, int]:
@@ -248,56 +226,83 @@ def _interval_step(maps, lo, hi) -> tuple[Fraction, Fraction, int, int]:
     return new_lo, new_hi, ilo, ihi
 
 
-def _local_maps(fam: FamilySpec, phase: int = 0) -> list[tuple[Fraction, Fraction]]:
-    return [(g, k) for _, g, k, _ in digit_maps(fam, phase).values()]
+def _solve_chains(links: dict) -> dict:
+    """Exact values of unknowns x_u = g + k * x_v, given as links u -> (v, g, k)
+    with |k| < 1 around every cycle.
+
+    Each unknown depends on exactly one other, so the links form a
+    functional graph: every walk runs into a cycle, whose composed map has
+    a unique fixed point, and the unknowns on the way back-substitute."""
+    value: dict = {}
+    for start in links:
+        path, seen, node = [], set(), start
+        while node not in value and node not in seen:
+            seen.add(node)
+            path.append(node)
+            node = links[node][0]
+        if node not in value:  # a new cycle, from `node` round to itself
+            a, b = Fraction(0), Fraction(1)  # x_node = a + b * x_(current)
+            for u in path[path.index(node) :]:
+                _, g, k = links[u]
+                a, b = a + b * g, b * k
+            value[node] = a / (1 - b)
+        for u in reversed(path):
+            if u not in value:
+                v, g, k = links[u]
+                value[u] = g + k * value[v]
+    return value
 
 
-def _mdper_hulls(s: int, period: tuple[int, ...]) -> list[IntervalR]:
-    """Per-phase hulls of the MDper local tail values.
+def solve_phase_hulls(system: PhaseMaps) -> dict[int, tuple[Fraction, Fraction]]:
+    """Exact hull [lo, hi] of each phase's attractor in a graph-directed
+    system of monotone contractions x -> g + k*x (Mauldin & Williams 1988).
 
-    Phase p sees gaps period[p], period[p+1], ... cyclically; one level maps
-    (inf, sup) -> (-(s-1)q - q*sup, -q*inf) with q = s^-gap.  The cycle of
-    those swap-affine maps has a unique fixed point, solved exactly.
-    """
-    t = len(period)
+    Iterates the per-phase interval step.  After each step, every hull end
+    is taken to be the image of one end of the next phase's hull under the
+    map that attained it, so the ends solve exactly as a functional graph
+    (`_solve_chains`); the solution is returned once it is verified to be
+    the true fixed point of the interval step.  As the iterates converge,
+    the attaining maps become extremal at the true hull, which then solves
+    the chain."""
+    if not system or not all(maps for maps, _ in system.values()):
+        raise ValueError("need at least one affine map per phase")
+    kmax = max(abs(k) for maps, _ in system.values() for _, k in maps)
+    if kmax >= 1:
+        raise ValueError("affine maps must be contractions")
+    bound = max(abs(g) for maps, _ in system.values() for g, _ in maps) / (1 - kmax) + 1
+    lo, hi = dict.fromkeys(system, -bound), dict.fromkeys(system, bound)
+    for _ in range(400):
+        steps = {p: _interval_step(maps, lo[n], hi[n]) for p, (maps, n) in system.items()}
+        lo = {p: st[0] for p, st in steps.items()}
+        hi = {p: st[1] for p, st in steps.items()}
+        # end 0 (lo) of phase p is g + k * (end 0 of the next phase if k > 0, else end 1)
+        links = {}
+        for p, (_, _, ilo, ihi) in steps.items():
+            maps, n = system[p]
+            (g, k), (g2, k2) = maps[ilo], maps[ihi]
+            links[p, 0] = ((n, 0 if k > 0 else 1), g, k)
+            links[p, 1] = ((n, 1 if k2 > 0 else 0), g2, k2)
+        ends = _solve_chains(links)
+        L = {p: ends[p, 0] for p in system}
+        H = {p: ends[p, 1] for p in system}
+        if all(
+            _interval_step(maps, L[n], H[n])[:2] == (L[p], H[p]) and L[p] <= H[p]
+            for p, (maps, n) in system.items()
+        ):
+            return {p: (L[p], H[p]) for p in system}
+    raise RuntimeError("affine hull iteration found no exact fixed point")
 
-    def level_map(gap):
-        q = Fraction(1, s**gap)
-        # matrix rows act on the column (inf, sup); translation column last
-        return ((Fraction(0), -q, -(s - 1) * q), (-q, Fraction(0), Fraction(0)))
 
-    def compose(m_outer, m_inner):
-        (a, b, e), (c, d, f) = m_outer
-        (a2, b2, e2), (c2, d2, f2) = m_inner
-        return (
-            (a * a2 + b * c2, a * b2 + b * d2, a * e2 + b * f2 + e),
-            (c * a2 + d * c2, c * b2 + d * d2, c * e2 + d * f2 + f),
-        )
-
-    total = ((Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(1), Fraction(0)))
-    for p in range(t):
-        total = compose(total, level_map(period[p]))
-    # fixed point of x = A x + b
-    (a, b, e), (c, d, f) = total
-    det = (1 - a) * (1 - d) - b * c
-    inf0 = (e * (1 - d) + b * f) / det
-    sup0 = (f * (1 - a) + c * e) / det
-    hulls = [None] * t
-    hulls[0] = IntervalR(inf0, sup0)
-    for p in range(t - 1, 0, -1):
-        nxt = hulls[(p + 1) % t]
-        (a, b, e), (c, d, f) = level_map(period[p])
-        hulls[p] = IntervalR(a * nxt.lo + b * nxt.hi + e, c * nxt.lo + d * nxt.hi + f)
-    return hulls
+def solve_affine_hull(maps: Sequence[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction]:
+    """Exact hull [lo, hi] of the attractor of x -> g_i + k_i * x, |k_i| < 1:
+    the one-phase case of `solve_phase_hulls`."""
+    return solve_phase_hulls({0: (tuple((Fraction(g), Fraction(k)) for g, k in maps), 0)})[0]
 
 
 @lru_cache(maxsize=256)
-def _local_hull(fam: FamilySpec, phase: int) -> tuple[Fraction, Fraction]:
-    """Exact hull of the local tail-value set (family constant excluded)."""
-    if fam.kind == "MDper":
-        iv = _mdper_hulls(fam.s, fam.period)[phase]
-        return iv.lo, iv.hi
-    return solve_affine_hull(_local_maps(fam))
+def _local_hulls(fam: FamilySpec) -> Mapping[int, tuple[Fraction, Fraction]]:
+    """phase -> exact hull of the local tail-value set (family constant excluded)."""
+    return MappingProxyType(solve_phase_hulls(_phase_maps(fam)))
 
 
 def set_interval(fam: FamilySpec) -> IntervalR:
@@ -308,25 +313,7 @@ def set_interval(fam: FamilySpec) -> IntervalR:
         # sup -> 0 as the first gap grows; inf pairs the shortest gap with the
         # largest digit and the sup tail
         return IntervalR(Fraction(-(fam.s - 1), fam.s**3), Fraction(0))
-    if fam.kind == "Cantor":
-        return _cantor_interval(fam)
     return cylinder_hull(fam, ())
-
-
-def _cantor_interval(fam: FamilySpec) -> IntervalR:
-    if fam.basis.kind == "power":
-        raise UnsupportedFamilyError("no closed hull for power bases")
-    p, q = len(fam.basis.values), len(fam.level_sets)
-    span = p * q // gcd(p, q)
-    lo = hi = Fraction(0)
-    denom = 1
-    for j in range(1, span + 1):
-        I = fam.level_sets[(j - 1) % q]
-        denom *= fam.basis.d(j)
-        lo += Fraction(I[0], denom)
-        hi += Fraction(I[-1], denom)
-    closure = Fraction(denom, denom - 1)
-    return IntervalR(lo * closure, hi * closure)
 
 
 def _frame_image(frame: Frame, lo: Fraction, hi: Fraction) -> IntervalR:
@@ -340,10 +327,11 @@ def cylinder_hull(fam: FamilySpec, addr) -> IntervalR:
     """Exact hull of any enumerable cylinder via the affine frame.
 
     For the closed-form families this coincides with `cylinder_interval`;
-    it additionally covers NSu with u > 0, Blocks/Tilde and MDper.
+    it additionally covers NSu with u > 0, Blocks/Tilde, MDper and Cantor
+    series over a periodic basis.
     """
     frame = address_frame(fam, addr)
-    return _frame_image(frame, *_local_hull(fam, frame[2]))
+    return _frame_image(frame, *_local_hulls(fam)[frame[2]])
 
 
 # -- the level oracle -------------------------------------------------------------
@@ -362,24 +350,32 @@ def _level_minmax(levels, x0: Fraction) -> tuple[Fraction, Fraction]:
 
 
 @lru_cache(maxsize=256)
-def _oracle_local(fam: FamilySpec, depth: int, phase: int) -> tuple[Fraction, Fraction]:
-    """Exact min/max of the local tail value over every continuation `depth`
-    levels deep from `phase`, each closed by repeating the first selector of
-    the phase it ends at (for MDper the digit 0, admissible at every phase),
-    so every value is that of a member of the set."""
-    levels = []
+def _oracle_local(fam: FamilySpec, depth: int, phase: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(min, max, shrink) of the local tail value over every continuation
+    `depth` levels deep from `phase`.
+
+    Each continuation is closed by taking every phase's first selector from
+    then on (for MDper the digit 0, so nothing follows): a member of the
+    set, the fixed point of the first selectors' cycle carried back to the
+    phase the continuation ends at.  `shrink`, the largest product of |k|
+    along a continuation, scales the local hull left out below it."""
+    system = _phase_maps(fam)
+    closing = _solve_chains({p: (n, *maps[0]) for p, (maps, n) in system.items()})
+    levels, shrink = [], Fraction(1)
     for _ in range(depth):
-        levels.append(_local_maps(fam, phase))
-        phase = next(iter(digit_maps(fam, phase).values()))[3]
-    g, k = _local_maps(fam, phase)[0]
-    return _level_minmax(levels, g / (1 - k))
+        maps, phase = system[phase]
+        levels.append(maps)
+        shrink *= max(abs(k) for _, k in maps)
+    return (*_level_minmax(levels, closing[phase]), shrink)
 
 
 def _oracle_interval(fam: FamilySpec, frame: Frame, depth: int) -> tuple[IntervalR, Fraction]:
-    """The oracle interval of the cylinder with this frame, and its tail bound."""
+    """The oracle interval of the cylinder with this frame, and its tail
+    bound: s/(s-1) bounds every local hull width, times the frame's |scale|
+    and the continuation's shrink."""
     _, scale, phase = frame
-    iv = _frame_image(frame, *_oracle_local(fam, depth, phase))
-    return iv, _oracle_bound(fam, scale, depth, phase)
+    lo, hi, shrink = _oracle_local(fam, depth, phase)
+    return _frame_image(frame, lo, hi), Fraction(fam.s, fam.s - 1) * abs(scale) * shrink
 
 
 def tail_extrema_oracle(fam: FamilySpec, addr, depth: int) -> OracleResult:
@@ -396,18 +392,6 @@ def tail_extrema_oracle(fam: FamilySpec, addr, depth: int) -> OracleResult:
     iv, bound = _oracle_interval(fam, frame, depth)
     leaves = prod(fam.branching(level, frame[2]) for level in range(1, depth + 1))
     return OracleResult(interval=iv, bound=bound, leaves=leaves)
-
-
-def _oracle_bound(fam: FamilySpec, prefix_scale: Fraction, depth: int, phase: int) -> Fraction:
-    s = fam.s
-    if fam.kind in ("S", "Su", "NSu", "Sminus"):
-        tail_exp = depth  # every continuation digit adds at least 1
-    elif fam.kind in BLOCK_KINDS:
-        tail_exp = depth * min(len(b) for b in family_blocks(fam))
-    else:  # MDper: the next `depth` gaps are known exactly
-        t = len(fam.period)
-        tail_exp = sum(fam.period[(phase + j) % t] for j in range(depth))
-    return Fraction(s, s - 1) * abs(prefix_scale) / s**tail_exp
 
 
 # -- gaps, orderings, coverings ---------------------------------------------------
@@ -507,19 +491,20 @@ def covering_sums(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> list[F
     # a cylinder's length is |scale| times its phase's local hull length, so
     # each rank needs only the total |scale| per phase, stepped one level at
     # a time through the digit maps
+    hulls, system = _local_hulls(fam), _phase_maps(fam)
     mass = {0: Fraction(1)}
     sums = []
     for rank in range(depth + 1):
         total = Fraction(0)
         for phase, m in mass.items():
-            lo, hi = _local_hull(fam, phase)
+            lo, hi = hulls[phase]
             total += m * (hi - lo)
         sums.append(total)
         if rank < depth:
             step: dict[int, Fraction] = {}
             for phase, m in mass.items():
-                for _, _, k, nxt in digit_maps(fam, phase).values():
-                    step[nxt] = step.get(nxt, 0) + m * abs(k)
+                maps, nxt = system[phase]
+                step[nxt] = step.get(nxt, 0) + m * sum(abs(k) for _, k in maps)
             mass = step
     return sums
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import OutOfRangeError, UnsupportedFamilyError
+from .errors import OutOfRangeError
 from .families import BlockSet, FamilySpec, blocks_of_family, check_cantor_alignment
 from .radix import CantorBasis
 
@@ -148,12 +148,11 @@ def family_dimension(fam: FamilySpec) -> DimensionResult:
 
     Run/block families go through their block histogram; the free odd-gap
     family uses the cubic closed form; the periodic-gap family the exact
-    ratio t/(m_1+...+m_t).
+    ratio t/(m_1+...+m_t); a Cantor series the liminf estimate over 100,000
+    terms.
     """
     if fam.kind == "Cantor":
-        raise UnsupportedFamilyError(
-            "Cantor-restriction families use cantor_series_dim_estimate"
-        )
+        return cantor_series_dim_estimate(fam.basis, fam.level_sets, n_max=100_000).to_dimension_result()
     if fam.kind == "MD":
         return md_closed_form(fam.s)
     if fam.kind == "MDper":

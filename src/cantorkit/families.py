@@ -18,11 +18,13 @@ their prefix sums):
 * ``Blocks``  s-adic numbers built from an explicit finite block set
 * ``Cantor``  Cantor series with per-level digit subsets I_j
 
-Every kind but Cantor is the attractor of monotone affine digit maps.  A
-selector writes a digit block into the expansion and maps the local tail
-value after it by x -> g + k*x (`digit_map`); MDper's gap phases make its
-maps a graph-directed system.  Frames (value, scale, phase) fold those maps
-along an address, so every traversal applies one map per child.
+Every kind but MD is the attractor of finitely many monotone affine digit
+maps per phase.  A selector writes a digit block into the expansion and maps
+the local tail value after it by x -> g + k*x (`digit_map`).  MDper's gap
+period and a Cantor series' periodic basis and level sets give their maps
+phases, so they form graph-directed systems; the other kinds have one phase.
+Frames (value, scale, phase) fold those maps along an address, so every
+traversal applies one map per child.
 """
 
 from __future__ import annotations
@@ -398,7 +400,9 @@ class CylinderAddress:
         return len(self.base)
 
 
-def validate_selectors(fam: FamilySpec, sel: Sequence) -> None:
+def validate_selectors(fam: FamilySpec, sel: Sequence, phase: int = 0) -> int:
+    """Raise unless each selector is admissible at the phase it is read in,
+    starting from `phase`; return the phase after the last one."""
     if fam.kind == "MD":
         for entry in sel:
             try:
@@ -409,16 +413,16 @@ def validate_selectors(fam: FamilySpec, sel: Sequence) -> None:
                 raise FamilyConstraintError(f"MD gap {m} must be odd and >= 3")
             if not 1 <= e < fam.s:
                 raise FamilyConstraintError(f"MD digit {e} must be nonzero and < {fam.s}")
-    elif fam.kind == "Cantor":
-        for j, e in enumerate(sel, 1):
-            I = fam.level_sets[(j - 1) % len(fam.level_sets)]
-            if int(e) not in I:
-                raise FamilyConstraintError(f"digit {e} not in level-{j} set {I}")
-    else:
-        choices = digit_maps(fam, 0)  # every phase offers the same selectors
-        for x in sel:
-            if x not in choices:
-                raise FamilyConstraintError(f"selector {x!r} not admissible in {fam.label()}")
+        return phase
+    choices = digit_maps(fam, phase)
+    for x in sel:
+        try:
+            nxt = choices[x][3]
+        except KeyError:
+            raise FamilyConstraintError(f"selector {x!r} not admissible in {fam.label()}") from None
+        if nxt != phase:
+            phase, choices = nxt, digit_maps(fam, nxt)
+    return phase
 
 
 def as_address(fam: FamilySpec, addr) -> CylinderAddress:
@@ -470,9 +474,10 @@ def digit_map(fam: FamilySpec, sel, phase: int = 0) -> tuple[tuple[int, ...], Fr
     """(block, g, k, next_phase) of one selector at `phase`.
 
     The selector (a run digit; a block index for Tilde/Blocks; a digit for
-    MDper; a (gap, digit) pair for MD) writes `block` into the digit
-    expansion, and the local tail value from it on is x -> g + k*x of the
-    local tail value at `next_phase`.
+    MDper and Cantor; a (gap, digit) pair for MD) writes `block` into the
+    digit expansion, and the local tail value from it on is x -> g + k*x of
+    the local tail value at `next_phase`, which depends on `phase` alone.
+    Cantor phase p reads level p+1 (mod lcm(#d, #I)): x -> (e + x)/d_(p+1).
     """
     s, kind = fam.s, fam.kind
     if kind in ("S", "Su", "NSu"):
@@ -486,12 +491,16 @@ def digit_map(fam: FamilySpec, sel, phase: int = 0) -> tuple[tuple[int, ...], Fr
         n = len(block)
         g = Fraction(sum(d * s ** (n - i) for i, d in enumerate(block, 1)), s**n)
         return block, g, Fraction(1, s**n), 0
+    if kind == "Cantor":
+        k = Fraction(1, fam.basis.d(phase + 1))
+        nxt = phase + 1
+        if fam.basis.kind != "power":  # a power basis never repeats
+            nxt %= lcm(len(fam.basis.values), len(fam.level_sets))
+        return (sel,), sel * k, k, nxt
     if kind == "MD":
         (m, eps), nxt = sel, 0
-    elif kind == "MDper":
+    else:  # MDper
         m, eps, nxt = fam.period[phase], sel, (phase + 1) % len(fam.period)
-    else:
-        raise UnsupportedFamilyError(f"{kind} has no affine digit maps")
     k = Fraction(-1, s**m)
     return (0,) * (m - 1) + (eps,), eps * k, k, nxt
 
@@ -499,7 +508,7 @@ def digit_map(fam: FamilySpec, sel, phase: int = 0) -> tuple[tuple[int, ...], Fr
 @lru_cache(maxsize=256)
 def digit_maps(fam: FamilySpec, phase: int) -> Mapping:
     """selector -> `digit_map` at `phase`, in `level_choices` order."""
-    return MappingProxyType({sel: digit_map(fam, sel, phase) for sel in level_choices(fam, 1)})
+    return MappingProxyType({sel: digit_map(fam, sel, phase) for sel in level_choices(fam, phase + 1)})
 
 
 def _fold(fam: FamilySpec, sels: Sequence, frame: Frame) -> Frame:
@@ -599,21 +608,15 @@ def address_frame(fam: FamilySpec, addr) -> Frame:
 def eval_family_point(fam: FamilySpec, alphas, tail: Sequence = ()) -> Fraction:
     """Exact partial-sum value of the family's series for a finite selector
     prefix, optionally closed by a periodic selector tail."""
-    if fam.kind == "Cantor":
-        if tail:
-            raise UnsupportedFamilyError("Cantor families take no periodic selector tail")
-        addr = as_address(fam, alphas)
-        from .radix import eval_cantor
-
-        return eval_cantor(addr.base, fam.basis)
     value, scale, phase = address_frame(fam, alphas)
     if tail:
         tail = tuple(tail)
-        validate_selectors(fam, tail)
-        # the tail's own map x -> tv + tk*x has the tail value as fixed point
-        tv, tk, end = _fold(fam, tail, (Fraction(0), Fraction(1), phase))
+        end = validate_selectors(fam, tail, phase)
         if end != phase:
-            raise FamilyConstraintError("MDper tails must cover whole gap periods to repeat cleanly")
+            msg = f"a periodic tail must return to the phase it starts at ({phase}); it ends at {end}"
+            raise FamilyConstraintError(msg)
+        # the tail's own map x -> tv + tk*x has the tail value as fixed point
+        tv, tk, _ = _fold(fam, tail, (Fraction(0), Fraction(1), phase))
         value += scale * tv / (1 - tk)
     return value
 

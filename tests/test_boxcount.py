@@ -20,9 +20,11 @@ LOG32 = math.log(2) / math.log(3)
 
 
 def test_cantor_counts_are_powers_of_two():
-    fam = parse_family("Blocks(s=3,B=[0;2])")
-    for n in range(4, 11):
-        assert boxes_at_scale(fam, F(1, 3**n)).count == 2**n
+    # the middle-thirds set as a block language and as a Cantor series
+    for text in ("Blocks(s=3,B=[0;2])", "Cantor(d=[3],I=[{0,2}])"):
+        fam = parse_family(text)
+        for n in range(4, 11):
+            assert boxes_at_scale(fam, F(1, 3**n)).count == 2**n, text
 
 
 def test_full_alphabet_fills_every_box():

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -80,6 +81,18 @@ def test_eval_and_rationals(capsys):
 def test_eval_with_tail(capsys):
     _, out = run(capsys, "eval", "S(s=3)", "--alphas", "", "--tail", "2")
     assert json.loads(out)["value"] == "1/4"
+    # levels read d = 2, 3, 2, 3, ... and I = {0,1}, {0,2}, ...: after the
+    # digit 1 the tail 2,1 repeats from level 2, closed geometrically
+    cantor = "Cantor(d=[2,3],I=[{0,1},{0,2}])"
+    code, out = run(capsys, "eval", cantor, "--alphas", "1", "--tail", "2,1")
+    assert code == 0
+    once = Fraction(2, 2 * 3) + Fraction(1, 2 * 3 * 2)
+    value = Fraction(1, 2) + once * Fraction(6, 5)
+    assert json.loads(out)["value"] == f"{value.numerator}/{value.denominator}"
+    # a tail must return to its starting phase, with each digit admissible at its level
+    for tail in ("2", "1,2", "1"):
+        assert main(["eval", cantor, "--alphas", "1", "--tail", tail]) == 1
+    assert "must return to the phase it starts at (1); it ends at 0" in capsys.readouterr().err
 
 
 def test_cylinder_report(capsys):
@@ -104,13 +117,15 @@ def test_enumerate(capsys):
 
 
 def test_boxcount_csv(capsys):
-    code, out = run(capsys, "boxcount", "Blocks(s=3,B=[0;2])", "--scales", "4:10")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "eps,count"
-    assert lines[1].endswith(",16")
-    gap = float(next(l for l in lines if l.startswith("# gap,")).split(",")[1])
-    assert gap <= 0.02
+    # the middle-thirds set as a block language and as a Cantor series
+    for family in ("Blocks(s=3,B=[0;2])", "Cantor(d=[3],I=[{0,2}])"):
+        code, out = run(capsys, "boxcount", family, "--scales", "4:10")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "eps,count"
+        assert lines[1].endswith(",16")
+        gap = float(next(l for l in lines if l.startswith("# gap,")).split(",")[1])
+        assert gap <= 0.02
 
 
 def test_blocks_output(capsys):
@@ -135,17 +150,15 @@ def test_convert_round_trip(capsys):
 def test_verify_failure_reports_address_and_rationals(capsys, monkeypatch):
     # sabotage the whole-set constants: the suite must fail with exit 2 and
     # name a concrete address plus the two conflicting exact values
-    from fractions import Fraction
-
     import cantorkit.cylinders as cyl
 
     monkeypatch.setattr(cyl, "_nega0_bounds", lambda s: (Fraction(-1, 3), Fraction(1, 5)))
-    cyl._local_hull.cache_clear()
+    cyl._local_hulls.cache_clear()
     cyl._oracle_local.cache_clear()
     code, out = run(capsys, "verify", "NSu(s=3,u=0)", "--depth", "2")
     assert code == 2
     assert "FAIL" in out and "addr=" in out and "/" in out
-    cyl._local_hull.cache_clear()
+    cyl._local_hulls.cache_clear()
     cyl._oracle_local.cache_clear()
 
 
@@ -183,6 +196,10 @@ def test_out_file(tmp_path, capsys):
         ("convert", "--base", "3", "--digits", "0,2", "--target", "negasadic", "--length", "-1"),
         ("enumerate", "S(s=3)", "--depth", "-1"),
         ("boxcount", "S(s=3)", "--scales=-3:2"),
+        ("enumerate", "S(s=3)", "--depth", "0", "--cap", "-1"),
+        ("cover", "S(s=3)", "--depth", "0", "--cap", "0"),
+        ("boxcount", "S(s=3)", "--cap", "0"),
+        ("verify", "S(s=3)", "--cap", "1.5"),
     ],
 )
 def test_bad_input_is_an_error_not_a_traceback(capsys, argv):

@@ -3,8 +3,10 @@ from fractions import Fraction as F
 import pytest
 
 from cantorkit import (
+    CantorBasis,
     CapExceededError,
     FamilyConstraintError,
+    FamilySpec,
     IntervalR,
     UnsupportedFamilyError,
     covering_sum,
@@ -130,7 +132,12 @@ def test_oracle_containment_sweep():
 
 
 def test_oracle_block_and_gap_families():
-    for text, depth in (("Tilde(s=4)", 5), ("Blocks(s=3,B=[0;2])", 10), ("MDper(s=3,m=[3,5])", 5)):
+    for text, depth in (
+        ("Tilde(s=4)", 5),
+        ("Blocks(s=3,B=[0;2])", 10),
+        ("MDper(s=3,m=[3,5])", 5),
+        ("Cantor(d=[4,5],I=[{0,3},{1,2,4}])", 6),
+    ):
         fam = parse_family(text)
         for rank in range(2):
             for addr in enumerate_addresses(fam, rank):
@@ -143,6 +150,12 @@ def test_oracle_block_and_gap_families():
 def test_oracle_rejects_md():
     with pytest.raises(UnsupportedFamilyError):
         tail_extrema_oracle(parse_family("MD(s=3)"), (), 4)
+    # a power basis d_n = 2^n never repeats a phase: refused, not walked forever
+    power = FamilySpec("Cantor", 2, basis=CantorBasis.power(2), level_sets=((0, 1),))
+    with pytest.raises(UnsupportedFamilyError):
+        cylinder_hull(power, (1,))
+    with pytest.raises(UnsupportedFamilyError):
+        tail_extrema_oracle(power, (), 4)
 
 
 def test_affine_hull_solver():
@@ -163,6 +176,10 @@ def test_set_interval_special_families():
     assert per == IntervalR(F(-27, 364), F(1, 364))
     cantor = set_interval(parse_family("Cantor(d=[3],I=[{0,2}])"))
     assert cantor == IntervalR(F(0), F(1))
+    # min and max digits every level, summed over one two-level cycle and closed
+    # geometrically: (0/4 + 1/20) * 20/19 and (3/4 + 4/20) * 20/19
+    cantor = set_interval(parse_family("Cantor(d=[4,5],I=[{0,3},{1,2,4}])"))
+    assert cantor == IntervalR(F(1, 19), F(1))
 
 
 def test_gap_intervals():
@@ -232,11 +249,13 @@ def test_covering_sums():
         "Tilde(s=3)",
         "Blocks(s=3,B=[0 2;1])",
         "MDper(s=3,m=[3,5])",
+        "Cantor(d=[4,5],I=[{0,3},{1,2,4}])",
     ),
 )
 def test_covering_sums_match_enumerated_hulls(text):
     # reference: the hull widths of every enumerated rank-d cylinder; odd and
-    # even depths end MDper's addresses in each of its two phases
+    # even depths end MDper's and the Cantor series' addresses in each of
+    # their two phases
     fam = parse_family(text)
     depth = 4
     reference = [sum(cylinder_hull(fam, a).width for a in enumerate_addresses(fam, d)) for d in range(depth + 1)]

@@ -2,17 +2,23 @@
 
 A family point computed by folding the affine maps must equal the radix value
 of the digit string the same selectors write, closed by the tail's digits
-repeated forever; it must lie in its cylinder's hull; and the digit string
-must be a member prefix.
+repeated forever (for a Cantor series, `eval_cantor` of the digits and one
+pass of the tail, closed geometrically); it must lie in its cylinder's hull;
+and the digit string must be a member prefix.
 """
+
+from fractions import Fraction
+from math import lcm, prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorkit import (
+    CantorBasis,
     FamilySpec,
     cylinder_hull,
     cylinder_interval,
+    eval_cantor,
     eval_family_point,
     eval_negasadic,
     eval_sadic,
@@ -25,7 +31,7 @@ from cantorkit.families import level_choices
 
 @st.composite
 def families(draw):
-    kind = draw(st.sampled_from(("S", "Su", "NSu", "Sminus", "Tilde", "Blocks", "MDper")))
+    kind = draw(st.sampled_from(("S", "Su", "NSu", "Sminus", "Tilde", "Blocks", "MDper", "Cantor")))
     if kind in ("Su", "NSu"):
         s = draw(st.integers(3, 6))
         return FamilySpec(kind, s, u=draw(st.integers(0, s - 1)))
@@ -33,6 +39,11 @@ def families(draw):
         return FamilySpec(kind, draw(st.integers(3, 6)))
     if kind == "Tilde":
         return FamilySpec(kind, draw(st.integers(3, 5)))
+    if kind == "Cantor":
+        values = draw(st.lists(st.integers(2, 5), min_size=1, max_size=2))
+        digits = st.lists(st.integers(0, min(values) - 1), min_size=1, max_size=3)
+        sets = draw(st.lists(digits, min_size=1, max_size=2))
+        return FamilySpec(kind, max(values), basis=CantorBasis.periodic(values), level_sets=tuple(map(tuple, sets)))
     s = draw(st.integers(2, 4))
     if kind == "MDper":
         period = draw(st.lists(st.sampled_from((3, 5, 7)), min_size=1, max_size=3))
@@ -44,13 +55,18 @@ def families(draw):
 @st.composite
 def cases(draw):
     fam = draw(families())
-    choices = st.sampled_from(level_choices(fam, 1))
-    addr = tuple(draw(st.lists(choices, max_size=4)))
-    # a tail must return to the phase it starts at: whole MDper gap periods
-    unit = len(fam.period) if fam.kind == "MDper" else 1
+    n = draw(st.integers(0, 4))
+    # a tail must return to the phase it starts at: whole MDper gap periods,
+    # whole cycles of a Cantor series' basis and level sets
+    if fam.kind == "MDper":
+        unit = len(fam.period)
+    elif fam.kind == "Cantor":
+        unit = lcm(len(fam.basis.values), len(fam.level_sets))
+    else:
+        unit = 1
     size = unit * draw(st.integers(1, 3 if unit == 1 else 2))
-    tail = tuple(draw(st.lists(choices, min_size=size, max_size=size)))
-    return fam, addr, tail
+    sels = tuple(draw(st.sampled_from(level_choices(fam, j))) for j in range(1, n + size + 1))
+    return fam, sels[:n], sels[n:]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -58,13 +74,18 @@ def cases(draw):
 def test_maps_agree_with_digit_strings_and_hulls(case):
     fam, addr, tail = case
     point = eval_family_point(fam, addr, tail)
+    hull = cylinder_hull(fam, addr)
+    assert hull.lo <= point <= hull.hi
+    if fam.kind == "Cantor":
+        head, once = eval_cantor(addr, fam.basis), eval_cantor(addr + tail, fam.basis)
+        cycle = prod(fam.basis.d(j) for j in range(len(addr) + 1, len(addr) + len(tail) + 1))
+        assert point == head + (once - head) * Fraction(cycle, cycle - 1)
+        return
     prefix = expand_address(fam, addr).digits
     if fam.kind != "Sminus":  # Sminus signs follow the run index, not the digit position
         tail_digits = expand_address(fam, addr + tail).digits[len(prefix):]
         radix = eval_negasadic if fam.kind in ("NSu", "MDper") else eval_sadic
         assert point == radix(expand_address(fam, addr), tail_digits)
-    hull = cylinder_hull(fam, addr)
-    assert hull.lo <= point <= hull.hi
     if _has_closed_form(fam):
         assert cylinder_interval(fam, addr) == hull
     assert membership_prefix(fam, prefix)

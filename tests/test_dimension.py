@@ -10,7 +10,6 @@ from cantorkit import (
     CantorBasis,
     OutOfRangeError,
     RatioList,
-    UnsupportedFamilyError,
     block_dimension,
     blocks_of_family,
     cantor_series_dim_estimate,
@@ -288,6 +287,7 @@ def test_cantor_series_estimate_near_periodic_limit(text):
     assert abs(est.proxy - limit) <= spread / prefix_d + 4 * math.ulp(limit)
 
 
-def test_family_dimension_rejects_cantor_kind():
-    with pytest.raises(UnsupportedFamilyError):
-        family_dimension(parse_family("Cantor(d=[3],I=[{0,2}])"))
+def test_family_dimension_of_cantor_is_the_liminf_estimate():
+    fam = parse_family("Cantor(d=[3],I=[{0,2}])")
+    est = cantor_series_dim_estimate(fam.basis, fam.level_sets, 100_000)
+    assert family_dimension(fam) == est.to_dimension_result()

@@ -3,13 +3,14 @@
 import random
 from fractions import Fraction as F
 from itertools import product
+from math import lcm, prod
 
 import pytest
 
-from cantorkit import GapSequence, parse_family, tail_extrema_oracle
+from cantorkit import CantorBasis, GapSequence, parse_family, tail_extrema_oracle
 from cantorkit.cylinders import _level_minmax, _oracle_local
-from cantorkit.families import family_blocks
-from cantorkit.radix import DigitString, eval_negas_cantor, eval_negasadic, eval_sadic
+from cantorkit.families import family_blocks, level_choices
+from cantorkit.radix import DigitString, eval_cantor, eval_negas_cantor, eval_negasadic, eval_sadic
 
 
 def _eval_tree(levels, x0):
@@ -56,9 +57,19 @@ def test_backends_match_reference(seed, exp_parity):
 
 
 def _local_value(fam, phase, sels):
-    """Local tail value of a continuation closed by repeating the first
-    selector, from the radix evaluators and the paper's digit blocks."""
+    """Local tail value of a continuation closed by taking the first selector
+    of every level from then on, from the radix evaluators and the paper's
+    digit blocks."""
     s, u = fam.s, fam.u or 0
+    if fam.kind == "Cantor":
+        # levels phase+1, phase+2, ...; after the continuation the first
+        # digits repeat with the period of the basis and the level sets
+        n, span = len(sels), lcm(len(fam.basis.values), len(fam.level_sets))
+        ds = [fam.basis.d(phase + j) for j in range(1, n + span + 1)]
+        first = [fam.level_sets[(phase + j - 1) % len(fam.level_sets)][0] for j in range(n + 1, n + span + 1)]
+        cycle = prod(ds[n:])
+        tail = eval_cantor(first, CantorBasis.periodic(ds[n:])) * F(cycle, cycle - 1)
+        return eval_cantor(sels, CantorBasis.periodic(ds)) + tail / prod(ds[:n])
     if fam.kind in ("S", "Su", "NSu"):
         digits = DigitString(s, tuple(d for a in sels for d in (u,) * (a - 1) + (a,)))
         a0 = fam.run_digits[0]
@@ -92,16 +103,17 @@ def _local_value(fam, phase, sels):
         ("Blocks(s=3,B=[0 2;1])", 6, 0),
         ("MDper(s=3,m=[3,5])", 5, 0),
         ("MDper(s=3,m=[3,5])", 5, 1),
+        # the first digits of the two phases differ, so closing with one
+        # level's first map would leave the set
+        *(("Cantor(d=[4,5],I=[{0,3},{1,2,4}])", 5, phase) for phase in range(2)),
+        *(("Cantor(d=[5,5,3],I=[{0,1},{0,2},{0,1},{0,1}])", 4, phase) for phase in range(12)),
     ],
 )
 def test_family_trees_match_reference(text, depth, phase):
     fam = parse_family(text)
-    if fam.kind in ("Tilde", "Blocks"):
-        choices = range(len(family_blocks(fam)))
-    else:
-        choices = fam.run_digits
-    values = [_local_value(fam, phase, sels) for sels in product(choices, repeat=depth)]
-    assert _oracle_local(fam, depth, phase) == (min(values), max(values))
+    pools = [level_choices(fam, phase + j) for j in range(1, depth + 1)]
+    values = [_local_value(fam, phase, sels) for sels in product(*pools)]
+    assert _oracle_local(fam, depth, phase)[:2] == (min(values), max(values))
 
 
 def test_parity_sign_hand_case():
