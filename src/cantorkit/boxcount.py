@@ -13,8 +13,8 @@ as deepening every address uniformly: hull endpoints are attained by set
 members, so each undersized piece touches exactly the cells its deepest
 descendants touch.  The cover at a finer eps refines the one at a coarser
 eps, so one walk of the cylinder tree counts every scale: it carries each
-cylinder's affine frame, applies one digit map per child, and finds the
-mesh cells of each scale by integer division.
+cylinder's integer frame, applies one digit map per child, and finds the
+mesh cells of each scale by integer division, with no `Fraction` per node.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .cylinders import _local_hulls, set_interval
 from .errors import CapExceededError, UnsupportedFamilyError
-from .families import DEFAULT_CAP, FamilySpec, address_frame, child_frames
+from .families import DEFAULT_CAP, ROOT_FRAME, FamilySpec, _family_const, child_frames
 
 
 @dataclass(frozen=True)
@@ -78,41 +78,36 @@ def _cover_counts(fam: FamilySpec, epss: Sequence[Fraction], depth: int, cap: in
     hn, hd = hull.width.numerator, hull.width.denominator
     last = [-((-hn * q) // (hd * p)) - 1 for p, q in pq]  # ceil(width/eps) cells
     cells: list[set[int]] = [set() for _ in epss]
-    # phase -> local hull ends as integer pairs, and its width
-    local = {
-        phase: (lo.numerator, lo.denominator, hi.numerator, hi.denominator, hi - lo)
-        for phase, (lo, hi) in _local_hulls(fam).items()
-    }
+    # a frame's hull ends, measured from the mesh's anchor inf, are
+    # shift + (V + sign * local end)/den; over M * den all are integers
+    local = _local_hulls(fam)
+    shift = _family_const(fam) - hull.lo
+    M = math.lcm(shift.denominator, *(x.denominator for ends in local.values() for x in ends))
+    shift_m = int(shift * M)
+    # phase -> local hull ends and width, as numerators over M
+    ends = {phase: (int(lo * M), int(hi * M), int((hi - lo) * M)) for phase, (lo, hi) in local.items()}
+    pm = [p * M for p, _ in pq]
     n_scales = len(epss)
     visited = 0
-    # the root frame shifted by -inf: every frame's value is then measured
-    # from the mesh's anchor, and so are the hull ends it maps to
-    value, scale, phase = address_frame(fam, ())
-    stack = [(0, 0, (value - hull.lo, scale, phase))]
+    stack = [(0, 0, ROOT_FRAME)]
     while stack:
         rank, first, frame = stack.pop()
         visited += 1
         if visited > cap:
             raise CapExceededError(f"cover needs more than {cap} cylinders at eps={epss[-1]}")
-        value, scale, phase = frame
-        ln, ld, un, ud, lw = local[phase]
-        sn, sd = scale.numerator, scale.denominator
-        wn, wd = abs(sn) * lw.numerator, sd * lw.denominator  # hull width, unreduced
+        V, den, sign, phase = frame
+        lo, hi, width = ends[phase]
         end = first
-        if rank >= depth:
-            while end < n_scales and wn * pq[end][1] <= wd * pq[end][0]:
+        if rank >= depth:  # hull width over M * den against eps_i = p/q
+            while end < n_scales and width * pq[end][1] <= pm[end] * den:
                 end += 1
         if end > first:
-            if sn < 0:
-                ln, ld, un, ud = un, ud, ln, ld
-            # hull ends value + scale * (local end) over one denominator each
-            vn, vd = value.numerator, value.denominator
-            an, ad = vn * sd * ld + sn * ln * vd, vd * sd * ld
-            bn, bd = vn * sd * ud + sn * un * vd, vd * sd * ud
+            at = shift_m * den + V * M
+            a, b = (at + lo, at + hi) if sign > 0 else (at - hi, at - lo)
             for i in range(first, end):
-                p, q = pq[i]
-                k1 = min((an * q) // (ad * p), last[i])
-                k2, rem = divmod(bn * q, bd * p)
+                q, d = pq[i][1], pm[i] * den
+                k1 = min((a * q) // d, last[i])
+                k2, rem = divmod(b * q, d)
                 if rem == 0:
                     k2 -= 1  # a right end on a mesh line claims nothing beyond it
                 cells[i].update(range(k1, min(max(k2, k1), last[i]) + 1))

@@ -12,6 +12,7 @@ significant digits, rationals as "p/q" strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -286,7 +287,9 @@ def _cmd_convert(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: `main` only reads it."""
     parser = _Parser(prog="cantorkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

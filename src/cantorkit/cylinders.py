@@ -4,9 +4,11 @@ orderings and covering sums.
 Closed-form intervals exist for the run-length families S/Su (any u), NSu
 with u = 0, and Sminus; each cylinder is the image of the whole set under an
 affine contraction, so its hull is the prefix value plus a signed rescale of
-the whole-set hull.  Everything else here works from the digit maps of
-`families.digit_map`: a cylinder's frame (value, scale, phase) maps the
-local hull at its phase onto the cylinder's hull.  The local hulls of all
+the whole-set hull.  The prefix value is folded one run digit at a time, in
+integers, from the formula alone.  Everything else here works from the
+digit maps of `families.digit_maps`: a cylinder's integer frame
+(V, den, sign, phase) maps the local hull at its phase onto the cylinder's
+hull.  The local hulls of all
 phases are the exact fixed point of one graph-directed system
 (`solve_phase_hulls`), the same for one-phase kinds, MDper's gap phases and
 a periodic Cantor series' levels.  Traversals carry frames and apply one map
@@ -29,15 +31,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import FamilyConstraintError, UnsupportedFamilyError
 from .families import (
     DEFAULT_CAP,
+    ROOT_FRAME,
     FamilySpec,
     Frame,
+    _family_const,
     address_count,
     address_frame,
     as_address,
@@ -146,44 +150,72 @@ def _require_formula_family(fam: FamilySpec) -> None:
         )
 
 
+#: a closed form after the prefix c_1..c_n: (T, E, n), where E is the digit
+#: sum c_1 + ... + c_n and T the formula's prefix sum times s^E
+ClosedState = tuple[int, int, int]
+
+ROOT_STATE: ClosedState = (0, 0, 0)
+
+
+def _closed_form(fam: FamilySpec) -> tuple[int, int, int, int]:
+    """(Q, shift, lo0, hi0): numerators over one denominator Q of the
+    constant u/(s-1) (S/Su; 0 otherwise) and of the whole-set inf and sup.
+
+    Reads the whole-set constants afresh on every call; each walk calls it
+    once, at its root."""
+    s = fam.s
+    if fam.kind in ("S", "Su"):
+        inf0, sup0 = _su_bounds(s, fam.u)
+        shift = Fraction(fam.u, s - 1)
+    else:
+        inf0, sup0 = _nega0_bounds(s) if fam.kind == "NSu" else _sminus_bounds(s)
+        shift = Fraction(0)
+    Q = lcm(inf0.denominator, sup0.denominator, shift.denominator)
+    return Q, int(shift * Q), int(inf0 * Q), int(sup0 * Q)
+
+
+def _closed_step(fam: FamilySpec, state: ClosedState, c: int) -> ClosedState:
+    """The closed form's state one run digit c further down.
+
+    S/Su sum (c_n - u) s^-E_n, NSu sum (-1)^E_n c_n s^-E_n and Sminus
+    sum (-1)^n c_n s^-E_n, with E_n = c_1 + ... + c_n."""
+    T, E, n = state
+    E, n = E + c, n + 1
+    if fam.kind == "NSu":
+        term = -c if E % 2 else c
+    elif fam.kind == "Sminus":
+        term = -c if n % 2 else c
+    else:
+        term = c - fam.u
+    return T * fam.s**c + term, E, n
+
+
+def _closed_ends(fam: FamilySpec, form: tuple[int, int, int, int], state: ClosedState) -> tuple[int, int]:
+    """Numerators over Q * s^E of the cylinder's [inf, sup]: the prefix sum
+    plus s^-E times the whole-set hull, flipped for NSu at odd E and for
+    Sminus at odd rank.  S/Su add u/(s-1) (1 - s^-E) for the u digits."""
+    Q, shift, lo0, hi0 = form
+    T, E, n = state
+    at = T * Q + shift * (fam.s**E - 1)
+    if (fam.kind == "NSu" and E % 2) or (fam.kind == "Sminus" and n % 2):
+        return at - hi0, at - lo0
+    return at + lo0, at + hi0
+
+
+def _interval(lo: int, hi: int, den: int) -> IntervalR:
+    return IntervalR(Fraction(lo, den), Fraction(hi, den))
+
+
 def cylinder_interval(fam: FamilySpec, addr) -> IntervalR:
-    """Exact [inf, sup] of a cylinder from the closed-form case analysis."""
+    """Exact [inf, sup] of a cylinder from the closed-form case analysis,
+    folded one run digit at a time."""
     _require_formula_family(fam)
     addr = as_address(fam, addr)
-    s = fam.s
-    base = addr.base
-    esum = sum(base)
-    scale = Fraction(1, s**esum)
-    if fam.kind in ("S", "Su"):
-        u = fam.u
-        tau = Fraction(0)
-        ck = 0
-        for c in base:
-            ck += c
-            tau += Fraction(c - u, s**ck)
-        tau += Fraction(u, s - 1) * (1 - scale)
-        inf0, sup0 = _su_bounds(s, u)
-        return IntervalR(tau + inf0 * scale, tau + sup0 * scale)
-    if fam.kind == "NSu":
-        g = Fraction(0)
-        ck = 0
-        for c in base:
-            ck += c
-            g += Fraction((-1) ** ck * c, s**ck)
-        inf0, sup0 = _nega0_bounds(s)
-        if esum % 2 == 0:
-            return IntervalR(g + inf0 * scale, g + sup0 * scale)
-        return IntervalR(g - sup0 * scale, g - inf0 * scale)
-    # Sminus
-    sig = Fraction(0)
-    ck = 0
-    for i, c in enumerate(base, 1):
-        ck += c
-        sig += Fraction((-1) ** i * c, s**ck)
-    inf0, sup0 = _sminus_bounds(s)
-    if addr.rank % 2 == 0:
-        return IntervalR(sig + inf0 * scale, sig + sup0 * scale)
-    return IntervalR(sig - sup0 * scale, sig - inf0 * scale)
+    state = ROOT_STATE
+    for c in addr.base:
+        state = _closed_step(fam, state, c)
+    form = _closed_form(fam)
+    return _interval(*_closed_ends(fam, form, state), form[0] * fam.s ** state[1])
 
 
 def cylinder_diameter(fam: FamilySpec, addr) -> Fraction:
@@ -212,8 +244,8 @@ def _phase_maps(fam: FamilySpec) -> PhaseMaps:
     phase = 0
     while phase not in system:
         maps = digit_maps(fam, phase).values()
-        nxt = next(iter(maps))[3]
-        system[phase] = (tuple((g, k) for _, g, k, _ in maps), nxt)
+        nxt = next(iter(maps))[4]
+        system[phase] = (tuple((Fraction(gn, m), Fraction(sk, m)) for _, gn, sk, m, _ in maps), nxt)
         phase = nxt
     return MappingProxyType(system)
 
@@ -316,11 +348,13 @@ def set_interval(fam: FamilySpec) -> IntervalR:
     return cylinder_hull(fam, ())
 
 
-def _frame_image(frame: Frame, lo: Fraction, hi: Fraction) -> IntervalR:
-    """The image of [lo, hi] under the frame's map x -> value + scale * x."""
-    value, scale, _ = frame
-    a, b = value + scale * lo, value + scale * hi
-    return IntervalR(a, b) if scale > 0 else IntervalR(b, a)
+def _frame_image(fam: FamilySpec, frame: Frame, lo: Fraction, hi: Fraction) -> IntervalR:
+    """The image of [lo, hi] under the frame's map x -> const + (V + sign * x)/den."""
+    V, den, sign, _ = frame
+    if sign < 0:
+        lo, hi = -hi, -lo
+    at = _family_const(fam) + Fraction(V, den)
+    return IntervalR(at + lo / den, at + hi / den)
 
 
 def cylinder_hull(fam: FamilySpec, addr) -> IntervalR:
@@ -331,10 +365,17 @@ def cylinder_hull(fam: FamilySpec, addr) -> IntervalR:
     series over a periodic basis.
     """
     frame = address_frame(fam, addr)
-    return _frame_image(frame, *_local_hulls(fam)[frame[2]])
+    return _frame_image(fam, frame, *_local_hulls(fam)[frame[3]])
 
 
 # -- the level oracle -------------------------------------------------------------
+
+
+def _tail_bound(fam: FamilySpec, shrink: Fraction) -> Fraction:
+    """Tail bound of an oracle interval at frame denominator 1: s/(s-1)
+    bounds every local hull width, times the continuation's shrink."""
+    return Fraction(fam.s, fam.s - 1) * shrink
+
 
 def _level_minmax(levels, x0: Fraction) -> tuple[Fraction, Fraction]:
     """Exact min/max of f_1(f_2(...f_d(x0))) over every choice of f_j, a map
@@ -369,15 +410,6 @@ def _oracle_local(fam: FamilySpec, depth: int, phase: int) -> tuple[Fraction, Fr
     return (*_level_minmax(levels, closing[phase]), shrink)
 
 
-def _oracle_interval(fam: FamilySpec, frame: Frame, depth: int) -> tuple[IntervalR, Fraction]:
-    """The oracle interval of the cylinder with this frame, and its tail
-    bound: s/(s-1) bounds every local hull width, times the frame's |scale|
-    and the continuation's shrink."""
-    _, scale, phase = frame
-    lo, hi, shrink = _oracle_local(fam, depth, phase)
-    return _frame_image(frame, lo, hi), Fraction(fam.s, fam.s - 1) * abs(scale) * shrink
-
-
 def tail_extrema_oracle(fam: FamilySpec, addr, depth: int) -> OracleResult:
     """Exact min/max over all admissible continuations of `addr` to rank `depth`.
 
@@ -389,9 +421,10 @@ def tail_extrema_oracle(fam: FamilySpec, addr, depth: int) -> OracleResult:
     if depth < 1:
         raise ValueError("oracle depth must be >= 1")
     frame = address_frame(fam, addr)
-    iv, bound = _oracle_interval(fam, frame, depth)
-    leaves = prod(fam.branching(level, frame[2]) for level in range(1, depth + 1))
-    return OracleResult(interval=iv, bound=bound, leaves=leaves)
+    _, den, _, phase = frame
+    lo, hi, shrink = _oracle_local(fam, depth, phase)
+    leaves = prod(fam.branching(level, phase) for level in range(1, depth + 1))
+    return OracleResult(_frame_image(fam, frame, lo, hi), _tail_bound(fam, shrink) / den, leaves)
 
 
 # -- gaps, orderings, coverings ---------------------------------------------------
@@ -454,17 +487,17 @@ def _predicted_orientation(fam: FamilySpec, addr_base: tuple, p: int, q: int) ->
     return "right-to-left" if rank % 2 == 0 else "left-to-right"
 
 
-def _ordering_entries(
-    fam: FamilySpec, addr_base: tuple, children: dict[int, IntervalR]
-) -> tuple[OrderingEntry, ...]:
+def _ordering_entries(fam: FamilySpec, addr_base: tuple, children: dict) -> tuple[OrderingEntry, ...]:
     """Observed against predicted layout of each adjacent sibling pair, given
-    the children's intervals keyed by digit."""
+    the children's (lo, hi) ends keyed by digit in digit order, all in one
+    number system."""
     entries = []
-    for p, q in zip(fam.run_digits, fam.run_digits[1:]):
-        a, b = children[p], children[q]
-        if a.hi < b.lo:
+    digits = list(children)
+    for p, q in zip(digits, digits[1:]):
+        (a_lo, a_hi), (b_lo, b_hi) = children[p], children[q]
+        if a_hi < b_lo:
             observed = "left-to-right"
-        elif b.hi < a.lo:
+        elif b_hi < a_lo:
             observed = "right-to-left"
         else:
             observed = "overlap"
@@ -481,7 +514,7 @@ def ordering_check(fam: FamilySpec, addr) -> OrderingReport:
         raise FamilyConstraintError("degenerate family has no sibling pair")
     addr = as_address(fam, addr)
     children = {c: cylinder_interval(fam, addr.base + (c,)) for c in fam.run_digits}
-    entries = _ordering_entries(fam, addr.base, children)
+    entries = _ordering_entries(fam, addr.base, {c: (iv.lo, iv.hi) for c, iv in children.items()})
     return OrderingReport(addr.base, entries, all(e.ok for e in entries))
 
 
@@ -565,10 +598,10 @@ def verify_family(
     geometric tail bound, child nesting, the exact ratio law, nonempty
     sibling gaps, predicted orderings, the covering-sum decay law, and the
     Sminus diameter/endpoint consistency identity.  Addresses are walked
-    depth-first, each child's frame one digit map from its parent's; the
-    children's intervals of an address are computed once, shared by the
-    checks that compare siblings, and passed down as the parents of the
-    next rank.
+    depth-first.  Each node carries its closed-form state and ends and its
+    integer frame, and each child is one closed-form step and one digit map
+    from its parent, so every check compares integers; a `Fraction` is
+    built only for the text of a failure.
     """
     _require_formula_family(fam)
     address_count(fam, depth, cap)
@@ -576,42 +609,73 @@ def verify_family(
     digits = fam.run_digits
     oracle_f, nest_f, ratio_f, part_f, gap_f, ord_f = [], [], [], [], [], []
     n_addr = n_child = n_pair = 0
-    stack = [((), address_frame(fam, ()), cylinder_interval(fam, ()))]
+    # formula ends are numerators over Q * s^E, E the digit sum; oracle ends
+    # and tail bounds are numerators over M * den, den the frame's
+    form = _closed_form(fam)
+    Q = form[0]
+    lo, hi = _closed_ends(fam, form, ROOT_STATE)
+    if lo > hi:  # refuse empty whole-set bounds as `cylinder_interval` does
+        _interval(lo, hi, Q)
+    const = _family_const(fam)
+    local = {}
+    for phase in _phase_maps(fam):
+        olo, ohi, shrink = _oracle_local(fam, oracle_depth, phase)
+        local[phase] = (olo, ohi, _tail_bound(fam, shrink))
+    M = lcm(const.denominator, *(x.denominator for ends in local.values() for x in ends))
+    cM = int(const * M)
+    oracle = {phase: tuple(int(x * M) for x in ends) for phase, ends in local.items()}
+    c_top = max(digits)
+    stack = [((), ROOT_FRAME, ROOT_STATE, lo, hi)]
     while stack:
-        base, frame, parent = stack.pop()
-        oracle, bound = _oracle_interval(fam, frame, oracle_depth)
+        base, frame, state, lo, hi = stack.pop()
+        V, den, sign, phase = frame
+        fd, od = Q * s ** state[1], M * den
+        olo, ohi, bound = oracle[phase]
+        if sign < 0:
+            olo, ohi = -ohi, -olo
+        at = cM * den + V * M
+        olo, ohi = at + olo, at + ohi
         n_addr += 1
-        if not parent.contains(oracle):
-            _fail(oracle_f, base, oracle, parent, "oracle escapes formula")
-        elif parent.hausdorff(oracle) > bound:
-            _fail(
-                oracle_f,
-                base,
-                parent.hausdorff(oracle),
-                bound,
-                "Hausdorff distance above tail bound",
-            )
+        # both intervals over fd * od
+        if not (lo * od <= olo * fd and ohi * fd <= hi * od):
+            _fail(oracle_f, base, _interval(olo, ohi, od), _interval(lo, hi, fd), "oracle escapes formula")
+        else:
+            dist = max(olo * fd - lo * od, hi * od - ohi * fd)
+            if dist > bound * fd:
+                _fail(
+                    oracle_f,
+                    base,
+                    Fraction(dist, fd * od),
+                    Fraction(bound, od),
+                    "Hausdorff distance above tail bound",
+                )
         if len(base) == depth:
             continue
 
-        # nesting + ratio law + partition
-        children = {c: cylinder_interval(fam, base + (c,)) for c in digits}
-        child_sum = Fraction(0)
-        for c, child in children.items():
+        # nesting + ratio law + partition: child c's ends sit over s^c times
+        # the parent's denominator, so its width numerator equals the
+        # parent's exactly when the ratio law holds
+        width = hi - lo
+        kids, children, child_sum = [], {}, 0
+        for c, child_frame in child_frames(fam, frame):
+            child_state = _closed_step(fam, state, c)
+            c_lo, c_hi = _closed_ends(fam, form, child_state)
+            sc = s**c
             n_child += 1
-            if not parent.contains(child):
+            if not (lo * sc <= c_lo and c_hi <= hi * sc):
+                child, parent = _interval(c_lo, c_hi, fd * sc), _interval(lo, hi, fd)
                 _fail(nest_f, base + (c,), child, parent, "child escapes parent")
-            if parent.width and child.width * s**c != parent.width:
-                _fail(
-                    ratio_f,
-                    base + (c,),
-                    child.width / parent.width,
-                    Fraction(1, s**c),
-                    "ratio law",
-                )
-            child_sum += child.width
-        if parent.width and child_sum > parent.width:
-            _fail(part_f, base, child_sum, parent.width, "children exceed parent length")
+            if width and c_hi - c_lo != width:
+                _fail(ratio_f, base + (c,), Fraction(c_hi - c_lo, width * sc), Fraction(1, sc), "ratio law")
+            # siblings over one denominator, fd * s^c_top
+            up = s ** (c_top - c)
+            children[c] = (c_lo * up, c_hi * up)
+            child_sum += (c_hi - c_lo) * up
+            kids.append((base + (c,), child_frame, child_state, c_lo, c_hi))
+        top = s**c_top
+        if width and child_sum > width * top:
+            what = "children exceed parent length"
+            _fail(part_f, base, Fraction(child_sum, fd * top), Fraction(width, fd), what)
 
         # sibling gaps + orderings
         entries = _ordering_entries(fam, base, children)
@@ -619,8 +683,9 @@ def verify_family(
         for e in entries:
             if e.observed == "overlap":
                 a, b = children[e.p], children[e.q]
-                lo, hi = (a, b) if a.lo <= b.lo else (b, a)
-                _fail(gap_f, base, lo.hi, hi.lo, f"siblings {e.p},{e.q} touch or overlap")
+                first, second = (a, b) if a[0] <= b[0] else (b, a)
+                what = f"siblings {e.p},{e.q} touch or overlap"
+                _fail(gap_f, base, Fraction(first[1], fd * top), Fraction(second[0], fd * top), what)
         bad = next((e for e in entries if not e.ok), None)
         if bad is not None:
             _fail(
@@ -631,8 +696,7 @@ def verify_family(
                 f"pair ({bad.p},{bad.q}) orientation",
             )
         # reversed, so addresses come off the stack in lexicographic order
-        for c, child_frame in reversed(list(child_frames(fam, frame))):
-            stack.append((base + (c,), child_frame, children[c]))
+        stack.extend(reversed(kids))
     results = [
         PropertyResult("interval-vs-oracle", n_addr, not oracle_f, tuple(oracle_f)),
         PropertyResult("nesting", n_child, not nest_f, tuple(nest_f)),

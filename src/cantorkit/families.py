@@ -23,8 +23,9 @@ maps per phase.  A selector writes a digit block into the expansion and maps
 the local tail value after it by x -> g + k*x (`digit_map`).  MDper's gap
 period and a Cantor series' periodic basis and level sets give their maps
 phases, so they form graph-directed systems; the other kinds have one phase.
-Frames (value, scale, phase) fold those maps along an address, so every
-traversal applies one map per child.
+Each map is x -> (gn + sk*x)/m in integers (`digit_maps`), and integer
+frames (V, den, sign, phase) fold those maps along an address, so every
+traversal applies one map per child without building a `Fraction`.
 """
 
 from __future__ import annotations
@@ -417,7 +418,7 @@ def validate_selectors(fam: FamilySpec, sel: Sequence, phase: int = 0) -> int:
     choices = digit_maps(fam, phase)
     for x in sel:
         try:
-            nxt = choices[x][3]
+            nxt = choices[x][4]
         except KeyError:
             raise FamilyConstraintError(f"selector {x!r} not admissible in {fam.label()}") from None
         if nxt != phase:
@@ -465,9 +466,12 @@ def enumerate_addresses(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> 
 
 # -- affine digit maps ----------------------------------------------------------
 
-#: (value, scale, phase): a cylinder is the image of the local tail set at
-#: `phase` under x -> value + scale * x
-Frame = tuple[Fraction, Fraction, int]
+#: (V, den, sign, phase), all integers: a cylinder is the image of the local
+#: tail set at `phase` under x -> const + (V + sign * x) / den, where const
+#: is the family constant (`_family_const`) and den >= 1
+Frame = tuple[int, int, int, int]
+
+ROOT_FRAME: Frame = (0, 1, 1, 0)
 
 
 def digit_map(fam: FamilySpec, sel, phase: int = 0) -> tuple[tuple[int, ...], Fraction, Fraction, int]:
@@ -505,25 +509,42 @@ def digit_map(fam: FamilySpec, sel, phase: int = 0) -> tuple[tuple[int, ...], Fr
     return (0,) * (m - 1) + (eps,), eps * k, k, nxt
 
 
+def _integer_map(fam: FamilySpec, sel, phase: int) -> tuple[tuple[int, ...], int, int, int, int]:
+    """(block, gn, sk, m, next_phase): `digit_map` in the integer form
+    x -> (gn + sk*x)/m, with m >= 2 and sk = +-1.
+
+    The integer form is read off the map's (g, k) and must give them back
+    exactly, so every walk can step on integers alone."""
+    block, g, k, nxt = digit_map(fam, sel, phase)
+    gn, sk, m = g * k.denominator, k.numerator, k.denominator
+    if gn.denominator != 1 or sk not in (1, -1) or m < 2:
+        raise ValueError(f"selector {sel!r} of {fam.label()} maps x -> {g} + {k}*x, not (gn +- x)/m")
+    return block, gn.numerator, sk, m, nxt
+
+
 @lru_cache(maxsize=256)
 def digit_maps(fam: FamilySpec, phase: int) -> Mapping:
-    """selector -> `digit_map` at `phase`, in `level_choices` order."""
-    return MappingProxyType({sel: digit_map(fam, sel, phase) for sel in level_choices(fam, phase + 1)})
-
-
-def _fold(fam: FamilySpec, sels: Sequence, frame: Frame) -> Frame:
-    value, scale, phase = frame
-    for sel in sels:
-        _, g, k, phase = digit_map(fam, sel, phase)
-        value, scale = value + scale * g, scale * k
-    return value, scale, phase
+    """selector -> `_integer_map` at `phase`, in `level_choices` order."""
+    return MappingProxyType({sel: _integer_map(fam, sel, phase) for sel in level_choices(fam, phase + 1)})
 
 
 def child_frames(fam: FamilySpec, frame: Frame) -> Iterator[tuple[object, Frame]]:
-    """(selector, child frame) for each selector below `frame`: one map per child."""
-    value, scale, phase = frame
-    for sel, (_, g, k, nxt) in digit_maps(fam, phase).items():
-        yield sel, (value + scale * g, scale * k, nxt)
+    """(selector, child frame) for each selector below `frame`: one map per
+    child, in integer arithmetic."""
+    V, den, sign, phase = frame
+    for sel, (_, gn, sk, m, nxt) in digit_maps(fam, phase).items():
+        yield sel, (V * m + sign * gn, den * m, sign * sk, nxt)
+
+
+def _fold(fam: FamilySpec, sels: Sequence, frame: Frame) -> Frame:
+    """The frame reached from `frame` through the admissible selectors `sels`."""
+    V, den, sign, phase = frame
+    for sel in sels:
+        # MD has a map for every odd gap, too many for a table
+        maps = _integer_map(fam, sel, phase) if fam.kind == "MD" else digit_maps(fam, phase)[sel]
+        _, gn, sk, m, phase = maps
+        V, den, sign = V * m + sign * gn, den * m, sign * sk
+    return V, den, sign, phase
 
 
 # -- membership ----------------------------------------------------------------
@@ -599,26 +620,26 @@ def _family_const(fam: FamilySpec) -> Fraction:
 
 
 def address_frame(fam: FamilySpec, addr) -> Frame:
-    """(value, scale, phase) of `addr`: its cylinder is the image of the
-    family's local tail set at `phase` under x -> value + scale * x."""
+    """(V, den, sign, phase) of `addr`: its cylinder is the image of the
+    family's local tail set at `phase` under x -> const + (V + sign * x)/den."""
     addr = as_address(fam, addr)
-    return _fold(fam, addr.base, (_family_const(fam), Fraction(1), 0))
+    return _fold(fam, addr.base, ROOT_FRAME)
 
 
 def eval_family_point(fam: FamilySpec, alphas, tail: Sequence = ()) -> Fraction:
     """Exact partial-sum value of the family's series for a finite selector
     prefix, optionally closed by a periodic selector tail."""
-    value, scale, phase = address_frame(fam, alphas)
+    V, den, sign, phase = address_frame(fam, alphas)
     if tail:
         tail = tuple(tail)
         end = validate_selectors(fam, tail, phase)
         if end != phase:
             msg = f"a periodic tail must return to the phase it starts at ({phase}); it ends at {end}"
             raise FamilyConstraintError(msg)
-        # the tail's own map x -> tv + tk*x has the tail value as fixed point
-        tv, tk, _ = _fold(fam, tail, (Fraction(0), Fraction(1), phase))
-        value += scale * tv / (1 - tk)
-    return value
+        # the tail's own map x -> (tv + tk*x)/td fixes tv/(td - tk)
+        tv, td, tk, _ = _fold(fam, tail, (0, 1, 1, phase))
+        V, den = V * (td - tk) + sign * tv, den * (td - tk)
+    return _family_const(fam) + Fraction(V, den)
 
 
 def expand_address(fam: FamilySpec, addr) -> DigitString:

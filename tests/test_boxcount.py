@@ -12,6 +12,7 @@ from cantorkit import (
     family_dimension,
     fit_dimension,
     parse_family,
+    set_interval,
 )
 from cantorkit.boxcount import _cover_counts
 from cantorkit.families import level_choices
@@ -134,6 +135,32 @@ def test_one_walk_takes_any_descending_widths(text):
     for depth in (0, 2):
         expected = [boxes_at_scale(fam, eps, depth=depth).count for eps in epss]
         assert _cover_counts(fam, epss, depth, 10**6) == expected
+
+
+def _hull_count(fam, eps):
+    """Reference: mesh cells touched by the hulls of the one-scale walk at
+    eps, each hull from `cylinder_hull` in Fractions."""
+    whole = set_interval(fam)
+    last = math.ceil(whole.width / eps) - 1
+    cells, stack = set(), [()]
+    while stack:
+        addr = stack.pop()
+        hull = cylinder_hull(fam, addr)
+        if hull.width > eps:
+            stack.extend(addr + (c,) for c in level_choices(fam, len(addr) + 1))
+            continue
+        k1 = min(math.floor((hull.lo - whole.lo) / eps), last)
+        k2 = math.ceil((hull.hi - whole.lo) / eps) - 1  # a right end on a mesh line claims nothing beyond
+        cells.update(range(k1, min(max(k2, k1), last) + 1))
+    return len(cells)
+
+
+# NSu, Sminus and MDper have digit maps that reverse orientation
+@pytest.mark.parametrize("text", ONE_WALK_FAMILIES + ("Cantor(d=[4,5],I=[{0,3},{1,2,4}])",))
+def test_integer_walk_matches_hull_reference(text):
+    fam = parse_family(text)
+    epss = [F(1, fam.s**n) for n in (2, 3, 4)] + [F(1, 10), F(2, 45)]
+    assert [boxes_at_scale(fam, eps).count for eps in epss] == [_hull_count(fam, eps) for eps in epss]
 
 
 def _walk_size(fam, eps):

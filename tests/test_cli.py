@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cantorkit.cli import main
+from cantorkit.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -160,6 +160,25 @@ def test_verify_failure_reports_address_and_rationals(capsys, monkeypatch):
     assert "FAIL" in out and "addr=" in out and "/" in out
     cyl._local_hulls.cache_clear()
     cyl._oracle_local.cache_clear()
+
+
+def test_back_to_back_commands_share_one_parser(capsys):
+    assert build_parser() is build_parser()
+    runs = [
+        ("verify", "S(s=3)", "--depth", "2", "--format", "json"),
+        ("cover", "S(s=3)", "--depth", "3"),
+        ("dim", "S(s=3)", "--format", "csv"),
+        ("verify", "S(s=3)"),
+        ("boxcount", "S(s=3)", "--cap", "100"),
+        ("eval", "S(s=3)", "--alphas", "2,1"),
+    ]
+    first = [run(capsys, *argv) for argv in runs]
+    again = [run(capsys, *argv) for argv in reversed(runs)][::-1]
+    assert first == again
+    # no value given in one call carries over into the next
+    assert [code for code, _ in first] == [0, 0, 0, 0, 1, 0]
+    assert first[3][1].startswith("verify S(s=3) (depth 8, oracle depth 14)")
+    assert first[1][1].count("\n") == 5 and first[2][1].startswith("family,alpha")
 
 
 def test_dim_text_and_csv_formats(capsys):

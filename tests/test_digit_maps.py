@@ -4,7 +4,8 @@ A family point computed by folding the affine maps must equal the radix value
 of the digit string the same selectors write, closed by the tail's digits
 repeated forever (for a Cantor series, `eval_cantor` of the digits and one
 pass of the tail, closed geometrically); it must lie in its cylinder's hull;
-and the digit string must be a member prefix.
+and the digit string must be a member prefix.  Every map must have the
+integer form x -> (gn + sk*x)/m that the walks step with.
 """
 
 from fractions import Fraction
@@ -16,17 +17,19 @@ from hypothesis import strategies as st
 from cantorkit import (
     CantorBasis,
     FamilySpec,
+    GapSequence,
     cylinder_hull,
     cylinder_interval,
     eval_cantor,
     eval_family_point,
+    eval_negas_cantor,
     eval_negasadic,
     eval_sadic,
     expand_address,
     membership_prefix,
 )
 from cantorkit.cylinders import _has_closed_form
-from cantorkit.families import level_choices
+from cantorkit.families import _family_const, address_frame, digit_map, digit_maps, level_choices
 
 
 @st.composite
@@ -89,3 +92,34 @@ def test_maps_agree_with_digit_strings_and_hulls(case):
     if _has_closed_form(fam):
         assert cylinder_interval(fam, addr) == hull
     assert membership_prefix(fam, prefix)
+
+
+def _zero_tail_value(fam, addr):
+    """The radix value of the digits `addr` writes, followed by the digits of
+    local tail value 0: u repeated for S/Su/NSu, zeros for the rest."""
+    if fam.kind == "Cantor":
+        return eval_cantor(addr, fam.basis)
+    if fam.kind == "Sminus":  # sum (-1)^n a_n s^-(a_1+...+a_n)
+        return eval_negas_cantor(addr, GapSequence.explicit(addr), fam.s) if addr else Fraction(0)
+    digits = expand_address(fam, addr)
+    radix = eval_negasadic if fam.kind in ("NSu", "MDper") else eval_sadic
+    return radix(digits, (fam.u,) if fam.kind in ("S", "Su", "NSu") else ())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cases())
+def test_maps_have_integer_form_and_fold_to_radix_values(case):
+    fam, addr, _ = case
+    phase, seen = 0, set()
+    while phase not in seen:  # every phase reachable from 0
+        seen.add(phase)
+        for sel, (block, gn, sk, m, nxt) in digit_maps(fam, phase).items():
+            assert all(type(x) is int for x in (gn, sk, m)) and m >= 2 and sk in (1, -1)
+            assert digit_map(fam, sel, phase) == (block, Fraction(gn, m), Fraction(sk, m), nxt)
+        phase = nxt
+    V, den, sign, _ = address_frame(fam, addr)
+    assert _family_const(fam) + Fraction(V, den) == _zero_tail_value(fam, addr)
+    if fam.kind == "Cantor":
+        assert den == prod(fam.basis.d(j) for j in range(1, len(addr) + 1))
+    else:
+        assert den == fam.s ** len(expand_address(fam, addr).digits)

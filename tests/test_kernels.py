@@ -6,8 +6,10 @@ from itertools import product
 from math import lcm, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cantorkit import CantorBasis, GapSequence, parse_family, tail_extrema_oracle
+from cantorkit import CantorBasis, FamilySpec, GapSequence, cylinder_hull, parse_family, tail_extrema_oracle
 from cantorkit.cylinders import _level_minmax, _oracle_local
 from cantorkit.families import family_blocks, level_choices
 from cantorkit.radix import DigitString, eval_cantor, eval_negas_cantor, eval_negasadic, eval_sadic
@@ -114,6 +116,51 @@ def test_family_trees_match_reference(text, depth, phase):
     pools = [level_choices(fam, phase + j) for j in range(1, depth + 1)]
     values = [_local_value(fam, phase, sels) for sels in product(*pools)]
     assert _oracle_local(fam, depth, phase)[:2] == (min(values), max(values))
+
+
+@st.composite
+def oracle_cases(draw):
+    """A random Su, Blocks, MDper or periodic Cantor family, an address of
+    rank <= 2 in it and an oracle depth <= 3."""
+    kind = draw(st.sampled_from(("Su", "Blocks", "MDper", "Cantor")))
+    if kind == "Su":
+        s = draw(st.integers(3, 6))
+        fam = FamilySpec(kind, s, u=draw(st.integers(0, s - 1)))
+    elif kind == "Blocks":
+        s = draw(st.integers(2, 4))
+        block = st.lists(st.integers(0, s - 1), min_size=1, max_size=3).map(tuple)
+        blocks = draw(st.lists(block, min_size=1, max_size=4, unique=True))
+        if draw(st.booleans()) and blocks[0] + blocks[-1] not in blocks:
+            blocks.append(blocks[0] + blocks[-1])  # ambiguous: some strings parse two ways
+        fam = FamilySpec(kind, s, blocks=tuple(blocks))
+    elif kind == "MDper":
+        period = draw(st.lists(st.sampled_from((3, 5, 7)), min_size=1, max_size=3))
+        fam = FamilySpec(kind, draw(st.integers(2, 4)), period=tuple(period))
+    else:
+        values = draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))
+        digits = st.lists(st.integers(0, min(values) - 1), min_size=1, max_size=3)
+        sets = tuple(map(tuple, draw(st.lists(digits, min_size=1, max_size=3))))
+        fam = FamilySpec(kind, max(values), basis=CantorBasis.periodic(values), level_sets=sets)
+    rank = draw(st.integers(0, 2))
+    addr = tuple(draw(st.sampled_from(level_choices(fam, j))) for j in range(1, rank + 1))
+    return fam, addr, draw(st.integers(1, 3))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(oracle_cases())
+def test_random_family_oracles(case):
+    # the oracle's ends are the extreme brute-force leaves, each evaluated by
+    # the radix evaluators, and lie inside the hull within the tail bound
+    fam, addr, depth = case
+    oracle = tail_extrema_oracle(fam, addr, depth)
+    pools = [level_choices(fam, len(addr) + j) for j in range(1, depth + 1)]
+    const = F(fam.u, fam.s - 1) if fam.kind == "Su" else 0
+    leaves = [const + _local_value(fam, 0, addr + sels) for sels in product(*pools)]
+    assert (oracle.interval.lo, oracle.interval.hi) == (min(leaves), max(leaves))
+    assert oracle.leaves == len(leaves)
+    hull = cylinder_hull(fam, addr)
+    assert hull.contains(oracle.interval)
+    assert hull.hausdorff(oracle.interval) <= oracle.bound
 
 
 def test_parity_sign_hand_case():

@@ -1,0 +1,220 @@
+"""The integer `verify_family` walk against the Fraction walk it replaced.
+
+The reference below is that walk: it re-sums each closed-form prefix in
+`Fraction`s, folds `Fraction` frames through `digit_map`, and builds an
+`IntervalR` per node.  Both must return equal reports, failure strings
+included, on correct whole-set constants and on sabotaged ones, which the
+suite must catch the same way.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import cantorkit.cylinders as cyl
+from cantorkit import (
+    IntervalR,
+    cylinder_interval,
+    enumerate_addresses,
+    parse_family,
+    tail_extrema_oracle,
+    verify_family,
+)
+from cantorkit.families import _family_const, address_count, digit_map, level_choices
+
+
+def ref_cylinder_interval(fam, base):
+    s = fam.s
+    esum = sum(base)
+    scale = Fraction(1, s**esum)
+    if fam.kind in ("S", "Su"):
+        u = fam.u
+        tau = Fraction(0)
+        ck = 0
+        for c in base:
+            ck += c
+            tau += Fraction(c - u, s**ck)
+        tau += Fraction(u, s - 1) * (1 - scale)
+        inf0, sup0 = cyl._su_bounds(s, u)
+        return IntervalR(tau + inf0 * scale, tau + sup0 * scale)
+    if fam.kind == "NSu":
+        g = Fraction(0)
+        ck = 0
+        for c in base:
+            ck += c
+            g += Fraction((-1) ** ck * c, s**ck)
+        inf0, sup0 = cyl._nega0_bounds(s)
+        if esum % 2 == 0:
+            return IntervalR(g + inf0 * scale, g + sup0 * scale)
+        return IntervalR(g - sup0 * scale, g - inf0 * scale)
+    sig = Fraction(0)
+    ck = 0
+    for i, c in enumerate(base, 1):
+        ck += c
+        sig += Fraction((-1) ** i * c, s**ck)
+    inf0, sup0 = cyl._sminus_bounds(s)
+    if len(base) % 2 == 0:
+        return IntervalR(sig + inf0 * scale, sig + sup0 * scale)
+    return IntervalR(sig - sup0 * scale, sig - inf0 * scale)
+
+
+def ref_child_frames(fam, frame):
+    value, scale, phase = frame
+    for sel in level_choices(fam, phase + 1):
+        _, g, k, nxt = digit_map(fam, sel, phase)
+        yield sel, (value + scale * g, scale * k, nxt)
+
+
+def ref_oracle_interval(fam, frame, depth):
+    value, scale, phase = frame
+    lo, hi, shrink = cyl._oracle_local(fam, depth, phase)
+    a, b = value + scale * lo, value + scale * hi
+    iv = IntervalR(a, b) if scale > 0 else IntervalR(b, a)
+    return iv, Fraction(fam.s, fam.s - 1) * abs(scale) * shrink
+
+
+def ref_verify_family(fam, depth, oracle_depth, cap=10**6):
+    address_count(fam, depth, cap)
+    s = fam.s
+    digits = fam.run_digits
+    _fail = cyl._fail
+    oracle_f, nest_f, ratio_f, part_f, gap_f, ord_f = [], [], [], [], [], []
+    n_addr = n_child = n_pair = 0
+    stack = [((), (_family_const(fam), Fraction(1), 0), ref_cylinder_interval(fam, ()))]
+    while stack:
+        base, frame, parent = stack.pop()
+        oracle, bound = ref_oracle_interval(fam, frame, oracle_depth)
+        n_addr += 1
+        if not parent.contains(oracle):
+            _fail(oracle_f, base, oracle, parent, "oracle escapes formula")
+        elif parent.hausdorff(oracle) > bound:
+            _fail(oracle_f, base, parent.hausdorff(oracle), bound, "Hausdorff distance above tail bound")
+        if len(base) == depth:
+            continue
+        children = {c: ref_cylinder_interval(fam, base + (c,)) for c in digits}
+        child_sum = Fraction(0)
+        for c, child in children.items():
+            n_child += 1
+            if not parent.contains(child):
+                _fail(nest_f, base + (c,), child, parent, "child escapes parent")
+            if parent.width and child.width * s**c != parent.width:
+                _fail(ratio_f, base + (c,), child.width / parent.width, Fraction(1, s**c), "ratio law")
+            child_sum += child.width
+        if parent.width and child_sum > parent.width:
+            _fail(part_f, base, child_sum, parent.width, "children exceed parent length")
+        entries = cyl._ordering_entries(fam, base, {c: (iv.lo, iv.hi) for c, iv in children.items()})
+        n_pair += len(entries)
+        for e in entries:
+            if e.observed == "overlap":
+                a, b = children[e.p], children[e.q]
+                lo, hi = (a, b) if a.lo <= b.lo else (b, a)
+                _fail(gap_f, base, lo.hi, hi.lo, f"siblings {e.p},{e.q} touch or overlap")
+        bad = next((e for e in entries if not e.ok), None)
+        if bad is not None:
+            _fail(ord_f, base, bad.observed, bad.predicted, f"pair ({bad.p},{bad.q}) orientation")
+        for c, child_frame in reversed(list(ref_child_frames(fam, frame))):
+            stack.append((base + (c,), child_frame, children[c]))
+    results = [
+        cyl.PropertyResult("interval-vs-oracle", n_addr, not oracle_f, tuple(oracle_f)),
+        cyl.PropertyResult("nesting", n_child, not nest_f, tuple(nest_f)),
+        cyl.PropertyResult("ratio-law", n_child, not ratio_f, tuple(ratio_f)),
+        cyl.PropertyResult("partition", n_child, not part_f, tuple(part_f)),
+        cyl.PropertyResult("sibling-gaps", n_pair, not gap_f, tuple(gap_f)),
+        cyl.PropertyResult("ordering", n_pair, not ord_f, tuple(ord_f)),
+    ]
+    cov_f = []
+    rho = sum(Fraction(1, s**a) for a in digits)
+    cov_depth = min(depth + 2, 8)
+    summed = next((d for d in range(cov_depth + 1) if len(digits) ** d > cap), cov_depth + 1)
+    sums = cyl.covering_sums(fam, max(summed - 1, 0), cap=cap)
+    for d, total in enumerate(sums[:summed]):
+        if total != sums[0] * rho**d:
+            _fail(cov_f, (d,), total, sums[0] * rho**d, "covering law")
+    results.append(cyl.PropertyResult("covering-law", summed, not cov_f, tuple(cov_f)))
+    if fam.kind == "Sminus":
+        inf0, sup0 = cyl._sminus_bounds(s)
+        ok = sup0 - inf0 == cyl.sminus_diameter_constant(s)
+        fails = () if ok else (f"sup-inf={sup0 - inf0} vs {cyl.sminus_diameter_constant(s)}",)
+        results.append(cyl.PropertyResult("diameter-constants", 1, ok, fails))
+    return cyl.VerificationReport(fam.label(), tuple(results), all(r.passed for r in results))
+
+
+#: the closed-form families of each whole-set constant function
+FAMILIES = {
+    "_su_bounds": [f"S(s={s})" for s in range(3, 7)] + [f"Su(s={s},u={u})" for s in (4, 5) for u in range(s)],
+    "_nega0_bounds": [f"NSu(s={s},u=0)" for s in range(3, 7)],
+    "_sminus_bounds": [f"Sminus(s={s})" for s in range(3, 7)],
+}
+
+
+def _assert_walks_agree(texts):
+    for text in texts:
+        fam = parse_family(text)
+        for rank in range(3):
+            for addr in enumerate_addresses(fam, rank):
+                want = ref_cylinder_interval(fam, addr.base)
+                assert cylinder_interval(fam, addr) == want, (text, addr.base)
+        for depth in range(6):
+            got = verify_family(fam, depth=depth, oracle_depth=depth + 6)
+            assert got == ref_verify_family(fam, depth, depth + 6), (text, depth)
+
+
+@pytest.mark.parametrize("bounds", sorted(FAMILIES))
+def test_integer_walk_equals_fraction_walk(bounds):
+    _assert_walks_agree(FAMILIES[bounds])
+
+
+# "narrow" raises the inf: the oracle escapes the formula and children their
+# parents.  "wide" widens the hull s times its width on each side: Hausdorff
+# distances exceed the tail bound, and siblings overlap and lose their order.
+@pytest.mark.parametrize("how", ("narrow", "wide"))
+@pytest.mark.parametrize("bounds", sorted(FAMILIES))
+def test_integer_walk_equals_fraction_walk_on_sabotaged_bounds(monkeypatch, bounds, how):
+    true_bounds = getattr(cyl, bounds)
+
+    def sabotaged(s, *u):
+        inf0, sup0 = true_bounds(s, *u)
+        if how == "narrow":
+            return inf0 + (sup0 - inf0) / s**2, sup0
+        return inf0 - s * (sup0 - inf0), sup0 + s * (sup0 - inf0)
+
+    monkeypatch.setattr(cyl, bounds, sabotaged)
+    fam = parse_family(FAMILIES[bounds][0])
+    assert not verify_family(fam, depth=2, oracle_depth=8).passed
+    _assert_walks_agree(FAMILIES[bounds])
+
+
+@pytest.mark.parametrize("bounds", sorted(FAMILIES))
+def test_hausdorff_threshold_is_the_tail_bound(monkeypatch, bounds):
+    # lower the inf by the root's tail bound: at every node the distance then
+    # exceeds the node's bound, by less than that bound
+    fam = parse_family(FAMILIES[bounds][0])
+    true_bounds = getattr(cyl, bounds)
+    bound = tail_extrema_oracle(fam, (), 8).bound
+
+    def sabotaged(s, *u):
+        inf0, sup0 = true_bounds(s, *u)
+        return inf0 - bound, sup0
+
+    monkeypatch.setattr(cyl, bounds, sabotaged)
+    got = verify_family(fam, depth=3, oracle_depth=8)
+    assert got == ref_verify_family(fam, 3, 8)
+    oracle = got.results[0]
+    assert oracle.name == "interval-vs-oracle" and len(oracle.failures) == 5
+    assert all("Hausdorff distance above tail bound" in f for f in oracle.failures)
+
+
+def test_ratio_and_partition_failures_are_reported(monkeypatch):
+    # a self-similar closed form cannot break these two laws, so stretch
+    # every rank-2 interval to four times its width
+    true_ends = cyl._closed_ends
+
+    def stretched(fam, form, state):
+        lo, hi = true_ends(fam, form, state)
+        return (lo, hi + 3 * (hi - lo)) if state[2] == 2 else (lo, hi)
+
+    monkeypatch.setattr(cyl, "_closed_ends", stretched)
+    rep = verify_family(parse_family("S(s=3)"), depth=2, oracle_depth=6)
+    failures = {r.name: r.failures for r in rep.results if not r.passed}
+    assert failures["ratio-law"][0] == "addr=(1, 1): ratio law: 4/3 vs 1/3"
+    assert failures["partition"][0] == "addr=(1,): children exceed parent length: 4/27 vs 1/12"
