@@ -289,70 +289,52 @@ def _cmd_convert(args) -> int:
 
 @functools.cache
 def build_parser() -> _Parser:
-    """The argument parser, built once per process: `main` only reads it."""
+    """The argument parser, built once per process: `main` only reads it.
+
+    Each subcommand declares only the options its handler reads, and
+    `--format` offers only the formats it prints."""
     parser = _Parser(prog="cantorkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, fmt="json"):
-        p.add_argument("--depth", type=_at_least(0), default=8)
-        p.add_argument("--cap", type=_at_least(1), default=DEFAULT_CAP)
-        p.add_argument("--format", choices=("json", "csv", "text"), default=fmt)
+    def command(name, func, help, *options, formats=()):
+        p = sub.add_parser(name, help=help)
+        if "family" in options:
+            p.add_argument("family")
+        if "depth" in options:
+            p.add_argument("--depth", type=_at_least(0), default=8)
+        if "cap" in options:
+            p.add_argument("--cap", type=_at_least(1), default=DEFAULT_CAP)
+        if formats:  # the first is the default
+            p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("dim", help="dimension of a family")
-    p.add_argument("family")
-    common(p)
-    p.set_defaults(func=_cmd_dim)
+    command("dim", _cmd_dim, "dimension of a family", "family", formats=("json", "csv", "text"))
+    command("blocks", _cmd_blocks, "digit-block language of a family", "family")
 
-    p = sub.add_parser("blocks", help="digit-block language of a family")
-    p.add_argument("family")
-    common(p)
-    p.set_defaults(func=_cmd_blocks)
-
-    p = sub.add_parser("eval", help="exact value of a family point")
-    p.add_argument("family")
+    p = command("eval", _cmd_eval, "exact value of a family point", "family")
     p.add_argument("--alphas", required=True, help="selector digits, e.g. 2,1 (MD: 3:2,5:1)")
     p.add_argument("--tail", default=None, help="periodic selector tail")
-    common(p)
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("cylinder", help="exact cylinder interval and metrics")
-    p.add_argument("family")
+    p = command("cylinder", _cmd_cylinder, "exact cylinder interval and metrics", "family")
     p.add_argument("--addr", default="", help="address digits, e.g. 1,2")
     p.add_argument("--child", type=int, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_cylinder)
 
-    p = sub.add_parser("verify", help="run the cylinder property suite")
-    p.add_argument("family")
-    common(p, fmt="text")
-    p.set_defaults(func=_cmd_verify)
+    command("verify", _cmd_verify, "run the cylinder property suite", "family", "depth", "cap", formats=("text", "json"))
+    command("cover", _cmd_cover, "covering-sum table", "family", "depth", "cap")
 
-    p = sub.add_parser("cover", help="covering-sum table")
-    p.add_argument("family")
-    common(p, fmt="csv")
-    p.set_defaults(func=_cmd_cover)
-
-    p = sub.add_parser("boxcount", help="box-counting fit vs the solver")
-    p.add_argument("family")
+    p = command("boxcount", _cmd_boxcount, "box-counting fit vs the solver", "family", "cap")
     p.add_argument("--scales", type=_scales, default=(4, 10), help="n_lo:n_hi for eps = s^-n")
-    common(p, fmt="csv")
-    p.set_defaults(func=_cmd_boxcount)
 
-    p = sub.add_parser("enumerate", help="admissible addresses at a depth")
-    p.add_argument("family")
-    common(p, fmt="text")
-    p.set_defaults(func=_cmd_enumerate)
+    command("enumerate", _cmd_enumerate, "admissible addresses at a depth", "family", "depth", "cap", formats=("text", "json"))
 
-    p = sub.add_parser("convert", help="round-trip digits across representations")
+    p = command("convert", _cmd_convert, "round-trip digits across representations")
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--digits", required=True)
     p.add_argument("--source", choices=("sadic", "negasadic"), default="sadic")
     p.add_argument("--target", choices=("sadic", "negasadic"), required=True)
     p.add_argument("--length", type=int, default=8)
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_convert)
 
     return parser
 

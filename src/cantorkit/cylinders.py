@@ -1,18 +1,21 @@
 """Exact cylinder geometry: interval formulas, a level oracle, gaps,
 orderings and covering sums.
 
+Every hull the package reports comes from the digit maps of
+`families.digit_maps`: a cylinder's integer frame (V, den, sign, phase) maps
+the local hull at its phase onto the cylinder's hull.  The local hulls of
+all phases are the exact fixed point of one graph-directed system
+(`solve_phase_hulls`), the same for one-phase kinds, MDper's gap phases and
+a periodic Cantor series' levels.  Traversals carry frames and apply one map
+per child.
+
 Closed-form intervals exist for the run-length families S/Su (any u), NSu
 with u = 0, and Sminus; each cylinder is the image of the whole set under an
 affine contraction, so its hull is the prefix value plus a signed rescale of
 the whole-set hull.  The prefix value is folded one run digit at a time, in
-integers, from the formula alone.  Everything else here works from the
-digit maps of `families.digit_maps`: a cylinder's integer frame
-(V, den, sign, phase) maps the local hull at its phase onto the cylinder's
-hull.  The local hulls of all
-phases are the exact fixed point of one graph-directed system
-(`solve_phase_hulls`), the same for one-phase kinds, MDper's gap phases and
-a periodic Cantor series' levels.  Traversals carry frames and apply one map
-per child.
+integers, from the formula alone.  The closed form is read only where it is
+itself under test: `cylinder_interval`, `gap_interval`, `ordering_check` and
+`verify_family`.
 
 The tail-extrema oracle never touches the closed forms.  It takes every
 admissible digit continuation of an address out to a given rank, closes each
@@ -219,9 +222,7 @@ def cylinder_interval(fam: FamilySpec, addr) -> IntervalR:
 
 
 def cylinder_diameter(fam: FamilySpec, addr) -> Fraction:
-    """Exact diameter; equals s^-(c_1+...+c_n) times the whole-set diameter."""
-    if _has_closed_form(fam):
-        return cylinder_interval(fam, addr).width
+    """Exact diameter: the frame's scale 1/den times its phase's local hull width."""
     return cylinder_hull(fam, addr).width
 
 
@@ -339,8 +340,6 @@ def _local_hulls(fam: FamilySpec) -> Mapping[int, tuple[Fraction, Fraction]]:
 
 def set_interval(fam: FamilySpec) -> IntervalR:
     """Exact hull [inf, sup] of the whole family."""
-    if _has_closed_form(fam):
-        return cylinder_interval(fam, ())
     if fam.kind == "MD":
         # sup -> 0 as the first gap grows; inf pairs the shortest gap with the
         # largest digit and the sup tail
@@ -437,15 +436,8 @@ def gap_interval(fam: FamilySpec, addr, p: int) -> IntervalR | None:
     case analysis rules out; callers treat None as a finding).
     """
     _require_formula_family(fam)
-    addr = as_address(fam, addr)
-    left_digit, right_digit = p, p + 1
-    for d in (left_digit, right_digit):
-        try:
-            as_address(fam, addr.base + (d,))
-        except FamilyConstraintError:
-            raise FamilyConstraintError(f"sibling digit {d} not admissible for {fam.label()}")
-    a = cylinder_interval(fam, addr.base + (left_digit,))
-    b = cylinder_interval(fam, addr.base + (right_digit,))
+    base = as_address(fam, addr).base
+    a, b = cylinder_interval(fam, base + (p,)), cylinder_interval(fam, base + (p + 1,))
     first, second = (a, b) if a.lo <= b.lo else (b, a)
     if first.hi >= second.lo:
         return None
@@ -549,14 +541,13 @@ def covering_sum(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> Fractio
 
 def cylinder_report(fam: FamilySpec, addr, child: int | None = None) -> CylinderReport:
     addr = as_address(fam, addr)
-    closed = _has_closed_form(fam)
-    iv = cylinder_interval(fam, addr) if closed else cylinder_hull(fam, addr)
+    iv = cylinder_hull(fam, addr)
     ratio = None
     if child is not None:
         child_iv = cylinder_hull(fam, addr.base + (child,))
         ratio = child_iv.width / iv.width if iv.width else None
     orientation = None
-    if closed and not fam.degenerate:
+    if _has_closed_form(fam) and not fam.degenerate:
         report = ordering_check(fam, addr)
         seen = {e.observed for e in report.entries}
         orientation = seen.pop() if len(seen) == 1 else "mixed"

@@ -20,12 +20,15 @@ their prefix sums):
 
 Every kind but MD is the attractor of finitely many monotone affine digit
 maps per phase.  A selector writes a digit block into the expansion and maps
-the local tail value after it by x -> g + k*x (`digit_map`).  MDper's gap
-period and a Cantor series' periodic basis and level sets give their maps
-phases, so they form graph-directed systems; the other kinds have one phase.
-Each map is x -> (gn + sk*x)/m in integers (`digit_maps`), and integer
-frames (V, den, sign, phase) fold those maps along an address, so every
-traversal applies one map per child without building a `Fraction`.
+the local tail value after it by x -> (gn + sk*x)/m in integers
+(`digit_map`, tabulated per phase by `digit_maps`).  MDper's gap period and
+a Cantor series' periodic basis and level sets give their maps phases, so
+they form graph-directed systems; the other kinds have one phase.  MD has a
+map for every odd gap, so its maps are made one at a time.  Every walk over
+a selector sequence (`_walk`) reads the same maps and refuses the first
+inadmissible selector; integer frames (V, den, sign, phase) fold the maps
+along an address, so every traversal applies one map per child without
+building a `Fraction`.
 """
 
 from __future__ import annotations
@@ -255,7 +258,10 @@ def _parse_set_list(text: str) -> tuple[tuple[int, ...], ...]:
         items = [t for t in re.split(r"[,\s]+", body.strip()) if t]
         if not items:
             raise FamilyParseError("empty digit set in I")
-        out.append(tuple(int(t) for t in items))
+        try:
+            out.append(tuple(int(t) for t in items))
+        except ValueError as exc:
+            raise FamilyParseError(f"bad integer in I: {exc}") from None
     return tuple(out)
 
 
@@ -284,15 +290,17 @@ def parse_family(text: str) -> FamilySpec:
 
     try:
         if kind == "Cantor":
-            dvals = _parse_int_list(args.pop("d", ""), "d") if "d" in args else None
-            if dvals is None:
+            if "d" not in args:
                 raise FamilyParseError("Cantor needs d=[...]")
-            sets = _parse_set_list(args.pop("I", "")) if "I" in args else None
-            if sets is None:
+            dvals = _parse_int_list(args.pop("d"), "d")
+            if "I" not in args:
                 raise FamilyParseError("Cantor needs I=[...]")
-            spec = FamilySpec(
-                "Cantor", max(dvals), basis=CantorBasis.periodic(dvals), level_sets=sets
-            )
+            sets = _parse_set_list(args.pop("I"))
+            try:
+                basis = CantorBasis.periodic(dvals)
+            except ValueError as exc:
+                raise FamilyParseError(f"bad d: {exc}") from None
+            spec = FamilySpec("Cantor", max(dvals), basis=basis, level_sets=sets)
         elif kind == "Blocks":
             s = take_int("s")
             spec = FamilySpec("Blocks", s, blocks=_parse_blocks(args.pop("B", "[]")))
@@ -347,19 +355,7 @@ def _histogram(blocks) -> tuple[tuple[int, int], ...]:
 @lru_cache(maxsize=256)
 def family_blocks(fam: FamilySpec) -> tuple[tuple[int, ...], ...]:
     """The raw block tuple of a family with finitely many blocks."""
-    if fam.kind == "Blocks":
-        return fam.blocks
-    if fam.kind == "Tilde":
-        # (1,) plus v^(k-1) k for 2 <= k <= s-1 and each of the s-1 digits v != k
-        digits = 1 + (fam.s - 1) * (fam.s * (fam.s - 1) // 2 - 1)
-        if digits > DEFAULT_CAP:
-            raise CapExceededError(
-                f"Tilde(s={fam.s}) blocks hold {digits} digits, above the cap {DEFAULT_CAP}"
-            )
-        blocks = {(1,)}
-        for k in range(2, fam.s):
-            blocks.update((v,) * (k - 1) + (k,) for v in range(fam.s) if v != k)
-    elif fam.kind == "MDper":
+    if fam.kind == "MDper":
         if fam.s ** len(fam.period) > DEFAULT_CAP:
             raise CapExceededError("MDper period blocks exceed the enumeration cap")
         # one block per period: the phase blocks in sequence
@@ -404,25 +400,8 @@ class CylinderAddress:
 def validate_selectors(fam: FamilySpec, sel: Sequence, phase: int = 0) -> int:
     """Raise unless each selector is admissible at the phase it is read in,
     starting from `phase`; return the phase after the last one."""
-    if fam.kind == "MD":
-        for entry in sel:
-            try:
-                m, e = entry
-            except (TypeError, ValueError):
-                raise FamilyConstraintError("MD addresses are (gap, digit) pairs") from None
-            if m < 3 or m % 2 == 0:
-                raise FamilyConstraintError(f"MD gap {m} must be odd and >= 3")
-            if not 1 <= e < fam.s:
-                raise FamilyConstraintError(f"MD digit {e} must be nonzero and < {fam.s}")
-        return phase
-    choices = digit_maps(fam, phase)
-    for x in sel:
-        try:
-            nxt = choices[x][4]
-        except KeyError:
-            raise FamilyConstraintError(f"selector {x!r} not admissible in {fam.label()}") from None
-        if nxt != phase:
-            phase, choices = nxt, digit_maps(fam, nxt)
+    for *_, phase in _walk(fam, sel, phase):
+        pass
     return phase
 
 
@@ -434,12 +413,14 @@ def as_address(fam: FamilySpec, addr) -> CylinderAddress:
     return CylinderAddress(fam, tuple(addr))
 
 
-def level_choices(fam: FamilySpec, level: int) -> tuple[int, ...]:
+def level_choices(fam: FamilySpec, level: int) -> Sequence[int]:
     """Admissible selectors at one address level (1-indexed)."""
     if fam.kind == "Cantor":
         return fam.level_sets[(level - 1) % len(fam.level_sets)]
-    if fam.kind in BLOCK_KINDS:
-        return tuple(range(len(family_blocks(fam))))
+    if fam.kind == "Blocks":
+        return range(len(fam.blocks))
+    if fam.kind == "Tilde":  # (1,) and s-1 blocks of each length 2..s-1
+        return range(1 + (fam.s - 1) * (fam.s - 2))
     return fam.run_digits
 
 
@@ -466,6 +447,10 @@ def enumerate_addresses(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> 
 
 # -- affine digit maps ----------------------------------------------------------
 
+#: (block, gn, sk, m, next_phase): a selector writes `block` and maps the
+#: local tail value by x -> (gn + sk*x)/m, all integers, m >= 2, sk = +-1
+DigitMap = tuple[tuple[int, ...], int, int, int, int]
+
 #: (V, den, sign, phase), all integers: a cylinder is the image of the local
 #: tail set at `phase` under x -> const + (V + sign * x) / den, where const
 #: is the family constant (`_family_const`) and den >= 1
@@ -474,58 +459,80 @@ Frame = tuple[int, int, int, int]
 ROOT_FRAME: Frame = (0, 1, 1, 0)
 
 
-def digit_map(fam: FamilySpec, sel, phase: int = 0) -> tuple[tuple[int, ...], Fraction, Fraction, int]:
-    """(block, g, k, next_phase) of one selector at `phase`.
+def digit_map(fam: FamilySpec, sel, phase: int = 0) -> DigitMap:
+    """(block, gn, sk, m, next_phase) of one selector at `phase`, in integers.
 
     The selector (a run digit; a block index for Tilde/Blocks; a digit for
     MDper and Cantor; a (gap, digit) pair for MD) writes `block` into the
-    digit expansion, and the local tail value from it on is x -> g + k*x of
-    the local tail value at `next_phase`, which depends on `phase` alone.
-    Cantor phase p reads level p+1 (mod lcm(#d, #I)): x -> (e + x)/d_(p+1).
+    digit expansion, and the local tail value from it on is
+    x -> (gn + sk*x)/m of the local tail value at `next_phase`, which
+    depends on `phase` alone; m >= 2 and sk = +-1.  Cantor phase p reads
+    level p+1 (mod lcm(#d, #I)): x -> (e + x)/d_(p+1).  MD has no table of
+    admissible selectors, so its pairs are checked here.
     """
     s, kind = fam.s, fam.kind
     if kind in ("S", "Su", "NSu"):
-        k = Fraction((-1) ** sel if kind == "NSu" else 1, s**sel)
-        return (fam.u,) * (sel - 1) + (sel,), (sel - fam.u) * k, k, 0
+        sk = -1 if kind == "NSu" and sel % 2 else 1
+        return (fam.u,) * (sel - 1) + (sel,), sk * (sel - fam.u), sk, s**sel, 0
     if kind == "Sminus":
-        k = Fraction(-1, s**sel)
-        return (0,) * (sel - 1) + (sel,), sel * k, k, 0
-    if kind in BLOCK_KINDS:
-        block = family_blocks(fam)[sel]
-        n = len(block)
-        g = Fraction(sum(d * s ** (n - i) for i, d in enumerate(block, 1)), s**n)
-        return block, g, Fraction(1, s**n), 0
+        return (0,) * (sel - 1) + (sel,), -sel, -1, s**sel, 0
     if kind == "Cantor":
-        k = Fraction(1, fam.basis.d(phase + 1))
         nxt = phase + 1
         if fam.basis.kind != "power":  # a power basis never repeats
             nxt %= lcm(len(fam.basis.values), len(fam.level_sets))
-        return (sel,), sel * k, k, nxt
+        return (sel,), sel, 1, fam.basis.d(phase + 1), nxt
+    if kind in BLOCK_KINDS:
+        if kind == "Blocks":
+            block = fam.blocks[sel]
+        else:  # Tilde: (1,), then v^(k-1) k for k = 2..s-1 over the digits v != k
+            k, v = divmod(sel - 1, s - 1)
+            k += 2
+            block = (v + (v >= k),) * (k - 1) + (k,) if sel else (1,)
+        return block, sum(d * s**i for i, d in enumerate(reversed(block))), 1, s ** len(block), 0
     if kind == "MD":
-        (m, eps), nxt = sel, 0
+        try:
+            m, eps = sel
+        except (TypeError, ValueError):
+            raise FamilyConstraintError("MD addresses are (gap, digit) pairs") from None
+        if m < 3 or m % 2 == 0:
+            raise FamilyConstraintError(f"MD gap {m} must be odd and >= 3")
+        if not 1 <= eps < s:
+            raise FamilyConstraintError(f"MD digit {eps} must be nonzero and < {s}")
+        nxt = 0
     else:  # MDper
         m, eps, nxt = fam.period[phase], sel, (phase + 1) % len(fam.period)
-    k = Fraction(-1, s**m)
-    return (0,) * (m - 1) + (eps,), eps * k, k, nxt
-
-
-def _integer_map(fam: FamilySpec, sel, phase: int) -> tuple[tuple[int, ...], int, int, int, int]:
-    """(block, gn, sk, m, next_phase): `digit_map` in the integer form
-    x -> (gn + sk*x)/m, with m >= 2 and sk = +-1.
-
-    The integer form is read off the map's (g, k) and must give them back
-    exactly, so every walk can step on integers alone."""
-    block, g, k, nxt = digit_map(fam, sel, phase)
-    gn, sk, m = g * k.denominator, k.numerator, k.denominator
-    if gn.denominator != 1 or sk not in (1, -1) or m < 2:
-        raise ValueError(f"selector {sel!r} of {fam.label()} maps x -> {g} + {k}*x, not (gn +- x)/m")
-    return block, gn.numerator, sk, m, nxt
+    return (0,) * (m - 1) + (eps,), -eps, -1, s**m, nxt
 
 
 @lru_cache(maxsize=256)
-def digit_maps(fam: FamilySpec, phase: int) -> Mapping:
-    """selector -> `_integer_map` at `phase`, in `level_choices` order."""
-    return MappingProxyType({sel: _integer_map(fam, sel, phase) for sel in level_choices(fam, phase + 1)})
+def digit_maps(fam: FamilySpec, phase: int) -> Mapping[object, DigitMap]:
+    """selector -> `digit_map` at `phase`, in `level_choices` order.
+
+    Refused with CapExceededError as soon as the phase's blocks pass
+    DEFAULT_CAP digits, so no table grows without bound (S(s) writes about
+    s^2/2 digits)."""
+    table, digits = {}, 0
+    for sel in level_choices(fam, phase + 1):
+        table[sel] = dmap = digit_map(fam, sel, phase)
+        digits += len(dmap[0])
+        if digits > DEFAULT_CAP:
+            raise CapExceededError(f"{fam.label()} blocks hold over {DEFAULT_CAP} digits, above the cap")
+    return MappingProxyType(table)
+
+
+def _walk(fam: FamilySpec, sels: Sequence, phase: int = 0) -> Iterator[DigitMap]:
+    """The digit map of each selector of `sels`, read from `phase` on;
+    raises at the first selector not admissible at the phase it is read in."""
+    for sel in sels:
+        if fam.kind == "MD":  # a map for every odd gap, too many for a table
+            dmap = digit_map(fam, sel, phase)
+        else:
+            try:
+                dmap = digit_maps(fam, phase)[sel]
+            except KeyError:
+                raise FamilyConstraintError(f"selector {sel!r} not admissible in {fam.label()}") from None
+        yield dmap
+        phase = dmap[4]
 
 
 def child_frames(fam: FamilySpec, frame: Frame) -> Iterator[tuple[object, Frame]]:
@@ -537,12 +544,9 @@ def child_frames(fam: FamilySpec, frame: Frame) -> Iterator[tuple[object, Frame]
 
 
 def _fold(fam: FamilySpec, sels: Sequence, frame: Frame) -> Frame:
-    """The frame reached from `frame` through the admissible selectors `sels`."""
+    """The frame reached from `frame` through the selectors `sels`."""
     V, den, sign, phase = frame
-    for sel in sels:
-        # MD has a map for every odd gap, too many for a table
-        maps = _integer_map(fam, sel, phase) if fam.kind == "MD" else digit_maps(fam, phase)[sel]
-        _, gn, sk, m, phase = maps
+    for _, gn, sk, m, phase in _walk(fam, sels, phase):
         V, den, sign = V * m + sign * gn, den * m, sign * sk
     return V, den, sign, phase
 
@@ -551,15 +555,14 @@ def _fold(fam: FamilySpec, sels: Sequence, frame: Frame) -> Frame:
 
 
 def membership_prefix(fam: FamilySpec, digits) -> bool:
-    """Whether `digits` is a prefix of some concatenation of the family's blocks.
+    """Whether `digits` is a prefix of some admissible digit expansion.
 
-    Dynamic programming over all parses; any parse counts, since the families
-    are defined by digit appearance rather than unique decodability.
+    Dynamic programming over (position, phase) through the digit maps: a
+    block read at a phase leads to its map's next phase.  Any parse counts,
+    since the families are defined by digit appearance rather than unique
+    decodability.
     """
-    if isinstance(digits, DigitString):
-        seq = digits.digits
-    else:
-        seq = tuple(int(d) for d in digits)
+    seq = digits.digits if isinstance(digits, DigitString) else tuple(int(d) for d in digits)
     for d in seq:
         if not 0 <= d < fam.s:
             raise InvalidDigitError(f"digit {d} outside alphabet of base {fam.s}")
@@ -567,30 +570,18 @@ def membership_prefix(fam: FamilySpec, digits) -> bool:
         raise UnsupportedFamilyError("Cantor families have per-level alphabets; check digits there")
     if fam.kind == "MD":
         return _md_prefix_ok(seq)
-    if fam.kind == "MDper":
-        # nonzero digits may only sit at the gap positions k_n
-        positions = set()
-        k, i = 0, 0
-        while k < len(seq):
-            k += fam.period[i % len(fam.period)]
-            positions.add(k)
-            i += 1
-        return all(d == 0 or (j in positions) for j, d in enumerate(seq, 1))
-    blocks = family_blocks(fam)
     n = len(seq)
-    reachable = [False] * (n + 1)
-    reachable[0] = True
+    reach = [set() for _ in range(n + 1)]
+    reach[0].add(0)
     for pos in range(n):
-        if not reachable[pos]:
-            continue
-        for b in blocks:
-            tail = seq[pos : pos + len(b)]
-            if tail == b[: len(tail)]:
-                if pos + len(b) <= n:
-                    reachable[pos + len(b)] = True
-                else:
-                    return True  # ends inside this block: extendable
-    return reachable[n]
+        for phase in reach[pos]:
+            for block, *_, nxt in digit_maps(fam, phase).values():
+                tail = seq[pos : pos + len(block)]
+                if tail == block[: len(tail)]:
+                    if pos + len(block) > n:
+                        return True  # ends inside this block: extendable
+                    reach[pos + len(block)].add(nxt)
+    return bool(reach[n])
 
 
 def _md_prefix_ok(seq: tuple[int, ...]) -> bool:
@@ -622,8 +613,7 @@ def _family_const(fam: FamilySpec) -> Fraction:
 def address_frame(fam: FamilySpec, addr) -> Frame:
     """(V, den, sign, phase) of `addr`: its cylinder is the image of the
     family's local tail set at `phase` under x -> const + (V + sign * x)/den."""
-    addr = as_address(fam, addr)
-    return _fold(fam, addr.base, ROOT_FRAME)
+    return _fold(fam, as_address(fam, addr).base, ROOT_FRAME)
 
 
 def eval_family_point(fam: FamilySpec, alphas, tail: Sequence = ()) -> Fraction:
@@ -631,13 +621,11 @@ def eval_family_point(fam: FamilySpec, alphas, tail: Sequence = ()) -> Fraction:
     prefix, optionally closed by a periodic selector tail."""
     V, den, sign, phase = address_frame(fam, alphas)
     if tail:
-        tail = tuple(tail)
-        end = validate_selectors(fam, tail, phase)
+        # the tail's own map x -> (tv + tk*x)/td fixes tv/(td - tk)
+        tv, td, tk, end = _fold(fam, tail, (0, 1, 1, phase))
         if end != phase:
             msg = f"a periodic tail must return to the phase it starts at ({phase}); it ends at {end}"
             raise FamilyConstraintError(msg)
-        # the tail's own map x -> (tv + tk*x)/td fixes tv/(td - tk)
-        tv, td, tk, _ = _fold(fam, tail, (0, 1, 1, phase))
         V, den = V * (td - tk) + sign * tv, den * (td - tk)
     return _family_const(fam) + Fraction(V, den)
 
@@ -646,10 +634,7 @@ def expand_address(fam: FamilySpec, addr) -> DigitString:
     """The full digit string an address fixes in the family's expansion."""
     if fam.kind == "Cantor":
         raise UnsupportedFamilyError("Cantor addresses have no single-base digit form")
-    addr = as_address(fam, addr)
     out: list[int] = []
-    phase = 0
-    for sel in addr.base:
-        block, _, _, phase = digit_map(fam, sel, phase)
+    for block, *_ in _walk(fam, as_address(fam, addr).base):
         out.extend(block)
     return DigitString(fam.s, tuple(out))

@@ -239,3 +239,47 @@ def test_malformed_scales_rejected(capsys, scales):
     assert main(["boxcount", "S(s=3)", f"--scales={scales}"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "argument --scales" in captured.err
+
+
+#: options a subcommand's handler does not read, and formats it does not print
+UNREAD_OPTIONS = [
+    ("dim", "S(s=3)", "--depth", "3"),
+    ("dim", "S(s=3)", "--cap", "5"),
+    ("blocks", "S(s=3)", "--depth", "3"),
+    ("blocks", "S(s=3)", "--cap", "5"),
+    ("blocks", "S(s=3)", "--format", "csv"),
+    ("eval", "S(s=3)", "--alphas", "2,1", "--depth", "3"),
+    ("eval", "S(s=3)", "--alphas", "2,1", "--cap", "5"),
+    ("eval", "S(s=3)", "--alphas", "2,1", "--format", "text"),
+    ("cylinder", "S(s=3)", "--addr", "1", "--depth", "3"),
+    ("cylinder", "S(s=3)", "--addr", "1", "--cap", "5"),
+    ("cylinder", "S(s=3)", "--addr", "1", "--format", "csv"),
+    ("cover", "S(s=3)", "--depth", "2", "--format", "json"),
+    ("boxcount", "S(s=3)", "--depth", "3"),
+    ("boxcount", "S(s=3)", "--format", "json"),
+    ("convert", "--base", "3", "--digits", "0,2", "--target", "negasadic", "--format", "csv"),
+    ("verify", "S(s=3)", "--depth", "1", "--format", "csv"),
+    ("enumerate", "S(s=3)", "--depth", "1", "--format", "csv"),
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_OPTIONS)
+def test_options_a_command_does_not_read_are_refused(capsys, argv):
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+    # the command itself runs without the option
+    assert main(list(argv[:-2])) == 0
+
+
+def test_run_block_tables_are_capped(capsys):
+    # S(s) writes about s^2/2 block digits: S(s=2000) passes DEFAULT_CAP
+    assert main(["dim", "S(s=2000)"]) == 1
+    assert "above the cap" in capsys.readouterr().err
+    code, out = run(capsys, "dim", "S(s=1000)")
+    note = "solved sum_k N_k t^k = 1 with t = s^-alpha; N = " + str(dict.fromkeys(range(1, 1000), 1))
+    assert code == 0 and out == (
+        '{"family":"S(s=1000)","alpha":0.100343331888,"method":"block-root",'
+        '"residual":1.13686837722e-13,"bracket":[0.100343331888,0.100343331888],'
+        f'"iterations":45,"degenerate":false,"note":{json.dumps(note)}}}\n'
+    )

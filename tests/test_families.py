@@ -46,6 +46,9 @@ def test_grammar_errors():
         "Blocks(s=3,B=[5])",
         "S(s=3,u=1)",  # stray parameter
         "S(3)",
+        "Cantor(d=[3],I=[{0,x}])",  # a digit that is no integer
+        "Cantor(d=[],I=[{0}])",  # an empty basis
+        "Cantor(d=[1],I=[{0}])",  # basis elements must be >= 2
     ):
         with pytest.raises(FamilyParseError):
             parse_family(bad)
@@ -79,7 +82,7 @@ def test_tilde_block_count():
         assert bs.size == s * s - 3 * s + 3
     bs4 = blocks_of_family(parse_family("Tilde(s=4)"))
     assert bs4.counts() == {1: 1, 2: 3, 3: 3}
-    # refused from the digit count, before any block is built
+    # refused once the blocks built so far pass the digit cap, before the table is complete
     for s in (127, 3000):
         with pytest.raises(CapExceededError):
             blocks_of_family(parse_family(f"Tilde(s={s})"))

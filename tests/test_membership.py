@@ -1,0 +1,79 @@
+"""`membership_prefix` against the rules it replaced.
+
+The reference below is the old code: MDper's gap-position rule (nonzero
+digits only at the gap positions m_1 + ... + m_n) and a dynamic program over
+every parse of the family's block list.  The new code is one dynamic
+program over (position, phase) through the digit maps.  Digit strings are
+drawn from the family's own expansions, with some digits changed and some
+cut short, and at random; both draws favour 0, the digit the zero runs and
+gaps are made of.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cantorkit import FamilySpec, expand_address, membership_prefix
+from cantorkit.families import family_blocks, level_choices
+
+
+def ref_membership_prefix(fam, seq):
+    if fam.kind == "MDper":
+        positions, k, i = set(), 0, 0
+        while k < len(seq):
+            k += fam.period[i % len(fam.period)]
+            positions.add(k)
+            i += 1
+        return all(d == 0 or j in positions for j, d in enumerate(seq, 1))
+    blocks = family_blocks(fam)
+    n = len(seq)
+    reachable = [True] + [False] * n
+    for pos in range(n):
+        if not reachable[pos]:
+            continue
+        for b in blocks:
+            tail = seq[pos : pos + len(b)]
+            if tail == b[: len(tail)]:
+                if pos + len(b) <= n:
+                    reachable[pos + len(b)] = True
+                else:
+                    return True
+    return reachable[n]
+
+
+@st.composite
+def families(draw):
+    kind = draw(st.sampled_from(("S", "Su", "NSu", "Sminus", "Tilde", "MDper", "Blocks")))
+    if kind in ("Su", "NSu"):
+        s = draw(st.integers(3, 6))
+        return FamilySpec(kind, s, u=draw(st.integers(0, s - 1)))
+    if kind in ("S", "Sminus", "Tilde"):
+        return FamilySpec(kind, draw(st.integers(3, 5)))
+    s = draw(st.integers(2, 4))
+    if kind == "MDper":
+        return FamilySpec(kind, s, period=tuple(draw(st.lists(st.sampled_from((3, 5, 7)), min_size=1, max_size=3))))
+    # overlapping blocks make ambiguous lists, with several parses of one string
+    block = st.lists(st.integers(0, s - 1), min_size=1, max_size=3).map(tuple)
+    return FamilySpec(kind, s, blocks=tuple(draw(st.lists(block, min_size=1, max_size=4, unique=True))))
+
+
+@st.composite
+def cases(draw):
+    fam = draw(families())
+    digit = st.one_of(st.just(0), st.integers(0, fam.s - 1))
+    if draw(st.booleans()):
+        seq = draw(st.lists(digit, max_size=12))
+    else:
+        addr = [draw(st.sampled_from(level_choices(fam, j))) for j in range(1, draw(st.integers(0, 5)) + 1)]
+        seq = list(expand_address(fam, addr).digits)
+        for _ in range(draw(st.integers(0, 2)) if seq else 0):
+            seq[draw(st.integers(0, len(seq) - 1))] = draw(digit)
+        if draw(st.booleans()):
+            seq = seq[: draw(st.integers(0, len(seq)))]
+    return fam, tuple(seq)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(cases())
+def test_membership_prefix_matches_the_replaced_rules(case):
+    fam, seq = case
+    assert membership_prefix(fam, seq) == ref_membership_prefix(fam, seq)

@@ -61,7 +61,8 @@ def ref_cylinder_interval(fam, base):
 def ref_child_frames(fam, frame):
     value, scale, phase = frame
     for sel in level_choices(fam, phase + 1):
-        _, g, k, nxt = digit_map(fam, sel, phase)
+        _, gn, sk, m, nxt = digit_map(fam, sel, phase)
+        g, k = Fraction(gn, m), Fraction(sk, m)
         yield sel, (value + scale * g, scale * k, nxt)
 
 
