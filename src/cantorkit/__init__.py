@@ -49,7 +49,6 @@ from .errors import (
 )
 from .families import (
     BlockSet,
-    CylinderAddress,
     FamilySpec,
     blocks_of_family,
     enumerate_addresses,

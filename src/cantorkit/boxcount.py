@@ -56,15 +56,15 @@ class FitResult:
         object.__setattr__(self, "r2", min(self.r2, 1.0))
 
 
-def _cover_counts(fam: FamilySpec, epss: Sequence[Fraction], depth: int, cap: int) -> list[int]:
+def _cover_counts(fam: FamilySpec, epss: Sequence[Fraction], cap: int) -> list[int]:
     """Mesh cells touched at each width of the descending list `epss`, from
     one walk of the cylinder tree.
 
     A node is terminal for scale i when it is the first on its path with
-    rank >= depth and hull width <= epss[i].  Each node carries the index of
-    the first scale still open on its path, so the walk descends only while
-    the finest scale is open: it visits exactly the nodes of the finest
-    scale's own walk, which contains every coarser one.
+    hull width <= epss[i].  Each node carries the index of the first scale
+    still open on its path, so the walk descends only while the finest scale
+    is open: it visits exactly the nodes of the finest scale's own walk,
+    which contains every coarser one.
     """
     if fam.kind == "MD":
         raise UnsupportedFamilyError("MD cylinders cannot be enumerated for counting")
@@ -89,18 +89,17 @@ def _cover_counts(fam: FamilySpec, epss: Sequence[Fraction], depth: int, cap: in
     pm = [p * M for p, _ in pq]
     n_scales = len(epss)
     visited = 0
-    stack = [(0, 0, ROOT_FRAME)]
+    stack = [(0, ROOT_FRAME)]
     while stack:
-        rank, first, frame = stack.pop()
+        first, frame = stack.pop()
         visited += 1
         if visited > cap:
             raise CapExceededError(f"cover needs more than {cap} cylinders at eps={epss[-1]}")
         V, den, sign, phase = frame
         lo, hi, width = ends[phase]
-        end = first
-        if rank >= depth:  # hull width over M * den against eps_i = p/q
-            while end < n_scales and width * pq[end][1] <= pm[end] * den:
-                end += 1
+        end = first  # hull width over M * den against eps_i = p/q
+        while end < n_scales and width * pq[end][1] <= pm[end] * den:
+            end += 1
         if end > first:
             at = shift_m * den + V * M
             a, b = (at + lo, at + hi) if sign > 0 else (at - hi, at - lo)
@@ -112,18 +111,15 @@ def _cover_counts(fam: FamilySpec, epss: Sequence[Fraction], depth: int, cap: in
                     k2 -= 1  # a right end on a mesh line claims nothing beyond it
                 cells[i].update(range(k1, min(max(k2, k1), last[i]) + 1))
         if end < n_scales:
-            stack.extend((rank + 1, end, child) for _, child in child_frames(fam, frame))
+            stack.extend((end, child) for _, child in child_frames(fam, frame))
     return [len(c) for c in cells]
 
 
-def boxes_at_scale(fam: FamilySpec, eps, depth: int = 0, cap: int = DEFAULT_CAP) -> ScaleCount:
-    """Number of eps-mesh cells touched by a cylinder cover of the family.
-
-    `depth` is the minimum rank a cylinder must reach before it may be
-    counted; beyond that, cylinders split until their hulls measure <= eps.
-    """
+def boxes_at_scale(fam: FamilySpec, eps, cap: int = DEFAULT_CAP) -> ScaleCount:
+    """Number of eps-mesh cells touched by a cylinder cover of the family:
+    cylinders split until their hulls measure <= eps."""
     eps = Fraction(eps)
-    (count,) = _cover_counts(fam, [eps], depth, cap)
+    (count,) = _cover_counts(fam, [eps], cap)
     return ScaleCount(float(eps), count)
 
 
@@ -157,6 +153,6 @@ def box_dimension(
     if n_hi - n_lo < 2:
         raise ValueError("need at least 3 scales")
     epss = [Fraction(1, fam.s**n) for n in range(n_lo, n_hi + 1)]
-    counts = _cover_counts(fam, epss, 0, cap)
+    counts = _cover_counts(fam, epss, cap)
     points = [ScaleCount(float(eps), count) for eps, count in zip(epss, counts)]
     return fit_dimension(points), points

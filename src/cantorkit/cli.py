@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -257,14 +258,20 @@ def _cmd_enumerate(args) -> int:
     fam = parse_family(args.family)
     addrs = enumerate_addresses(fam, args.depth, cap=args.cap)
     if args.format == "json":
-        _emit(_jdump({"family": fam.label(), "depth": args.depth, "addresses": [list(a.base) for a in addrs]}), args.out)
+        _emit(_jdump({"family": fam.label(), "depth": args.depth, "addresses": addrs}), args.out)
     else:
-        _emit("\n".join(" ".join(map(str, a.base)) for a in addrs) or "()", args.out)
+        _emit("\n".join(" ".join(map(str, a)) for a in addrs) or "()", args.out)
     return 0
 
 
 def _cmd_convert(args) -> int:
     digits = DigitString(args.base, _ints(args.digits))
+    # the printed rationals have denominators up to base^length; refuse a
+    # length at which that power passes Python's int-to-str limit (0: none)
+    limit = sys.get_int_max_str_digits()
+    if limit and args.length * math.log10(args.base) >= limit:
+        msg = f"--length {args.length} at base {args.base} may print denominators of over {limit} digits"
+        raise ValueError(msg + ", above sys.get_int_max_str_digits()")
     value = eval_negasadic(digits) if args.source == "negasadic" else eval_sadic(digits)
     negative = args.target == "negasadic"
     out_digits = digits_from_rational(value, args.base, args.length, negative=negative)

@@ -47,9 +47,10 @@ from .families import (
     _family_const,
     address_count,
     address_frame,
-    as_address,
     child_frames,
     digit_maps,
+    level_choices,
+    validate_selectors,
 )
 
 
@@ -213,9 +214,9 @@ def cylinder_interval(fam: FamilySpec, addr) -> IntervalR:
     """Exact [inf, sup] of a cylinder from the closed-form case analysis,
     folded one run digit at a time."""
     _require_formula_family(fam)
-    addr = as_address(fam, addr)
+    validate_selectors(fam, addr)  # the closed form reads no digit map
     state = ROOT_STATE
-    for c in addr.base:
+    for c in addr:
         state = _closed_step(fam, state, c)
     form = _closed_form(fam)
     return _interval(*_closed_ends(fam, form, state), form[0] * fam.s ** state[1])
@@ -422,7 +423,7 @@ def tail_extrema_oracle(fam: FamilySpec, addr, depth: int) -> OracleResult:
     frame = address_frame(fam, addr)
     _, den, _, phase = frame
     lo, hi, shrink = _oracle_local(fam, depth, phase)
-    leaves = prod(fam.branching(level, phase) for level in range(1, depth + 1))
+    leaves = prod(len(level_choices(fam, phase + level)) for level in range(1, depth + 1))
     return OracleResult(_frame_image(fam, frame, lo, hi), _tail_bound(fam, shrink) / den, leaves)
 
 
@@ -436,7 +437,7 @@ def gap_interval(fam: FamilySpec, addr, p: int) -> IntervalR | None:
     case analysis rules out; callers treat None as a finding).
     """
     _require_formula_family(fam)
-    base = as_address(fam, addr).base
+    base = tuple(addr)
     a, b = cylinder_interval(fam, base + (p,)), cylinder_interval(fam, base + (p + 1,))
     first, second = (a, b) if a.lo <= b.lo else (b, a)
     if first.hi >= second.lo:
@@ -504,10 +505,10 @@ def ordering_check(fam: FamilySpec, addr) -> OrderingReport:
     _require_formula_family(fam)
     if fam.degenerate:
         raise FamilyConstraintError("degenerate family has no sibling pair")
-    addr = as_address(fam, addr)
-    children = {c: cylinder_interval(fam, addr.base + (c,)) for c in fam.run_digits}
-    entries = _ordering_entries(fam, addr.base, {c: (iv.lo, iv.hi) for c, iv in children.items()})
-    return OrderingReport(addr.base, entries, all(e.ok for e in entries))
+    base = tuple(addr)
+    children = {c: cylinder_interval(fam, base + (c,)) for c in level_choices(fam, len(base) + 1)}
+    entries = _ordering_entries(fam, base, {c: (iv.lo, iv.hi) for c, iv in children.items()})
+    return OrderingReport(base, entries, all(e.ok for e in entries))
 
 
 def covering_sums(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> list[Fraction]:
@@ -540,18 +541,18 @@ def covering_sum(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> Fractio
 
 
 def cylinder_report(fam: FamilySpec, addr, child: int | None = None) -> CylinderReport:
-    addr = as_address(fam, addr)
+    addr = tuple(addr)
     iv = cylinder_hull(fam, addr)
     ratio = None
     if child is not None:
-        child_iv = cylinder_hull(fam, addr.base + (child,))
+        child_iv = cylinder_hull(fam, addr + (child,))
         ratio = child_iv.width / iv.width if iv.width else None
     orientation = None
     if _has_closed_form(fam) and not fam.degenerate:
         report = ordering_check(fam, addr)
         seen = {e.observed for e in report.entries}
         orientation = seen.pop() if len(seen) == 1 else "mixed"
-    return CylinderReport(addr.base, iv, iv.width, ratio, orientation)
+    return CylinderReport(addr, iv, iv.width, ratio, orientation)
 
 
 # -- the cylinder property suite --------------------------------------------------
@@ -597,7 +598,7 @@ def verify_family(
     _require_formula_family(fam)
     address_count(fam, depth, cap)
     s = fam.s
-    digits = fam.run_digits
+    digits = level_choices(fam, 1)
     oracle_f, nest_f, ratio_f, part_f, gap_f, ord_f = [], [], [], [], [], []
     n_addr = n_child = n_pair = 0
     # formula ends are numerators over Q * s^E, E the digit sum; oracle ends

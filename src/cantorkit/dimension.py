@@ -109,33 +109,24 @@ def block_dimension(s: int, blocks: BlockSet) -> DimensionResult:
     """Root of sum_k N_k t^k = 1 in t = s^-alpha over the length histogram.
 
     The polynomial is increasing on (0, 1), so bisection brackets the unique
-    root; the analytic odd-zero-runs language is handled through its
-    generating function (s-1) t^3 / (1 - t^2) = 1, i.e. (s-1)t^3 + t^2 = 1.
-    A block set that overcounts the interval (root below 1/s) is rejected.
+    root.  A block set with no finite histogram (MD's odd zero runs) is
+    refused: `md_closed_form` solves its cubic.
     """
     if s < 2:
         raise OutOfRangeError(f"base must be >= 2, got {s}")
-    note = None
-    if blocks.analytic == "odd-zero-runs":
+    if not blocks.histogram:
+        raise ValueError("block set has no finite histogram; md_closed_form gives MD's dimension")
+    hist = blocks.counts()
+    if blocks.size == 1:
+        return DimensionResult(
+            0.0, "block-root", 0.0, (0.0, 0.0), 0, degenerate=True,
+            note="single block: the set is one point",
+        )
 
-        def poly(t):
-            return (s - 1) * t**3 + t**2 - 1.0
+    def poly(t):
+        return math.fsum(n * t**k for k, n in sorted(hist.items())) - 1.0
 
-        note = "solved (s-1)t^3 + t^2 = 1 with t = s^-alpha"
-    else:
-        if blocks.size == 0:
-            raise ValueError("empty block set")
-        hist = blocks.counts()
-        if blocks.size == 1:
-            return DimensionResult(
-                0.0, "block-root", 0.0, (0.0, 0.0), 0, degenerate=True,
-                note="single block: the set is one point",
-            )
-
-        def poly(t):
-            return math.fsum(n * t**k for k, n in sorted(hist.items())) - 1.0
-
-        note = "solved sum_k N_k t^k = 1 with t = s^-alpha; N = " + str(dict(sorted(hist.items())))
+    note = "solved sum_k N_k t^k = 1 with t = s^-alpha; N = " + str(dict(sorted(hist.items())))
     t, it, t_lo, t_hi = _bisect_increasing(poly, 0.0, 1.0)
     alpha = _alpha_from_t(t, s)
     residual = abs(poly(s**-alpha))

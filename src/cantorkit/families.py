@@ -2,7 +2,8 @@
 
 Each family is a set of real numbers whose expansion (s-adic, nega-s-adic or
 gap-structured) uses only certain digit combinations.  A `FamilySpec` names
-the family and its parameters; addresses select nested cylinders inside it.
+the family and its parameters; an address, a plain sequence of selectors
+(`level_choices` lists them), selects a nested cylinder inside it.
 
 Family kinds and their value maps (alphas are the restricted digits, A_k
 their prefix sums):
@@ -150,31 +151,12 @@ class FamilySpec:
     # -- structural helpers -------------------------------------------------
 
     @property
-    def run_digits(self) -> tuple[int, ...]:
-        """Admissible address digits for run-length kinds."""
-        if self.kind in ("S", "Su", "NSu"):
-            return tuple(a for a in range(1, self.s) if a != self.u)
-        if self.kind == "Sminus":
-            return tuple(range(1, self.s))
-        if self.kind == "MDper":
-            return tuple(range(self.s))
-        raise UnsupportedFamilyError(f"{self.kind} has no flat digit alphabet")
-
-    def branching(self, level: int = 1, phase: int = 0) -> int:
-        """Number of admissible selectors at one address level."""
-        if self.kind == "MD":
-            raise UnsupportedFamilyError("MD has unbounded branching")
-        return len(level_choices(self, phase + level))
-
-    @property
     def degenerate(self) -> bool:
         """True when the family collapses to a single point (one choice per level)."""
-        try:
-            if self.kind == "Cantor":
-                return all(len(I) == 1 for I in self.level_sets)
-            return self.branching() <= 1
-        except UnsupportedFamilyError:
+        if self.kind == "MD":
             return False
+        levels = len(self.level_sets) if self.kind == "Cantor" else 1
+        return all(len(level_choices(self, j)) <= 1 for j in range(1, levels + 1))
 
     def label(self) -> str:
         """Canonical grammar form of this family."""
@@ -381,68 +363,47 @@ def blocks_of_family(fam: FamilySpec) -> BlockSet:
 # -- addresses ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CylinderAddress:
-    """An ordered tuple of restricted selectors naming a rank-n cylinder."""
-
-    family: FamilySpec
-    base: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", tuple(self.base))
-        validate_selectors(self.family, self.base)
-
-    @property
-    def rank(self) -> int:
-        return len(self.base)
-
-
-def validate_selectors(fam: FamilySpec, sel: Sequence, phase: int = 0) -> int:
-    """Raise unless each selector is admissible at the phase it is read in,
-    starting from `phase`; return the phase after the last one."""
-    for *_, phase in _walk(fam, sel, phase):
+def validate_selectors(fam: FamilySpec, sel: Sequence) -> None:
+    """Raise unless each selector is admissible at the phase it is read in."""
+    for _ in _walk(fam, sel):
         pass
-    return phase
-
-
-def as_address(fam: FamilySpec, addr) -> CylinderAddress:
-    if isinstance(addr, CylinderAddress):
-        if addr.family != fam:
-            raise FamilyConstraintError("address belongs to a different family")
-        return addr
-    return CylinderAddress(fam, tuple(addr))
 
 
 def level_choices(fam: FamilySpec, level: int) -> Sequence[int]:
-    """Admissible selectors at one address level (1-indexed)."""
-    if fam.kind == "Cantor":
+    """Admissible selectors at one address level (1-indexed): the one list of
+    a family's selectors.  MD has a selector for every odd gap and is refused."""
+    kind, s = fam.kind, fam.s
+    if kind in ("S", "Su", "NSu", "Sminus"):  # Sminus has no u
+        return tuple(a for a in range(1, s) if a != fam.u)
+    if kind == "MDper":
+        return range(s)
+    if kind == "Cantor":
         return fam.level_sets[(level - 1) % len(fam.level_sets)]
-    if fam.kind == "Blocks":
+    if kind == "Blocks":
         return range(len(fam.blocks))
-    if fam.kind == "Tilde":  # (1,) and s-1 blocks of each length 2..s-1
-        return range(1 + (fam.s - 1) * (fam.s - 2))
-    return fam.run_digits
+    if kind == "Tilde":  # (1,) and s-1 blocks of each length 2..s-1
+        return range(1 + (s - 1) * (s - 2))
+    raise UnsupportedFamilyError("MD has unbounded branching")
 
 
 def address_count(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> int:
     """Number of rank-`depth` addresses; CapExceededError when above `cap`."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if fam.kind == "MD":
-        raise UnsupportedFamilyError("MD has unbounded branching; addresses cannot be enumerated")
+    level_choices(fam, 1)  # refuses MD at every depth, rank 0 included
     total = 1
     for level in range(1, depth + 1):
-        total *= fam.branching(level)
+        total *= len(level_choices(fam, level))
         if total > cap:
             raise CapExceededError(f"{total}+ addresses at depth {depth} exceed cap {cap}")
     return total
 
 
-def enumerate_addresses(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> list[CylinderAddress]:
-    """All admissible rank-`depth` addresses, lexicographically sorted."""
+def enumerate_addresses(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> list[tuple]:
+    """All rank-`depth` addresses, lexicographically sorted; admissible by
+    construction, so none is walked."""
     address_count(fam, depth, cap)
-    pools = [level_choices(fam, level) for level in range(1, depth + 1)]
-    return [CylinderAddress(fam, combo) for combo in product(*pools)]
+    return list(product(*(level_choices(fam, level) for level in range(1, depth + 1))))
 
 
 # -- affine digit maps ----------------------------------------------------------
@@ -496,6 +457,8 @@ def digit_map(fam: FamilySpec, sel, phase: int = 0) -> DigitMap:
             raise FamilyConstraintError("MD addresses are (gap, digit) pairs") from None
         if m < 3 or m % 2 == 0:
             raise FamilyConstraintError(f"MD gap {m} must be odd and >= 3")
+        if m > DEFAULT_CAP:  # the bound every phase table has
+            raise CapExceededError(f"MD gap {m} writes over {DEFAULT_CAP} digits, above the cap")
         if not 1 <= eps < s:
             raise FamilyConstraintError(f"MD digit {eps} must be nonzero and < {s}")
         nxt = 0
@@ -613,7 +576,7 @@ def _family_const(fam: FamilySpec) -> Fraction:
 def address_frame(fam: FamilySpec, addr) -> Frame:
     """(V, den, sign, phase) of `addr`: its cylinder is the image of the
     family's local tail set at `phase` under x -> const + (V + sign * x)/den."""
-    return _fold(fam, as_address(fam, addr).base, ROOT_FRAME)
+    return _fold(fam, addr, ROOT_FRAME)
 
 
 def eval_family_point(fam: FamilySpec, alphas, tail: Sequence = ()) -> Fraction:
@@ -635,6 +598,6 @@ def expand_address(fam: FamilySpec, addr) -> DigitString:
     if fam.kind == "Cantor":
         raise UnsupportedFamilyError("Cantor addresses have no single-base digit form")
     out: list[int] = []
-    for block, *_ in _walk(fam, as_address(fam, addr).base):
+    for block, *_ in _walk(fam, addr):
         out.extend(block)
     return DigitString(fam.s, tuple(out))

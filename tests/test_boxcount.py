@@ -95,14 +95,6 @@ def test_box_dimension_tracks_solver(text):
     assert len(points) == 7
 
 
-def test_adaptive_cover_matches_uniform_depth():
-    # forcing every cylinder to rank >= n reproduces the adaptive counts
-    fam = parse_family("S(s=3)")
-    for n in (4, 5, 6):
-        eps = F(1, 3**n)
-        assert boxes_at_scale(fam, eps).count == boxes_at_scale(fam, eps, depth=n).count
-
-
 def test_mdper_box_dimension():
     # base 2 needs a wider n-range to span two decades of eps
     fam = parse_family("MDper(s=2,m=[3])")
@@ -132,21 +124,20 @@ def test_one_walk_matches_one_scale_counts(text):
 def test_one_walk_takes_any_descending_widths(text):
     fam = parse_family(text)
     epss = [F(2, 3), F(1, 7), F(1, 10), F(3, 100), F(3, 100), F(1, 250)]
-    for depth in (0, 2):
-        expected = [boxes_at_scale(fam, eps, depth=depth).count for eps in epss]
-        assert _cover_counts(fam, epss, depth, 10**6) == expected
+    assert _cover_counts(fam, epss, 10**6) == [boxes_at_scale(fam, eps).count for eps in epss]
 
 
-def _hull_count(fam, eps):
+def _hull_count(fam, eps, min_rank=0):
     """Reference: mesh cells touched by the hulls of the one-scale walk at
-    eps, each hull from `cylinder_hull` in Fractions."""
+    eps, each hull from `cylinder_hull` in Fractions; a cylinder splits while
+    its hull is wider than eps or its rank is below `min_rank`."""
     whole = set_interval(fam)
     last = math.ceil(whole.width / eps) - 1
     cells, stack = set(), [()]
     while stack:
         addr = stack.pop()
         hull = cylinder_hull(fam, addr)
-        if hull.width > eps:
+        if hull.width > eps or len(addr) < min_rank:
             stack.extend(addr + (c,) for c in level_choices(fam, len(addr) + 1))
             continue
         k1 = min(math.floor((hull.lo - whole.lo) / eps), last)
@@ -161,6 +152,16 @@ def test_integer_walk_matches_hull_reference(text):
     fam = parse_family(text)
     epss = [F(1, fam.s**n) for n in (2, 3, 4)] + [F(1, 10), F(2, 45)]
     assert [boxes_at_scale(fam, eps).count for eps in epss] == [_hull_count(fam, eps) for eps in epss]
+
+
+@pytest.mark.parametrize("text", ("S(s=3)", "NSu(s=4,u=1)", "MDper(s=3,m=[3,5])"))
+def test_adaptive_cover_matches_uniform_depth(text):
+    # hull ends are set members, so forcing every cylinder down to a minimum
+    # rank touches the same cells as splitting only those wider than eps
+    fam = parse_family(text)
+    for eps in [F(1, fam.s**n) for n in (2, 3, 4)] + [F(1, 10)]:
+        count = boxes_at_scale(fam, eps).count
+        assert [_hull_count(fam, eps, min_rank) for min_rank in (0, 2, 4)] == [count] * 3, (text, eps)
 
 
 def _walk_size(fam, eps):

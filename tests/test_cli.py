@@ -1,4 +1,7 @@
+import hashlib
 import json
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -283,3 +286,35 @@ def test_run_block_tables_are_capped(capsys):
         '"residual":1.13686837722e-13,"bracket":[0.100343331888,0.100343331888],'
         f'"iterations":45,"degenerate":false,"note":{json.dumps(note)}}}\n'
     )
+
+
+def test_md_gaps_are_capped(capsys):
+    # a gap of 4,000,001 would write a 4,000,000-digit block
+    start = time.perf_counter()
+    assert main(["eval", "MD(s=2)", "--alphas", "4000001:1"]) == 1
+    assert time.perf_counter() - start < 0.5
+    assert "above the cap" in capsys.readouterr().err
+
+
+@pytest.fixture
+def int_str_limit():
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+def test_convert_length_fits_int_string_limit(capsys, int_str_limit):
+    # at base 3 the printed denominators pass 4300 digits from length 9013 on
+    int_str_limit(4300)
+    argv = ["convert", "--base", "3", "--digits", "0,2", "--target", "negasadic", "--length"]
+    code, out = run(capsys, *argv, "9000")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+        "acf4fef6364549320bab4fdc1eb86f06a9c45937011a0e9be3580472b123f3ed"
+    )
+    for length in ("9100", "100000"):
+        start = time.perf_counter()
+        assert main(argv + [length]) == 1
+        assert time.perf_counter() - start < 0.5
+        assert "sys.get_int_max_str_digits()" in capsys.readouterr().err
+    int_str_limit(0)  # no limit: nothing is refused
+    assert main(argv + ["9100"]) == 0

@@ -25,6 +25,7 @@ from cantorkit import (
     tail_extrema_oracle,
     verify_family,
 )
+from cantorkit.families import level_choices
 
 S3 = parse_family("S(s=3)")
 SM3 = parse_family("Sminus(s=3)")
@@ -74,11 +75,12 @@ def test_unsupported_formula_families():
 def test_ratio_law_and_diameter_scaling():
     for fam in (S3, SM3, N30, parse_family("Su(s=5,u=2)")):
         whole = cylinder_interval(fam, ()).width
-        for addr in [a.base for a in enumerate_addresses(fam, 2)]:
+        for addr in enumerate_addresses(fam, 2):
             diam = cylinder_diameter(fam, addr)
             assert diam == whole / fam.s ** sum(addr)
-        parent = fam.run_digits[-1]
-        for c in fam.run_digits:
+        digits = level_choices(fam, 1)
+        parent = digits[-1]
+        for c in digits:
             assert cylinder_diameter(fam, (parent, c)) * fam.s**c == cylinder_diameter(fam, (parent,))
 
 
@@ -127,8 +129,8 @@ def test_oracle_containment_sweep():
             for addr in enumerate_addresses(fam, rank):
                 o = tail_extrema_oracle(fam, addr, 6)
                 iv = cylinder_hull(fam, addr)
-                assert iv.contains(o.interval), (text, addr.base)
-                assert iv.hausdorff(o.interval) <= o.bound, (text, addr.base)
+                assert iv.contains(o.interval), (text, addr)
+                assert iv.hausdorff(o.interval) <= o.bound, (text, addr)
 
 
 def test_oracle_block_and_gap_families():
@@ -143,8 +145,8 @@ def test_oracle_block_and_gap_families():
             for addr in enumerate_addresses(fam, rank):
                 o = tail_extrema_oracle(fam, addr, depth)
                 iv = cylinder_hull(fam, addr)
-                assert iv.contains(o.interval), (text, addr.base)
-                assert iv.hausdorff(o.interval) <= o.bound, (text, addr.base)
+                assert iv.contains(o.interval), (text, addr)
+                assert iv.hausdorff(o.interval) <= o.bound, (text, addr)
 
 
 def test_oracle_rejects_md():
@@ -224,7 +226,7 @@ def test_su_orientation_families_sweep():
             fam = parse_family(f"Su(s={s},u={u})")
             if fam.degenerate:
                 continue
-            for addr in [(), (fam.run_digits[0],)]:
+            for addr in [(), (level_choices(fam, 1)[0],)]:
                 assert ordering_check(fam, addr).passed, (s, u, addr)
 
 

@@ -118,9 +118,9 @@ def test_md_closed_form():
         r = md_closed_form(s)
         assert abs(r.alpha - r.cross_check) <= 1e-10
     assert family_dimension(parse_family("MD(s=2)")).method == "closed-cubic"
-    # the analytic block route solves the same cubic
-    rb = block_dimension(2, blocks_of_family(parse_family("MD(s=2)")))
-    assert abs(rb.alpha - md_closed_form(2).alpha) <= 1e-10
+    # MD's block language has no finite histogram: only md_closed_form solves it
+    with pytest.raises(ValueError, match="md_closed_form"):
+        block_dimension(2, blocks_of_family(parse_family("MD(s=2)")))
 
 
 def test_periodic_dimension():

@@ -74,7 +74,7 @@ def _local_value(fam, phase, sels):
         return eval_cantor(sels, CantorBasis.periodic(ds)) + tail / prod(ds[:n])
     if fam.kind in ("S", "Su", "NSu"):
         digits = DigitString(s, tuple(d for a in sels for d in (u,) * (a - 1) + (a,)))
-        a0 = fam.run_digits[0]
+        a0 = level_choices(fam, 1)[0]
         tail = (u,) * (a0 - 1) + (a0,)
         if fam.kind == "NSu":
             return eval_negasadic(digits, tail) + F(u, s + 1)
@@ -82,7 +82,7 @@ def _local_value(fam, phase, sels):
     if fam.kind == "Sminus":
         # sum (-1)^n a_n s^-(a_1+...+a_n), then the tail a0 a0 ... summed geometrically
         head = eval_negas_cantor(sels, GapSequence.explicit(sels), s)
-        a0 = fam.run_digits[0]
+        a0 = level_choices(fam, 1)[0]
         return head + F((-1) ** (len(sels) + 1) * a0, s ** sum(sels) * (s**a0 + 1))
     if fam.kind == "MDper":
         # the closing digit is 0: nothing after the continuation

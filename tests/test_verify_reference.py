@@ -77,7 +77,7 @@ def ref_oracle_interval(fam, frame, depth):
 def ref_verify_family(fam, depth, oracle_depth, cap=10**6):
     address_count(fam, depth, cap)
     s = fam.s
-    digits = fam.run_digits
+    digits = level_choices(fam, 1)
     _fail = cyl._fail
     oracle_f, nest_f, ratio_f, part_f, gap_f, ord_f = [], [], [], [], [], []
     n_addr = n_child = n_pair = 0
@@ -153,8 +153,8 @@ def _assert_walks_agree(texts):
         fam = parse_family(text)
         for rank in range(3):
             for addr in enumerate_addresses(fam, rank):
-                want = ref_cylinder_interval(fam, addr.base)
-                assert cylinder_interval(fam, addr) == want, (text, addr.base)
+                want = ref_cylinder_interval(fam, addr)
+                assert cylinder_interval(fam, addr) == want, (text, addr)
         for depth in range(6):
             got = verify_family(fam, depth=depth, oracle_depth=depth + 6)
             assert got == ref_verify_family(fam, depth, depth + 6), (text, depth)
