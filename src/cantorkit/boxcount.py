@@ -26,7 +26,7 @@ from statistics import linear_regression
 from typing import Sequence
 
 from .cylinders import _local_hulls, set_interval
-from .errors import CapExceededError, UnsupportedFamilyError
+from .errors import CapExceededError
 from .families import DEFAULT_CAP, ROOT_FRAME, FamilySpec, _family_const, child_frames
 
 
@@ -66,8 +66,6 @@ def _cover_counts(fam: FamilySpec, epss: Sequence[Fraction], cap: int) -> list[i
     is open: it visits exactly the nodes of the finest scale's own walk,
     which contains every coarser one.
     """
-    if fam.kind == "MD":
-        raise UnsupportedFamilyError("MD cylinders cannot be enumerated for counting")
     if any(eps <= 0 for eps in epss):
         raise ValueError("eps must be positive")
     hull = set_interval(fam)
@@ -80,7 +78,7 @@ def _cover_counts(fam: FamilySpec, epss: Sequence[Fraction], cap: int) -> list[i
     cells: list[set[int]] = [set() for _ in epss]
     # a frame's hull ends, measured from the mesh's anchor inf, are
     # shift + (V + sign * local end)/den; over M * den all are integers
-    local = _local_hulls(fam)
+    local = _local_hulls(fam)  # refuses MD: its branching is unbounded
     shift = _family_const(fam) - hull.lo
     M = math.lcm(shift.denominator, *(x.denominator for ends in local.values() for x in ends))
     shift_m = int(shift * M)
@@ -113,14 +111,6 @@ def _cover_counts(fam: FamilySpec, epss: Sequence[Fraction], cap: int) -> list[i
         if end < n_scales:
             stack.extend((end, child) for _, child in child_frames(fam, frame))
     return [len(c) for c in cells]
-
-
-def boxes_at_scale(fam: FamilySpec, eps, cap: int = DEFAULT_CAP) -> ScaleCount:
-    """Number of eps-mesh cells touched by a cylinder cover of the family:
-    cylinders split until their hulls measure <= eps."""
-    eps = Fraction(eps)
-    (count,) = _cover_counts(fam, [eps], cap)
-    return ScaleCount(float(eps), count)
 
 
 def fit_dimension(points: Sequence[ScaleCount]) -> FitResult:

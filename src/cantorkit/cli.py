@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from . import dimension as dim
 from .errors import CantorkitError, FamilyParseError
 from .families import (
     DEFAULT_CAP,
+    _md_pair,
     blocks_of_family,
     enumerate_addresses,
     eval_family_point,
@@ -95,7 +97,7 @@ def _emit(text: str, out: str | None) -> None:
         with open(out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
-        print(text)
+        print(text, flush=True)  # a closed pipe shows here, not at exit
 
 
 def _dim_payload(family_text: str) -> dict:
@@ -151,10 +153,20 @@ def _cmd_blocks(args) -> int:
     return 0
 
 
+def _refuse_long_denominators(what: str, n: int, base: int) -> None:
+    """Refuse denominators of base^n past Python's int-to-str limit (0: none)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and n * math.log10(base) >= limit:
+        raise ValueError(f"{what} at base {base} may print denominators of over {limit} digits, above sys.get_int_max_str_digits()")
+
+
 def _cmd_eval(args) -> int:
     fam = parse_family(args.family)
     alphas = _parse_selectors(fam, args.alphas)
     tail = _parse_selectors(fam, args.tail) if args.tail else ()
+    if fam.kind == "MD":  # a gap writes up to 10^6 digits; the others write short blocks
+        gaps = sum(_md_pair(fam, sel)[0] for sel in alphas + tail)
+        _refuse_long_denominators(f"MD gaps summing to {gaps}", gaps, fam.s)
     value = eval_family_point(fam, alphas, tail)
     payload = {
         "family": fam.label(),
@@ -266,12 +278,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_convert(args) -> int:
     digits = DigitString(args.base, _ints(args.digits))
-    # the printed rationals have denominators up to base^length; refuse a
-    # length at which that power passes Python's int-to-str limit (0: none)
-    limit = sys.get_int_max_str_digits()
-    if limit and args.length * math.log10(args.base) >= limit:
-        msg = f"--length {args.length} at base {args.base} may print denominators of over {limit} digits"
-        raise ValueError(msg + ", above sys.get_int_max_str_digits()")
+    # the printed rationals have denominators up to base^length
+    _refuse_long_denominators(f"--length {args.length}", args.length, args.base)
     value = eval_negasadic(digits) if args.source == "negasadic" else eval_sadic(digits)
     negative = args.target == "negasadic"
     out_digits = digits_from_rational(value, args.base, args.length, negative=negative)
@@ -357,6 +365,9 @@ def main(argv=None) -> int:
     except (CantorkitError, ValueError) as exc:
         # every library error, bad numbers included, is a usage error
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except BrokenPipeError:  # the reader left: keep the flush at exit quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import FamilyConstraintError, UnsupportedFamilyError
 from .families import (
@@ -45,12 +45,13 @@ from .families import (
     FamilySpec,
     Frame,
     _family_const,
+    _inadmissible,
+    _walk,
     address_count,
     address_frame,
     child_frames,
     digit_maps,
     level_choices,
-    validate_selectors,
 )
 
 
@@ -210,21 +211,32 @@ def _interval(lo: int, hi: int, den: int) -> IntervalR:
     return IntervalR(Fraction(lo, den), Fraction(hi, den))
 
 
-def cylinder_interval(fam: FamilySpec, addr) -> IntervalR:
-    """Exact [inf, sup] of a cylinder from the closed-form case analysis,
-    folded one run digit at a time."""
+def _closed_base(fam: FamilySpec, addr) -> tuple[tuple[int, int, int, int], ClosedState]:
+    """The closed form and the state of `addr`, validated and folded once."""
     _require_formula_family(fam)
-    validate_selectors(fam, addr)  # the closed form reads no digit map
     state = ROOT_STATE
-    for c in addr:
+    for c, _ in zip(addr, _walk(fam, addr)):  # the walk refuses an inadmissible c; its maps go unread
         state = _closed_step(fam, state, c)
-    form = _closed_form(fam)
+    return _closed_form(fam), state
+
+
+def _closed_interval(fam: FamilySpec, form, state: ClosedState) -> IntervalR:
     return _interval(*_closed_ends(fam, form, state), form[0] * fam.s ** state[1])
 
 
-def cylinder_diameter(fam: FamilySpec, addr) -> Fraction:
-    """Exact diameter: the frame's scale 1/den times its phase's local hull width."""
-    return cylinder_hull(fam, addr).width
+def cylinder_interval(fam: FamilySpec, addr) -> IntervalR:
+    """Exact [inf, sup] of a cylinder from the closed-form case analysis,
+    folded one run digit at a time."""
+    return _closed_interval(fam, *_closed_base(fam, addr))
+
+
+def _sibling_intervals(fam: FamilySpec, base: tuple, digits) -> dict[int, IntervalR]:
+    """Closed-form interval of each child `digits` of `base`, one step from it."""
+    form, state = _closed_base(fam, base)
+    for c in digits:
+        if c not in level_choices(fam, len(base) + 1):
+            raise _inadmissible(fam, c)
+    return {c: _closed_interval(fam, form, _closed_step(fam, state, c)) for c in digits}
 
 
 # -- exact hulls for arbitrary enumerable families ------------------------------
@@ -325,12 +337,6 @@ def solve_phase_hulls(system: PhaseMaps) -> dict[int, tuple[Fraction, Fraction]]
         ):
             return {p: (L[p], H[p]) for p in system}
     raise RuntimeError("affine hull iteration found no exact fixed point")
-
-
-def solve_affine_hull(maps: Sequence[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction]:
-    """Exact hull [lo, hi] of the attractor of x -> g_i + k_i * x, |k_i| < 1:
-    the one-phase case of `solve_phase_hulls`."""
-    return solve_phase_hulls({0: (tuple((Fraction(g), Fraction(k)) for g, k in maps), 0)})[0]
 
 
 @lru_cache(maxsize=256)
@@ -436,9 +442,7 @@ def gap_interval(fam: FamilySpec, addr, p: int) -> IntervalR | None:
     Returns None when the siblings touch or overlap (which the closed-form
     case analysis rules out; callers treat None as a finding).
     """
-    _require_formula_family(fam)
-    base = tuple(addr)
-    a, b = cylinder_interval(fam, base + (p,)), cylinder_interval(fam, base + (p + 1,))
+    a, b = _sibling_intervals(fam, tuple(addr), (p, p + 1)).values()
     first, second = (a, b) if a.lo <= b.lo else (b, a)
     if first.hi >= second.lo:
         return None
@@ -506,7 +510,7 @@ def ordering_check(fam: FamilySpec, addr) -> OrderingReport:
     if fam.degenerate:
         raise FamilyConstraintError("degenerate family has no sibling pair")
     base = tuple(addr)
-    children = {c: cylinder_interval(fam, base + (c,)) for c in level_choices(fam, len(base) + 1)}
+    children = _sibling_intervals(fam, base, level_choices(fam, len(base) + 1))
     entries = _ordering_entries(fam, base, {c: (iv.lo, iv.hi) for c, iv in children.items()})
     return OrderingReport(base, entries, all(e.ok for e in entries))
 
@@ -533,11 +537,6 @@ def covering_sums(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> list[F
                 step[nxt] = step.get(nxt, 0) + m * sum(abs(k) for _, k in maps)
             mass = step
     return sums
-
-
-def covering_sum(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> Fraction:
-    """Exact total length of the rank-`depth` cylinder cover."""
-    return covering_sums(fam, depth, cap)[-1]
 
 
 def cylinder_report(fam: FamilySpec, addr, child: int | None = None) -> CylinderReport:

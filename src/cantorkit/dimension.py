@@ -3,10 +3,10 @@
 Every family here is Moran-structured: its dimension is the unique root of a
 pressure equation.  Roots are found by bisection in the contraction variable
 t = s^-alpha, where the defining polynomial is monotone on (0, 1); this
-converges unconditionally and needs no derivatives.  Closed forms (the cubic
-for the odd-gap family, the periodic-gap ratio, the log formula for the
-one-parameter Cantor family) are evaluated directly and cross-checked
-against the generic root path.
+converges unconditionally and needs no derivatives.  The closed forms (the
+cubic for the odd-gap family, the periodic-gap ratio) are evaluated
+directly; the cubic is cross-checked against its own bisection, and the
+tests check the ratio against the block root over a period's blocks.
 
 This is the only module (with boxcount) that uses floating point; residuals
 of the defining equations are reported so callers can judge conditioning.
@@ -24,21 +24,6 @@ from .radix import CantorBasis
 
 ROOT_TOL = 1e-13
 MAX_ITER = 200
-
-
-@dataclass(frozen=True)
-class RatioList:
-    """Similarity ratios of a Moran construction, each strictly inside (0, 1)."""
-
-    ratios: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "ratios", tuple(self.ratios))
-        if not self.ratios:
-            raise ValueError("need at least one ratio")
-        for r in self.ratios:
-            if not 0 < r < 1:
-                raise OutOfRangeError(f"ratio {r} outside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -73,32 +58,6 @@ def _bisect_increasing(f: Callable[[float], float], lo: float, hi: float) -> tup
         else:
             hi = mid
     return 0.5 * (lo + hi), it, lo, hi
-
-
-def moran_dimension(ratios) -> DimensionResult:
-    """The unique alpha >= 0 with sum_i sigma_i^alpha = 1."""
-    if not isinstance(ratios, RatioList):
-        ratios = RatioList(tuple(ratios))
-    sigmas = [float(r) for r in ratios.ratios]
-    p = len(sigmas)
-    if p == 1:
-        return DimensionResult(0.0, "moran-root", 0.0, (0.0, 0.0), 0, degenerate=True)
-    logs = [math.log(x) for x in sigmas]
-
-    def pressure(a):
-        return math.fsum(math.exp(a * L) for L in logs)
-
-    def f(a):  # increasing in a: pressure itself is decreasing
-        return 1.0 - pressure(a)
-
-    hi = 1.0
-    while f(hi) < 0:
-        hi *= 2
-        if hi > 2**40:
-            raise OutOfRangeError("Moran equation root out of reach")
-    alpha, it, lo, hi = _bisect_increasing(f, 0.0, hi)
-    residual = abs(pressure(alpha) - 1.0)
-    return DimensionResult(alpha, "moran-root", residual, (lo, hi), it)
 
 
 def _alpha_from_t(t: float, s: int) -> float:
@@ -191,29 +150,6 @@ def periodic_dimension(m: Sequence[int]) -> DimensionResult:
         degenerate=(alpha == 1.0),
         note=f"exact {len(m)}/{sum(m)}",
     )
-
-
-def lambda_dimension(lam: float, l: int) -> DimensionResult:
-    """log l / (-log lambda) for the one-parameter Cantor family.
-
-    When lambda = 1/s for an integer s this is the exact s-adic case
-    alpha = log_s l; the formula's hypothesis s - 1 < (l - 1)^2 is reported
-    in the note but does not block evaluation.  lambda must not exceed 1/l
-    (the formula would leave [0, 1]).
-    """
-    if not 0 < lam < 1:
-        raise OutOfRangeError(f"lambda {lam} outside (0, 1)")
-    if l < 1:
-        raise OutOfRangeError(f"need l >= 1, got {l}")
-    alpha = math.log(l) / (-math.log(lam)) if l > 1 else 0.0
-    if alpha > 1 + 1e-12:
-        raise OutOfRangeError(f"lambda {lam} above 1/l: formula leaves [0, 1]")
-    note = None
-    s_guess = round(1.0 / lam)
-    if s_guess >= 2 and abs(1.0 / lam - s_guess) < 1e-9:
-        hyp = "holds" if s_guess - 1 < (l - 1) ** 2 else "fails"
-        note = f"lambda = 1/{s_guess}: alpha = log_{s_guess}({l}); hypothesis s-1 < (l-1)^2 {hyp}"
-    return DimensionResult(min(alpha, 1.0), "closed-log", 0.0, (alpha, alpha), 0, note=note)
 
 
 @dataclass(frozen=True)

@@ -363,12 +363,6 @@ def blocks_of_family(fam: FamilySpec) -> BlockSet:
 # -- addresses ----------------------------------------------------------------
 
 
-def validate_selectors(fam: FamilySpec, sel: Sequence) -> None:
-    """Raise unless each selector is admissible at the phase it is read in."""
-    for _ in _walk(fam, sel):
-        pass
-
-
 def level_choices(fam: FamilySpec, level: int) -> Sequence[int]:
     """Admissible selectors at one address level (1-indexed): the one list of
     a family's selectors.  MD has a selector for every odd gap and is refused."""
@@ -429,7 +423,7 @@ def digit_map(fam: FamilySpec, sel, phase: int = 0) -> DigitMap:
     x -> (gn + sk*x)/m of the local tail value at `next_phase`, which
     depends on `phase` alone; m >= 2 and sk = +-1.  Cantor phase p reads
     level p+1 (mod lcm(#d, #I)): x -> (e + x)/d_(p+1).  MD has no table of
-    admissible selectors, so its pairs are checked here.
+    admissible selectors, so its pairs are checked by `_md_pair`.
     """
     s, kind = fam.s, fam.kind
     if kind in ("S", "Su", "NSu"):
@@ -451,20 +445,25 @@ def digit_map(fam: FamilySpec, sel, phase: int = 0) -> DigitMap:
             block = (v + (v >= k),) * (k - 1) + (k,) if sel else (1,)
         return block, sum(d * s**i for i, d in enumerate(reversed(block))), 1, s ** len(block), 0
     if kind == "MD":
-        try:
-            m, eps = sel
-        except (TypeError, ValueError):
-            raise FamilyConstraintError("MD addresses are (gap, digit) pairs") from None
-        if m < 3 or m % 2 == 0:
-            raise FamilyConstraintError(f"MD gap {m} must be odd and >= 3")
-        if m > DEFAULT_CAP:  # the bound every phase table has
-            raise CapExceededError(f"MD gap {m} writes over {DEFAULT_CAP} digits, above the cap")
-        if not 1 <= eps < s:
-            raise FamilyConstraintError(f"MD digit {eps} must be nonzero and < {s}")
-        nxt = 0
+        (m, eps), nxt = _md_pair(fam, sel), 0
     else:  # MDper
         m, eps, nxt = fam.period[phase], sel, (phase + 1) % len(fam.period)
     return (0,) * (m - 1) + (eps,), -eps, -1, s**m, nxt
+
+
+def _md_pair(fam: FamilySpec, sel) -> tuple[int, int]:
+    """The checked (gap, digit) of an MD selector; its block is not written."""
+    try:
+        m, eps = sel
+    except (TypeError, ValueError):
+        raise FamilyConstraintError("MD addresses are (gap, digit) pairs") from None
+    if m < 3 or m % 2 == 0:
+        raise FamilyConstraintError(f"MD gap {m} must be odd and >= 3")
+    if m > DEFAULT_CAP:  # the bound every phase table has
+        raise CapExceededError(f"MD gap {m} writes over {DEFAULT_CAP} digits, above the cap")
+    if not 1 <= eps < fam.s:
+        raise FamilyConstraintError(f"MD digit {eps} must be nonzero and < {fam.s}")
+    return m, eps
 
 
 @lru_cache(maxsize=256)
@@ -483,6 +482,10 @@ def digit_maps(fam: FamilySpec, phase: int) -> Mapping[object, DigitMap]:
     return MappingProxyType(table)
 
 
+def _inadmissible(fam: FamilySpec, sel) -> FamilyConstraintError:
+    return FamilyConstraintError(f"selector {sel!r} not admissible in {fam.label()}")
+
+
 def _walk(fam: FamilySpec, sels: Sequence, phase: int = 0) -> Iterator[DigitMap]:
     """The digit map of each selector of `sels`, read from `phase` on;
     raises at the first selector not admissible at the phase it is read in."""
@@ -493,7 +496,7 @@ def _walk(fam: FamilySpec, sels: Sequence, phase: int = 0) -> Iterator[DigitMap]
             try:
                 dmap = digit_maps(fam, phase)[sel]
             except KeyError:
-                raise FamilyConstraintError(f"selector {sel!r} not admissible in {fam.label()}") from None
+                raise _inadmissible(fam, sel) from None
         yield dmap
         phase = dmap[4]
 

@@ -25,8 +25,6 @@ from typing import Sequence
 
 from .errors import InvalidDigitError, OutOfRangeError
 
-Rational = Fraction
-
 
 @dataclass(frozen=True)
 class DigitString:
@@ -109,62 +107,6 @@ class CantorBasis:
         return math.log(self.d(n))
 
 
-@dataclass(frozen=True)
-class GapSequence:
-    """A deterministic generator of positive gaps (m_n).
-
-    ``kind`` is one of ``explicit`` (finite list, queries beyond its length
-    fail), ``periodic`` or ``constant``.
-    """
-
-    kind: str
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.kind not in ("explicit", "periodic", "constant"):
-            raise ValueError(f"unknown gap kind {self.kind!r}")
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        if not self.values:
-            raise ValueError("gap sequence needs at least one value")
-        for v in self.values:
-            if v < 1:
-                raise ValueError(f"gap {v} must be a positive integer")
-
-    @classmethod
-    def explicit(cls, values: Sequence[int]) -> "GapSequence":
-        return cls("explicit", tuple(values))
-
-    @classmethod
-    def periodic(cls, values: Sequence[int]) -> "GapSequence":
-        return cls("periodic", tuple(values))
-
-    @classmethod
-    def constant(cls, m: int) -> "GapSequence":
-        return cls("constant", (m,))
-
-    def m(self, n: int) -> int:
-        """The n-th gap, 1-indexed."""
-        if n < 1:
-            raise ValueError("gap index starts at 1")
-        if self.kind == "explicit":
-            if n > len(self.values):
-                raise IndexError(f"explicit gap sequence has only {len(self.values)} entries")
-            return self.values[n - 1]
-        if self.kind == "periodic":
-            return self.values[(n - 1) % len(self.values)]
-        return self.values[0]
-
-    def k(self, n: int) -> int:
-        """Prefix sum k_n = m_1 + ... + m_n (k_0 = 0)."""
-        return sum(self.m(i) for i in range(1, n + 1))
-
-
-def _as_gaps(gaps) -> GapSequence:
-    if isinstance(gaps, GapSequence):
-        return gaps
-    return GapSequence.explicit(tuple(gaps))
-
-
 def _check_digit(d: int, bound: int, what: str = "digit") -> int:
     d = int(d)
     if not 0 <= d < bound:
@@ -230,31 +172,22 @@ def eval_cantor(eps: Sequence[int], basis: CantorBasis, alternating: bool = Fals
     return value
 
 
-def eval_negas_cantor(eps: Sequence[int], gaps, s: int) -> Fraction:
-    """Exact value of a nega-s-adic Cantor series: sum (-1)^n e_n s^-(m_1+..+m_n)."""
+def eval_negas_cantor(eps: Sequence[int], gaps: Sequence[int], s: int) -> Fraction:
+    """Exact value of a nega-s-adic Cantor series: sum (-1)^n e_n s^-(m_1+..+m_n),
+    reading the gap m_n = gaps[n-1] for each digit e_n."""
     if s < 2:
         raise InvalidDigitError(f"base must be >= 2, got {s}")
-    gaps = _as_gaps(gaps)
+    if len(gaps) < len(eps):
+        raise ValueError(f"{len(eps)} digits need as many gaps, got {len(gaps)}")
     value = Fraction(0)
     k = 0
-    for n, e in enumerate(eps, 1):
+    for n, (e, m) in enumerate(zip(eps, gaps), 1):
         e = _check_digit(e, s)
-        k += gaps.m(n)
+        if m < 1:
+            raise ValueError(f"gap {m} must be a positive integer")
+        k += m
         value += Fraction((-1) ** n * e, s**k)
     return value
-
-
-def alternating_cantor_compatible(gaps, horizon: int) -> bool:
-    """Whether m_n is odd for all n <= horizon.
-
-    This is the finite-horizon compatibility condition under which a
-    gap-structured nega-s-adic series is also an alternating Cantor series
-    with basis d_n = s^(m_n).
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    gaps = _as_gaps(gaps)
-    return all(gaps.m(n) % 2 == 1 for n in range(1, horizon + 1))
 
 
 def digits_from_rational(x, s: int, n: int, negative: bool = False) -> DigitString:

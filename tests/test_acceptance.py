@@ -11,14 +11,14 @@ from fractions import Fraction as F
 
 from cantorkit import (
     CantorBasis,
+    block_dimension,
     blocks_of_family,
     box_dimension,
     cantor_series_dim_estimate,
-    covering_sum,
+    covering_sums,
     cylinder_interval,
     family_dimension,
     md_closed_form,
-    moran_dimension,
     parse_family,
     periodic_dimension,
     sminus_diameter_constant,
@@ -117,7 +117,8 @@ def test_c06_sminus_consistency():
 def test_c07_covering_sum_decay():
     fam = parse_family("S(s=3)")
     d0 = cylinder_interval(fam, ()).width
-    bad = [n for n in range(11) if covering_sum(fam, n) != d0 * F(4, 9) ** n]
+    sums = covering_sums(fam, 10)
+    bad = [n for n, total in enumerate(sums) if total != d0 * F(4, 9) ** n]
     _report("C7 covering sums d(S)*(4/9)^n", not bad, f"bad={bad}")
 
 
@@ -126,10 +127,10 @@ def test_c08_periodic_corollary():
     worst = 0.0
     for s in (2, 3, 5):
         for m in ((3,), (3, 5)):
-            t, total = len(m), sum(m)
-            r = moran_dimension([F(1, s**total)] * s**t)
-            worst = max(worst, abs(r.alpha - t / total))
-    _report("C8 periodic gap formula", ok and worst <= 1e-12, f"moran-delta={worst:.2e}")
+            fam = parse_family(f"MDper(s={s},m=[{','.join(map(str, m))}])")
+            r = block_dimension(s, blocks_of_family(fam))
+            worst = max(worst, abs(r.alpha - len(m) / sum(m)))
+    _report("C8 periodic gap formula", ok and worst <= 1e-12, f"block-delta={worst:.2e}")
 
 
 def test_c09_cantor_series_estimates():

@@ -2,14 +2,23 @@
 
 Every function that reads an address folds its selectors through
 `families._walk`, one `digit_maps` lookup per selector, and enumeration lists
-addresses from `level_choices` without walking any.  Counting the lookups
+addresses from `level_choices` without walking any.  The sibling checks walk
+their base address once and take each sibling one closed-form step from it.  Counting the lookups
 through a patched `digit_maps` pins that down without timing anything.
 """
 
 import pytest
 
 import cantorkit.families as families
-from cantorkit import enumerate_addresses, eval_family_point, expand_address, parse_family
+from cantorkit import (
+    cylinder_report,
+    enumerate_addresses,
+    eval_family_point,
+    expand_address,
+    gap_interval,
+    ordering_check,
+    parse_family,
+)
 from cantorkit.families import address_frame
 
 
@@ -53,3 +62,11 @@ def test_enumeration_walks_no_address(monkeypatch, text):
     addrs = []
     assert _lookups(monkeypatch, lambda: addrs.extend(enumerate_addresses(fam, 4))) == 0
     assert addrs and all(len(a) == 4 for a in addrs)
+
+
+def test_sibling_checks_walk_their_base_once(monkeypatch):
+    fam, addr = parse_family("S(s=5)"), (1, 2, 3, 4, 1, 2)
+    assert _lookups(monkeypatch, lambda: ordering_check(fam, addr)) == len(addr)
+    assert _lookups(monkeypatch, lambda: gap_interval(fam, addr, 1)) == len(addr)
+    # the hull, the child's hull, then the ordering of the four siblings
+    assert _lookups(monkeypatch, lambda: cylinder_report(fam, addr, child=1)) == 3 * len(addr) + 1

@@ -6,7 +6,6 @@ import pytest
 from cantorkit import (
     CapExceededError,
     ScaleCount,
-    boxes_at_scale,
     box_dimension,
     cylinder_hull,
     family_dimension,
@@ -25,24 +24,24 @@ def test_cantor_counts_are_powers_of_two():
     for text in ("Blocks(s=3,B=[0;2])", "Cantor(d=[3],I=[{0,2}])"):
         fam = parse_family(text)
         for n in range(4, 11):
-            assert boxes_at_scale(fam, F(1, 3**n)).count == 2**n, text
+            assert _cover_counts(fam, [F(1, 3**n)], 10**6)[0] == 2**n, text
 
 
 def test_full_alphabet_fills_every_box():
     fam = parse_family("Blocks(s=3,B=[0;1;2])")
     for n in range(2, 6):
-        assert boxes_at_scale(fam, F(1, 3**n)).count == 3**n
+        assert _cover_counts(fam, [F(1, 3**n)], 10**6)[0] == 3**n
 
 
 def test_degenerate_singleton_counts_one_box():
     fam = parse_family("Su(s=3,u=1)")
     for n in (2, 5, 9):
-        assert boxes_at_scale(fam, F(1, 3**n)).count == 1
+        assert _cover_counts(fam, [F(1, 3**n)], 10**6)[0] == 1
 
 
 def test_counts_nonincreasing_in_eps():
     fam = parse_family("S(s=3)")
-    counts = [boxes_at_scale(fam, F(1, 3**n)).count for n in range(3, 10)]
+    counts = [_cover_counts(fam, [F(1, 3**n)], 10**6)[0] for n in range(3, 10)]
     assert counts == sorted(counts)
 
 
@@ -117,14 +116,14 @@ ONE_WALK_FAMILIES = (
 def test_one_walk_matches_one_scale_counts(text):
     fam = parse_family(text)
     _, points = box_dimension(fam, 1, 6)
-    assert [p.count for p in points] == [boxes_at_scale(fam, F(1, fam.s**n)).count for n in range(1, 7)]
+    assert [p.count for p in points] == [_cover_counts(fam, [F(1, fam.s**n)], 10**6)[0] for n in range(1, 7)]
 
 
 @pytest.mark.parametrize("text", ONE_WALK_FAMILIES)
 def test_one_walk_takes_any_descending_widths(text):
     fam = parse_family(text)
     epss = [F(2, 3), F(1, 7), F(1, 10), F(3, 100), F(3, 100), F(1, 250)]
-    assert _cover_counts(fam, epss, 10**6) == [boxes_at_scale(fam, eps).count for eps in epss]
+    assert _cover_counts(fam, epss, 10**6) == [_cover_counts(fam, [eps], 10**6)[0] for eps in epss]
 
 
 def _hull_count(fam, eps, min_rank=0):
@@ -151,7 +150,7 @@ def _hull_count(fam, eps, min_rank=0):
 def test_integer_walk_matches_hull_reference(text):
     fam = parse_family(text)
     epss = [F(1, fam.s**n) for n in (2, 3, 4)] + [F(1, 10), F(2, 45)]
-    assert [boxes_at_scale(fam, eps).count for eps in epss] == [_hull_count(fam, eps) for eps in epss]
+    assert [_cover_counts(fam, [eps], 10**6)[0] for eps in epss] == [_hull_count(fam, eps) for eps in epss]
 
 
 @pytest.mark.parametrize("text", ("S(s=3)", "NSu(s=4,u=1)", "MDper(s=3,m=[3,5])"))
@@ -160,7 +159,7 @@ def test_adaptive_cover_matches_uniform_depth(text):
     # rank touches the same cells as splitting only those wider than eps
     fam = parse_family(text)
     for eps in [F(1, fam.s**n) for n in (2, 3, 4)] + [F(1, 10)]:
-        count = boxes_at_scale(fam, eps).count
+        count = _cover_counts(fam, [eps], 10**6)[0]
         assert [_hull_count(fam, eps, min_rank) for min_rank in (0, 2, 4)] == [count] * 3, (text, eps)
 
 

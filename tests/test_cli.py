@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import cantorkit
 from cantorkit.cli import build_parser, main
 
 
@@ -318,3 +321,94 @@ def test_convert_length_fits_int_string_limit(capsys, int_str_limit):
         assert "sys.get_int_max_str_digits()" in capsys.readouterr().err
     int_str_limit(0)  # no limit: nothing is refused
     assert main(argv + ["9100"]) == 0
+
+
+def test_md_eval_fits_int_string_limit(capsys, int_str_limit):
+    # the denominator is 2^(sum of gaps): 4300 digits at gap 14283, more from 14285
+    int_str_limit(4300)
+    code, out = run(capsys, "eval", "MD(s=2)", "--alphas", "14283:1")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+        "a15f934e5e43426903524fd205f682beb179c7229aa6892057d641ea6dc51a76"
+    )
+    for alphas in ("14285:1", "999999:1", "7001:1,7285:1"):
+        start = time.perf_counter()
+        assert main(["eval", "MD(s=2)", "--alphas", alphas]) == 1
+        assert time.perf_counter() - start < 0.1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "sys.get_int_max_str_digits()" in captured.err
+    # the --tail gaps count too
+    assert main(["eval", "MD(s=2)", "--alphas", "7001:1", "--tail", "7285:1"]) == 1
+    assert "sys.get_int_max_str_digits()" in capsys.readouterr().err
+    int_str_limit(0)  # no limit: nothing is refused
+    assert main(["eval", "MD(s=2)", "--alphas", "14285:1"]) == 0
+    capsys.readouterr()
+
+
+def test_a_closed_pipe_ends_quietly():
+    # 19683 lines of 18 bytes: more than a pipe holds, so the write meets the
+    # closed reader
+    src = os.path.dirname(os.path.dirname(cantorkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "cantorkit", "enumerate", "S(s=4)", "--depth", "9"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"1 1 1 1 1 1 1 1 1\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_boxcount_refuses_md_as_cover_and_enumerate_do(capsys):
+    for command in ("boxcount", "cover", "enumerate"):
+        assert main([command, "MD(s=2)"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: MD has unbounded branching\n"
+
+
+#: one family of each kind
+EVERY_KIND = (
+    "S(s=3)",
+    "Su(s=5,u=2)",
+    "NSu(s=4,u=1)",
+    "Sminus(s=3)",
+    "Tilde(s=4)",
+    "MD(s=2)",
+    "MDper(s=3,m=[3,5])",
+    "Blocks(s=3,B=[0 2;1])",
+    "Cantor(d=[3],I=[{0,2}])",
+)
+
+#: the runs that exit 1 at default flags; every other run exits 0
+REFUSED_AT_DEFAULTS = {
+    ("blocks", "Cantor(d=[3],I=[{0,2}])"),  # per-level digits, no blocks
+    ("cylinder", "MD(s=2)"),  # unbounded branching: no local hull
+    # no closed cylinder formula
+    ("verify", "NSu(s=4,u=1)"),
+    ("verify", "Tilde(s=4)"),
+    ("verify", "MD(s=2)"),
+    ("verify", "MDper(s=3,m=[3,5])"),
+    ("verify", "Blocks(s=3,B=[0 2;1])"),
+    ("verify", "Cantor(d=[3],I=[{0,2}])"),
+    ("cover", "Tilde(s=4)"),  # 7^8 addresses at depth 8, above the cap
+    ("cover", "MD(s=2)"),
+    ("enumerate", "Tilde(s=4)"),
+    ("enumerate", "MD(s=2)"),
+    ("boxcount", "MD(s=2)"),
+}
+
+
+def test_default_flags_on_every_kind(capsys):
+    start = time.perf_counter()
+    codes = {}
+    for command in ("dim", "blocks", "cylinder", "verify", "cover", "boxcount", "enumerate"):
+        for family in EVERY_KIND:
+            codes[command, family] = main([command, family])
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err, (command, family)
+            if codes[command, family]:
+                assert captured.out == "" and captured.err.startswith("error: "), (command, family)
+    assert time.perf_counter() - start < 5
+    assert len(codes) == 63
+    assert {run for run, code in codes.items() if code} == REFUSED_AT_DEFAULTS
+    assert set(codes.values()) == {0, 1}

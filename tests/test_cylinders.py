@@ -9,9 +9,7 @@ from cantorkit import (
     FamilySpec,
     IntervalR,
     UnsupportedFamilyError,
-    covering_sum,
     covering_sums,
-    cylinder_diameter,
     cylinder_hull,
     cylinder_interval,
     cylinder_report,
@@ -21,10 +19,10 @@ from cantorkit import (
     parse_family,
     set_interval,
     sminus_diameter_constant,
-    solve_affine_hull,
     tail_extrema_oracle,
     verify_family,
 )
+from cantorkit.cylinders import solve_phase_hulls
 from cantorkit.families import level_choices
 
 S3 = parse_family("S(s=3)")
@@ -52,7 +50,7 @@ def test_su_cylinder_formulas():
 
 def test_sminus_cylinder_formulas():
     assert cylinder_interval(SM3, ()) == IntervalR(F(-7, 26), F(-5, 26))
-    assert cylinder_diameter(SM3, (2, 1)) == F(1, 351)
+    assert cylinder_hull(SM3, (2, 1)).width == F(1, 351)
     # rank parity flips the interval around the alternating fixed part
     assert cylinder_interval(SM3, (1,)) == IntervalR(F(-7, 26), F(-19, 78))
 
@@ -76,12 +74,12 @@ def test_ratio_law_and_diameter_scaling():
     for fam in (S3, SM3, N30, parse_family("Su(s=5,u=2)")):
         whole = cylinder_interval(fam, ()).width
         for addr in enumerate_addresses(fam, 2):
-            diam = cylinder_diameter(fam, addr)
+            diam = cylinder_hull(fam, addr).width
             assert diam == whole / fam.s ** sum(addr)
         digits = level_choices(fam, 1)
         parent = digits[-1]
         for c in digits:
-            assert cylinder_diameter(fam, (parent, c)) * fam.s**c == cylinder_diameter(fam, (parent,))
+            assert cylinder_hull(fam, (parent, c)).width * fam.s**c == cylinder_hull(fam, (parent,)).width
 
 
 def test_hull_matches_formula_on_closed_form_families():
@@ -162,12 +160,12 @@ def test_oracle_rejects_md():
 
 def test_affine_hull_solver():
     # classical Cantor set: maps x/3 and (2+x)/3 fix [0, 1]
-    lo, hi = solve_affine_hull([(F(0), F(1, 3)), (F(2, 3), F(1, 3))])
-    assert (lo, hi) == (F(0), F(1))
+    maps = ((F(0), F(1, 3)), (F(2, 3), F(1, 3)))
+    assert solve_phase_hulls({0: (maps, 0)}) == {0: (F(0), F(1))}
     with pytest.raises(ValueError):
-        solve_affine_hull([])
+        solve_phase_hulls({0: ((), 0)})
     with pytest.raises(ValueError):
-        solve_affine_hull([(F(1), F(2))])
+        solve_phase_hulls({0: (((F(1), F(2)),), 0)})
 
 
 def test_set_interval_special_families():
@@ -232,13 +230,9 @@ def test_su_orientation_families_sweep():
 
 def test_covering_sums():
     cantor = parse_family("Blocks(s=3,B=[0;2])")
-    for n in range(8):
-        assert covering_sum(cantor, n) == F(2, 3) ** n
-    base = covering_sum(S3, 0)
-    assert base == F(1, 4)
-    for n in range(9):
-        assert covering_sum(S3, n) == base * F(4, 9) ** n
-    assert covering_sum(SM3, 0) == sminus_diameter_constant(3)
+    assert covering_sums(cantor, 7) == [F(2, 3) ** n for n in range(8)]
+    assert covering_sums(S3, 8) == [F(1, 4) * F(4, 9) ** n for n in range(9)]
+    assert covering_sums(SM3, 0) == [sminus_diameter_constant(3)]
 
 
 @pytest.mark.parametrize(
@@ -262,7 +256,6 @@ def test_covering_sums_match_enumerated_hulls(text):
     depth = 4
     reference = [sum(cylinder_hull(fam, a).width for a in enumerate_addresses(fam, d)) for d in range(depth + 1)]
     assert covering_sums(fam, depth) == reference
-    assert covering_sum(fam, depth) == reference[-1]
 
 
 def test_covering_sums_keep_the_address_cap():

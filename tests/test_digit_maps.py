@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from cantorkit import (
     CantorBasis,
     FamilySpec,
-    GapSequence,
     cylinder_hull,
     cylinder_interval,
     eval_cantor,
@@ -100,7 +99,7 @@ def _zero_tail_value(fam, addr):
     if fam.kind == "Cantor":
         return eval_cantor(addr, fam.basis)
     if fam.kind == "Sminus":  # sum (-1)^n a_n s^-(a_1+...+a_n)
-        return eval_negas_cantor(addr, GapSequence.explicit(addr), fam.s) if addr else Fraction(0)
+        return eval_negas_cantor(addr, addr, fam.s)
     digits = expand_address(fam, addr)
     radix = eval_negasadic if fam.kind in ("NSu", "MDper") else eval_sadic
     return radix(digits, (fam.u,) if fam.kind in ("S", "Su", "NSu") else ())

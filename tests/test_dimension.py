@@ -9,14 +9,11 @@ from cantorkit import (
     BlockSet,
     CantorBasis,
     OutOfRangeError,
-    RatioList,
     block_dimension,
     blocks_of_family,
     cantor_series_dim_estimate,
     family_dimension,
-    lambda_dimension,
     md_closed_form,
-    moran_dimension,
     parse_family,
     periodic_dimension,
 )
@@ -40,24 +37,14 @@ def _alpha_bisect(s, hist, iters=120):
     return (lo + hi) / 2
 
 
-def test_moran_examples():
-    r = moran_dimension([F(1, 3), F(1, 3)])
-    assert abs(r.alpha - LOG32) <= 1e-12
-    assert r.residual <= 1e-12
-    r = moran_dimension(RatioList((0.37,)))
-    assert r.alpha == 0.0 and r.degenerate
-    # t + t^2 = 1 in t = 2^-alpha: the golden-ratio quadratic
-    r = moran_dimension([0.5, 0.25])
-    assert abs(r.alpha - math.log((1 + math.sqrt(5)) / 2) / math.log(2)) <= 1e-12
-    with pytest.raises(OutOfRangeError):
-        moran_dimension([1.5])
-
-
 def test_block_dimension_examples():
     r = block_dimension(3, BlockSet(((0,), (2,)), ((1, 2),)))
     assert abs(r.alpha - LOG32) <= 1e-10
     r = block_dimension(3, BlockSet(((0,), (1,), (2,)), ((1, 3),)))
     assert abs(r.alpha - 1.0) <= 1e-12
+    # t + t^2 = 1 in t = 2^-alpha: the golden-ratio quadratic
+    r = block_dimension(2, BlockSet(((1,), (0, 1)), ((1, 1), (2, 1))))
+    assert abs(r.alpha - math.log((1 + math.sqrt(5)) / 2) / math.log(2)) <= 1e-12
     golden = math.log((1 + math.sqrt(5)) / 2) / math.log(3)
     r = block_dimension(3, blocks_of_family(parse_family("S(s=3)")))
     assert abs(r.alpha - golden) <= 1e-12
@@ -134,29 +121,12 @@ def test_periodic_dimension():
 
 
 def test_periodic_moran_cross_check():
+    # s^t period blocks of length m_1 + ... + m_t: the block root is t/sum(m)
     for s in (2, 3, 5):
         for m in ((3,), (3, 5)):
-            t, total = len(m), sum(m)
-            r = moran_dimension([F(1, s**total)] * s**t)
-            assert abs(r.alpha - t / total) <= 1e-12
-
-
-def test_lambda_dimension():
-    r = lambda_dimension(1 / 3, 2)
-    assert abs(r.alpha - LOG32) <= 1e-12
-    assert "1/3" in r.note
-    assert lambda_dimension(1 / 2, 2).alpha == 1.0
-    assert lambda_dimension(1 / 4, 2).alpha == 0.5
-    assert lambda_dimension(0.7, 1).alpha == 0.0
-    with pytest.raises(OutOfRangeError):
-        lambda_dimension(1.2, 2)
-    with pytest.raises(OutOfRangeError):
-        lambda_dimension(0.9, 3)  # above 1/l: formula leaves [0, 1]
-
-
-def test_lambda_hypothesis_note():
-    assert "fails" in lambda_dimension(1 / 3, 2).note  # s-1 = 2, (l-1)^2 = 1
-    assert "holds" in lambda_dimension(1 / 3, 3).note  # s-1 = 2 < 4
+            fam = parse_family(f"MDper(s={s},m=[{','.join(map(str, m))}])")
+            r = block_dimension(s, blocks_of_family(fam))
+            assert abs(r.alpha - len(m) / sum(m)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)

@@ -178,11 +178,11 @@ def test_nsu_value_matches_digit_expansion():
 
 
 def test_mdper_value_is_negas_cantor():
-    from cantorkit import GapSequence, eval_negas_cantor
+    from cantorkit import eval_negas_cantor
 
     fam = parse_family("MDper(s=3,m=[3,5])")
     eps = (2, 0, 1, 2)
-    assert eval_family_point(fam, eps) == eval_negas_cantor(eps, GapSequence.periodic([3, 5]), 3)
+    assert eval_family_point(fam, eps) == eval_negas_cantor(eps, (3, 5, 3, 5), 3)
 
 
 def test_family_constraint_errors():

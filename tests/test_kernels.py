@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorkit import CantorBasis, FamilySpec, GapSequence, cylinder_hull, parse_family, tail_extrema_oracle
+from cantorkit import CantorBasis, FamilySpec, cylinder_hull, parse_family, tail_extrema_oracle
 from cantorkit.cylinders import _level_minmax, _oracle_local
 from cantorkit.families import family_blocks, level_choices
 from cantorkit.radix import DigitString, eval_cantor, eval_negas_cantor, eval_negasadic, eval_sadic
@@ -81,13 +81,13 @@ def _local_value(fam, phase, sels):
         return eval_sadic(digits, tail) - F(u, s - 1)
     if fam.kind == "Sminus":
         # sum (-1)^n a_n s^-(a_1+...+a_n), then the tail a0 a0 ... summed geometrically
-        head = eval_negas_cantor(sels, GapSequence.explicit(sels), s)
+        head = eval_negas_cantor(sels, sels, s)
         a0 = level_choices(fam, 1)[0]
         return head + F((-1) ** (len(sels) + 1) * a0, s ** sum(sels) * (s**a0 + 1))
     if fam.kind == "MDper":
         # the closing digit is 0: nothing after the continuation
         gaps = fam.period[phase:] + fam.period[:phase]
-        return eval_negas_cantor(sels, GapSequence.periodic(gaps), s)
+        return eval_negas_cantor(sels, gaps * len(sels), s)
     blocks = family_blocks(fam)
     return eval_sadic(DigitString(s, tuple(d for i in sels for d in blocks[i])), blocks[0])
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from cantorkit import (
     CantorBasis,
     DigitString,
-    GapSequence,
     InvalidDigitError,
     OutOfRangeError,
     digits_from_rational,
@@ -15,7 +14,6 @@ from cantorkit import (
     eval_negas_cantor,
     eval_negasadic,
     eval_sadic,
-    alternating_cantor_compatible,
 )
 
 
@@ -62,15 +60,13 @@ def test_cantor_constant_basis_degenerates_to_sadic(s, raw):
 
 
 def test_negas_cantor():
-    assert eval_negas_cantor((1, 1, 1), GapSequence.constant(1), 3) == F(-7, 27)
+    assert eval_negas_cantor((1, 1, 1), (1, 1, 1), 3) == F(-7, 27)
     assert eval_negas_cantor((1, 1), (3, 3), 2) == F(-7, 64)
-    assert eval_negas_cantor((0, 0, 0), GapSequence.constant(5), 7) == 0
-
-
-def test_alternating_compatibility():
-    assert alternating_cantor_compatible(GapSequence.periodic([3, 5, 7]), 50)
-    assert alternating_cantor_compatible(GapSequence.constant(1), 10)
-    assert not alternating_cantor_compatible((3, 4, 5), 3)
+    assert eval_negas_cantor((0, 0, 0), (5, 5, 5), 7) == 0
+    with pytest.raises(ValueError):
+        eval_negas_cantor((1, 1), (3, 0), 2)  # a gap below 1
+    with pytest.raises(ValueError):
+        eval_negas_cantor((1, 1, 1), (3, 3), 2)  # fewer gaps than digits
 
 
 @given(
@@ -84,7 +80,6 @@ def test_odd_gap_series_equals_alternating_cantor(s, raw):
     eps = tuple(e % s for e, _ in raw)
     lhs = eval_negas_cantor(eps, gaps, s)
     rhs = eval_cantor(eps, CantorBasis.periodic([s**m for m in gaps] or [s]), alternating=True)
-    assert alternating_cantor_compatible(gaps, len(gaps))
     assert lhs == rhs
 
 
