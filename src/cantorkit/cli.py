@@ -153,11 +153,25 @@ def _cmd_blocks(args) -> int:
     return 0
 
 
-def _refuse_long_denominators(what: str, n: int, base: int) -> None:
-    """Refuse denominators of base^n past Python's int-to-str limit (0: none)."""
+def _refuse_past_str_limit(what: str, digits: int) -> None:
+    """Refuse `what` when it prints an integer of `digits` decimal digits, past
+    Python's int-to-str limit (a limit of 0 refuses nothing)."""
     limit = sys.get_int_max_str_digits()
-    if limit and n * math.log10(base) >= limit:
-        raise ValueError(f"{what} at base {base} may print denominators of over {limit} digits, above sys.get_int_max_str_digits()")
+    if limit and digits > limit:
+        raise ValueError(f"{what} of over {limit} digits, above sys.get_int_max_str_digits()")
+
+
+def _refuse_long_denominators(what: str, n: int, base: int) -> None:
+    """Refuse denominators of base^n past Python's int-to-str limit, before computing them."""
+    digits = math.floor(n * math.log10(base)) + 1
+    _refuse_past_str_limit(f"{what} at base {base} may print denominators", digits)
+
+
+def _refuse_long_values(what: str, values) -> None:
+    """Refuse Fractions whose numerator or denominator is past Python's int-to-str limit."""
+    top = max(abs(n) for v in values for n in (v.numerator, v.denominator))
+    k = int(top.bit_length() * math.log10(2))  # top has k or k + 1 digits
+    _refuse_past_str_limit(what, k + (top >= 10**k))
 
 
 def _cmd_eval(args) -> int:
@@ -168,6 +182,8 @@ def _cmd_eval(args) -> int:
         gaps = sum(_md_pair(fam, sel)[0] for sel in alphas + tail)
         _refuse_long_denominators(f"MD gaps summing to {gaps}", gaps, fam.s)
     value = eval_family_point(fam, alphas, tail)
+    given = f"--alphas with {len(alphas)} selectors" + (f" and --tail with {len(tail)} selectors" if tail else "")
+    _refuse_long_values(f"the value of {given} has an integer", [value])
     payload = {
         "family": fam.label(),
         "alphas": list(alphas),
@@ -198,6 +214,10 @@ def _cmd_cylinder(args) -> int:
     fam = parse_family(args.family)
     addr = _parse_selectors(fam, args.addr) if args.addr else ()
     report = cyl.cylinder_report(fam, addr, child=args.child)
+    values = (report.interval.lo, report.interval.hi, report.diameter, report.child_ratio)
+    _refuse_long_values(
+        f"the cylinder of --addr with {len(addr)} selectors has an integer", [v for v in values if v is not None]
+    )
     payload = {
         "family": fam.label(),
         "address": list(report.address),
@@ -302,60 +322,82 @@ def _cmd_convert(args) -> int:
     return 0
 
 
+#: every subcommand, once: name -> (handler, help, the shared arguments its
+#: handler reads, its --format choices with the default first, its own options)
+_COMMANDS = {
+    "dim": (_cmd_dim, "dimension of a family", ("family",), ("json", "csv", "text"), ()),
+    "blocks": (_cmd_blocks, "digit-block language of a family", ("family",), (), ()),
+    "eval": (_cmd_eval, "exact value of a family point", ("family",), (), (
+        ("--alphas", {"required": True, "help": "selector digits, e.g. 2,1 (MD: 3:2,5:1)"}),
+        ("--tail", {"default": None, "help": "periodic selector tail"}),
+    )),
+    "cylinder": (_cmd_cylinder, "exact cylinder interval and metrics", ("family",), (), (
+        ("--addr", {"default": "", "help": "address digits, e.g. 1,2"}),
+        ("--child", {"type": int, "default": None}),
+    )),
+    "verify": (_cmd_verify, "run the cylinder property suite", ("family", "depth", "cap"), ("text", "json"), ()),
+    "cover": (_cmd_cover, "covering-sum table", ("family", "depth", "cap"), (), ()),
+    "boxcount": (_cmd_boxcount, "box-counting fit vs the solver", ("family", "cap"), (), (
+        ("--scales", {"type": _scales, "default": (4, 10), "help": "n_lo:n_hi for eps = s^-n"}),
+    )),
+    "enumerate": (_cmd_enumerate, "admissible addresses at a depth", ("family", "depth", "cap"), ("text", "json"), ()),
+    "convert": (_cmd_convert, "round-trip digits across representations", (), (), (
+        ("--base", {"type": int, "required": True}),
+        ("--digits", {"required": True}),
+        ("--source", {"choices": ("sadic", "negasadic"), "default": "sadic"}),
+        ("--target", {"choices": ("sadic", "negasadic"), "required": True}),
+        ("--length", {"type": int, "default": 8}),
+    )),
+}
+
+
+def _add_arguments(p: _Parser, name: str) -> _Parser:
+    """Give `p` the arguments of command `name`: only the options its handler reads."""
+    func, _, shared, formats, own = _COMMANDS[name]
+    if "family" in shared:
+        p.add_argument("family")
+    if "depth" in shared:
+        p.add_argument("--depth", type=_at_least(0), default=8)
+    if "cap" in shared:
+        p.add_argument("--cap", type=_at_least(1), default=DEFAULT_CAP)
+    if formats:
+        p.add_argument("--format", choices=formats, default=formats[0])
+    p.add_argument("--out", default=None)
+    for flag, kwargs in own:
+        p.add_argument(flag, **kwargs)
+    p.set_defaults(func=func)
+    return p
+
+
 @functools.cache
 def build_parser() -> _Parser:
-    """The argument parser, built once per process: `main` only reads it.
+    """The full parser tree, `cantorkit` with every subcommand, built once per process.
 
-    Each subcommand declares only the options its handler reads, and
-    `--format` offers only the formats it prints."""
+    `main` reads it only when its first argument names no command: no
+    arguments, `-h`, an unknown command or a leading `--`."""
     parser = _Parser(prog="cantorkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def command(name, func, help, *options, formats=()):
-        p = sub.add_parser(name, help=help)
-        if "family" in options:
-            p.add_argument("family")
-        if "depth" in options:
-            p.add_argument("--depth", type=_at_least(0), default=8)
-        if "cap" in options:
-            p.add_argument("--cap", type=_at_least(1), default=DEFAULT_CAP)
-        if formats:  # the first is the default
-            p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--out", default=None)
-        p.set_defaults(func=func)
-        return p
-
-    command("dim", _cmd_dim, "dimension of a family", "family", formats=("json", "csv", "text"))
-    command("blocks", _cmd_blocks, "digit-block language of a family", "family")
-
-    p = command("eval", _cmd_eval, "exact value of a family point", "family")
-    p.add_argument("--alphas", required=True, help="selector digits, e.g. 2,1 (MD: 3:2,5:1)")
-    p.add_argument("--tail", default=None, help="periodic selector tail")
-
-    p = command("cylinder", _cmd_cylinder, "exact cylinder interval and metrics", "family")
-    p.add_argument("--addr", default="", help="address digits, e.g. 1,2")
-    p.add_argument("--child", type=int, default=None)
-
-    command("verify", _cmd_verify, "run the cylinder property suite", "family", "depth", "cap", formats=("text", "json"))
-    command("cover", _cmd_cover, "covering-sum table", "family", "depth", "cap")
-
-    p = command("boxcount", _cmd_boxcount, "box-counting fit vs the solver", "family", "cap")
-    p.add_argument("--scales", type=_scales, default=(4, 10), help="n_lo:n_hi for eps = s^-n")
-
-    command("enumerate", _cmd_enumerate, "admissible addresses at a depth", "family", "depth", "cap", formats=("text", "json"))
-
-    p = command("convert", _cmd_convert, "round-trip digits across representations")
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("--digits", required=True)
-    p.add_argument("--source", choices=("sadic", "negasadic"), default="sadic")
-    p.add_argument("--target", choices=("sadic", "negasadic"), required=True)
-    p.add_argument("--length", type=int, default=8)
-
+    for name, (_, summary, *_) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=summary), name)
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> _Parser:
+    """The parser of command `name` alone: the subparser `build_parser` gives it."""
+    return _add_arguments(_Parser(prog=f"cantorkit {name}"), name)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line (default `sys.argv[1:]`) and return its exit code.
+
+    When the first argument names a command, only that command's parser is
+    built; anything else goes to the full tree of `build_parser`."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMANDS:
+        parser, argv = _command_parser(argv[0]), argv[1:]
+    else:
+        parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

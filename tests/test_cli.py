@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 import cantorkit
-from cantorkit.cli import build_parser, main
+from cantorkit.cli import _COMMANDS, _command_parser, build_parser, main
+from cantorkit.errors import CantorkitError
 
 
 def run(capsys, *argv):
@@ -170,6 +172,8 @@ def test_verify_failure_reports_address_and_rationals(capsys, monkeypatch):
 
 def test_back_to_back_commands_share_one_parser(capsys):
     assert build_parser() is build_parser()
+    for name in _COMMANDS:
+        assert _command_parser(name) is _command_parser(name)
     runs = [
         ("verify", "S(s=3)", "--depth", "2", "--format", "json"),
         ("cover", "S(s=3)", "--depth", "3"),
@@ -185,6 +189,128 @@ def test_back_to_back_commands_share_one_parser(capsys):
     assert [code for code, _ in first] == [0, 0, 0, 0, 1, 0]
     assert first[3][1].startswith("verify S(s=3) (depth 8, oracle depth 14)")
     assert first[1][1].count("\n") == 5 and first[2][1].startswith("family,alpha")
+
+
+#: one run of each command
+EVERY_COMMAND = (
+    ("dim", "S(s=3)"),
+    ("blocks", "S(s=3)"),
+    ("eval", "S(s=3)", "--alphas", "2,1"),
+    ("cylinder", "S(s=3)", "--addr", "1"),
+    ("verify", "S(s=3)", "--depth", "2"),
+    ("cover", "S(s=3)", "--depth", "2"),
+    ("boxcount", "S(s=3)", "--scales", "2:7"),
+    ("enumerate", "S(s=3)", "--depth", "1"),
+    ("convert", "--base", "3", "--digits", "0,2", "--target", "negasadic"),
+)
+
+
+def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert [argv[0] for argv in EVERY_COMMAND] == list(_COMMANDS)
+    tree = ["cantorkit"] + [f"cantorkit {name}" for name in _COMMANDS]
+    for argv, parsers in [(argv, [f"cantorkit {argv[0]}"]) for argv in EVERY_COMMAND] + [
+        (["-h"], tree),
+        ([], tree),
+        (["bogus"], tree),
+    ]:
+        build_parser.cache_clear()
+        _command_parser.cache_clear()
+        built.clear()
+        assert main(list(argv)) == (1 if argv in ([], ["bogus"]) else 0)
+        assert built == parsers, argv
+    capsys.readouterr()
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = os.path.dirname(os.path.dirname(cantorkit.__file__))
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "import cantorkit.cli\n"
+        "print(len(built))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+def run_full_tree(argv) -> int:
+    """Parse `argv` with the whole `build_parser()` tree and run its handler."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 1
+    try:
+        return args.func(args)
+    except (CantorkitError, ValueError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
+
+
+#: unrecognized arguments: the one case where a command's own parser prints
+#: its own usage line, not the top-level one
+UNRECOGNIZED = [("dim", "S(s=3)", "--depth", "3"), ("dim", "S(s=3)", "extra")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("-h",),
+        ("dim", "-h"),
+        ("eval", "-h"),
+        ("convert", "-h"),
+        (),
+        ("bogus",),
+        ("dim",),
+        ("verify", "S(s=3)", "--cap", "0"),
+        ("verify", "S(s=3)", "--format", "csv"),
+        ("boxcount", "S(s=3)", "--scales", "x:4"),
+        ("convert", "--base", "3"),
+        ("cover", "S(s=3)", "--dep", "2"),
+        ("cover", "S(s=3)", "--depth=2"),
+        ("dim", "--", "S(s=3)"),
+        ("--", "dim", "S(s=3)"),
+        ("--", "dim"),
+        ("cylinder", "S(s=3)", "--addr", "1", "--child", "x"),
+        *UNRECOGNIZED,
+    ],
+)
+def test_a_command_parser_parses_like_the_full_tree(capsys, argv):
+    code = main(list(argv))
+    own = capsys.readouterr()
+    assert code == run_full_tree(list(argv))
+    tree = capsys.readouterr()
+    assert own.out == tree.out
+    if argv in UNRECOGNIZED:
+        assert own.err.startswith(f"usage: cantorkit {argv[0]} [-h] ")
+        assert tree.err.startswith("usage: cantorkit [-h]")
+        assert own.err[own.err.index("\nerror: ") :] == tree.err[tree.err.index("\nerror: ") :]
+    else:
+        assert own.err == tree.err
+
+
+@pytest.mark.parametrize("argv", [("cover", "S(s=3)", "--depth", "3"), ("--help",)])
+def test_the_module_entry_point_runs_main(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
+    src = os.path.dirname(os.path.dirname(cantorkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cantorkit", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    assert code == 0 and captured.out
 
 
 def test_dim_text_and_csv_formats(capsys):
@@ -342,6 +468,36 @@ def test_md_eval_fits_int_string_limit(capsys, int_str_limit):
     assert "sys.get_int_max_str_digits()" in capsys.readouterr().err
     int_str_limit(0)  # no limit: nothing is refused
     assert main(["eval", "MD(s=2)", "--alphas", "14285:1"]) == 0
+    capsys.readouterr()
+
+
+def test_eval_and_cylinder_fit_int_string_limit(capsys, int_str_limit):
+    # at a limit of 4300 an integer of the value or the interval passes it
+    # one selector after the longest list that prints
+    int_str_limit(4300)
+    cases = [
+        (("eval", "S(s=3)", "--alphas"), ["2"], 4506, "the value of --alphas with 4507 selectors",
+         "7f95e7b24e6ed9da72ce848118ea63af4021457f4c61e55bde7bae2f9286a965"),
+        (("eval", "S(s=3)", "--alphas", "", "--tail"), ["1"], 4506,
+         "the value of --alphas with 0 selectors and --tail with 4507 selectors",
+         "823b8945c29a9b2c95f485964731b2df8f51a2b7741053e4f494a5dff03f52f4"),
+        (("cylinder", "S(s=3)", "--addr"), ["2"], 4505, "the cylinder of --addr with 4506 selectors",
+         "642d09341cf7f713cdd1edda7206862ba6e214c8b2bbb605e2276ca09767e881"),
+        (("cylinder", "Tilde(s=4)", "--addr"), ["2"], 3569, "the cylinder of --addr with 3570 selectors",
+         "e92e72a880505735e02e10708b8ec60fc5a8f99a007c87bd7b7dca8d6a1e089b"),
+    ]
+    for head, first, fits, refusal, digest in cases:
+        selectors = first + ["2"] * (fits - 1)
+        code, out = run(capsys, *head, ",".join(selectors))
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+        assert main([*head, ",".join(selectors + ["2"])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: {refusal} has an integer of over 4300 digits, above sys.get_int_max_str_digits()\n"
+        )
+    int_str_limit(0)  # no limit: nothing is refused
+    assert main(["eval", "S(s=3)", "--alphas", ",".join(["2"] * 4507)]) == 0
+    assert main(["cylinder", "S(s=3)", "--addr", ",".join(["2"] * 4506)]) == 0
     capsys.readouterr()
 
 
