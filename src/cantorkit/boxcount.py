@@ -20,40 +20,46 @@ mesh cells of each scale by integer division, with no `Fraction` per node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from statistics import linear_regression
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cylinders import _local_hulls, set_interval
 from .errors import CapExceededError
 from .families import DEFAULT_CAP, ROOT_FRAME, FamilySpec, _family_const, child_frames
 
 
-@dataclass(frozen=True)
-class ScaleCount:
+class _ScaleCountFields(NamedTuple):
     epsilon: float
     count: int
 
-    def __post_init__(self):
-        if self.epsilon <= 0:
+
+class ScaleCount(_ScaleCountFields):
+    __slots__ = ()
+
+    def __new__(cls, epsilon: float, count: int):
+        if epsilon <= 0:
             raise ValueError("box width must be positive")
-        if self.count < 1:
+        if count < 1:
             raise ValueError("count must be >= 1")
+        return super().__new__(cls, epsilon, count)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class _FitResultFields(NamedTuple):
     slope: float
     r2: float
     scales: tuple[float, ...]
 
-    def __post_init__(self):
-        if not -0.1 <= self.slope <= 1.1:
-            raise ValueError(f"fitted slope {self.slope} outside the plausible [-0.1, 1.1]")
-        if not 0 <= self.r2 <= 1 + 1e-12:
-            raise ValueError(f"r2 {self.r2} outside [0, 1]")
-        object.__setattr__(self, "r2", min(self.r2, 1.0))
+
+class FitResult(_FitResultFields):
+    __slots__ = ()
+
+    def __new__(cls, slope: float, r2: float, scales: tuple[float, ...]):
+        if not -0.1 <= slope <= 1.1:
+            raise ValueError(f"fitted slope {slope} outside the plausible [-0.1, 1.1]")
+        if not 0 <= r2 <= 1 + 1e-12:
+            raise ValueError(f"r2 {r2} outside [0, 1]")
+        return super().__new__(cls, slope, min(r2, 1.0), scales)
 
 
 def _cover_counts(fam: FamilySpec, epss: Sequence[Fraction], cap: int) -> list[int]:

@@ -163,7 +163,7 @@ def _refuse_past_str_limit(what: str, digits: int) -> None:
 
 def _refuse_long_denominators(what: str, n: int, base: int) -> None:
     """Refuse denominators of base^n past Python's int-to-str limit, before computing them."""
-    digits = math.floor(n * math.log10(base)) + 1
+    digits = math.floor(n * Fraction(math.log10(base))) + 1  # exact: n may be past any float
     _refuse_past_str_limit(f"{what} at base {base} may print denominators", digits)
 
 

@@ -31,12 +31,11 @@ interval formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import FamilyConstraintError, UnsupportedFamilyError
 from .families import (
@@ -55,18 +54,21 @@ from .families import (
 )
 
 
-@dataclass(frozen=True)
-class IntervalR:
-    """A closed rational interval [lo, hi]."""
-
+class _IntervalRFields(NamedTuple):
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: {self.lo} > {self.hi}")
+
+class IntervalR(_IntervalRFields):
+    """A closed rational interval [lo, hi]."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: Fraction, hi: Fraction):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"empty interval: {lo} > {hi}")
+        return super().__new__(cls, lo, hi)
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
@@ -82,8 +84,7 @@ class IntervalR:
         return max(abs(self.lo - other.lo), abs(self.hi - other.hi))
 
 
-@dataclass(frozen=True)
-class CylinderReport:
+class CylinderReport(NamedTuple):
     """Summary of one cylinder: hull, diameter, child ratio, sibling layout."""
 
     address: tuple
@@ -93,8 +94,7 @@ class CylinderReport:
     orientation: str | None
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     interval: IntervalR
     bound: Fraction
     leaves: int
@@ -449,8 +449,7 @@ def gap_interval(fam: FamilySpec, addr, p: int) -> IntervalR | None:
     return IntervalR(first.hi, second.lo)
 
 
-@dataclass(frozen=True)
-class OrderingEntry:
+class OrderingEntry(NamedTuple):
     p: int
     q: int
     predicted: str | None
@@ -458,8 +457,7 @@ class OrderingEntry:
     ok: bool
 
 
-@dataclass(frozen=True)
-class OrderingReport:
+class OrderingReport(NamedTuple):
     address: tuple
     entries: tuple[OrderingEntry, ...]
     passed: bool
@@ -557,16 +555,14 @@ def cylinder_report(fam: FamilySpec, addr, child: int | None = None) -> Cylinder
 # -- the cylinder property suite --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(NamedTuple):
     name: str
     checked: int
     passed: bool
     failures: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     family: str
     results: tuple[PropertyResult, ...]
     passed: bool

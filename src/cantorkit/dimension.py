@@ -15,8 +15,7 @@ of the defining equations are reported so callers can judge conditioning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import OutOfRangeError
 from .families import BlockSet, FamilySpec, blocks_of_family, check_cantor_alignment
@@ -26,24 +25,38 @@ ROOT_TOL = 1e-13
 MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class DimensionResult:
+class _DimensionResultFields(NamedTuple):
     alpha: float
     method: str
     residual: float
     bracket: tuple[float, float]
     iterations: int
-    degenerate: bool = False
-    cross_check: float | None = None
-    note: str | None = None
+    degenerate: bool
+    cross_check: float | None
+    note: str | None
 
-    def __post_init__(self):
-        if not -1e-12 <= self.alpha <= 1 + 1e-12:
-            raise ValueError(f"dimension {self.alpha} outside [0, 1]")
-        object.__setattr__(self, "alpha", min(max(self.alpha, 0.0), 1.0))
-        lo, hi = self.bracket
-        if not (lo - 1e-9 <= self.alpha <= hi + 1e-9):
-            raise ValueError(f"alpha {self.alpha} outside bracket {self.bracket}")
+
+class DimensionResult(_DimensionResultFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        alpha: float,
+        method: str,
+        residual: float,
+        bracket: tuple[float, float],
+        iterations: int,
+        degenerate: bool = False,
+        cross_check: float | None = None,
+        note: str | None = None,
+    ):
+        if not -1e-12 <= alpha <= 1 + 1e-12:
+            raise ValueError(f"dimension {alpha} outside [0, 1]")
+        alpha = min(max(alpha, 0.0), 1.0)
+        lo, hi = bracket
+        if not (lo - 1e-9 <= alpha <= hi + 1e-9):
+            raise ValueError(f"alpha {alpha} outside bracket {bracket}")
+        return super().__new__(cls, alpha, method, residual, bracket, iterations, degenerate, cross_check, note)
 
 
 def _bisect_increasing(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, int, float, float]:
@@ -152,8 +165,7 @@ def periodic_dimension(m: Sequence[int]) -> DimensionResult:
     )
 
 
-@dataclass(frozen=True)
-class CantorSeriesEstimate:
+class CantorSeriesEstimate(NamedTuple):
     """Running dimension ratios r_n for a digit-restricted Cantor series.
 
     ``ratios`` holds r_n for the trailing window n = terms-window+1..terms.

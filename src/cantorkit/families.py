@@ -35,13 +35,12 @@ building a `Fraction`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     CapExceededError,
@@ -78,18 +77,29 @@ def check_cantor_alignment(basis: CantorBasis, level_sets: Sequence[Sequence[int
             raise InvalidDigitError(f"digit {top} >= d_{j} = {basis.d(j)}")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class _FamilySpecFields(NamedTuple):
     kind: str
     s: int
-    u: int | None = None
-    period: tuple[int, ...] | None = None
-    blocks: tuple[tuple[int, ...], ...] | None = None
-    basis: CantorBasis | None = None
-    level_sets: tuple[tuple[int, ...], ...] | None = None
+    u: int | None
+    period: tuple[int, ...] | None
+    blocks: tuple[tuple[int, ...], ...] | None
+    basis: CantorBasis | None
+    level_sets: tuple[tuple[int, ...], ...] | None
 
-    def __post_init__(self):
-        kind, s = self.kind, self.s
+
+class FamilySpec(_FamilySpecFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: str,
+        s: int,
+        u: int | None = None,
+        period: tuple[int, ...] | None = None,
+        blocks: tuple[tuple[int, ...], ...] | None = None,
+        basis: CantorBasis | None = None,
+        level_sets: tuple[tuple[int, ...], ...] | None = None,
+    ):
         if kind not in KINDS:
             raise FamilyParseError(f"unknown family kind {kind!r}")
         if kind in ("S", "Su", "NSu", "Sminus", "Tilde"):
@@ -102,27 +112,27 @@ class FamilySpec:
             if s < 2:
                 raise FamilyConstraintError(f"Blocks requires s >= 2, got {s}")
         if kind == "S":
-            object.__setattr__(self, "u", 0)
+            u = 0
         elif kind in ("Su", "NSu"):
-            if self.u is None:
+            if u is None:
                 raise FamilyConstraintError(f"{kind} needs a digit parameter u")
-            if not 0 <= self.u < s:
-                raise FamilyConstraintError(f"u={self.u} outside alphabet of base {s}")
-        elif self.u is not None:
+            if not 0 <= u < s:
+                raise FamilyConstraintError(f"u={u} outside alphabet of base {s}")
+        elif u is not None:
             raise FamilyConstraintError(f"{kind} takes no u parameter")
         if kind == "MDper":
-            if not self.period:
+            if not period:
                 raise FamilyConstraintError("MDper needs a gap period m=[...]")
-            object.__setattr__(self, "period", tuple(int(m) for m in self.period))
-            for m in self.period:
+            period = tuple(int(m) for m in period)
+            for m in period:
                 if m < 3 or m % 2 == 0:
                     raise FamilyConstraintError(f"MDper gaps must be odd and >= 3, got {m}")
-        elif self.period is not None:
+        elif period is not None:
             raise FamilyConstraintError(f"{kind} takes no period")
         if kind == "Blocks":
-            if not self.blocks:
+            if not blocks:
                 raise FamilyConstraintError("Blocks needs a nonempty block list B=[...]")
-            blocks = tuple(tuple(int(d) for d in b) for b in self.blocks)
+            blocks = tuple(tuple(int(d) for d in b) for b in blocks)
             if len(set(blocks)) != len(blocks):
                 raise FamilyConstraintError("duplicate blocks")
             for b in blocks:
@@ -131,22 +141,22 @@ class FamilySpec:
                 for d in b:
                     if not 0 <= d < s:
                         raise InvalidDigitError(f"block digit {d} outside base {s}")
-            object.__setattr__(self, "blocks", tuple(sorted(blocks, key=lambda b: (len(b), b))))
-        elif self.blocks is not None:
+            blocks = tuple(sorted(blocks, key=lambda b: (len(b), b)))
+        elif blocks is not None:
             raise FamilyConstraintError(f"{kind} takes no explicit block list")
         if kind == "Cantor":
-            if self.basis is None or not self.level_sets:
+            if basis is None or not level_sets:
                 raise FamilyConstraintError("Cantor needs a basis and per-level digit sets")
-            sets = tuple(tuple(sorted(set(int(d) for d in I))) for I in self.level_sets)
-            for I in sets:
+            level_sets = tuple(tuple(sorted(set(int(d) for d in I))) for I in level_sets)
+            for I in level_sets:
                 if not I:
                     raise FamilyConstraintError("empty level digit set")
                 if I[0] < 0:
                     raise InvalidDigitError("negative digit in level set")
-            object.__setattr__(self, "level_sets", sets)
-            check_cantor_alignment(self.basis, sets)
-        elif self.basis is not None or self.level_sets is not None:
+            check_cantor_alignment(basis, level_sets)
+        elif basis is not None or level_sets is not None:
             raise FamilyConstraintError(f"{kind} takes no Cantor basis")
+        return super().__new__(cls, kind, s, u, period, blocks, basis, level_sets)
 
     # -- structural helpers -------------------------------------------------
 
@@ -304,8 +314,7 @@ def parse_family(text: str) -> FamilySpec:
 # -- block sets ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockSet:
+class BlockSet(NamedTuple):
     """A finite digit-block language, or an analytic stand-in for an infinite one.
 
     ``histogram`` maps block length k to the count N_k.  The MD family has

@@ -19,27 +19,49 @@ arithmetic); those two tail forms are the only closures supported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidDigitError, OutOfRangeError
 
 
-@dataclass(frozen=True)
 class DigitString:
-    """A finite digit sequence over the alphabet {0, ..., s-1}."""
+    """A finite digit sequence over the alphabet {0, ..., s-1}.
 
-    s: int
-    digits: tuple[int, ...]
+    Immutable and compared by value.  Not a tuple, since its length and
+    iteration are those of its digits."""
 
-    def __post_init__(self):
-        if self.s < 2:
-            raise InvalidDigitError(f"base must be >= 2, got {self.s}")
-        object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
-        for d in self.digits:
-            if not 0 <= d < self.s:
-                raise InvalidDigitError(f"digit {d} outside alphabet of base {self.s}")
+    __slots__ = ("s", "digits")
+
+    def __init__(self, s: int, digits: tuple[int, ...]):
+        if s < 2:
+            raise InvalidDigitError(f"base must be >= 2, got {s}")
+        digits = tuple(int(d) for d in digits)
+        for d in digits:
+            if not 0 <= d < s:
+                raise InvalidDigitError(f"digit {d} outside alphabet of base {s}")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "digits", digits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.s, self.digits) == (other.s, other.digits)
+
+    def __hash__(self):
+        return hash((self.s, self.digits))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(s={self.s!r}, digits={self.digits!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, as assignment is refused
+        return type(self), (self.s, self.digits)
 
     def __len__(self):
         return len(self.digits)
@@ -48,8 +70,13 @@ class DigitString:
         return iter(self.digits)
 
 
-@dataclass(frozen=True)
-class CantorBasis:
+class _CantorBasisFields(NamedTuple):
+    kind: str
+    values: tuple[int, ...]
+    base: int
+
+
+class CantorBasis(_CantorBasisFields):
     """A deterministic generator of a basis sequence (d_n), d_n >= 2.
 
     Three generator kinds are supported:
@@ -60,23 +87,22 @@ class CantorBasis:
       materialising the huge integers)
     """
 
-    kind: str
-    values: tuple[int, ...] = ()
-    base: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("constant", "periodic", "power"):
-            raise ValueError(f"unknown basis kind {self.kind!r}")
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        if self.kind in ("constant", "periodic"):
-            if not self.values:
+    def __new__(cls, kind: str, values: tuple[int, ...] = (), base: int = 0):
+        if kind not in ("constant", "periodic", "power"):
+            raise ValueError(f"unknown basis kind {kind!r}")
+        values = tuple(int(v) for v in values)
+        if kind in ("constant", "periodic"):
+            if not values:
                 raise ValueError("constant/periodic basis needs at least one value")
-            for v in self.values:
+            for v in values:
                 if v < 2:
                     raise ValueError(f"basis value {v} must be > 1")
         else:
-            if self.base < 2:
-                raise ValueError(f"power basis needs base >= 2, got {self.base}")
+            if base < 2:
+                raise ValueError(f"power basis needs base >= 2, got {base}")
+        return super().__new__(cls, kind, values, base)
 
     @classmethod
     def constant(cls, d: int) -> "CantorBasis":

@@ -230,18 +230,19 @@ def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
 
 
 def test_importing_the_cli_builds_no_parser():
+    # -S: no site-packages .pth file pre-imports a module the package would not load
     src = os.path.dirname(os.path.dirname(cantorkit.__file__))
     script = (
-        "import argparse\n"
+        "import argparse, sys\n"
         "built = []\n"
         "init = argparse.ArgumentParser.__init__\n"
         "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
         "import cantorkit.cli\n"
-        "print(len(built))\n"
+        "print(len(built), sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 []\n", "")
 
 
 def run_full_tree(argv) -> int:
@@ -440,7 +441,7 @@ def test_convert_length_fits_int_string_limit(capsys, int_str_limit):
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
         "acf4fef6364549320bab4fdc1eb86f06a9c45937011a0e9be3580472b123f3ed"
     )
-    for length in ("9100", "100000"):
+    for length in ("9100", "100000", "1" + "0" * 400):  # the last is past any float
         start = time.perf_counter()
         assert main(argv + [length]) == 1
         assert time.perf_counter() - start < 0.5
