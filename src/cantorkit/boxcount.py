@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from statistics import linear_regression
 from typing import NamedTuple, Sequence
 
 from .cylinders import _local_hulls, set_interval
@@ -120,7 +119,7 @@ def _cover_counts(fam: FamilySpec, epss: Sequence[Fraction], cap: int) -> list[i
 
 
 def fit_dimension(points: Sequence[ScaleCount]) -> FitResult:
-    """Least-squares slope of log N against log(1/eps)."""
+    """Least-squares slope of log N against log(1/eps), summed as `statistics.linear_regression` sums."""
     if len(points) < 3:
         raise ValueError("need at least 3 scales")
     epss = [p.epsilon for p in points]
@@ -132,9 +131,11 @@ def fit_dimension(points: Sequence[ScaleCount]) -> FitResult:
     ys = [math.log(p.count) for p in points]
     if len(set(ys)) == 1:
         return FitResult(0.0, 1.0, tuple(epss))
-    slope, intercept = linear_regression(xs, ys)
-    mean = math.fsum(ys) / len(ys)
-    ss_tot = math.fsum((y - mean) ** 2 for y in ys)
+    xbar, ybar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    slope = sxy / math.fsum((x - xbar) * (x - xbar) for x in xs)
+    intercept = ybar - slope * xbar
+    ss_tot = math.fsum((y - ybar) ** 2 for y in ys)
     ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
     r2 = 1.0 - ss_res / ss_tot if ss_tot else 1.0
     return FitResult(slope, max(min(r2, 1.0), 0.0), tuple(epss))

@@ -7,15 +7,15 @@ the local hull at its phase onto the cylinder's hull.  The local hulls of
 all phases are the exact fixed point of one graph-directed system
 (`solve_phase_hulls`), the same for one-phase kinds, MDper's gap phases and
 a periodic Cantor series' levels.  Traversals carry frames and apply one map
-per child.
+per child, so sibling gaps and layouts read one frame and one table.
 
 Closed-form intervals exist for the run-length families S/Su (any u), NSu
 with u = 0, and Sminus; each cylinder is the image of the whole set under an
 affine contraction, so its hull is the prefix value plus a signed rescale of
 the whole-set hull.  The prefix value is folded one run digit at a time, in
 integers, from the formula alone.  The closed form is read only where it is
-itself under test: `cylinder_interval`, `gap_interval`, `ordering_check` and
-`verify_family`.
+itself under test: `cylinder_interval`, the witness the frames are compared
+against, and `verify_family`.
 
 The tail-extrema oracle never touches the closed forms.  It takes every
 admissible digit continuation of an address out to a given rank, closes each
@@ -211,32 +211,15 @@ def _interval(lo: int, hi: int, den: int) -> IntervalR:
     return IntervalR(Fraction(lo, den), Fraction(hi, den))
 
 
-def _closed_base(fam: FamilySpec, addr) -> tuple[tuple[int, int, int, int], ClosedState]:
-    """The closed form and the state of `addr`, validated and folded once."""
+def cylinder_interval(fam: FamilySpec, addr) -> IntervalR:
+    """Exact [inf, sup] of a cylinder from the closed-form case analysis,
+    folded one run digit at a time."""
     _require_formula_family(fam)
     state = ROOT_STATE
     for c, _ in zip(addr, _walk(fam, addr)):  # the walk refuses an inadmissible c; its maps go unread
         state = _closed_step(fam, state, c)
-    return _closed_form(fam), state
-
-
-def _closed_interval(fam: FamilySpec, form, state: ClosedState) -> IntervalR:
+    form = _closed_form(fam)
     return _interval(*_closed_ends(fam, form, state), form[0] * fam.s ** state[1])
-
-
-def cylinder_interval(fam: FamilySpec, addr) -> IntervalR:
-    """Exact [inf, sup] of a cylinder from the closed-form case analysis,
-    folded one run digit at a time."""
-    return _closed_interval(fam, *_closed_base(fam, addr))
-
-
-def _sibling_intervals(fam: FamilySpec, base: tuple, digits) -> dict[int, IntervalR]:
-    """Closed-form interval of each child `digits` of `base`, one step from it."""
-    form, state = _closed_base(fam, base)
-    for c in digits:
-        if c not in level_choices(fam, len(base) + 1):
-            raise _inadmissible(fam, c)
-    return {c: _closed_interval(fam, form, _closed_step(fam, state, c)) for c in digits}
 
 
 # -- exact hulls for arbitrary enumerable families ------------------------------
@@ -370,8 +353,22 @@ def cylinder_hull(fam: FamilySpec, addr) -> IntervalR:
     it additionally covers NSu with u > 0, Blocks/Tilde, MDper and Cantor
     series over a periodic basis.
     """
-    frame = address_frame(fam, addr)
+    return _frame_hull(fam, address_frame(fam, addr))
+
+
+def _frame_hull(fam: FamilySpec, frame: Frame) -> IntervalR:
+    """The hull of the cylinder at `frame`: its phase's local hull, imaged."""
     return _frame_image(fam, frame, *_local_hulls(fam)[frame[3]])
+
+
+def _child_hulls(fam: FamilySpec, frame: Frame, wanted: tuple = ()) -> dict[object, IntervalR]:
+    """selector -> hull of each child of the cylinder at `frame`, from one
+    table read, in `level_choices` order; refuses a `wanted` non-child."""
+    hulls = {sel: _frame_hull(fam, child) for sel, child in child_frames(fam, frame)}
+    for sel in wanted:
+        if sel not in hulls:
+            raise _inadmissible(fam, sel)
+    return hulls
 
 
 # -- the level oracle -------------------------------------------------------------
@@ -439,14 +436,12 @@ def tail_extrema_oracle(fam: FamilySpec, addr, depth: int) -> OracleResult:
 def gap_interval(fam: FamilySpec, addr, p: int) -> IntervalR | None:
     """The open interval strictly between sibling cylinders p and p+1.
 
-    Returns None when the siblings touch or overlap (which the closed-form
-    case analysis rules out; callers treat None as a finding).
+    Returns None when the siblings touch or overlap, as siblings may in a
+    block family; callers treat None as a finding.
     """
-    a, b = _sibling_intervals(fam, tuple(addr), (p, p + 1)).values()
-    first, second = (a, b) if a.lo <= b.lo else (b, a)
-    if first.hi >= second.lo:
-        return None
-    return IntervalR(first.hi, second.lo)
+    children = _child_hulls(fam, address_frame(fam, addr), (p, p + 1))
+    first, second = sorted((children[p], children[p + 1]))
+    return IntervalR(first.hi, second.lo) if first.hi < second.lo else None
 
 
 class OrderingEntry(NamedTuple):
@@ -508,8 +503,7 @@ def ordering_check(fam: FamilySpec, addr) -> OrderingReport:
     if fam.degenerate:
         raise FamilyConstraintError("degenerate family has no sibling pair")
     base = tuple(addr)
-    children = _sibling_intervals(fam, base, level_choices(fam, len(base) + 1))
-    entries = _ordering_entries(fam, base, {c: (iv.lo, iv.hi) for c, iv in children.items()})
+    entries = _ordering_entries(fam, base, _child_hulls(fam, address_frame(fam, base)))
     return OrderingReport(base, entries, all(e.ok for e in entries))
 
 
@@ -539,15 +533,15 @@ def covering_sums(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> list[F
 
 def cylinder_report(fam: FamilySpec, addr, child: int | None = None) -> CylinderReport:
     addr = tuple(addr)
-    iv = cylinder_hull(fam, addr)
-    ratio = None
-    if child is not None:
-        child_iv = cylinder_hull(fam, addr + (child,))
-        ratio = child_iv.width / iv.width if iv.width else None
+    frame = address_frame(fam, addr)
+    iv = _frame_hull(fam, frame)
+    ordered = _has_closed_form(fam) and not fam.degenerate
+    wanted = () if child is None else (child,)
+    children = _child_hulls(fam, frame, wanted) if wanted or ordered else {}
+    ratio = children[child].width / iv.width if wanted and iv.width else None
     orientation = None
-    if _has_closed_form(fam) and not fam.degenerate:
-        report = ordering_check(fam, addr)
-        seen = {e.observed for e in report.entries}
+    if ordered:
+        seen = {e.observed for e in _ordering_entries(fam, addr, children)}
         orientation = seen.pop() if len(seen) == 1 else "mixed"
     return CylinderReport(addr, iv, iv.width, ratio, orientation)
 

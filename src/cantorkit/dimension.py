@@ -115,12 +115,14 @@ def family_dimension(fam: FamilySpec) -> DimensionResult:
     terms.
     """
     if fam.kind == "Cantor":
-        return cantor_series_dim_estimate(fam.basis, fam.level_sets, n_max=100_000).to_dimension_result()
-    if fam.kind == "MD":
-        return md_closed_form(fam.s)
-    if fam.kind == "MDper":
-        return periodic_dimension(fam.period)
-    return block_dimension(fam.s, blocks_of_family(fam))
+        result = cantor_series_dim_estimate(fam.basis, fam.level_sets, n_max=100_000).to_dimension_result()
+    elif fam.kind == "MD":
+        result = md_closed_form(fam.s)
+    elif fam.kind == "MDper":
+        result = periodic_dimension(fam.period)
+    else:
+        result = block_dimension(fam.s, blocks_of_family(fam))
+    return result._replace(degenerate=fam.degenerate)
 
 
 def md_closed_form(s: int) -> DimensionResult:

@@ -111,7 +111,7 @@ class FamilySpec(_FamilySpecFields):
         elif kind == "Blocks":
             if s < 2:
                 raise FamilyConstraintError(f"Blocks requires s >= 2, got {s}")
-        if kind == "S":
+        if kind == "S" and u in (None, 0):  # 0 is how pickle and copy rebuild an S
             u = 0
         elif kind in ("Su", "NSu"):
             if u is None:

@@ -2,9 +2,10 @@
 
 Every function that reads an address folds its selectors through
 `families._walk`, one `digit_maps` lookup per selector, and enumeration lists
-addresses from `level_choices` without walking any.  The sibling checks walk
-their base address once and take each sibling one closed-form step from it.  Counting the lookups
-through a patched `digit_maps` pins that down without timing anything.
+addresses from `level_choices` without walking any.  The sibling checks and
+the `cylinder` report walk their base address once and read its children's
+frames from one more table.  Counting the lookups through a patched
+`digit_maps` pins that down without timing anything.
 """
 
 import pytest
@@ -66,7 +67,10 @@ def test_enumeration_walks_no_address(monkeypatch, text):
 
 def test_sibling_checks_walk_their_base_once(monkeypatch):
     fam, addr = parse_family("S(s=5)"), (1, 2, 3, 4, 1, 2)
-    assert _lookups(monkeypatch, lambda: ordering_check(fam, addr)) == len(addr)
-    assert _lookups(monkeypatch, lambda: gap_interval(fam, addr, 1)) == len(addr)
-    # the hull, the child's hull, then the ordering of the four siblings
-    assert _lookups(monkeypatch, lambda: cylinder_report(fam, addr, child=1)) == 3 * len(addr) + 1
+    # the base, then the children's table: every sibling hull comes from it
+    for run in (
+        lambda: ordering_check(fam, addr),
+        lambda: gap_interval(fam, addr, 1),
+        lambda: cylinder_report(fam, addr, child=1),
+    ):
+        assert _lookups(monkeypatch, run) == len(addr) + 1

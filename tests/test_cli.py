@@ -230,7 +230,8 @@ def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
 
 
 def test_importing_the_cli_builds_no_parser():
-    # -S: no site-packages .pth file pre-imports a module the package would not load
+    # -S: no site-packages .pth file pre-imports a module the package would not load;
+    # the records need no dataclasses or inspect, the box-count fit no statistics
     src = os.path.dirname(os.path.dirname(cantorkit.__file__))
     script = (
         "import argparse, sys\n"
@@ -238,7 +239,7 @@ def test_importing_the_cli_builds_no_parser():
         "init = argparse.ArgumentParser.__init__\n"
         "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
         "import cantorkit.cli\n"
-        "print(len(built), sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "print(len(built), sorted({'dataclasses', 'inspect', 'statistics'} & set(sys.modules)))\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60)

@@ -195,6 +195,21 @@ def test_gap_intervals():
         gap_interval(parse_family("Su(s=3,u=1)"), (), 1)
     with pytest.raises(FamilyConstraintError):
         gap_interval(parse_family("Su(s=5,u=2)"), (), 1)  # sibling 2 excluded
+    # every enumerable family: the gap's ends are the facing ends of the two
+    # siblings' hulls
+    for text, addr, p in [
+        ("Tilde(s=4)", (2,), 0),
+        ("Blocks(s=3,B=[0 2;1])", (0, 1), 0),
+        ("MDper(s=3,m=[3,5])", (2,), 1),
+        ("Cantor(d=[4,5],I=[{0,3},{1,2,4}])", (3,), 1),
+        ("NSu(s=4,u=1)", (2, 3), 2),
+    ]:
+        fam = parse_family(text)
+        a, b = cylinder_hull(fam, addr + (p,)), cylinder_hull(fam, addr + (p + 1,))
+        first, second = (a, b) if a.lo <= b.lo else (b, a)
+        assert gap_interval(fam, addr, p) == IntervalR(first.hi, second.lo), text
+    # the blocks 0 and 0 1 start cylinders [0, 1/8] and [1/9, 11/72], which overlap
+    assert gap_interval(parse_family("Blocks(s=3,B=[0;0 1;1 0])"), (), 0) is None
 
 
 def test_ordering_cases():

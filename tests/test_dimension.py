@@ -89,8 +89,9 @@ def test_two_path_equality_against_alpha_space_bisection():
 
 
 def test_degenerate_family_flagged():
-    r = family_dimension(parse_family("Su(s=3,u=1)"))
-    assert r.alpha == 0.0 and r.degenerate
+    for text in ("Su(s=3,u=1)", "Cantor(d=[3],I=[{1}])"):
+        r = family_dimension(parse_family(text))
+        assert r.alpha == 0.0 and r.degenerate, text
 
 
 def test_md_closed_form():

@@ -78,6 +78,7 @@ INVALID = [
     (lambda: FamilySpec("Su", 5), FamilyConstraintError, "Su needs a digit parameter u"),
     (lambda: FamilySpec("NSu", 5, u=5), FamilyConstraintError, "u=5 outside alphabet of base 5"),
     (lambda: FamilySpec("Sminus", 3, u=1), FamilyConstraintError, "Sminus takes no u parameter"),
+    (lambda: FamilySpec("S", 3, u=2), FamilyConstraintError, "S takes no u parameter"),
     (lambda: FamilySpec("MDper", 3), FamilyConstraintError, "MDper needs a gap period m=[...]"),
     (lambda: FamilySpec("MDper", 3, period=(5, 4)), FamilyConstraintError, "MDper gaps must be odd and >= 3, got 4"),
     (lambda: FamilySpec("S", 3, period=(3,)), FamilyConstraintError, "S takes no period"),
