@@ -25,6 +25,7 @@ from . import dimension as dim
 from .errors import CantorkitError, FamilyParseError
 from .families import (
     DEFAULT_CAP,
+    _int_list,
     _md_pair,
     blocks_of_family,
     enumerate_addresses,
@@ -65,13 +66,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(1)
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise FamilyParseError(f"bad integer list {text!r}: {exc}") from None
 
 
 def _at_least(low: int):
@@ -176,8 +170,8 @@ def _refuse_long_values(what: str, values) -> None:
 
 def _cmd_eval(args) -> int:
     fam = parse_family(args.family)
-    alphas = _parse_selectors(fam, args.alphas)
-    tail = _parse_selectors(fam, args.tail) if args.tail else ()
+    alphas = _parse_selectors(fam, args.alphas, "--alphas")
+    tail = _parse_selectors(fam, args.tail, "--tail") if args.tail else ()
     if fam.kind == "MD":  # a gap writes up to 10^6 digits; the others write short blocks
         gaps = sum(_md_pair(fam, sel)[0] for sel in alphas + tail)
         _refuse_long_denominators(f"MD gaps summing to {gaps}", gaps, fam.s)
@@ -197,22 +191,22 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _parse_selectors(fam, text):
+def _parse_selectors(fam, text, option):
     if fam.kind == "MD":
         # pairs m:e separated by commas, e.g. "3:2,5:1"
         out = []
         for part in text.split(","):
-            pair = _ints(part.replace(":", " "))
+            pair = _int_list(part.replace(":", " "), option)
             if part.count(":") != 1 or len(pair) != 2:
                 raise FamilyParseError(f"MD selectors are gap:digit pairs, got {part!r}")
             out.append(pair)
         return tuple(out)
-    return _ints(text)
+    return _int_list(text, option)
 
 
 def _cmd_cylinder(args) -> int:
     fam = parse_family(args.family)
-    addr = _parse_selectors(fam, args.addr) if args.addr else ()
+    addr = _parse_selectors(fam, args.addr, "--addr") if args.addr else ()
     report = cyl.cylinder_report(fam, addr, child=args.child)
     values = (report.interval.lo, report.interval.hi, report.diameter, report.child_ratio)
     _refuse_long_values(
@@ -297,7 +291,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    digits = DigitString(args.base, _ints(args.digits))
+    digits = DigitString(args.base, _int_list(args.digits, "--digits"))
     # the printed rationals have denominators up to base^length
     _refuse_long_denominators(f"--length {args.length}", args.length, args.base)
     value = eval_negasadic(digits) if args.source == "negasadic" else eval_sadic(digits)

@@ -583,6 +583,11 @@ def verify_family(
     integer frame, and each child is one closed-form step and one digit map
     from its parent, so every check compares integers; a `Fraction` is
     built only for the text of a failure.
+
+    The ratio law and the partition cannot fail, whatever the whole-set
+    constants: every closed-form cylinder is its prefix point plus s^-E times
+    the whole-set hull, so both sides of the ratio law have width numerator
+    hi0 - lo0 and the partition reduces to sum s^-c <= 1 over the run digits.
     """
     _require_formula_family(fam)
     address_count(fam, depth, cap)

@@ -162,7 +162,6 @@ def periodic_dimension(m: Sequence[int]) -> DimensionResult:
     alpha = len(m) / sum(m)
     return DimensionResult(
         alpha, "periodic", 0.0, (alpha, alpha), 0,
-        degenerate=(alpha == 1.0),
         note=f"exact {len(m)}/{sum(m)}",
     )
 

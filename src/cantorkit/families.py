@@ -30,6 +30,10 @@ a selector sequence (`_walk`) reads the same maps and refuses the first
 inadmissible selector; integer frames (V, den, sign, phase) fold the maps
 along an address, so every traversal applies one map per child without
 building a `Fraction`.
+
+The grammar (``Su(s=5,u=2)``) is one table: `_KEYS` gives each kind's keys
+and `_GRAMMAR` each key's field, reader and writer, so `parse_family` and
+`FamilySpec.label` are inverse by construction.
 """
 
 from __future__ import annotations
@@ -53,7 +57,13 @@ from .radix import CantorBasis, DigitString
 
 DEFAULT_CAP = 10**6
 
-KINDS = ("S", "Su", "NSu", "Sminus", "Tilde", "MD", "MDper", "Blocks", "Cantor")
+#: each kind's grammar keys, in label order (`_GRAMMAR` reads and writes them)
+_KEYS = {
+    "S": ("s",), "Su": ("s", "u"), "NSu": ("s", "u"), "Sminus": ("s",), "Tilde": ("s",),
+    "MD": ("s",), "MDper": ("s", "m"), "Blocks": ("s", "B"), "Cantor": ("d", "I"),
+}
+
+KINDS = tuple(_KEYS)
 
 #: kinds whose addresses are indices into a finite block list
 BLOCK_KINDS = ("Tilde", "Blocks")
@@ -147,6 +157,10 @@ class FamilySpec(_FamilySpecFields):
         if kind == "Cantor":
             if basis is None or not level_sets:
                 raise FamilyConstraintError("Cantor needs a basis and per-level digit sets")
+            if basis.kind != "power":  # a constant basis is stored as the periodic one the grammar reads
+                basis = CantorBasis.periodic(basis.values)
+                if s != max(basis.values):
+                    raise FamilyConstraintError(f"Cantor s={s} must be the largest basis value {max(basis.values)}")
             level_sets = tuple(tuple(sorted(set(int(d) for d in I))) for I in level_sets)
             for I in level_sets:
                 if not I:
@@ -165,28 +179,18 @@ class FamilySpec(_FamilySpecFields):
         """True when the family collapses to a single point (one choice per level)."""
         if self.kind == "MD":
             return False
-        levels = len(self.level_sets) if self.kind == "Cantor" else 1
+        levels = len(self.level_sets) if self.level_sets else 1  # only a Cantor series has level sets
         return all(len(level_choices(self, j)) <= 1 for j in range(1, levels + 1))
 
     def label(self) -> str:
-        """Canonical grammar form of this family."""
-        if self.kind == "S":
-            return f"S(s={self.s})"
-        if self.kind in ("Su", "NSu"):
-            return f"{self.kind}(s={self.s},u={self.u})"
-        if self.kind in ("Sminus", "Tilde", "MD"):
-            return f"{self.kind}(s={self.s})"
-        if self.kind == "MDper":
-            return f"MDper(s={self.s},m=[{','.join(map(str, self.period))}])"
-        if self.kind == "Blocks":
-            body = ";".join(" ".join(map(str, b)) for b in self.blocks)
-            return f"Blocks(s={self.s},B=[{body}])"
-        if self.basis.kind == "power":
-            d = f"pow{self.basis.base}"
-        else:
-            d = ",".join(map(str, self.basis.values))
-        sets = ",".join("{" + ",".join(map(str, I)) + "}" for I in self.level_sets)
-        return f"Cantor(d=[{d}],I=[{sets}])"
+        """Canonical grammar form of this family: its kind's keys in `_KEYS`
+        order, each written by its `_GRAMMAR` writer, so `parse_family` reads
+        it back to an equal spec.  A power basis writes ``d=[pow<b>]``, which
+        the grammar does not read: that basis is library-only."""
+        kind = self.kind
+        keys = ((key, *_GRAMMAR[key]) for key in _KEYS[kind])
+        args = ",".join(f"{key}={write(getattr(self, field))}" for key, field, _, write in keys)
+        return f"{kind}({args})"
 
 
 # -- grammar -----------------------------------------------------------------
@@ -195,120 +199,95 @@ _HEAD = re.compile(r"^\s*([A-Za-z]+)\s*\((.*)\)\s*$", re.S)
 
 
 def _split_args(body: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in body:
-        if ch in "[{":
-            depth += 1
-        elif ch in "]}":
-            depth -= 1
+    """The nonblank comma-separated parts of `body`; a comma inside brackets or braces splits nothing."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(body):
+        depth += (ch in "[{") - (ch in "]}")
         if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
+            parts.append(body[start:i])
+            start = i + 1
+    parts.append(body[start:])
     return [p.strip() for p in parts if p.strip()]
 
 
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise FamilyParseError(f"{what} must look like [a,b,...]")
-    items = [t for t in re.split(r"[,\s]+", text[1:-1].strip()) if t]
+def _int_list(text: str, what: str) -> tuple[int, ...]:
+    """The integers in `text`, separated by commas or blanks: the one reader of
+    integer lists, for the grammar's lists and the command line's options."""
     try:
-        return tuple(int(t) for t in items)
+        return tuple(int(t) for t in text.replace(",", " ").split())
     except ValueError as exc:
         raise FamilyParseError(f"bad integer in {what}: {exc}") from None
 
 
-def _parse_blocks(text: str) -> tuple[tuple[int, ...], ...]:
+def _inside(text: str, key: str, brackets: str = "[]") -> str:
+    """`text` between its enclosing brackets; refused when they are missing."""
     text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise FamilyParseError("B must look like [d d ...;d ...]")
-    out = []
-    for chunk in text[1:-1].split(";"):
-        digits = [t for t in chunk.split() if t]
-        if not digits:
-            raise FamilyParseError("empty block in B")
-        try:
-            out.append(tuple(int(d) for d in digits))
-        except ValueError as exc:
-            raise FamilyParseError(f"bad block digit: {exc}") from None
-    return tuple(out)
+    if not (text.startswith(brackets[0]) and text.endswith(brackets[1])):
+        raise FamilyParseError(f"{key} must look like {brackets[0]}...{brackets[1]}")
+    return text[1:-1]
 
 
-def _parse_set_list(text: str) -> tuple[tuple[int, ...], ...]:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise FamilyParseError("I must look like [{a,b},{c},...]")
-    sets = re.findall(r"\{([^}]*)\}", text[1:-1])
-    if not sets:
-        raise FamilyParseError("I needs at least one digit set")
-    out = []
-    for body in sets:
-        items = [t for t in re.split(r"[,\s]+", body.strip()) if t]
-        if not items:
-            raise FamilyParseError("empty digit set in I")
-        try:
-            out.append(tuple(int(t) for t in items))
-        except ValueError as exc:
-            raise FamilyParseError(f"bad integer in I: {exc}") from None
-    return tuple(out)
+def _checked(read, value, key: str):
+    """`read(value)`, a ValueError it raises refused as a bad `key`."""
+    try:
+        return read(value)
+    except ValueError as exc:
+        raise FamilyParseError(f"bad {key}: {exc}") from None
+
+
+def _write_list(values) -> str:
+    return "[" + ",".join(map(str, values)) + "]"
+
+
+#: grammar key -> (the `FamilySpec` field it sets, its reader (text, key) -> value,
+#: its writer value -> text); `parse_family` and `FamilySpec.label` run this one table
+_GRAMMAR = {
+    "s": ("s", lambda text, key: _checked(int, text, key), str),
+    "u": ("u", lambda text, key: _checked(int, text, key), str),
+    "m": ("period", lambda text, key: _int_list(_inside(text, key), key), _write_list),
+    "B": ("blocks",  # one block of digits between semicolons: [0 2;1]
+          lambda text, key: tuple(_int_list(b, key) for b in _inside(text, key).split(";")),
+          lambda blocks: "[" + ";".join(" ".join(map(str, b)) for b in blocks) + "]"),
+    "d": ("basis",  # a power basis has no values, and is written but never read
+          lambda text, key: _checked(CantorBasis.periodic, _int_list(_inside(text, key), key), key),
+          lambda basis: _write_list(basis.values) if basis.values else f"[pow{basis.base}]"),
+    "I": ("level_sets",  # braced digit sets, one per level: [{0,2},{1}]
+          lambda text, key: tuple(_int_list(_inside(I, key, "{}"), key) for I in _split_args(_inside(text, key))),
+          lambda sets: "[" + ",".join("{" + ",".join(map(str, I)) + "}" for I in sets) + "]"),
+}
 
 
 def parse_family(text: str) -> FamilySpec:
-    """Parse the family grammar, e.g. ``Su(s=5,u=2)`` or ``Blocks(s=3,B=[0 2;1])``."""
+    """Parse the family grammar, e.g. ``Su(s=5,u=2)`` or ``Blocks(s=3,B=[0 2;1])``.
+
+    Reads exactly the kind's `_KEYS`, each with its `_GRAMMAR` reader.  A
+    Cantor series names no s: it is the largest basis value."""
     m = _HEAD.match(text)
     if not m:
         raise FamilyParseError(f"cannot parse family {text!r}")
     kind, body = m.group(1), m.group(2)
-    if kind not in KINDS:
+    if kind not in _KEYS:
         raise FamilyParseError(f"unknown family kind {kind!r}")
     args: dict[str, str] = {}
-    for part in _split_args(body):
-        if "=" not in part:
-            raise FamilyParseError(f"expected key=value, got {part!r}")
-        key, val = part.split("=", 1)
+    for key, eq, val in (part.partition("=") for part in _split_args(body)):
+        if not eq:
+            raise FamilyParseError(f"expected key=value, got {key!r}")
         args[key.strip()] = val.strip()
-
-    def take_int(key):
+    keys = _KEYS[kind]
+    if set(args) - set(keys):
+        raise FamilyParseError(f"unexpected arguments {sorted(set(args) - set(keys))} for {kind}")
+    fields = {}
+    for key in keys:
         if key not in args:
             raise FamilyParseError(f"{kind} needs {key}=...")
-        try:
-            return int(args.pop(key))
-        except ValueError as exc:
-            raise FamilyParseError(f"bad {key}: {exc}") from None
-
+        field, read, _ = _GRAMMAR[key]
+        fields[field] = read(args[key], key)
+    if kind == "Cantor":
+        fields["s"] = max(fields["basis"].values)
     try:
-        if kind == "Cantor":
-            if "d" not in args:
-                raise FamilyParseError("Cantor needs d=[...]")
-            dvals = _parse_int_list(args.pop("d"), "d")
-            if "I" not in args:
-                raise FamilyParseError("Cantor needs I=[...]")
-            sets = _parse_set_list(args.pop("I"))
-            try:
-                basis = CantorBasis.periodic(dvals)
-            except ValueError as exc:
-                raise FamilyParseError(f"bad d: {exc}") from None
-            spec = FamilySpec("Cantor", max(dvals), basis=basis, level_sets=sets)
-        elif kind == "Blocks":
-            s = take_int("s")
-            spec = FamilySpec("Blocks", s, blocks=_parse_blocks(args.pop("B", "[]")))
-        elif kind == "MDper":
-            s = take_int("s")
-            spec = FamilySpec("MDper", s, period=_parse_int_list(args.pop("m", "[]"), "m"))
-        elif kind in ("Su", "NSu"):
-            s = take_int("s")
-            spec = FamilySpec(kind, s, u=take_int("u"))
-        else:
-            spec = FamilySpec(kind, take_int("s"))
+        return FamilySpec(kind, **fields)
     except (FamilyConstraintError, InvalidDigitError) as exc:
         raise FamilyParseError(str(exc)) from exc
-    if args:
-        raise FamilyParseError(f"unexpected arguments {sorted(args)} for {kind}")
-    return spec
 
 
 # -- block sets ---------------------------------------------------------------

@@ -342,6 +342,7 @@ def test_out_file(tmp_path, capsys):
     "argv",
     [
         ("eval", "S(s=3)", "--alphas", "x"),
+        ("eval", "S(s=3)", "--alphas", "1,x"),
         ("eval", "MD(s=2)", "--alphas", "3"),
         ("cylinder", "S(s=3)", "--addr", "1,x"),
         ("convert", "--base", "3", "--digits", "0,x", "--target", "negasadic"),

@@ -115,7 +115,7 @@ def test_periodic_dimension():
     assert periodic_dimension((3,)).alpha == 1 / 3
     assert periodic_dimension((3, 5)).alpha == 0.25
     r1 = periodic_dimension((1,))
-    assert r1.alpha == 1.0 and r1.degenerate
+    assert r1.alpha == 1.0 and not r1.degenerate  # every digit allowed: the whole interval, not a point
     with pytest.raises(OutOfRangeError):
         periodic_dimension((4,))
     assert family_dimension(parse_family("MDper(s=5,m=[3,5])")).alpha == 0.25

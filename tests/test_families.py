@@ -1,11 +1,15 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorkit import (
+    CantorBasis,
     CapExceededError,
     FamilyConstraintError,
     FamilyParseError,
+    FamilySpec,
     blocks_of_family,
     enumerate_addresses,
     eval_family_point,
@@ -33,6 +37,33 @@ def test_grammar_round_trip():
         assert parse_family(fam.label()) == fam
 
 
+@st.composite
+def specs(draw):
+    """A valid spec of any kind, its lists drawn unsorted and with repeats."""
+    kind = draw(st.sampled_from(("S", "Su", "NSu", "Sminus", "Tilde", "MD", "MDper", "Blocks", "Cantor")))
+    if kind == "Cantor":
+        values = draw(st.lists(st.integers(2, 12), min_size=1, max_size=3))
+        constant = len(values) == 1 and draw(st.booleans())
+        basis = CantorBasis.constant(values[0]) if constant else CantorBasis.periodic(values)
+        digits = st.lists(st.integers(0, min(values) - 1), min_size=1, max_size=4)
+        return FamilySpec(kind, max(values), basis=basis, level_sets=draw(st.lists(digits, min_size=1, max_size=3)))
+    s = draw(st.integers(2 if kind in ("MD", "MDper", "Blocks") else 3, 12))
+    if kind in ("Su", "NSu"):
+        return FamilySpec(kind, s, u=draw(st.integers(0, s - 1)))
+    if kind == "MDper":
+        return FamilySpec(kind, s, period=draw(st.lists(st.sampled_from((3, 5, 7, 9)), min_size=1, max_size=4)))
+    if kind == "Blocks":
+        block = st.lists(st.integers(0, s - 1), min_size=1, max_size=4).map(tuple)
+        return FamilySpec(kind, s, blocks=draw(st.lists(block, min_size=1, max_size=5, unique=True)))
+    return FamilySpec(kind, s)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(specs())
+def test_label_parses_back_to_an_equal_spec(fam):
+    assert parse_family(fam.label()) == fam
+
+
 def test_grammar_errors():
     for bad in (
         "Nope(s=3)",
@@ -49,6 +80,28 @@ def test_grammar_errors():
         "Cantor(d=[3],I=[{0,x}])",  # a digit that is no integer
         "Cantor(d=[],I=[{0}])",  # an empty basis
         "Cantor(d=[1],I=[{0}])",  # basis elements must be >= 2
+        "Blocks(s=3,B=[0;])",  # an empty block
+        "Blocks(s=3,B=0 1)",  # no brackets
+        "Cantor(d=[3],I=[])",  # no digit set
+        "Cantor(d=[3],I=[{}])",  # an empty digit set
+        "Cantor(d=[3],I=[{0},1])",  # a digit set without braces
+        "MDper(s=3,m=[x])",
+        "Su(s=5,u=x)",
+        "S(s=3,d=[3])",  # stray key
+        "Cantor(s=3,d=[3],I=[{0}])",  # a Cantor series' s is max(d), never given
+        # a missing key, for each kind
+        "S()",
+        "Su(s=5)",
+        "NSu(u=2)",
+        "Sminus()",
+        "Tilde()",
+        "MD()",
+        "MDper(s=3)",
+        "MDper(m=[3])",
+        "Blocks(s=3)",
+        "Blocks(B=[0])",
+        "Cantor(d=[3])",
+        "Cantor(I=[{0}])",
     ):
         with pytest.raises(FamilyParseError):
             parse_family(bad)

@@ -91,6 +91,11 @@ INVALID = [
     (lambda: cantor3(((0,), ())), FamilyConstraintError, "empty level digit set"),
     (lambda: cantor3(((-1, 0),)), InvalidDigitError, "negative digit in level set"),
     (lambda: cantor3(((0, 3),)), InvalidDigitError, "digit 3 not below every d_j >= 3"),
+    (
+        lambda: FamilySpec("Cantor", 7, basis=CantorBasis.periodic([3]), level_sets=((0,),)),
+        FamilyConstraintError,
+        "Cantor s=7 must be the largest basis value 3",
+    ),
     (lambda: FamilySpec("MD", 3, basis=POWER3), FamilyConstraintError, "MD takes no Cantor basis"),
     (lambda: IntervalR(1, 0), ValueError, "empty interval: 1 > 0"),
     (lambda: ScaleCount(0.0, 1), ValueError, "box width must be positive"),
