@@ -25,7 +25,6 @@ from .cylinders import (
     verify_family,
 )
 from .dimension import (
-    CantorSeriesEstimate,
     DimensionResult,
     block_dimension,
     cantor_series_dim_estimate,
@@ -53,7 +52,6 @@ from .families import (
     parse_family,
 )
 from .radix import (
-    CantorBasis,
     DigitString,
     digits_from_rational,
     eval_cantor,

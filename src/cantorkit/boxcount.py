@@ -142,9 +142,12 @@ def fit_dimension(points: Sequence[ScaleCount]) -> FitResult:
 
 
 def box_dimension(
-    fam: FamilySpec, n_lo: int = 4, n_hi: int = 10, cap: int = DEFAULT_CAP
+    fam: FamilySpec, n_lo: int = 4, n_hi: int | None = None, cap: int = DEFAULT_CAP
 ) -> tuple[FitResult, list[ScaleCount]]:
-    """Fit over the aligned scales eps = s^-n, n = n_lo..n_hi."""
+    """Fit over the aligned scales eps = s^-n, n = n_lo..n_hi; `n_hi` defaults to the
+    smallest n >= 10 with s^(n-4) >= 100, the two decades `fit_dimension` needs."""
+    if n_hi is None:
+        n_hi = 10 + (fam.s**6 < 100)
     if n_lo < 0:
         raise ValueError("scale exponents must be >= 0")
     if n_hi - n_lo < 2:

@@ -88,7 +88,11 @@ def _scales(text: str) -> tuple[int, int]:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
+        try:
+            fh = open(out, "w")
+        except OSError as exc:  # a directory, a missing folder, no permission
+            raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
+        with fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text, flush=True)  # a closed pipe shows here, not at exit
@@ -267,8 +271,7 @@ def _cmd_cover(args) -> int:
 
 def _cmd_boxcount(args) -> int:
     fam = parse_family(args.family)
-    n_lo, n_hi = args.scales
-    fit, points = bc.box_dimension(fam, n_lo, n_hi, cap=args.cap)
+    fit, points = bc.box_dimension(fam, *args.scales, cap=args.cap)
     solver = dim.family_dimension(fam)
     rows = ["eps,count"]
     rows.extend(f"{_jfloat(p.epsilon)},{p.count}" for p in points)
@@ -332,7 +335,7 @@ _COMMANDS = {
     "verify": (_cmd_verify, "run the cylinder property suite", ("family", "depth", "cap"), ("text", "json"), ()),
     "cover": (_cmd_cover, "covering-sum table", ("family", "depth", "cap"), (), ()),
     "boxcount": (_cmd_boxcount, "box-counting fit vs the solver", ("family", "cap"), (), (
-        ("--scales", {"type": _scales, "default": (4, 10), "help": "n_lo:n_hi for eps = s^-n"}),
+        ("--scales", {"type": _scales, "default": (), "help": "n_lo:n_hi for eps = s^-n (default 4:10, 4:11 at s=2)"}),
     )),
     "enumerate": (_cmd_enumerate, "admissible addresses at a depth", ("family", "depth", "cap"), ("text", "json"), ()),
     "convert": (_cmd_convert, "round-trip digits across representations", (), (), (

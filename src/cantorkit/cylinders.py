@@ -230,13 +230,8 @@ PhaseMaps = Mapping[int, tuple[tuple[tuple[Fraction, Fraction], ...], int]]
 
 @lru_cache(maxsize=256)
 def _phase_maps(fam: FamilySpec) -> PhaseMaps:
-    """The digit maps and the next phase of each phase reachable from 0.
-
-    The one place that lists a family's phases: a power-basis Cantor series
-    reads a new basis element at every level, so its phases never recur and
-    it is refused here rather than walked forever."""
-    if fam.kind == "Cantor" and fam.basis.kind == "power":
-        raise UnsupportedFamilyError("a power-basis Cantor series has no finite phase set")
+    """The digit maps and the next phase of each phase reachable from 0:
+    the one place that lists a family's phases."""
     system: dict = {}
     phase = 0
     while phase not in system:
@@ -351,7 +346,7 @@ def cylinder_hull(fam: FamilySpec, addr) -> IntervalR:
 
     For the closed-form families this coincides with `cylinder_interval`;
     it additionally covers NSu with u > 0, Blocks/Tilde, MDper and Cantor
-    series over a periodic basis.
+    series.
     """
     return _frame_hull(fam, address_frame(fam, addr))
 

@@ -17,12 +17,14 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import OutOfRangeError
-from .families import BlockSet, FamilySpec, blocks_of_family, check_cantor_alignment
-from .radix import CantorBasis
+from .errors import OutOfRangeError, UnsupportedFamilyError
+from .families import BlockSet, FamilySpec, blocks_of_family
 
 ROOT_TOL = 1e-13
 MAX_ITER = 200
+
+#: terms of a Cantor series' dimension ratios r_n; the last tenth is the window
+CANTOR_TERMS = 100_000
 
 
 class _DimensionResultFields(NamedTuple):
@@ -111,11 +113,11 @@ def family_dimension(fam: FamilySpec) -> DimensionResult:
 
     Run/block families go through their block histogram; the free odd-gap
     family uses the cubic closed form; the periodic-gap family the exact
-    ratio t/(m_1+...+m_t); a Cantor series the liminf estimate over 100,000
-    terms.
+    ratio t/(m_1+...+m_t); a Cantor series the liminf estimate over
+    CANTOR_TERMS terms.
     """
     if fam.kind == "Cantor":
-        result = cantor_series_dim_estimate(fam.basis, fam.level_sets, n_max=100_000).to_dimension_result()
+        result = cantor_series_dim_estimate(fam)
     elif fam.kind == "MD":
         result = md_closed_form(fam.s)
     elif fam.kind == "MDper":
@@ -166,31 +168,6 @@ def periodic_dimension(m: Sequence[int]) -> DimensionResult:
     )
 
 
-class CantorSeriesEstimate(NamedTuple):
-    """Running dimension ratios r_n for a digit-restricted Cantor series.
-
-    ``ratios`` holds r_n for the trailing window n = terms-window+1..terms.
-    ``proxy`` is their minimum, reported as a stand-in for the liminf (which
-    no finite prefix determines)."""
-
-    ratios: tuple[float, ...]
-    proxy: float
-    window: int
-    terms: int
-    side_condition_last: float
-    side_condition_slow: bool
-
-    def to_dimension_result(self) -> DimensionResult:
-        return DimensionResult(
-            self.proxy,
-            "liminf-estimate",
-            0.0,
-            (min(self.ratios), max(self.ratios)),
-            self.terms,
-            note=f"min of r_n over the last {self.window} of {self.terms} terms",
-        )
-
-
 def _periodic_prefix(cycle: Sequence[float]) -> Callable[[int], float]:
     """n -> sum of the first n terms of the sequence repeating ``cycle``.
 
@@ -201,52 +178,22 @@ def _periodic_prefix(cycle: Sequence[float]) -> Callable[[int], float]:
     return lambda n: (n // period) * total + partial[n % period]
 
 
-def cantor_series_dim_estimate(
-    basis: CantorBasis,
-    level_sets: Sequence[Sequence[int]],
-    n_max: int,
-    window: int | None = None,
-) -> CantorSeriesEstimate:
-    """r_n = sum_(j<=n) log|I_j| / sum_(j<=n) log d_j plus a liminf proxy.
+def cantor_series_dim_estimate(fam: FamilySpec) -> DimensionResult:
+    """min of r_n = sum_(j<=n) log|I_j| / sum_(j<=n) log d_j over the last tenth
+    of CANTOR_TERMS terms, a stand-in for the liminf (which no finite prefix
+    determines); the bracket spans r_n over that window.
 
-    Logs are summed (never the products themselves), so bases like d_n = 2^n
-    stay in float range.  Both prefix sums have closed forms: the level-set
-    logs and a constant or periodic basis repeat with their period P, so a
-    sum is (n // P) * fsum(cycle) + fsum(first n % P terms), and a power
-    basis d_n = b^n sums to log(b) * n(n+1)/2.  Each is one or two roundings
-    of correctly rounded sums, about 1 ulp, so r_n is built in O(1) for just
-    the n in the trailing window.  The side condition
-    log d_n / log(d_1...d_n) -> 0 is evaluated at n_max and flagged (not
-    failed) when it is still above 0.1.
+    Logs are summed, never the products themselves.  Both repeat with their
+    periods, so `_periodic_prefix` gives each sum to about 1 ulp in O(1), and
+    r_n is built for just the n in the window.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if window is not None and window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    sets = [tuple(sorted(set(int(d) for d in I))) for I in level_sets]
-    if not sets:
-        raise ValueError("need at least one level digit set")
-    for I in sets:
-        if not I:
-            raise ValueError("empty level digit set")
-    check_cantor_alignment(basis, sets)
-    sum_log_sizes = _periodic_prefix([math.log(len(I)) for I in sets])
-    if basis.kind == "power":
-        log_b = math.log(basis.base)
-
-        def sum_log_d(n):
-            return log_b * (n * (n + 1) // 2)
-
-    else:
-        sum_log_d = _periodic_prefix([math.log(v) for v in basis.values])
-    w = min(window if window is not None else max(100, n_max // 10), n_max)
-    ratios = tuple(sum_log_sizes(n) / sum_log_d(n) for n in range(n_max - w + 1, n_max + 1))
-    side = basis.log_d(n_max) / sum_log_d(n_max)
-    return CantorSeriesEstimate(
-        ratios=ratios,
-        proxy=min(ratios),
-        window=w,
-        terms=n_max,
-        side_condition_last=side,
-        side_condition_slow=side > 0.1,
+    if fam.kind != "Cantor":
+        raise UnsupportedFamilyError(f"{fam.kind} is not a Cantor series")
+    sum_log_sizes = _periodic_prefix([math.log(len(I)) for I in fam.level_sets])
+    sum_log_d = _periodic_prefix([math.log(v) for v in fam.basis])
+    n, window = CANTOR_TERMS, CANTOR_TERMS // 10
+    ratios = [sum_log_sizes(j) / sum_log_d(j) for j in range(n - window + 1, n + 1)]
+    return DimensionResult(
+        min(ratios), "liminf-estimate", 0.0, (min(ratios), max(ratios)), n,
+        note=f"min of r_n over the last {window} of {n} terms",
     )

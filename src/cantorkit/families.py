@@ -42,7 +42,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -53,7 +53,7 @@ from .errors import (
     InvalidDigitError,
     UnsupportedFamilyError,
 )
-from .radix import CantorBasis, DigitString
+from .radix import DigitString
 
 DEFAULT_CAP = 10**6
 
@@ -69,31 +69,13 @@ KINDS = tuple(_KEYS)
 BLOCK_KINDS = ("Tilde", "Blocks")
 
 
-def check_cantor_alignment(basis: CantorBasis, level_sets: Sequence[Sequence[int]]) -> None:
-    """Raise unless each level's largest digit lies below the d_j it pairs with.
-
-    Level j uses digit set I_((j-1) mod q); for a constant or periodic basis
-    the pairing repeats after lcm(p, q) levels, so one such cycle decides.  A
-    power basis grows, so its smallest element d_1 decides."""
-    if basis.kind == "power":
-        for I in level_sets:
-            if max(I) >= basis.base:
-                raise InvalidDigitError(f"digit {max(I)} not below every d_j >= {basis.base}")
-        return
-    q = len(level_sets)
-    for j in range(1, lcm(len(basis.values), q) + 1):
-        top = max(level_sets[(j - 1) % q])
-        if top >= basis.d(j):
-            raise InvalidDigitError(f"digit {top} >= d_{j} = {basis.d(j)}")
-
-
 class _FamilySpecFields(NamedTuple):
     kind: str
     s: int
     u: int | None
     period: tuple[int, ...] | None
     blocks: tuple[tuple[int, ...], ...] | None
-    basis: CantorBasis | None
+    basis: tuple[int, ...] | None
     level_sets: tuple[tuple[int, ...], ...] | None
 
 
@@ -107,7 +89,7 @@ class FamilySpec(_FamilySpecFields):
         u: int | None = None,
         period: tuple[int, ...] | None = None,
         blocks: tuple[tuple[int, ...], ...] | None = None,
-        basis: CantorBasis | None = None,
+        basis: tuple[int, ...] | None = None,
         level_sets: tuple[tuple[int, ...], ...] | None = None,
     ):
         if kind not in KINDS:
@@ -155,19 +137,28 @@ class FamilySpec(_FamilySpecFields):
         elif blocks is not None:
             raise FamilyConstraintError(f"{kind} takes no explicit block list")
         if kind == "Cantor":
-            if basis is None or not level_sets:
+            if not basis or not level_sets:
                 raise FamilyConstraintError("Cantor needs a basis and per-level digit sets")
-            if basis.kind != "power":  # a constant basis is stored as the periodic one the grammar reads
-                basis = CantorBasis.periodic(basis.values)
-                if s != max(basis.values):
-                    raise FamilyConstraintError(f"Cantor s={s} must be the largest basis value {max(basis.values)}")
+            basis = tuple(int(v) for v in basis)
+            if min(basis) < 2:
+                raise FamilyConstraintError(f"basis value {min(basis)} must be > 1")
+            if s != max(basis):
+                raise FamilyConstraintError(f"Cantor s={s} must be the largest basis value {max(basis)}")
             level_sets = tuple(tuple(sorted(set(int(d) for d in I))) for I in level_sets)
             for I in level_sets:
                 if not I:
                     raise FamilyConstraintError("empty level digit set")
                 if I[0] < 0:
                     raise InvalidDigitError("negative digit in level set")
-            check_cantor_alignment(basis, level_sets)
+            # level j pairs I_((j-1) mod q) with d_((j-1) mod p), so I_i meets d_k at
+            # some level exactly when i = k (mod gcd(p, q)) (Chinese remainder
+            # theorem): each residue class's largest digit and smallest value decide
+            g = gcd(len(basis), len(level_sets))
+            for c in range(g):
+                i = max(range(c, len(level_sets), g), key=lambda j: level_sets[j][-1])
+                k = min(range(c, len(basis), g), key=basis.__getitem__)
+                if level_sets[i][-1] >= basis[k]:
+                    raise InvalidDigitError(f"digit {level_sets[i][-1]} of I_{i + 1} >= d_{k + 1} = {basis[k]}")
         elif basis is not None or level_sets is not None:
             raise FamilyConstraintError(f"{kind} takes no Cantor basis")
         return super().__new__(cls, kind, s, u, period, blocks, basis, level_sets)
@@ -185,8 +176,7 @@ class FamilySpec(_FamilySpecFields):
     def label(self) -> str:
         """Canonical grammar form of this family: its kind's keys in `_KEYS`
         order, each written by its `_GRAMMAR` writer, so `parse_family` reads
-        it back to an equal spec.  A power basis writes ``d=[pow<b>]``, which
-        the grammar does not read: that basis is library-only."""
+        it back to an equal spec."""
         kind = self.kind
         keys = ((key, *_GRAMMAR[key]) for key in _KEYS[kind])
         args = ",".join(f"{key}={write(getattr(self, field))}" for key, field, _, write in keys)
@@ -235,6 +225,10 @@ def _checked(read, value, key: str):
         raise FamilyParseError(f"bad {key}: {exc}") from None
 
 
+def _read_list(text: str, key: str) -> tuple[int, ...]:
+    return _int_list(_inside(text, key), key)
+
+
 def _write_list(values) -> str:
     return "[" + ",".join(map(str, values)) + "]"
 
@@ -244,13 +238,11 @@ def _write_list(values) -> str:
 _GRAMMAR = {
     "s": ("s", lambda text, key: _checked(int, text, key), str),
     "u": ("u", lambda text, key: _checked(int, text, key), str),
-    "m": ("period", lambda text, key: _int_list(_inside(text, key), key), _write_list),
+    "m": ("period", _read_list, _write_list),
     "B": ("blocks",  # one block of digits between semicolons: [0 2;1]
           lambda text, key: tuple(_int_list(b, key) for b in _inside(text, key).split(";")),
           lambda blocks: "[" + ";".join(" ".join(map(str, b)) for b in blocks) + "]"),
-    "d": ("basis",  # a power basis has no values, and is written but never read
-          lambda text, key: _checked(CantorBasis.periodic, _int_list(_inside(text, key), key), key),
-          lambda basis: _write_list(basis.values) if basis.values else f"[pow{basis.base}]"),
+    "d": ("basis", _read_list, _write_list),
     "I": ("level_sets",  # braced digit sets, one per level: [{0,2},{1}]
           lambda text, key: tuple(_int_list(_inside(I, key, "{}"), key) for I in _split_args(_inside(text, key))),
           lambda sets: "[" + ",".join("{" + ",".join(map(str, I)) + "}" for I in sets) + "]"),
@@ -283,7 +275,7 @@ def parse_family(text: str) -> FamilySpec:
         field, read, _ = _GRAMMAR[key]
         fields[field] = read(args[key], key)
     if kind == "Cantor":
-        fields["s"] = max(fields["basis"].values)
+        fields["s"] = max(fields["basis"], default=0)  # an empty basis is refused by FamilySpec
     try:
         return FamilySpec(kind, **fields)
     except (FamilyConstraintError, InvalidDigitError) as exc:
@@ -420,10 +412,8 @@ def digit_map(fam: FamilySpec, sel, phase: int = 0) -> DigitMap:
     if kind == "Sminus":
         return (0,) * (sel - 1) + (sel,), -sel, -1, s**sel, 0
     if kind == "Cantor":
-        nxt = phase + 1
-        if fam.basis.kind != "power":  # a power basis never repeats
-            nxt %= lcm(len(fam.basis.values), len(fam.level_sets))
-        return (sel,), sel, 1, fam.basis.d(phase + 1), nxt
+        nxt = (phase + 1) % lcm(len(fam.basis), len(fam.level_sets))
+        return (sel,), sel, 1, fam.basis[phase % len(fam.basis)], nxt
     if kind in BLOCK_KINDS:
         if kind == "Blocks":
             block = fam.blocks[sel]

@@ -1,9 +1,7 @@
 """Exact evaluation of positional number expansions.
 
-Everything here is computed over `fractions.Fraction`.  The one
-float-valued function is `CantorBasis.log_d`, which gives the dimension
-estimates log d_n without materialising d_n.  Supported expansions, for an
-integer base s > 1:
+Everything here is computed over `fractions.Fraction`.  Supported
+expansions, for an integer base s > 1:
 
 * s-adic:                 x = sum_n  a_n s^-n,          a_n in {0..s-1}
 * nega-s-adic:            x = sum_n (-1)^n a_n s^-n
@@ -18,9 +16,8 @@ arithmetic); those two tail forms are the only closures supported.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import InvalidDigitError, OutOfRangeError
 
@@ -68,69 +65,6 @@ class DigitString:
 
     def __iter__(self):
         return iter(self.digits)
-
-
-class _CantorBasisFields(NamedTuple):
-    kind: str
-    values: tuple[int, ...]
-    base: int
-
-
-class CantorBasis(_CantorBasisFields):
-    """A deterministic generator of a basis sequence (d_n), d_n >= 2.
-
-    Three generator kinds are supported:
-
-    * ``constant``: d_n = values[0] for all n
-    * ``periodic``: d_n cycles through ``values``
-    * ``power``:    d_n = base**n (queried lazily; ``log_d`` avoids ever
-      materialising the huge integers)
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, values: tuple[int, ...] = (), base: int = 0):
-        if kind not in ("constant", "periodic", "power"):
-            raise ValueError(f"unknown basis kind {kind!r}")
-        values = tuple(int(v) for v in values)
-        if kind in ("constant", "periodic"):
-            if not values:
-                raise ValueError("constant/periodic basis needs at least one value")
-            for v in values:
-                if v < 2:
-                    raise ValueError(f"basis value {v} must be > 1")
-        else:
-            if base < 2:
-                raise ValueError(f"power basis needs base >= 2, got {base}")
-        return super().__new__(cls, kind, values, base)
-
-    @classmethod
-    def constant(cls, d: int) -> "CantorBasis":
-        return cls("constant", (d,))
-
-    @classmethod
-    def periodic(cls, values: Sequence[int]) -> "CantorBasis":
-        return cls("periodic", tuple(values))
-
-    @classmethod
-    def power(cls, base: int) -> "CantorBasis":
-        return cls("power", (), base)
-
-    def d(self, n: int) -> int:
-        """The n-th basis element, 1-indexed."""
-        if n < 1:
-            raise ValueError("basis index starts at 1")
-        if self.kind == "constant":
-            return self.values[0]
-        if self.kind == "periodic":
-            return self.values[(n - 1) % len(self.values)]
-        return self.base**n
-
-    def log_d(self, n: int) -> float:
-        """log d_n without materialising d_n (d_n can be astronomically big)."""
-        if self.kind == "power":
-            return n * math.log(self.base)
-        return math.log(self.d(n))
 
 
 def _check_digit(d: int, bound: int, what: str = "digit") -> int:
@@ -185,12 +119,18 @@ def eval_negasadic(d: DigitString, tail: Sequence[int] = ()) -> Fraction:
     return value
 
 
-def eval_cantor(eps: Sequence[int], basis: CantorBasis, alternating: bool = False) -> Fraction:
-    """Exact value of a (possibly alternating) Cantor series over `basis`."""
+def eval_cantor(eps: Sequence[int], basis: Sequence[int], alternating: bool = False) -> Fraction:
+    """Exact value of a (possibly alternating) Cantor series over the basis
+    repeating `basis`: d_n = basis[(n-1) mod len(basis)]."""
+    basis = tuple(int(v) for v in basis)
+    if not basis:
+        raise ValueError("a Cantor basis needs at least one value")
+    if min(basis) < 2:
+        raise ValueError(f"basis value {min(basis)} must be > 1")
     value = Fraction(0)
     denom = 1
     for n, e in enumerate(eps, 1):
-        dn = basis.d(n)
+        dn = basis[(n - 1) % len(basis)]
         e = _check_digit(e, dn)
         denom *= dn
         term = Fraction(e, denom)

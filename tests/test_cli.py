@@ -136,6 +136,16 @@ def test_boxcount_csv(capsys):
         assert gap <= 0.02
 
 
+@pytest.mark.parametrize("family", ("Blocks(s=2,B=[0;1 0])", "MDper(s=2,m=[3])"))
+def test_boxcount_default_scales_span_two_decades_at_base_two(capsys, family):
+    # 4:10 spans 2^6 = 64 < 100 at s = 2, so the default reaches 4:11
+    code, out = run(capsys, "boxcount", family)
+    assert code == 0
+    rows = out.strip().splitlines()
+    assert rows[0] == "eps,count" and rows[9].startswith("# slope,")
+    assert [float(r.split(",")[0]) for r in rows[1:9]] == [2.0**-n for n in range(4, 12)]
+
+
 def test_blocks_output(capsys):
     _, out = run(capsys, "blocks", "Tilde(s=4)")
     payload = json.loads(out)
@@ -336,6 +346,16 @@ def test_out_file(tmp_path, capsys):
     code = main(["dim", "S(s=3)", "--out", str(target)])
     assert code == 0
     assert json.loads(target.read_text())["family"] == "S(s=3)"
+
+
+@pytest.mark.parametrize("where", ("dir", "missing/dir/x.csv"))
+def test_unwritable_out_is_an_error_not_a_traceback(tmp_path, capsys, where):
+    (tmp_path / "dir").mkdir()
+    target = tmp_path / where
+    assert main(["dim", "S(s=3)", "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write --out {target}: ")
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -3,10 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from cantorkit import (
-    CantorBasis,
     CapExceededError,
     FamilyConstraintError,
-    FamilySpec,
     IntervalR,
     UnsupportedFamilyError,
     covering_sums,
@@ -150,12 +148,6 @@ def test_oracle_block_and_gap_families():
 def test_oracle_rejects_md():
     with pytest.raises(UnsupportedFamilyError):
         tail_extrema_oracle(parse_family("MD(s=3)"), (), 4)
-    # a power basis d_n = 2^n never repeats a phase: refused, not walked forever
-    power = FamilySpec("Cantor", 2, basis=CantorBasis.power(2), level_sets=((0, 1),))
-    with pytest.raises(UnsupportedFamilyError):
-        cylinder_hull(power, (1,))
-    with pytest.raises(UnsupportedFamilyError):
-        tail_extrema_oracle(power, (), 4)
 
 
 def test_affine_hull_solver():

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from cantorkit import (
     BlockSet,
-    CantorBasis,
+    FamilySpec,
     OutOfRangeError,
+    UnsupportedFamilyError,
     block_dimension,
     blocks_of_family,
     cantor_series_dim_estimate,
@@ -17,6 +18,7 @@ from cantorkit import (
     parse_family,
     periodic_dimension,
 )
+from cantorkit.dimension import CANTOR_TERMS
 
 LOG32 = math.log(2) / math.log(3)
 
@@ -155,47 +157,38 @@ def test_block_dims_stay_in_unit_interval():
 
 
 def test_cantor_series_estimate():
-    est = cantor_series_dim_estimate(CantorBasis.constant(3), [(0, 2)], 2000)
-    assert abs(est.proxy - LOG32) <= 1e-12
-    assert not est.side_condition_slow
-    est = cantor_series_dim_estimate(CantorBasis.constant(4), [(2,)], 500)
-    assert est.proxy == 0.0
-    est = cantor_series_dim_estimate(CantorBasis.power(2), [(0, 1)], 3000)
-    assert est.proxy <= 2 / (3000 * 0.9 + 1) + 1e-9
-    r = est.to_dimension_result()
-    assert r.method == "liminf-estimate" and r.iterations == 3000
-    assert r.note == "min of r_n over the last 300 of 3000 terms"
-    assert est.terms == 3000 and len(est.ratios) == est.window == 300
+    r = cantor_series_dim_estimate(FamilySpec("Cantor", 3, basis=(3,), level_sets=[(0, 2)]))
+    assert abs(r.alpha - LOG32) <= 1e-12
+    assert r.method == "liminf-estimate" and r.iterations == 100_000
+    assert r.note == "min of r_n over the last 10000 of 100000 terms"
+    r = cantor_series_dim_estimate(FamilySpec("Cantor", 4, basis=(4,), level_sets=[(2,)]))
+    assert r.alpha == 0.0
     with pytest.raises(ValueError):
-        cantor_series_dim_estimate(CantorBasis.constant(3), [(0, 5)], 100)
+        FamilySpec("Cantor", 3, basis=(3,), level_sets=[(0, 5)])
     with pytest.raises(ValueError):
-        cantor_series_dim_estimate(CantorBasis.constant(3), [()], 100)
-
-
-@pytest.mark.parametrize("window", [0, -5])
-def test_cantor_series_estimate_refuses_empty_window(window):
-    with pytest.raises(ValueError, match="window must be >= 1"):
-        cantor_series_dim_estimate(CantorBasis.constant(3), [(0, 2)], 50, window=window)
+        FamilySpec("Cantor", 3, basis=(3,), level_sets=[()])
+    with pytest.raises(UnsupportedFamilyError, match="S is not a Cantor series"):
+        cantor_series_dim_estimate(parse_family("S(s=3)"))
 
 
 def test_cantor_series_alignment_checks_a_whole_lcm_cycle():
-    # level 12 pairs I_2 = {0,4} with d_12 = 3; 2 * max(p, q) = 10 levels miss it
-    basis, sets = CantorBasis.periodic([5, 5, 3]), [(0, 1), (0, 4), (0, 1), (0, 1), (0, 1)]
-    with pytest.raises(ValueError, match="digit 4 >= d_12 = 3"):
-        cantor_series_dim_estimate(basis, sets, 100)
-    with pytest.raises(ValueError, match="digit 4 >= d_12 = 3"):
+    # level 12 pairs I_2 = {0,4} with d_12 = d_3 = 3; 2 * max(p, q) = 10 levels miss it
+    basis, sets = (5, 5, 3), [(0, 1), (0, 4), (0, 1), (0, 1), (0, 1)]
+    with pytest.raises(ValueError, match="digit 4 of I_2 >= d_3 = 3"):
+        FamilySpec("Cantor", 5, basis=basis, level_sets=sets)
+    with pytest.raises(ValueError, match="digit 4 of I_2 >= d_3 = 3"):
         parse_family("Cantor(d=[5,5,3],I=[{0,1},{0,4},{0,1},{0,1},{0,1}])")
 
 
 def _kahan_estimate(basis, level_sets, n_max):
     """Reference: r_n by a Kahan-compensated running sum over every n <= n_max.
 
-    Returns (min and max of r_n over the default window, side condition)."""
+    Returns the min and max of r_n over the last tenth of the terms."""
     log_sizes = [math.log(len(set(I))) for I in level_sets]
     num = num_c = den = den_c = 0.0
     ratios = []
     for n in range(1, n_max + 1):
-        ld = basis.log_d(n)
+        ld = math.log(basis[(n - 1) % len(basis)])
         y = log_sizes[(n - 1) % len(log_sizes)] - num_c
         t = num + y
         num_c = (t - num) - y
@@ -205,8 +198,8 @@ def _kahan_estimate(basis, level_sets, n_max):
         den_c = (t - den) - y
         den = t
         ratios.append(num / den)
-    tail = ratios[-min(max(100, n_max // 10), n_max) :]
-    return min(tail), max(tail), ld / den
+    tail = ratios[-(n_max // 10) :]
+    return min(tail), max(tail)
 
 
 QUERY_CANTOR = (
@@ -220,21 +213,14 @@ QUERY_CANTOR = (
 
 
 @pytest.mark.parametrize(
-    "basis, level_sets, n_max",
-    [
-        pytest.param(parse_family(t).basis, parse_family(t).level_sets, 100_000, id=t)
-        for t in QUERY_CANTOR
-    ]
-    + [
-        pytest.param(CantorBasis.constant(7), [(0, 3), (1, 2, 5), (6,)], 100_000, id="d=7"),
-        pytest.param(CantorBasis.power(2), [(0, 1)], 3000, id="d=2^n"),
-        pytest.param(CantorBasis.power(3), [(0, 2), (1,)], 10_000, id="d=3^n"),
-    ],
+    "fam",
+    [pytest.param(parse_family(t), id=t) for t in QUERY_CANTOR]
+    + [pytest.param(FamilySpec("Cantor", 7, basis=(7,), level_sets=[(0, 3), (1, 2, 5), (6,)]), id="d=7")],
 )
-def test_cantor_series_estimate_matches_kahan_loop(basis, level_sets, n_max):
-    est = cantor_series_dim_estimate(basis, level_sets, n_max)
-    got = (est.proxy, max(est.ratios), est.side_condition_last)
-    for new, ref in zip(got, _kahan_estimate(basis, level_sets, n_max)):
+def test_cantor_series_estimate_matches_kahan_loop(fam):
+    r = cantor_series_dim_estimate(fam)
+    got = (r.alpha, r.bracket[1])
+    for new, ref in zip(got, _kahan_estimate(fam.basis, fam.level_sets, CANTOR_TERMS)):
         assert abs(new - ref) <= 4 * math.ulp(ref)
         assert f"{new:.12g}" == f"{ref:.12g}"
 
@@ -245,20 +231,17 @@ def test_cantor_series_estimate_near_periodic_limit(text):
     # r_n - L = (a_r - L b_r) / B_n with r = n mod C and a, b the within-cycle
     # prefix sums of log|I_j| and log d_j
     fam = parse_family(text)
-    values, sets = fam.basis.values, fam.level_sets
+    values, sets = fam.basis, fam.level_sets
     cycle = math.lcm(len(values), len(sets))
     a = [math.fsum(math.log(len(sets[j % len(sets)])) for j in range(r)) for r in range(cycle + 1)]
     b = [math.fsum(math.log(values[j % len(values)]) for j in range(r)) for r in range(cycle + 1)]
     limit = a[cycle] / b[cycle]
     spread = max(abs(a[r] - limit * b[r]) for r in range(cycle))
-    n_max = 100_000
-    est = cantor_series_dim_estimate(fam.basis, sets, n_max)
-    first = n_max - est.window + 1
+    first = CANTOR_TERMS - CANTOR_TERMS // 10 + 1
     prefix_d = math.fsum(math.log(values[j % len(values)]) for j in range(first))
-    assert abs(est.proxy - limit) <= spread / prefix_d + 4 * math.ulp(limit)
+    assert abs(cantor_series_dim_estimate(fam).alpha - limit) <= spread / prefix_d + 4 * math.ulp(limit)
 
 
 def test_family_dimension_of_cantor_is_the_liminf_estimate():
     fam = parse_family("Cantor(d=[3],I=[{0,2}])")
-    est = cantor_series_dim_estimate(fam.basis, fam.level_sets, 100_000)
-    assert family_dimension(fam) == est.to_dimension_result()
+    assert family_dimension(fam) == cantor_series_dim_estimate(fam)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -5,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorkit import (
-    CantorBasis,
     CapExceededError,
     FamilyConstraintError,
     FamilyParseError,
@@ -43,8 +43,7 @@ def specs(draw):
     kind = draw(st.sampled_from(("S", "Su", "NSu", "Sminus", "Tilde", "MD", "MDper", "Blocks", "Cantor")))
     if kind == "Cantor":
         values = draw(st.lists(st.integers(2, 12), min_size=1, max_size=3))
-        constant = len(values) == 1 and draw(st.booleans())
-        basis = CantorBasis.constant(values[0]) if constant else CantorBasis.periodic(values)
+        basis = tuple(values)
         digits = st.lists(st.integers(0, min(values) - 1), min_size=1, max_size=4)
         return FamilySpec(kind, max(values), basis=basis, level_sets=draw(st.lists(digits, min_size=1, max_size=3)))
     s = draw(st.integers(2 if kind in ("MD", "MDper", "Blocks") else 3, 12))
@@ -62,6 +61,16 @@ def specs(draw):
 @given(specs())
 def test_label_parses_back_to_an_equal_spec(fam):
     assert parse_family(fam.label()) == fam
+
+
+def test_cantor_alignment_is_linear_in_the_list_lengths():
+    # 2,000 basis values and 2,001 level sets: lcm 4,002,000 levels, never walked
+    basis = ",".join(str(3 + k % 5) for k in range(2000))
+    sets = ",".join(f"{{0,{1 + k % 2}}}" for k in range(2001))
+    start = time.perf_counter()
+    fam = parse_family(f"Cantor(d=[{basis}],I=[{sets}])")
+    assert time.perf_counter() - start < 0.5
+    assert len(fam.basis) == 2000 and len(fam.level_sets) == 2001 and fam.s == 7
 
 
 def test_grammar_errors():

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorkit import (
-    CantorBasis,
     DigitString,
     InvalidDigitError,
     OutOfRangeError,
@@ -46,17 +45,21 @@ def test_negasadic_range(s, raw):
 
 
 def test_cantor_series():
-    basis = CantorBasis.periodic([2, 3, 4])
+    basis = (2, 3, 4)
     assert eval_cantor((1, 2, 3), basis) == F(23, 24)
     assert eval_cantor((1, 2, 3), basis, alternating=True) == F(-7, 24)
     with pytest.raises(InvalidDigitError):
-        eval_cantor((2,), CantorBasis.constant(2))
+        eval_cantor((2,), (2,))
+    with pytest.raises(ValueError, match="a Cantor basis needs at least one value"):
+        eval_cantor((), ())
+    with pytest.raises(ValueError, match="basis value 1 must be > 1"):
+        eval_cantor((0,), (2, 1))
 
 
 @given(st.integers(2, 6), st.lists(st.integers(0, 9), max_size=10))
 def test_cantor_constant_basis_degenerates_to_sadic(s, raw):
     digits = tuple(d % s for d in raw)
-    assert eval_cantor(digits, CantorBasis.constant(s)) == eval_sadic(DigitString(s, digits))
+    assert eval_cantor(digits, (s,)) == eval_sadic(DigitString(s, digits))
 
 
 def test_negas_cantor():
@@ -79,7 +82,7 @@ def test_odd_gap_series_equals_alternating_cantor(s, raw):
     gaps = tuple(2 * (m % 4) + 1 for _, m in raw)
     eps = tuple(e % s for e, _ in raw)
     lhs = eval_negas_cantor(eps, gaps, s)
-    rhs = eval_cantor(eps, CantorBasis.periodic([s**m for m in gaps] or [s]), alternating=True)
+    rhs = eval_cantor(eps, [s**m for m in gaps] or [s], alternating=True)
     assert lhs == rhs
 
 

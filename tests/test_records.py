@@ -16,10 +16,10 @@ from cantorkit.cylinders import (
     PropertyResult,
     VerificationReport,
 )
-from cantorkit.dimension import CantorSeriesEstimate, DimensionResult
+from cantorkit.dimension import DimensionResult
 from cantorkit.errors import FamilyConstraintError, FamilyParseError, InvalidDigitError
 from cantorkit.families import BlockSet, FamilySpec
-from cantorkit.radix import CantorBasis, DigitString
+from cantorkit.radix import DigitString
 
 IV = IntervalR(F(1, 4), F(1, 2))
 ENTRY = OrderingEntry(0, 1, "right-to-left", "right-to-left", True)
@@ -28,7 +28,6 @@ PROPERTY = PropertyResult("nesting", 3, True, ())
 #: (construction, one of its fields)
 RECORDS = [
     (lambda: DigitString(3, (0, 2, 1)), "digits"),
-    (lambda: CantorBasis.periodic([2, 3]), "values"),
     (lambda: FamilySpec("Blocks", 3, blocks=((2, 0), (1,))), "blocks"),
     (lambda: BlockSet(((1,), (0, 1)), ((1, 1), (2, 1))), "histogram"),
     (lambda: IntervalR(F(1, 4), F(1, 2)), "lo"),
@@ -41,7 +40,6 @@ RECORDS = [
     (lambda: ScaleCount(0.5, 2), "count"),
     (lambda: FitResult(0.6, 0.99, (0.5, 0.25)), "r2"),
     (lambda: DimensionResult(0.5, "block-root", 0.0, (0.4, 0.6), 10), "alpha"),
-    (lambda: CantorSeriesEstimate((0.5, 0.6), 0.5, 2, 10, 0.1, False), "proxy"),
 ]
 
 
@@ -57,20 +55,13 @@ def test_records_are_immutable_values(make, field):
     assert a == b == copy.copy(a) == pickle.loads(pickle.dumps(a))
 
 
-POWER3 = CantorBasis.power(3)
-
-
 def cantor3(level_sets=None):
-    return FamilySpec("Cantor", 3, basis=POWER3, level_sets=level_sets)
+    return FamilySpec("Cantor", 3, basis=(3,), level_sets=level_sets)
 
 
 INVALID = [
     (lambda: DigitString(1, ()), InvalidDigitError, "base must be >= 2, got 1"),
     (lambda: DigitString(3, (0, 3)), InvalidDigitError, "digit 3 outside alphabet of base 3"),
-    (lambda: CantorBasis("bogus"), ValueError, "unknown basis kind 'bogus'"),
-    (lambda: CantorBasis("constant"), ValueError, "constant/periodic basis needs at least one value"),
-    (lambda: CantorBasis.periodic([2, 1]), ValueError, "basis value 1 must be > 1"),
-    (lambda: CantorBasis.power(1), ValueError, "power basis needs base >= 2, got 1"),
     (lambda: FamilySpec("Q", 3), FamilyParseError, "unknown family kind 'Q'"),
     (lambda: FamilySpec("S", 2), FamilyConstraintError, "S requires s > 2, got 2"),
     (lambda: FamilySpec("MD", 1), FamilyConstraintError, "MD requires s > 1, got 1"),
@@ -90,13 +81,18 @@ INVALID = [
     (lambda: cantor3(), FamilyConstraintError, "Cantor needs a basis and per-level digit sets"),
     (lambda: cantor3(((0,), ())), FamilyConstraintError, "empty level digit set"),
     (lambda: cantor3(((-1, 0),)), InvalidDigitError, "negative digit in level set"),
-    (lambda: cantor3(((0, 3),)), InvalidDigitError, "digit 3 not below every d_j >= 3"),
+    (lambda: cantor3(((0, 3),)), InvalidDigitError, "digit 3 of I_1 >= d_1 = 3"),
     (
-        lambda: FamilySpec("Cantor", 7, basis=CantorBasis.periodic([3]), level_sets=((0,),)),
+        lambda: FamilySpec("Cantor", 2, basis=(2, 1), level_sets=((0,),)),
+        FamilyConstraintError,
+        "basis value 1 must be > 1",
+    ),
+    (
+        lambda: FamilySpec("Cantor", 7, basis=(3,), level_sets=((0,),)),
         FamilyConstraintError,
         "Cantor s=7 must be the largest basis value 3",
     ),
-    (lambda: FamilySpec("MD", 3, basis=POWER3), FamilyConstraintError, "MD takes no Cantor basis"),
+    (lambda: FamilySpec("MD", 3, basis=(3,)), FamilyConstraintError, "MD takes no Cantor basis"),
     (lambda: IntervalR(1, 0), ValueError, "empty interval: 1 > 0"),
     (lambda: ScaleCount(0.0, 1), ValueError, "box width must be positive"),
     (lambda: ScaleCount(0.5, 0), ValueError, "count must be >= 1"),
@@ -120,7 +116,7 @@ def test_validated_records_normalise_their_fields():
     assert FamilySpec("MDper", 3, period=[5, 3]).period == (5, 3)
     assert FamilySpec("Blocks", 3, blocks=[[2, 0], [1], [0]]).blocks == ((0,), (1,), (2, 0))
     assert cantor3([[2, 0, 2], [1]]).level_sets == ((0, 2), (1,))
-    assert CantorBasis("periodic", [2, 3]).values == (2, 3)
+    assert FamilySpec("Cantor", 3, basis=[2, 3], level_sets=[[0, 1]]).basis == (2, 3)
     assert DigitString(3, [0, 2]).digits == (0, 2)
     assert FitResult(0.5, 1 + 1e-13, ()).r2 == 1.0
     assert DimensionResult(1 + 1e-13, "m", 0.0, (0.9, 1.0), 1).alpha == 1.0
