@@ -209,6 +209,8 @@ QUERY_CANTOR = (
     "Cantor(d=[2,3],I=[{0,1},{0,2}])",
     "Cantor(d=[5],I=[{0,2,4}])",
     "Cantor(d=[6],I=[{1,4}])",
+    "Cantor(d=[2,3,5],I=[{0,1},{1}])",  # coprime lengths: a cycle of 6 levels
+    "Cantor(d=[4,6],I=[{0,3},{1,2,5},{0},{2}])",  # gcd 2: I_odd meet d_1 only
 )
 
 

@@ -83,6 +83,11 @@ INVALID = [
     (lambda: cantor3(((-1, 0),)), InvalidDigitError, "negative digit in level set"),
     (lambda: cantor3(((0, 3),)), InvalidDigitError, "digit 3 of I_1 >= d_1 = 3"),
     (
+        lambda: FamilySpec("Cantor", 6, basis=(4, 6), level_sets=((0, 3), (1, 2, 5), (0, 4), (2,))),
+        InvalidDigitError,
+        "digit 4 of I_3 >= d_1 = 4",
+    ),
+    (
         lambda: FamilySpec("Cantor", 2, basis=(2, 1), level_sets=((0,),)),
         FamilyConstraintError,
         "basis value 1 must be > 1",
