@@ -11,8 +11,6 @@ significant digits, rationals as "p/q" strings.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import os
@@ -61,19 +59,20 @@ def _jdump(obj) -> str:
     raise TypeError(f"cannot serialise {type(obj)}")
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(1)
+def _int(text: str) -> int:
+    """Option type: an integer, as `int` reads it."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
 
 
 def _at_least(low: int):
-    """argparse type: an integer >= `low`, written in plain digits."""
+    """Option type: an integer >= `low`, written in plain digits."""
 
     def parse(text: str) -> int:
-        if not text.strip().isdigit() or int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        if not text.strip().isdecimal() or int(text) < low:
+            raise ValueError(f"must be an integer >= {low}, got {text!r}")
         return int(text)
 
     return parse
@@ -81,8 +80,8 @@ def _at_least(low: int):
 
 def _scales(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
-    if not (sep and lo.strip().isdigit() and hi.strip().isdigit()):
-        raise argparse.ArgumentTypeError(f"must be n_lo:n_hi with integers >= 0, got {text!r}")
+    if not (sep and lo.strip().isdecimal() and hi.strip().isdecimal()):
+        raise ValueError(f"must be n_lo:n_hi with integers >= 0, got {text!r}")
     return int(lo), int(hi)
 
 
@@ -330,7 +329,7 @@ _COMMANDS = {
     )),
     "cylinder": (_cmd_cylinder, "exact cylinder interval and metrics", ("family",), (), (
         ("--addr", {"default": "", "help": "address digits, e.g. 1,2"}),
-        ("--child", {"type": int, "default": None}),
+        ("--child", {"type": _int, "default": None}),
     )),
     "verify": (_cmd_verify, "run the cylinder property suite", ("family", "depth", "cap"), ("text", "json"), ()),
     "cover": (_cmd_cover, "covering-sum table", ("family", "depth", "cap"), (), ()),
@@ -339,68 +338,192 @@ _COMMANDS = {
     )),
     "enumerate": (_cmd_enumerate, "admissible addresses at a depth", ("family", "depth", "cap"), ("text", "json"), ()),
     "convert": (_cmd_convert, "round-trip digits across representations", (), (), (
-        ("--base", {"type": int, "required": True}),
+        ("--base", {"type": _int, "required": True}),
         ("--digits", {"required": True}),
         ("--source", {"choices": ("sadic", "negasadic"), "default": "sadic"}),
         ("--target", {"choices": ("sadic", "negasadic"), "required": True}),
-        ("--length", {"type": int, "default": 8}),
+        ("--length", {"type": _int, "default": 8}),
     )),
 }
 
 
-def _add_arguments(p: _Parser, name: str) -> _Parser:
-    """Give `p` the arguments of command `name`: only the options its handler reads."""
-    func, _, shared, formats, own = _COMMANDS[name]
-    if "family" in shared:
-        p.add_argument("family")
+class _UsageError(Exception):
+    """A command line that runs no command; args: (its command or None, the message)."""
+
+
+class _Args:
+    """The values of one command line, as attributes named after its options."""
+
+    def __init__(self, values: dict):
+        self.__dict__.update(values)
+
+
+def _options(name: str) -> dict:
+    """Command `name`'s options, flag -> settings, in the order its usage lists them."""
+    _, _, shared, formats, own = _COMMANDS[name]
+    options = {"--help": {"help": "show this help message and exit"}}
     if "depth" in shared:
-        p.add_argument("--depth", type=_at_least(0), default=8)
+        options["--depth"] = {"type": _at_least(0), "default": 8}
     if "cap" in shared:
-        p.add_argument("--cap", type=_at_least(1), default=DEFAULT_CAP)
+        options["--cap"] = {"type": _at_least(1), "default": DEFAULT_CAP}
     if formats:
-        p.add_argument("--format", choices=formats, default=formats[0])
-    p.add_argument("--out", default=None)
-    for flag, kwargs in own:
-        p.add_argument(flag, **kwargs)
-    p.set_defaults(func=func)
-    return p
+        options["--format"] = {"choices": formats, "default": formats[0]}
+    options["--out"] = {"default": None}
+    options.update(own)
+    return options
 
 
-@functools.cache
-def build_parser() -> _Parser:
-    """The full parser tree, `cantorkit` with every subcommand, built once per process.
-
-    `main` reads it only when its first argument names no command: no
-    arguments, `-h`, an unknown command or a leading `--`."""
-    parser = _Parser(prog="cantorkit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (_, summary, *_) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=summary), name)
-    return parser
+def _invalid_choice(what: str, value: str, choices) -> str:
+    return f"argument {what}: invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
 
 
-@functools.cache
-def _command_parser(name: str) -> _Parser:
-    """The parser of command `name` alone: the subparser `build_parser` gives it."""
-    return _add_arguments(_Parser(prog=f"cantorkit {name}"), name)
+def _option(name, arg: str, flags) -> tuple[str, str | None] | None:
+    """How `arg` reads against the long `flags` of command `name`, as argparse
+    read it: None for a value, else the flag it names ("" for one the command
+    lacks) and the value glued on with "=" (None when there is none).
+
+    A flag may be cut to a unique prefix (`--dep`); "-", negative numbers and
+    text with a space are values."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    head, eq, glued = arg.partition("=")
+    glued = glued if eq else None
+    if arg.startswith("--"):
+        named = [head] if head in flags else [flag for flag in flags if flag.startswith(head)]
+        if len(named) > 1:
+            raise _UsageError(name, f"ambiguous option: {arg} could match {', '.join(named)}")
+        if named:
+            return named[0], glued
+    elif arg.startswith("-h"):  # "-hx" and "-h=x" glue x to -h
+        return "--help", (None if arg == "-h" else glued if head == "-h" else arg[2:])
+    if (arg[1:].replace(".", "", 1).isdecimal() and arg[-1] != ".") or " " in arg:  # -1, -.5, -2.5
+        return None
+    return "", None
+
+
+def _show_help(name, glued):
+    """Print the help of command `name` (None: of `cantorkit`) for -h/--help."""
+    if glued is not None:
+        raise _UsageError(name, f"argument -h/--help: ignored explicit argument {glued!r}")
+    print(_help(name))
+
+
+def _read(argv):
+    """The handler and values of command line `argv`, read against `_COMMANDS`;
+    None when it asked for help, which is printed."""
+    extras = []  # options given before the command
+    for i, arg in enumerate(argv):
+        if arg in _COMMANDS:
+            return _read_command(arg, argv[i + 1 :], extras)
+        option = None if arg == "--" else _option(None, arg, ("--help",))
+        if option is None:
+            raise _UsageError(None, _invalid_choice("command", arg, _COMMANDS))
+        if option[0]:
+            return _show_help(None, option[1])
+        extras.append(arg)
+    raise _UsageError(None, "the following arguments are required: command")
+
+
+def _read_command(name: str, argv, extras):
+    """`_read` past the command name: options in any order around the family,
+    `--opt value` or `--opt=value`, the last of a repeated option winning, and
+    `--` ending the options."""
+    func, _, shared, _, _ = _COMMANDS[name]
+    options = _options(name)
+    values = {flag[2:]: spec.get("default") for flag, spec in options.items()}
+    wants_family, seen, ended, i = "family" in shared, set(), False, 0
+    while i < len(argv):
+        arg, i = argv[i], i + 1
+        if arg == "--" and not ended:
+            ended = True
+            continue
+        option = None if ended else _option(name, arg, options)
+        if option is None:
+            if wants_family and "family" not in values:
+                values["family"] = arg
+            else:
+                extras.append(arg)
+            continue
+        flag, text = option
+        if not flag:
+            extras.append(arg)
+            continue
+        if flag == "--help":
+            return _show_help(name, text)
+        if text is None:
+            if i == len(argv) or argv[i] == "--" or _option(name, argv[i], options) is not None:
+                raise _UsageError(name, f"argument {flag}: expected one argument")
+            text, i = argv[i], i + 1
+        spec = options[flag]
+        try:
+            value = spec.get("type", str)(text)
+        except ValueError as exc:
+            raise _UsageError(name, f"argument {flag}: {exc}") from None
+        if "choices" in spec and value not in spec["choices"]:
+            raise _UsageError(name, _invalid_choice(flag, value, spec["choices"]))
+        values[flag[2:]] = value
+        seen.add(flag)
+    missing = ["family"] if wants_family and "family" not in values else []
+    missing += [flag for flag, spec in options.items() if spec.get("required") and flag not in seen]
+    if missing:
+        raise _UsageError(name, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _UsageError(name, f"unrecognized arguments: {' '.join(extras)}")
+    return func, _Args(values)
+
+
+def _metavar(flag: str, spec: dict) -> str:
+    return "{" + ",".join(spec["choices"]) + "}" if "choices" in spec else flag[2:].upper()
+
+
+def _usage(name) -> str:
+    """The usage line of command `name`, or of `cantorkit` for None."""
+    if name is None:
+        return f"usage: cantorkit [-h] {{{','.join(_COMMANDS)}}} ..."
+    words = [f"usage: cantorkit {name} [-h]"]
+    for flag, spec in list(_options(name).items())[1:]:
+        word = f"{flag} {_metavar(flag, spec)}"
+        words.append(word if spec.get("required") else f"[{word}]")
+    return " ".join(words + ["family"] * ("family" in _COMMANDS[name][2]))
+
+
+def _rows(rows) -> str:
+    """Help rows: each name, then its help from column 24."""
+    return "\n".join(
+        (f"  {left:<20}  {right}" if len(left) <= 20 else f"  {left}\n{'':24}{right}").rstrip()
+        for left, right in rows
+    )
+
+
+def _help(name) -> str:
+    """The help of command `name`, or of `cantorkit` for None, from `_COMMANDS`."""
+    if name is None:
+        sections = [__doc__.strip(), "commands:\n" + _rows((cmd, row[1]) for cmd, row in _COMMANDS.items())]
+        options = {"--help": {"help": "show this help message and exit"}}
+    else:
+        sections = ["positional arguments:\n  family"] * ("family" in _COMMANDS[name][2])
+        options = _options(name)
+    rows = [
+        ("-h, --help" if flag == "--help" else f"{flag} {_metavar(flag, spec)}", spec.get("help", ""))
+        for flag, spec in options.items()
+    ]
+    return "\n\n".join([_usage(name), *sections, "options:\n" + _rows(rows)])
 
 
 def main(argv=None) -> int:
-    """Run one command line (default `sys.argv[1:]`) and return its exit code.
-
-    When the first argument names a command, only that command's parser is
-    built; anything else goes to the full tree of `build_parser`."""
+    """Run one command line (default `sys.argv[1:]`) and return its exit code."""
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in _COMMANDS:
-        parser, argv = _command_parser(argv[0]), argv[1:]
-    else:
-        parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        command = _read(argv)
+    except _UsageError as exc:
+        name, message = exc.args
+        sys.stderr.write(f"{_usage(name)}\nerror: {message}\n")
+        return 1
+    if command is None:  # -h printed the help
+        return 0
+    func, args = command
     try:
-        return args.func(args)
+        return func(args)
     except (CantorkitError, ValueError) as exc:
         # every library error, bad numbers included, is a usage error
         sys.stderr.write(f"error: {exc}\n")

@@ -15,6 +15,8 @@ of the defining equations are reported so callers can judge conditioning.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import OutOfRangeError, UnsupportedFamilyError
@@ -172,8 +174,9 @@ def _periodic_prefix(cycle: Sequence[float]) -> Callable[[int], float]:
     """n -> sum of the first n terms of the sequence repeating ``cycle``.
 
     That sum is (n // P) * fsum(cycle) + fsum(first n % P terms) for the
-    period P; both fsums are correctly rounded and computed once."""
-    partial = [math.fsum(cycle[:r]) for r in range(len(cycle) + 1)]
+    period P.  Each prefix sum is summed exactly in `Fraction`s and rounded
+    once, so it equals its `math.fsum`; the table takes O(P) sums, not O(P^2)."""
+    partial = [float(x) for x in accumulate(map(Fraction, cycle), initial=Fraction(0))]
     period, total = len(cycle), partial[-1]
     return lambda n: (n // period) * total + partial[n % period]
 

@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import json
 import os
@@ -10,8 +9,7 @@ from fractions import Fraction
 import pytest
 
 import cantorkit
-from cantorkit.cli import _COMMANDS, _command_parser, build_parser, main
-from cantorkit.errors import CantorkitError
+from cantorkit.cli import _COMMANDS, main
 
 
 def run(capsys, *argv):
@@ -180,10 +178,7 @@ def test_verify_failure_reports_address_and_rationals(capsys, monkeypatch):
     cyl._oracle_local.cache_clear()
 
 
-def test_back_to_back_commands_share_one_parser(capsys):
-    assert build_parser() is build_parser()
-    for name in _COMMANDS:
-        assert _command_parser(name) is _command_parser(name)
+def test_back_to_back_commands_carry_nothing_over(capsys):
     runs = [
         ("verify", "S(s=3)", "--depth", "2", "--format", "json"),
         ("cover", "S(s=3)", "--depth", "3"),
@@ -201,119 +196,104 @@ def test_back_to_back_commands_share_one_parser(capsys):
     assert first[1][1].count("\n") == 5 and first[2][1].startswith("family,alpha")
 
 
-#: one run of each command
-EVERY_COMMAND = (
-    ("dim", "S(s=3)"),
-    ("blocks", "S(s=3)"),
-    ("eval", "S(s=3)", "--alphas", "2,1"),
-    ("cylinder", "S(s=3)", "--addr", "1"),
-    ("verify", "S(s=3)", "--depth", "2"),
-    ("cover", "S(s=3)", "--depth", "2"),
-    ("boxcount", "S(s=3)", "--scales", "2:7"),
-    ("enumerate", "S(s=3)", "--depth", "1"),
-    ("convert", "--base", "3", "--digits", "0,2", "--target", "negasadic"),
-)
-
-
-def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    assert [argv[0] for argv in EVERY_COMMAND] == list(_COMMANDS)
-    tree = ["cantorkit"] + [f"cantorkit {name}" for name in _COMMANDS]
-    for argv, parsers in [(argv, [f"cantorkit {argv[0]}"]) for argv in EVERY_COMMAND] + [
-        (["-h"], tree),
-        ([], tree),
-        (["bogus"], tree),
-    ]:
-        build_parser.cache_clear()
-        _command_parser.cache_clear()
-        built.clear()
-        assert main(list(argv)) == (1 if argv in ([], ["bogus"]) else 0)
-        assert built == parsers, argv
-    capsys.readouterr()
-
-
-def test_importing_the_cli_builds_no_parser():
+def test_the_cli_never_loads_argparse():
     # -S: no site-packages .pth file pre-imports a module the package would not load;
-    # the records need no dataclasses or inspect, the box-count fit no statistics
+    # the records need no dataclasses or inspect, the box-count fit no statistics,
+    # and the command line is read without argparse, so gettext and locale stay out too
     src = os.path.dirname(os.path.dirname(cantorkit.__file__))
     script = (
-        "import argparse, sys\n"
-        "built = []\n"
-        "init = argparse.ArgumentParser.__init__\n"
-        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "import sys\n"
+        "heavy = {'argparse', 'gettext', 'locale', 'dataclasses', 'inspect', 'statistics'}\n"
         "import cantorkit.cli\n"
-        "print(len(built), sorted({'dataclasses', 'inspect', 'statistics'} & set(sys.modules)))\n"
+        "print(sorted(heavy & set(sys.modules)))\n"
+        "cantorkit.cli.main(['dim', 'S(s=3)'])\n"
+        "print(sorted(heavy & set(sys.modules)))\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 []\n", "")
+    lines = proc.stdout.splitlines()
+    assert (proc.returncode, proc.stderr, len(lines)) == (0, "", 3)
+    assert lines[0] == lines[2] == "[]" and json.loads(lines[1])["family"] == "S(s=3)"
 
 
-def run_full_tree(argv) -> int:
-    """Parse `argv` with the whole `build_parser()` tree and run its handler."""
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
-    try:
-        return args.func(args)
-    except (CantorkitError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-
-
-#: unrecognized arguments: the one case where a command's own parser prints
-#: its own usage line, not the top-level one
-UNRECOGNIZED = [("dim", "S(s=3)", "--depth", "3"), ("dim", "S(s=3)", "extra")]
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("-h",),
-        ("dim", "-h"),
-        ("eval", "-h"),
-        ("convert", "-h"),
-        (),
-        ("bogus",),
-        ("dim",),
-        ("verify", "S(s=3)", "--cap", "0"),
-        ("verify", "S(s=3)", "--format", "csv"),
-        ("boxcount", "S(s=3)", "--scales", "x:4"),
-        ("convert", "--base", "3"),
-        ("cover", "S(s=3)", "--dep", "2"),
-        ("cover", "S(s=3)", "--depth=2"),
-        ("dim", "--", "S(s=3)"),
-        ("--", "dim", "S(s=3)"),
-        ("--", "dim"),
-        ("cylinder", "S(s=3)", "--addr", "1", "--child", "x"),
-        *UNRECOGNIZED,
-    ],
+DIM_JSON = (
+    '{"family":"S(s=3)","alpha":0.438017879486,"method":"block-root","residual":1.97619698383e-14,'
+    '"bracket":[0.438017879486,0.438017879486],"iterations":45,"degenerate":false,'
+    '"note":"solved sum_k N_k t^k = 1 with t = s^-alpha; N = {1: 1, 2: 1}"}\n'
 )
-def test_a_command_parser_parses_like_the_full_tree(capsys, argv):
-    code = main(list(argv))
-    own = capsys.readouterr()
-    assert code == run_full_tree(list(argv))
-    tree = capsys.readouterr()
-    assert own.out == tree.out
-    if argv in UNRECOGNIZED:
-        assert own.err.startswith(f"usage: cantorkit {argv[0]} [-h] ")
-        assert tree.err.startswith("usage: cantorkit [-h]")
-        assert own.err[own.err.index("\nerror: ") :] == tree.err[tree.err.index("\nerror: ") :]
+DIM_CSV = "family,alpha,method,residual,degenerate\nS(s=3),0.438017879486,block-root,1.97619698383e-14,False\n"
+COVER_2 = "depth,exact,float\n0,1/4,0.25\n1,1/9,0.111111111111\n2,4/81,0.0493827160494\n"
+COMMANDS = "'dim', 'blocks', 'eval', 'cylinder', 'verify', 'cover', 'boxcount', 'enumerate', 'convert'"
+
+#: (argv, exit code, stdout, last stderr line), as the argparse parser this one
+#: replaced gave them; for -h the stdout column is the usage line, which
+#: argparse wrapped at the terminal width and this parser prints on one line
+ARGV_RECORDS = [
+    (("-h",), 0, "usage: cantorkit [-h] {dim,blocks,eval,cylinder,verify,cover,boxcount,enumerate,convert} ...", ""),
+    (("dim", "-h"), 0, "usage: cantorkit dim [-h] [--format {json,csv,text}] [--out OUT] family", ""),
+    (("eval", "-h"), 0, "usage: cantorkit eval [-h] [--out OUT] --alphas ALPHAS [--tail TAIL] family", ""),
+    (("convert", "-h"), 0, "usage: cantorkit convert [-h] [--out OUT] --base BASE --digits DIGITS "
+     "[--source {sadic,negasadic}] --target {sadic,negasadic} [--length LENGTH]", ""),
+    ((), 1, "", "error: the following arguments are required: command"),
+    (("bogus",), 1, "", f"error: argument command: invalid choice: 'bogus' (choose from {COMMANDS})"),
+    (("dim",), 1, "", "error: the following arguments are required: family"),
+    (("verify", "S(s=3)", "--cap", "0"), 1, "", "error: argument --cap: must be an integer >= 1, got '0'"),
+    (("verify", "S(s=3)", "--format", "csv"), 1, "",
+     "error: argument --format: invalid choice: 'csv' (choose from 'text', 'json')"),
+    (("boxcount", "S(s=3)", "--scales", "x:4"), 1, "",
+     "error: argument --scales: must be n_lo:n_hi with integers >= 0, got 'x:4'"),
+    (("convert", "--base", "3"), 1, "", "error: the following arguments are required: --digits, --target"),
+    (("cover", "S(s=3)", "--dep", "2"), 0, COVER_2, ""),
+    (("cover", "S(s=3)", "--d", "2"), 0, COVER_2, ""),
+    (("cover", "S(s=3)", "--depth=2"), 0, COVER_2, ""),
+    (("dim", "--", "S(s=3)"), 0, DIM_JSON, ""),
+    (("--", "dim", "S(s=3)"), 1, "", f"error: argument command: invalid choice: '--' (choose from {COMMANDS})"),
+    (("--", "dim"), 1, "", f"error: argument command: invalid choice: '--' (choose from {COMMANDS})"),
+    (("cylinder", "S(s=3)", "--addr", "1", "--child", "x"), 1, "", "error: argument --child: invalid int value: 'x'"),
+    (("dim", "S(s=3)", "--depth", "3"), 1, "", "error: unrecognized arguments: --depth 3"),
+    (("dim", "S(s=3)", "extra"), 1, "", "error: unrecognized arguments: extra"),
+    (("dim", "--format", "csv", "S(s=3)"), 0, DIM_CSV, ""),
+    (("dim", "S(s=3)", "--format", "text", "--format", "csv"), 0, DIM_CSV, ""),
+    (("dim", "S(s=3)", "--fo=csv"), 0, DIM_CSV, ""),
+    (("verify", "S(s=3)", "--depth"), 1, "", "error: argument --depth: expected one argument"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout, error", ARGV_RECORDS, ids=[" ".join(r[0]) or "-" for r in ARGV_RECORDS])
+def test_the_parser_reads_a_command_line_as_argparse_did(capsys, argv, code, stdout, error):
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    if "-h" in argv:
+        assert captured.out.startswith(stdout + "\n\n")
     else:
-        assert own.err == tree.err
+        assert captured.out == stdout
+    assert captured.err.splitlines()[-1:] == ([error] if error else [])
+    if error:  # a usage error follows the usage line of the command it names
+        named = argv[0] if argv and argv[0] in _COMMANDS else None
+        assert captured.err.startswith("usage: cantorkit " + (f"{named} [-h] " if named else "[-h] {"))
+        assert captured.err.count("\n") == 2
+
+
+def test_help_names_every_command_and_option(capsys):
+    assert main(["-h"]) == 0
+    out = capsys.readouterr().out
+    for name, (_, summary, *_) in _COMMANDS.items():
+        assert f"\n  {name}  " in out and summary in out, name
+    for name, (_, _, shared, formats, own) in _COMMANDS.items():
+        assert main([name, "-h"]) == 0
+        usage, _, body = capsys.readouterr().out.partition("\n")
+        assert usage.startswith(f"usage: cantorkit {name} [-h] ")
+        flags = [f"--{key}" for key in shared if key != "family"] + ["--format"] * bool(formats) + ["--out"]
+        for flag in flags + [flag for flag, _ in own]:
+            assert f"{flag} " in usage and f"\n  {flag} " in body, (name, flag)
+        if formats:
+            assert "{" + ",".join(formats) + "}" in usage
+        assert usage.endswith(" family") == ("family" in shared)
+        assert "\n  -h, --help " in body
 
 
 @pytest.mark.parametrize("argv", [("cover", "S(s=3)", "--depth", "3"), ("--help",)])
-def test_the_module_entry_point_runs_main(capsys, monkeypatch, argv):
-    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
+def test_the_module_entry_point_runs_main(capsys, argv):
     src = os.path.dirname(os.path.dirname(cantorkit.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
@@ -358,28 +338,36 @@ def test_unwritable_out_is_an_error_not_a_traceback(tmp_path, capsys, where):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+BAD_INT = "invalid literal for int() with base 10: 'x'"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, error",
     [
-        ("eval", "S(s=3)", "--alphas", "x"),
-        ("eval", "S(s=3)", "--alphas", "1,x"),
-        ("eval", "MD(s=2)", "--alphas", "3"),
-        ("cylinder", "S(s=3)", "--addr", "1,x"),
-        ("convert", "--base", "3", "--digits", "0,x", "--target", "negasadic"),
-        ("boxcount", "S(s=3)", "--scales", "5:4"),
-        ("convert", "--base", "3", "--digits", "0,2", "--target", "negasadic", "--length", "-1"),
-        ("enumerate", "S(s=3)", "--depth", "-1"),
-        ("boxcount", "S(s=3)", "--scales=-3:2"),
-        ("enumerate", "S(s=3)", "--depth", "0", "--cap", "-1"),
-        ("cover", "S(s=3)", "--depth", "0", "--cap", "0"),
-        ("boxcount", "S(s=3)", "--cap", "0"),
-        ("verify", "S(s=3)", "--cap", "1.5"),
+        (("eval", "S(s=3)", "--alphas", "x"), f"bad integer in --alphas: {BAD_INT}"),
+        (("eval", "S(s=3)", "--alphas", "1,x"), f"bad integer in --alphas: {BAD_INT}"),
+        (("eval", "MD(s=2)", "--alphas", "3"), "MD selectors are gap:digit pairs, got '3'"),
+        (("cylinder", "S(s=3)", "--addr", "1,x"), f"bad integer in --addr: {BAD_INT}"),
+        (("convert", "--base", "3", "--digits", "0,x", "--target", "negasadic"), f"bad integer in --digits: {BAD_INT}"),
+        (("boxcount", "S(s=3)", "--scales", "5:4"), "need at least 3 scales"),
+        (("convert", "--base", "3", "--digits", "0,2", "--target", "negasadic", "--length", "-1"),
+         "need at least one digit"),
+        (("enumerate", "S(s=3)", "--depth", "-1"), "argument --depth: must be an integer >= 0, got '-1'"),
+        (("boxcount", "S(s=3)", "--scales=-3:2"), "argument --scales: must be n_lo:n_hi with integers >= 0, got '-3:2'"),
+        (("enumerate", "S(s=3)", "--depth", "0", "--cap", "-1"), "argument --cap: must be an integer >= 1, got '-1'"),
+        (("cover", "S(s=3)", "--depth", "0", "--cap", "0"), "argument --cap: must be an integer >= 1, got '0'"),
+        (("boxcount", "S(s=3)", "--cap", "0"), "argument --cap: must be an integer >= 1, got '0'"),
+        (("verify", "S(s=3)", "--cap", "1.5"), "argument --cap: must be an integer >= 1, got '1.5'"),
+        # a superscript is a digit to str.isdigit but not to int
+        (("verify", "S(s=3)", "--depth", "\u00b2"), "argument --depth: must be an integer >= 0, got '\u00b2'"),
+        (("boxcount", "S(s=3)", "--scales", "\u00b2:7"),
+         "argument --scales: must be n_lo:n_hi with integers >= 0, got '\u00b2:7'"),
     ],
 )
-def test_bad_input_is_an_error_not_a_traceback(capsys, argv):
+def test_bad_input_is_an_error_not_a_traceback(capsys, argv, error):
     assert main(list(argv)) == 1
     err = capsys.readouterr().err
-    assert "error:" in err and "Traceback" not in err
+    assert err.splitlines()[-1] == f"error: {error}" and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ("verify", "cover"))

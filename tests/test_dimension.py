@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,7 @@ from cantorkit import (
     parse_family,
     periodic_dimension,
 )
-from cantorkit.dimension import CANTOR_TERMS
+from cantorkit.dimension import CANTOR_TERMS, _periodic_prefix
 
 LOG32 = math.log(2) / math.log(3)
 
@@ -242,6 +243,22 @@ def test_cantor_series_estimate_near_periodic_limit(text):
     first = CANTOR_TERMS - CANTOR_TERMS // 10 + 1
     prefix_d = math.fsum(math.log(values[j % len(values)]) for j in range(first))
     assert abs(cantor_series_dim_estimate(fam).alpha - limit) <= spread / prefix_d + 4 * math.ulp(limit)
+
+
+@pytest.mark.parametrize("seed, period", [(1, 1), (2, 2), (3, 7), (4, 250), (5, 10**4 + 1)])
+def test_periodic_prefix_equals_a_fsum_per_prefix(seed, period):
+    rng = random.Random(seed)
+    for cycle in (
+        [math.log(rng.randint(1, 60)) for _ in range(period)],  # the logs the estimate sums
+        [rng.uniform(0, 2) * 10.0 ** rng.randint(-12, 12) for _ in range(period)],  # wide magnitudes
+    ):
+        prefix = _periodic_prefix(cycle)
+        # one fsum per prefix is O(P^2): the long cycle checks every 10th prefix and its last 50
+        rs = range(period + 1) if period < 1000 else sorted({*range(0, period + 1, 10), *range(period - 50, period + 1)})
+        assert [prefix(r) for r in rs] == [math.fsum(cycle[:r]) for r in rs]
+        # past the first period, whole cycles add the rounded cycle sum
+        r = period // 2
+        assert prefix(3 * period + r) == 3 * math.fsum(cycle) + math.fsum(cycle[:r])
 
 
 def test_family_dimension_of_cantor_is_the_liminf_estimate():
