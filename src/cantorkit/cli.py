@@ -329,7 +329,7 @@ _COMMANDS = {
     )),
     "cylinder": (_cmd_cylinder, "exact cylinder interval and metrics", ("family",), (), (
         ("--addr", {"default": "", "help": "address digits, e.g. 1,2"}),
-        ("--child", {"type": _int, "default": None}),
+        ("--child", {"type": _int, "default": None, "help": "also report this child's width ratio (default none)"}),
     )),
     "verify": (_cmd_verify, "run the cylinder property suite", ("family", "depth", "cap"), ("text", "json"), ()),
     "cover": (_cmd_cover, "covering-sum table", ("family", "depth", "cap"), (), ()),
@@ -338,11 +338,13 @@ _COMMANDS = {
     )),
     "enumerate": (_cmd_enumerate, "admissible addresses at a depth", ("family", "depth", "cap"), ("text", "json"), ()),
     "convert": (_cmd_convert, "round-trip digits across representations", (), (), (
-        ("--base", {"type": _int, "required": True}),
-        ("--digits", {"required": True}),
-        ("--source", {"choices": ("sadic", "negasadic"), "default": "sadic"}),
-        ("--target", {"choices": ("sadic", "negasadic"), "required": True}),
-        ("--length", {"type": _int, "default": 8}),
+        ("--base", {"type": _int, "required": True, "help": "the base s of both representations"}),
+        ("--digits", {"required": True, "help": "source digits, e.g. 1,0,2"}),
+        ("--source", {
+            "choices": ("sadic", "negasadic"), "default": "sadic", "help": "representation of --digits (default sadic)",
+        }),
+        ("--target", {"choices": ("sadic", "negasadic"), "required": True, "help": "representation to convert to"}),
+        ("--length", {"type": _int, "default": 8, "help": "target digits to write (default 8)"}),
     )),
 }
 
@@ -363,12 +365,15 @@ def _options(name: str) -> dict:
     _, _, shared, formats, own = _COMMANDS[name]
     options = {"--help": {"help": "show this help message and exit"}}
     if "depth" in shared:
-        options["--depth"] = {"type": _at_least(0), "default": 8}
+        options["--depth"] = {"type": _at_least(0), "default": 8, "help": "deepest address level (default 8)"}
     if "cap" in shared:
-        options["--cap"] = {"type": _at_least(1), "default": DEFAULT_CAP}
+        options["--cap"] = {
+            "type": _at_least(1), "default": DEFAULT_CAP,
+            "help": f"most cylinders a run may enumerate (default {DEFAULT_CAP:,})",
+        }
     if formats:
-        options["--format"] = {"choices": formats, "default": formats[0]}
-    options["--out"] = {"default": None}
+        options["--format"] = {"choices": formats, "default": formats[0], "help": f"output format (default {formats[0]})"}
+    options["--out"] = {"default": None, "help": "file to write the output to (default stdout)"}
     options.update(own)
     return options
 
@@ -501,7 +506,8 @@ def _help(name) -> str:
         sections = [__doc__.strip(), "commands:\n" + _rows((cmd, row[1]) for cmd, row in _COMMANDS.items())]
         options = {"--help": {"help": "show this help message and exit"}}
     else:
-        sections = ["positional arguments:\n  family"] * ("family" in _COMMANDS[name][2])
+        family = "KIND(key=value,...), e.g. Su(s=5,u=2), Blocks(s=3,B=[0 2;1]), Cantor(d=[3],I=[{0,2}])"
+        sections = ["positional arguments:\n" + _rows([("family", family)])] * ("family" in _COMMANDS[name][2])
         options = _options(name)
     rows = [
         ("-h, --help" if flag == "--help" else f"{flag} {_metavar(flag, spec)}", spec.get("help", ""))

@@ -187,15 +187,28 @@ def cantor_series_dim_estimate(fam: FamilySpec) -> DimensionResult:
     determines); the bracket spans r_n over that window.
 
     Logs are summed, never the products themselves.  Both repeat with their
-    periods, so `_periodic_prefix` gives each sum to about 1 ulp in O(1), and
-    r_n is built for just the n in the window.
+    periods, so `_periodic_prefix` gives each sum to about 1 ulp in O(1).
+
+    Only 2L of the window's r_n are read, for the common period
+    L = lcm(#d, #I).  Along a residue class of n mod L, both sums grow by a
+    fixed step per L terms, so r_n = (a + k alpha) / (b + k beta) with
+    b, beta > 0: a monotone Moebius function of k, whose minimum and maximum
+    over the window fall on the class's first or last member.  Those lie among
+    the window's first and last L terms; when 2L >= window, the whole window
+    is read.  The cost is O(#d + #I + min(L, window)).  In a nearly constant
+    class, the rounded r_n at an interior member may fall an ulp or two
+    outside its ends, so a scan of the whole window can differ by that much.
     """
     if fam.kind != "Cantor":
         raise UnsupportedFamilyError(f"{fam.kind} is not a Cantor series")
     sum_log_sizes = _periodic_prefix([math.log(len(I)) for I in fam.level_sets])
     sum_log_d = _periodic_prefix([math.log(v) for v in fam.basis])
     n, window = CANTOR_TERMS, CANTOR_TERMS // 10
-    ratios = [sum_log_sizes(j) / sum_log_d(j) for j in range(n - window + 1, n + 1)]
+    first, period = n - window + 1, math.lcm(len(fam.basis), len(fam.level_sets))
+    ends = range(first, n + 1)
+    if 2 * period < window:  # each residue class's first and last member
+        ends = [*range(first, first + period), *range(n - period + 1, n + 1)]
+    ratios = [sum_log_sizes(j) / sum_log_d(j) for j in ends]
     return DimensionResult(
         min(ratios), "liminf-estimate", 0.0, (min(ratios), max(ratios)), n,
         note=f"min of r_n over the last {window} of {n} terms",

@@ -290,6 +290,13 @@ def test_help_names_every_command_and_option(capsys):
             assert "{" + ",".join(formats) + "}" in usage
         assert usage.endswith(" family") == ("family" in shared)
         assert "\n  -h, --help " in body
+        # every row has help text, on its own line or wrapped to the next one
+        rows = body.splitlines()
+        named = [(row, after) for row, after in zip(rows, rows[1:] + [""]) if row.startswith(("  -", "  family"))]
+        assert len(named) == 1 + len(flags) + len(own) + ("family" in shared)
+        for row, after in named:
+            text = row[2:].partition("  ")[2] or (after[24:] if after.startswith(" " * 24) else "")
+            assert text.strip(), (name, row)
 
 
 @pytest.mark.parametrize("argv", [("cover", "S(s=3)", "--depth", "3"), ("--help",)])

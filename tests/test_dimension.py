@@ -14,6 +14,7 @@ from cantorkit import (
     block_dimension,
     blocks_of_family,
     cantor_series_dim_estimate,
+    dimension,
     family_dimension,
     md_closed_form,
     parse_family,
@@ -226,6 +227,62 @@ def test_cantor_series_estimate_matches_kahan_loop(fam):
     for new, ref in zip(got, _kahan_estimate(fam.basis, fam.level_sets, CANTOR_TERMS)):
         assert abs(new - ref) <= 4 * math.ulp(ref)
         assert f"{new:.12g}" == f"{ref:.12g}"
+
+
+def _full_window_estimate(fam):
+    """Reference: min and max of r_n over every n of the window, one scan."""
+    sum_log_sizes = _periodic_prefix([math.log(len(I)) for I in fam.level_sets])
+    sum_log_d = _periodic_prefix([math.log(v) for v in fam.basis])
+    n, window = CANTOR_TERMS, CANTOR_TERMS // 10
+    ratios = [sum_log_sizes(j) / sum_log_d(j) for j in range(n - window + 1, n + 1)]
+    return min(ratios), max(ratios)
+
+
+@st.composite
+def aligned_cantor_specs(draw):
+    """A Cantor spec of 1-12 basis values and 1-12 level sets, the two lengths
+    drawn apart (coprime or sharing a factor).  I_i meets d_k exactly when
+    i = k mod gcd, so its digits stay below that residue class's least value."""
+    basis = tuple(draw(st.lists(st.integers(2, 9), min_size=1, max_size=12)))
+    q = draw(st.integers(1, 12))
+    g = math.gcd(len(basis), q)
+    sets = [draw(st.lists(st.integers(0, min(basis[i % g :: g]) - 1), min_size=1, max_size=4)) for i in range(q)]
+    return FamilySpec("Cantor", max(basis), basis=basis, level_sets=sets)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(aligned_cantor_specs())
+def test_two_periods_give_the_whole_window_estimate(fam):
+    r = cantor_series_dim_estimate(fam)
+    lo, hi = _full_window_estimate(fam)
+    for got, ref in zip((r.alpha, *r.bracket), (lo, lo, hi)):
+        assert abs(got - ref) <= 4 * math.ulp(ref)
+
+
+#: lcm(71, 73) = 5183 levels: two periods cover the window of 10,000
+WIDE_CANTOR = FamilySpec(
+    "Cantor", 10, basis=[2 + 5 * j % 9 for j in range(71)], level_sets=[(0, 1)[: 1 + (j % 3 > 0)] for j in range(73)]
+)
+
+
+def test_a_period_past_half_the_window_reads_the_whole_window():
+    r = cantor_series_dim_estimate(WIDE_CANTOR)
+    lo, hi = _full_window_estimate(WIDE_CANTOR)
+    assert (r.alpha, r.bracket) == (lo, (lo, hi))
+
+
+@pytest.mark.parametrize("fam", [parse_family(QUERY_CANTOR[6]), WIDE_CANTOR], ids=["lcm 6", "lcm 5183"])
+def test_the_estimate_reads_at_most_two_periods_of_the_window(monkeypatch, fam):
+    reads = []
+
+    def counted(cycle):
+        prefix = _periodic_prefix(cycle)
+        return lambda n: reads.append(n) or prefix(n)
+
+    monkeypatch.setattr(dimension, "_periodic_prefix", counted)
+    cantor_series_dim_estimate(fam)
+    period = math.lcm(len(fam.basis), len(fam.level_sets))
+    assert len(reads) == 2 * min(2 * period, CANTOR_TERMS // 10)  # both sums, once per r_n
 
 
 @pytest.mark.parametrize("text", QUERY_CANTOR)
