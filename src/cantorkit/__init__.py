@@ -42,9 +42,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .families import (
-    BlockSet,
     FamilySpec,
-    blocks_of_family,
     enumerate_addresses,
     eval_family_point,
     expand_address,

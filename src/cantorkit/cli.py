@@ -25,10 +25,11 @@ from .families import (
     DEFAULT_CAP,
     _int_list,
     _md_pair,
-    blocks_of_family,
+    block_histogram,
     enumerate_addresses,
     eval_family_point,
     expand_address,
+    family_blocks,
     parse_family,
 )
 from .radix import DigitString, digits_from_rational, eval_negasadic, eval_sadic
@@ -137,14 +138,15 @@ def _cmd_dim(args) -> int:
 
 def _cmd_blocks(args) -> int:
     fam = parse_family(args.family)
-    bs = blocks_of_family(fam)
+    md = fam.kind == "MD"  # infinitely many blocks: 0^(k-1) a for odd k >= 3, a != 0
+    blocks = () if md else family_blocks(fam)
     payload = {
         "family": fam.label(),
-        "count": bs.size,
-        "degenerate": bs.degenerate,
-        "analytic": bs.analytic,
-        "histogram": {str(k): n for k, n in bs.histogram},
-        "blocks": [" ".join(map(str, b)) for b in bs.blocks] if bs.blocks else None,
+        "count": len(blocks),
+        "degenerate": fam.degenerate,
+        "analytic": "odd-zero-runs" if md else None,
+        "histogram": block_histogram(blocks),
+        "blocks": [" ".join(map(str, b)) for b in blocks] if blocks else None,
     }
     _emit(_jdump(payload), args.out)
     return 0

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import lcm, log10, prod
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .errors import FamilyConstraintError, UnsupportedFamilyError
+from .errors import CapExceededError, FamilyConstraintError, UnsupportedFamilyError
 from .families import (
     DEFAULT_CAP,
     ROOT_FRAME,
@@ -231,11 +231,17 @@ PhaseMaps = Mapping[int, tuple[tuple[tuple[Fraction, Fraction], ...], int]]
 @lru_cache(maxsize=256)
 def _phase_maps(fam: FamilySpec) -> PhaseMaps:
     """The digit maps and the next phase of each phase reachable from 0:
-    the one place that lists a family's phases."""
+    the one place that lists a family's phases.  A hull solve composes the
+    maps round the whole cycle, so the walk is refused as soon as L x D
+    passes DEFAULT_CAP, for the L phases walked and D the decimal digits of
+    the product of their largest denominators."""
     system: dict = {}
-    phase = 0
+    phase, digits = 0, 0.0
     while phase not in system:
         maps = digit_maps(fam, phase).values()
+        digits += max(m for *_, m, _ in maps).bit_length() * log10(2)  # str() fails past 4,300 digits
+        if (len(system) + 1) * digits > DEFAULT_CAP:
+            raise CapExceededError(f"{len(system) + 1}+ phases of {digits:.0f} denominator digits: above the cap")
         nxt = next(iter(maps))[4]
         system[phase] = (tuple((Fraction(gn, m), Fraction(sk, m)) for _, gn, sk, m, _ in maps), nxt)
         phase = nxt

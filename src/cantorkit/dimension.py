@@ -17,10 +17,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import OutOfRangeError, UnsupportedFamilyError
-from .families import BlockSet, FamilySpec, blocks_of_family
+from .families import FamilySpec, block_histogram, family_blocks
 
 ROOT_TOL = 1e-13
 MAX_ITER = 200
@@ -81,19 +81,19 @@ def _alpha_from_t(t: float, s: int) -> float:
     return math.log(1.0 / t) / math.log(s)
 
 
-def block_dimension(s: int, blocks: BlockSet) -> DimensionResult:
-    """Root of sum_k N_k t^k = 1 in t = s^-alpha over the length histogram.
+def block_dimension(s: int, hist: Mapping[int, int]) -> DimensionResult:
+    """Root of sum_k N_k t^k = 1 in t = s^-alpha for the length histogram
+    `hist` = {k: N_k} of a finite block language (`block_histogram`).
 
     The polynomial is increasing on (0, 1), so bisection brackets the unique
-    root.  A block set with no finite histogram (MD's odd zero runs) is
-    refused: `md_closed_form` solves its cubic.
+    root.  An empty histogram is refused: MD's infinitely many odd zero runs
+    have none, and `md_closed_form` solves their cubic.
     """
     if s < 2:
         raise OutOfRangeError(f"base must be >= 2, got {s}")
-    if not blocks.histogram:
+    if not hist:
         raise ValueError("block set has no finite histogram; md_closed_form gives MD's dimension")
-    hist = blocks.counts()
-    if blocks.size == 1:
+    if sum(hist.values()) == 1:
         return DimensionResult(
             0.0, "block-root", 0.0, (0.0, 0.0), 0, degenerate=True,
             note="single block: the set is one point",
@@ -125,7 +125,7 @@ def family_dimension(fam: FamilySpec) -> DimensionResult:
     elif fam.kind == "MDper":
         result = periodic_dimension(fam.period)
     else:
-        result = block_dimension(fam.s, blocks_of_family(fam))
+        result = block_dimension(fam.s, block_histogram(family_blocks(fam)))
     return result._replace(degenerate=fam.degenerate)
 
 
@@ -189,13 +189,13 @@ def cantor_series_dim_estimate(fam: FamilySpec) -> DimensionResult:
     Logs are summed, never the products themselves.  Both repeat with their
     periods, so `_periodic_prefix` gives each sum to about 1 ulp in O(1).
 
-    Only 2L of the window's r_n are read, for the common period
-    L = lcm(#d, #I).  Along a residue class of n mod L, both sums grow by a
-    fixed step per L terms, so r_n = (a + k alpha) / (b + k beta) with
-    b, beta > 0: a monotone Moebius function of k, whose minimum and maximum
-    over the window fall on the class's first or last member.  Those lie among
-    the window's first and last L terms; when 2L >= window, the whole window
-    is read.  The cost is O(#d + #I + min(L, window)).  In a nearly constant
+    Only the window's first and last L terms are read, for the common period
+    L = lcm(#d, #I); when 2L >= window, they are the whole window.  Along a
+    residue class of n mod L, both sums grow by a fixed step per L terms, so
+    r_n = (a + k alpha) / (b + k beta) with b, beta > 0: a monotone Moebius
+    function of k, whose minimum and maximum over the window fall on the
+    class's first or last member, and those lie among the terms read.  The
+    cost is O(#d + #I + min(L, window)).  In a nearly constant
     class, the rounded r_n at an interior member may fall an ulp or two
     outside its ends, so a scan of the whole window can differ by that much.
     """
@@ -204,10 +204,8 @@ def cantor_series_dim_estimate(fam: FamilySpec) -> DimensionResult:
     sum_log_sizes = _periodic_prefix([math.log(len(I)) for I in fam.level_sets])
     sum_log_d = _periodic_prefix([math.log(v) for v in fam.basis])
     n, window = CANTOR_TERMS, CANTOR_TERMS // 10
-    first, period = n - window + 1, math.lcm(len(fam.basis), len(fam.level_sets))
-    ends = range(first, n + 1)
-    if 2 * period < window:  # each residue class's first and last member
-        ends = [*range(first, first + period), *range(n - period + 1, n + 1)]
+    terms, period = range(n - window + 1, n + 1), math.lcm(len(fam.basis), len(fam.level_sets))
+    ends = {*terms[:period], *terms[-period:]}  # each residue class's first and last member
     ratios = [sum_log_sizes(j) / sum_log_d(j) for j in ends]
     return DimensionResult(
         min(ratios), "liminf-estimate", 0.0, (min(ratios), max(ratios)), n,

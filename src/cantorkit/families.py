@@ -41,7 +41,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -282,41 +282,16 @@ def parse_family(text: str) -> FamilySpec:
         raise FamilyParseError(str(exc)) from exc
 
 
-# -- block sets ---------------------------------------------------------------
-
-
-class BlockSet(NamedTuple):
-    """A finite digit-block language, or an analytic stand-in for an infinite one.
-
-    ``histogram`` maps block length k to the count N_k.  The MD family has
-    infinitely many blocks (a zero run of any odd length >= 3 capped by a
-    nonzero digit); it is represented by the ``analytic`` tag and an empty
-    block tuple, never materialised.
-    """
-
-    blocks: tuple[tuple[int, ...], ...] | None
-    histogram: tuple[tuple[int, int], ...]
-    analytic: str | None = None
-    degenerate: bool = False
-
-    @property
-    def size(self) -> int:
-        return sum(n for _, n in self.histogram)
-
-    def counts(self) -> dict[int, int]:
-        return dict(self.histogram)
-
-
-def _histogram(blocks) -> tuple[tuple[int, int], ...]:
-    h: dict[int, int] = {}
-    for b in blocks:
-        h[len(b)] = h.get(len(b), 0) + 1
-    return tuple(sorted(h.items()))
+# -- block languages ----------------------------------------------------------
 
 
 @lru_cache(maxsize=256)
 def family_blocks(fam: FamilySpec) -> tuple[tuple[int, ...], ...]:
-    """The raw block tuple of a family with finitely many blocks."""
+    """The digit-block language defining `fam`, sorted by length, then digits;
+    MDper's blocks span a gap period.  MD (infinitely many blocks) is refused
+    by `level_choices`, a Cantor series (digits restricted per level) here."""
+    if fam.kind == "Cantor":
+        raise UnsupportedFamilyError("Cantor families restrict digits per level, not blocks")
     if fam.kind == "MDper":
         if fam.s ** len(fam.period) > DEFAULT_CAP:
             raise CapExceededError("MDper period blocks exceed the enumeration cap")
@@ -328,16 +303,9 @@ def family_blocks(fam: FamilySpec) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(blocks, key=lambda b: (len(b), b)))
 
 
-def blocks_of_family(fam: FamilySpec) -> BlockSet:
-    """The digit-block language defining `fam`, with its length histogram."""
-    if fam.kind == "Cantor":
-        raise UnsupportedFamilyError("Cantor families restrict digits per level, not blocks")
-    if fam.kind == "MD":
-        # one block 0^(k-1) a per odd length k >= 3 and nonzero digit a:
-        # N_k = s-1, generating function (s-1) t^3 / (1 - t^2)
-        return BlockSet(blocks=None, histogram=(), analytic="odd-zero-runs")
-    blocks = family_blocks(fam)
-    return BlockSet(blocks=blocks, histogram=_histogram(blocks), degenerate=len(blocks) == 1)
+def block_histogram(blocks) -> dict[int, int]:
+    """Block length k -> the count N_k of blocks of that length, by increasing k."""
+    return {k: len(list(same)) for k, same in groupby(sorted(map(len, blocks)))}
 
 
 # -- addresses ----------------------------------------------------------------
@@ -502,16 +470,14 @@ def membership_prefix(fam: FamilySpec, digits) -> bool:
     """Whether `digits` is a prefix of some admissible digit expansion.
 
     Dynamic programming over (position, phase) through the digit maps: a
-    block read at a phase leads to its map's next phase.  Any parse counts,
-    since the families are defined by digit appearance rather than unique
-    decodability.
+    block read at a phase leads to its map's next phase (a Cantor series'
+    phase is its level).  Any parse counts, since the families are defined
+    by digit appearance rather than unique decodability.
     """
     seq = digits.digits if isinstance(digits, DigitString) else tuple(int(d) for d in digits)
     for d in seq:
         if not 0 <= d < fam.s:
             raise InvalidDigitError(f"digit {d} outside alphabet of base {fam.s}")
-    if fam.kind == "Cantor":
-        raise UnsupportedFamilyError("Cantor families have per-level alphabets; check digits there")
     if fam.kind == "MD":
         return _md_prefix_ok(seq)
     n = len(seq)

@@ -11,7 +11,6 @@ from fractions import Fraction as F
 
 from cantorkit import (
     block_dimension,
-    blocks_of_family,
     box_dimension,
     cantor_series_dim_estimate,
     covering_sums,
@@ -23,6 +22,7 @@ from cantorkit import (
     sminus_diameter_constant,
     verify_family,
 )
+from cantorkit.families import block_histogram, family_blocks
 
 LOG32 = math.log(2) / math.log(3)
 PLASTIC = 1.324717957244746  # real root of x^3 - x = 1
@@ -78,7 +78,7 @@ def test_c04_tilde_block_count():
     bad = [
         s
         for s in range(4, 13)
-        if blocks_of_family(parse_family(f"Tilde(s={s})")).size != s * s - 3 * s + 3
+        if len(family_blocks(parse_family(f"Tilde(s={s})"))) != s * s - 3 * s + 3
     ]
     _report("C4 tilde block count s^2-3s+3", not bad, f"bad={bad}")
 
@@ -127,7 +127,7 @@ def test_c08_periodic_corollary():
     for s in (2, 3, 5):
         for m in ((3,), (3, 5)):
             fam = parse_family(f"MDper(s={s},m=[{','.join(map(str, m))}])")
-            r = block_dimension(s, blocks_of_family(fam))
+            r = block_dimension(s, block_histogram(family_blocks(fam)))
             worst = max(worst, abs(r.alpha - len(m) / sum(m)))
     _report("C8 periodic gap formula", ok and worst <= 1e-12, f"block-delta={worst:.2e}")
 

@@ -152,6 +152,47 @@ def test_blocks_output(capsys):
     assert main(["blocks", "Tilde(s=3000)"]) == 1
 
 
+MDPER_BLOCKS = [f"0 0 {a} 0 0 0 0 {b}" for a in range(3) for b in range(3)]  # gap 3, then gap 5
+BLOCKS_PAYLOADS = [
+    # infinitely many blocks 0^(k-1) a: a tag, no list
+    ("MD(s=4)", '"count":0,"degenerate":false,"analytic":"odd-zero-runs","histogram":{},"blocks":null'),
+    ("MDper(s=3,m=[3,5])", '"count":9,"degenerate":false,"analytic":null,"histogram":{"8":9},"blocks":'
+     + json.dumps(MDPER_BLOCKS, separators=(",", ":"))),
+    ("Su(s=3,u=1)", '"count":1,"degenerate":true,"analytic":null,"histogram":{"2":1},"blocks":["1 2"]'),
+]
+
+
+@pytest.mark.parametrize("family, payload", BLOCKS_PAYLOADS, ids=[family for family, _ in BLOCKS_PAYLOADS])
+def test_blocks_payloads_are_pinned(capsys, family, payload):
+    code, out = run(capsys, "blocks", family)
+    assert code == 0 and out == f'{{"family":"{family}",{payload}}}\n'
+
+
+def test_blocks_refuses_a_cantor_series(capsys):
+    assert main(["blocks", "Cantor(d=[3],I=[{0,2}])"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: Cantor families restrict digits per level, not blocks\n"
+
+
+def _cantor_cycle(p, q):
+    """A Cantor series of p basis values and q level sets: lcm(p, q) phases."""
+    d = ",".join(str(3 + j % 5) for j in range(p))
+    sets = ",".join(f"{{0,{1 + j % 2}}}" for j in range(q))
+    return f"Cantor(d=[{d}],I=[{sets}])"
+
+
+def test_a_long_phase_cycle_is_refused_before_its_hulls_are_solved(capsys):
+    long_cycle = _cantor_cycle(200, 201)  # 40,200 phases
+    start = time.perf_counter()
+    assert main(["cylinder", long_cycle, "--addr", "1,2"]) == 1
+    assert time.perf_counter() - start < 1
+    assert "above the cap" in capsys.readouterr().err
+    # dim and eval read no hulls
+    assert main(["dim", long_cycle]) == 0
+    assert main(["eval", long_cycle, "--alphas", "1,2,1"]) == 0
+    assert main(["cylinder", _cantor_cycle(20, 21), "--addr", "1,2"]) == 0  # 420 phases
+
+
 def test_convert_round_trip(capsys):
     code, out = run(
         capsys, "convert", "--base", "3", "--digits", "0,2", "--target", "negasadic",

@@ -5,6 +5,7 @@ import pytest
 from cantorkit import (
     CapExceededError,
     FamilyConstraintError,
+    FamilySpec,
     IntervalR,
     UnsupportedFamilyError,
     covering_sums,
@@ -158,6 +159,19 @@ def test_affine_hull_solver():
         solve_phase_hulls({0: ((), 0)})
     with pytest.raises(ValueError):
         solve_phase_hulls({0: (((F(1), F(2)),), 0)})
+
+
+@pytest.mark.parametrize("p, refused", [(30, False), (40, True)])
+def test_hull_solves_are_refused_past_phases_times_digits(p, refused):
+    # p basis values 3 + j mod 5 and p + 1 level sets: p(p + 1) phases, each
+    # phase's denominator of about 0.84 decimal digits by bit length
+    basis, sets = tuple(3 + j % 5 for j in range(p)), tuple((0, 1 + j % 2) for j in range(p + 1))
+    fam = FamilySpec("Cantor", 7, basis=basis, level_sets=sets)
+    if refused:  # 1,640 phases: refused at phase 1,090, where phases x digits passes 10^6
+        with pytest.raises(CapExceededError, match="1090[+] phases"):
+            cylinder_hull(fam, ())
+    else:  # 930 phases: about 7.3e5
+        assert IntervalR(F(0), F(1)).contains(cylinder_hull(fam, ()))
 
 
 def test_set_interval_special_families():

@@ -70,7 +70,7 @@ def cases(draw):
     return fam, sels[:n], sels[n:]
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(cases())
 def test_maps_agree_with_digit_strings_and_hulls(case):
     fam, addr, tail = case
@@ -104,7 +104,7 @@ def _zero_tail_value(fam, addr):
     return radix(digits, (fam.u,) if fam.kind in ("S", "Su", "NSu") else ())
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(cases())
 def test_maps_have_integer_form_and_fold_to_radix_values(case):
     fam, addr, _ = case

@@ -5,10 +5,10 @@ import types
 import cantorkit
 
 PUBLIC = [
-    "BlockSet", "CantorkitError", "CapExceededError", "CylinderReport", "DigitString",
+    "CantorkitError", "CapExceededError", "CylinderReport", "DigitString",
     "DimensionResult", "FamilyConstraintError", "FamilyParseError", "FamilySpec", "FitResult",
     "IntervalR", "InvalidDigitError", "OracleResult", "OutOfRangeError", "ScaleCount",
-    "UnsupportedFamilyError", "VerificationReport", "block_dimension", "blocks_of_family",
+    "UnsupportedFamilyError", "VerificationReport", "block_dimension",
     "box_dimension", "cantor_series_dim_estimate", "covering_sums", "cylinder_hull",
     "cylinder_interval", "cylinder_report", "digits_from_rational", "enumerate_addresses",
     "eval_cantor", "eval_family_point", "eval_negas_cantor", "eval_negasadic", "eval_sadic",
@@ -24,4 +24,4 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC
-    assert len(PUBLIC) == 45
+    assert len(PUBLIC) == 43

@@ -10,7 +10,7 @@ from cantorkit import (
     FamilyConstraintError,
     FamilyParseError,
     FamilySpec,
-    blocks_of_family,
+    UnsupportedFamilyError,
     enumerate_addresses,
     eval_family_point,
     eval_sadic,
@@ -18,6 +18,7 @@ from cantorkit import (
     membership_prefix,
     parse_family,
 )
+from cantorkit.families import block_histogram, family_blocks
 from cantorkit.radix import eval_negasadic
 
 
@@ -57,7 +58,7 @@ def specs(draw):
     return FamilySpec(kind, s)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(specs())
 def test_label_parses_back_to_an_equal_spec(fam):
     assert parse_family(fam.label()) == fam
@@ -117,46 +118,45 @@ def test_grammar_errors():
 
 
 def test_blocks_of_run_families():
-    bs = blocks_of_family(parse_family("S(s=3)"))
-    assert bs.blocks == ((1,), (0, 2))
-    assert bs.counts() == {1: 1, 2: 1}
-    singleton = blocks_of_family(parse_family("Su(s=3,u=1)"))
-    assert singleton.blocks == ((1, 2),)
+    blocks = family_blocks(parse_family("S(s=3)"))
+    assert blocks == ((1,), (0, 2))
+    assert block_histogram(blocks) == {1: 1, 2: 1}
+    singleton = parse_family("Su(s=3,u=1)")
+    assert family_blocks(singleton) == ((1, 2),)
     assert singleton.degenerate
-    sm = blocks_of_family(parse_family("Sminus(s=4)"))
-    assert sm.blocks == ((1,), (0, 2), (0, 0, 3))
+    assert family_blocks(parse_family("Sminus(s=4)")) == ((1,), (0, 2), (0, 0, 3))
 
 
 def test_blocks_su_lengths():
     # lengths are {1..s-1} minus u (u != 0), all of {1..s-1} for u = 0
     for s in range(3, 8):
         for u in range(s):
-            bs = blocks_of_family(parse_family(f"Su(s={s},u={u})"))
-            assert bs.size == s - 1 - (1 if u else 0)
-            lengths = sorted(len(b) for b in bs.blocks)
+            blocks = family_blocks(parse_family(f"Su(s={s},u={u})"))
+            assert len(blocks) == s - 1 - (1 if u else 0)
+            lengths = sorted(len(b) for b in blocks)
             expect = [k for k in range(1, s) if u == 0 or k != u]
             assert lengths == expect
 
 
 def test_tilde_block_count():
     for s in range(3, 13):
-        bs = blocks_of_family(parse_family(f"Tilde(s={s})"))
-        assert bs.size == s * s - 3 * s + 3
-    bs4 = blocks_of_family(parse_family("Tilde(s=4)"))
-    assert bs4.counts() == {1: 1, 2: 3, 3: 3}
+        assert len(family_blocks(parse_family(f"Tilde(s={s})"))) == s * s - 3 * s + 3
+    assert block_histogram(family_blocks(parse_family("Tilde(s=4)"))) == {1: 1, 2: 3, 3: 3}
     # refused once the blocks built so far pass the digit cap, before the table is complete
     for s in (127, 3000):
         with pytest.raises(CapExceededError):
-            blocks_of_family(parse_family(f"Tilde(s={s})"))
+            family_blocks(parse_family(f"Tilde(s={s})"))
 
 
-def test_md_analytic_and_mdper_blocks():
-    md = blocks_of_family(parse_family("MD(s=4)"))
-    assert md.analytic == "odd-zero-runs" and md.blocks is None
-    per = blocks_of_family(parse_family("MDper(s=3,m=[3,5])"))
-    assert per.size == 3**2
-    assert all(len(b) == 8 for b in per.blocks)
-    assert (0,) * 8 in per.blocks  # the all-zero pattern is admissible
+def test_md_cantor_refused_and_mdper_blocks():
+    with pytest.raises(UnsupportedFamilyError, match="unbounded branching"):
+        family_blocks(parse_family("MD(s=4)"))  # infinitely many blocks
+    with pytest.raises(UnsupportedFamilyError, match="Cantor families restrict digits per level, not blocks"):
+        family_blocks(parse_family("Cantor(d=[3],I=[{0,2}])"))
+    per = family_blocks(parse_family("MDper(s=3,m=[3,5])"))
+    assert len(per) == 3**2
+    assert all(len(b) == 8 for b in per)
+    assert (0,) * 8 in per  # the all-zero pattern is admissible
 
 
 def test_enumerate_addresses():
@@ -279,5 +279,5 @@ def test_cantor_restrict_family():
 
 def test_s_and_su0_coincide():
     a, b = parse_family("S(s=4)"), parse_family("Su(s=4,u=0)")
-    assert blocks_of_family(a).blocks == blocks_of_family(b).blocks
+    assert family_blocks(a) == family_blocks(b)
     assert eval_family_point(a, (2, 3)) == eval_family_point(b, (2, 3))

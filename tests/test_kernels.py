@@ -146,7 +146,7 @@ def oracle_cases(draw):
     return fam, addr, draw(st.integers(1, 3))
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(oracle_cases())
 def test_random_family_oracles(case):
     # the oracle's ends are the extreme brute-force leaves, each evaluated by

@@ -2,21 +2,27 @@
 
 The reference below is the old code: MDper's gap-position rule (nonzero
 digits only at the gap positions m_1 + ... + m_n) and a dynamic program over
-every parse of the family's block list.  The new code is one dynamic
-program over (position, phase) through the digit maps.  Digit strings are
-drawn from the family's own expansions, with some digits changed and some
-cut short, and at random; both draws favour 0, the digit the zero runs and
-gaps are made of.
+every parse of the family's block list, plus a Cantor series' per-level
+rule (digit j lies in I_((j-1) mod #I)).  The code under test is one
+dynamic program over (position, phase) through the digit maps.  Digit
+strings are drawn from the family's own expansions, with some digits changed
+and some cut short, and at random; both draws favour 0, the digit the zero
+runs and gaps are made of.
 """
 
+from itertools import product
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cantorkit import FamilySpec, expand_address, membership_prefix
+from cantorkit import FamilySpec, expand_address, membership_prefix, parse_family
 from cantorkit.families import family_blocks, level_choices
 
 
 def ref_membership_prefix(fam, seq):
+    if fam.kind == "Cantor":
+        return all(d in fam.level_sets[j % len(fam.level_sets)] for j, d in enumerate(seq))
     if fam.kind == "MDper":
         positions, k, i = set(), 0, 0
         while k < len(seq):
@@ -42,12 +48,17 @@ def ref_membership_prefix(fam, seq):
 
 @st.composite
 def families(draw):
-    kind = draw(st.sampled_from(("S", "Su", "NSu", "Sminus", "Tilde", "MDper", "Blocks")))
+    kind = draw(st.sampled_from(("S", "Su", "NSu", "Sminus", "Tilde", "MDper", "Blocks", "Cantor")))
     if kind in ("Su", "NSu"):
         s = draw(st.integers(3, 6))
         return FamilySpec(kind, s, u=draw(st.integers(0, s - 1)))
     if kind in ("S", "Sminus", "Tilde"):
         return FamilySpec(kind, draw(st.integers(3, 5)))
+    if kind == "Cantor":  # digits below every basis value, so any pairing of levels is aligned
+        basis = draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))
+        level = st.sets(st.integers(0, min(basis) - 1), min_size=1).map(tuple)
+        level_sets = tuple(draw(st.lists(level, min_size=1, max_size=4)))
+        return FamilySpec(kind, max(basis), basis=tuple(basis), level_sets=level_sets)
     s = draw(st.integers(2, 4))
     if kind == "MDper":
         return FamilySpec(kind, s, period=tuple(draw(st.lists(st.sampled_from((3, 5, 7)), min_size=1, max_size=3))))
@@ -64,7 +75,7 @@ def cases(draw):
         seq = draw(st.lists(digit, max_size=12))
     else:
         addr = [draw(st.sampled_from(level_choices(fam, j))) for j in range(1, draw(st.integers(0, 5)) + 1)]
-        seq = list(expand_address(fam, addr).digits)
+        seq = addr if fam.kind == "Cantor" else list(expand_address(fam, addr).digits)  # a Cantor selector is its digit
         for _ in range(draw(st.integers(0, 2)) if seq else 0):
             seq[draw(st.integers(0, len(seq) - 1))] = draw(digit)
         if draw(st.booleans()):
@@ -72,8 +83,18 @@ def cases(draw):
     return fam, tuple(seq)
 
 
-@settings(derandomize=True, max_examples=600, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(cases())
 def test_membership_prefix_matches_the_replaced_rules(case):
     fam, seq = case
     assert membership_prefix(fam, seq) == ref_membership_prefix(fam, seq)
+
+
+@pytest.mark.parametrize(
+    "text", ["Cantor(d=[3],I=[{0,2}])", "Cantor(d=[2,3],I=[{0,1},{0,2}])", "Cantor(d=[3,5,4],I=[{1},{0,2}])"]
+)
+def test_cantor_membership_is_the_per_level_rule_on_every_short_string(text):
+    fam = parse_family(text)
+    for n in range(6):
+        for seq in product(range(fam.s), repeat=n):
+            assert membership_prefix(fam, seq) == ref_membership_prefix(fam, seq), seq

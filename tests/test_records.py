@@ -18,7 +18,7 @@ from cantorkit.cylinders import (
 )
 from cantorkit.dimension import DimensionResult
 from cantorkit.errors import FamilyConstraintError, FamilyParseError, InvalidDigitError
-from cantorkit.families import BlockSet, FamilySpec
+from cantorkit.families import FamilySpec
 from cantorkit.radix import DigitString
 
 IV = IntervalR(F(1, 4), F(1, 2))
@@ -29,7 +29,6 @@ PROPERTY = PropertyResult("nesting", 3, True, ())
 RECORDS = [
     (lambda: DigitString(3, (0, 2, 1)), "digits"),
     (lambda: FamilySpec("Blocks", 3, blocks=((2, 0), (1,))), "blocks"),
-    (lambda: BlockSet(((1,), (0, 1)), ((1, 1), (2, 1))), "histogram"),
     (lambda: IntervalR(F(1, 4), F(1, 2)), "lo"),
     (lambda: CylinderReport((1,), IV, F(1, 4), F(1, 3), "right-to-left"), "interval"),
     (lambda: OracleResult(IV, F(1, 9), 4), "bound"),
