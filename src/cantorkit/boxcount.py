@@ -152,6 +152,12 @@ def box_dimension(
         raise ValueError("scale exponents must be >= 0")
     if n_hi - n_lo < 2:
         raise ValueError("need at least 3 scales")
+    # the checks `ScaleCount` and `fit_dimension` make after the walk, made
+    # before it: float(s^-n) is 0.0 once s^n >= 2^1075, always when n > 1075
+    if n_hi > 1075 or fam.s**n_hi >= 2**1075:
+        raise ValueError("box width must be positive")
+    if (n_hi - n_lo) * math.log10(fam.s) < 2:
+        raise ValueError("scales must span at least two decades of eps")
     epss = [Fraction(1, fam.s**n) for n in range(n_lo, n_hi + 1)]
     counts = _cover_counts(fam, epss, cap)
     points = [ScaleCount(float(eps), count) for eps, count in zip(epss, counts)]

@@ -263,8 +263,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_cover(args) -> int:
     fam = parse_family(args.family)
+    sums = cyl.covering_sums(fam, args.depth)
+    _refuse_long_values(f"the covering sums to --depth {args.depth} have an integer", sums)
     rows = ["depth,exact,float"]
-    for d, total in enumerate(cyl.covering_sums(fam, args.depth, cap=args.cap)):
+    for d, total in enumerate(sums):
         rows.append(f"{d},{total.numerator}/{total.denominator},{_jfloat(float(total))}")
     _emit("\n".join(rows), args.out)
     return 0
@@ -334,7 +336,7 @@ _COMMANDS = {
         ("--child", {"type": _int, "default": None, "help": "also report this child's width ratio (default none)"}),
     )),
     "verify": (_cmd_verify, "run the cylinder property suite", ("family", "depth", "cap"), ("text", "json"), ()),
-    "cover": (_cmd_cover, "covering-sum table", ("family", "depth", "cap"), (), ()),
+    "cover": (_cmd_cover, "covering-sum table", ("family", "depth"), (), ()),
     "boxcount": (_cmd_boxcount, "box-counting fit vs the solver", ("family", "cap"), (), (
         ("--scales", {"type": _scales, "default": (), "help": "n_lo:n_hi for eps = s^-n (default 4:10, 4:11 at s=2)"}),
     )),

@@ -508,27 +508,27 @@ def ordering_check(fam: FamilySpec, addr) -> OrderingReport:
     return OrderingReport(base, entries, all(e.ok for e in entries))
 
 
-def covering_sums(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> list[Fraction]:
-    """Exact total length of the rank-d cylinder cover, for each d = 0..depth."""
-    address_count(fam, depth, cap)
-    # a cylinder's length is |scale| times its phase's local hull length, so
-    # each rank needs only the total |scale| per phase, stepped one level at
-    # a time through the digit maps
+def covering_sums(fam: FamilySpec, depth: int) -> list[Fraction]:
+    """Exact total length of the rank-d cylinder cover, for each d = 0..depth.
+
+    A cylinder's length is |scale| times its phase's local hull length, and
+    every phase has one successor, so a rank's cylinders share one phase and
+    one mass, their total |scale|.  Counts no addresses; refused as
+    `_phase_maps` refuses a cycle, once r ranks of D decimal digits in the
+    product of their largest denominators have r x D > DEFAULT_CAP."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     hulls, system = _local_hulls(fam), _phase_maps(fam)
-    mass = {0: Fraction(1)}
-    sums = []
-    for rank in range(depth + 1):
-        total = Fraction(0)
-        for phase, m in mass.items():
-            lo, hi = hulls[phase]
-            total += m * (hi - lo)
-        sums.append(total)
-        if rank < depth:
-            step: dict[int, Fraction] = {}
-            for phase, m in mass.items():
-                maps, nxt = system[phase]
-                step[nxt] = step.get(nxt, 0) + m * sum(abs(k) for _, k in maps)
-            mass = step
+    phase, mass, digits = 0, Fraction(1), 0.0
+    sums = [hulls[0][1] - hulls[0][0]]
+    for rank in range(1, depth + 1):
+        maps, phase = system[phase]
+        digits += max(k.denominator for _, k in maps).bit_length() * log10(2)
+        if rank * digits > DEFAULT_CAP:
+            raise CapExceededError(f"{rank}+ ranks of {digits:.0f} denominator digits: above the cap")
+        mass *= sum(abs(k) for _, k in maps)
+        lo, hi = hulls[phase]
+        sums.append(mass * (hi - lo))
     return sums
 
 
@@ -589,6 +589,9 @@ def verify_family(
     constants: every closed-form cylinder is its prefix point plus s^-E times
     the whole-set hull, so both sides of the ratio law have width numerator
     hi0 - lo0 and the partition reduces to sum s^-c <= 1 over the run digits.
+    Nor can the covering law fail on a one-phase family, and every
+    closed-form family has one phase: `covering_sums` multiplies its mass by
+    the sum of |k| = s^-c over the digit maps, the rho the row compares with.
     """
     _require_formula_family(fam)
     address_count(fam, depth, cap)
@@ -693,16 +696,14 @@ def verify_family(
         PropertyResult("ordering", n_pair, not ord_f, tuple(ord_f)),
     ]
 
-    # geometric covering-sum law, over the depths the cap lets through
+    # geometric covering-sum law
     cov_f = []
     rho = sum(Fraction(1, s**a) for a in digits)
-    cov_depth = min(depth + 2, 8)
-    summed = next((d for d in range(cov_depth + 1) if len(digits) ** d > cap), cov_depth + 1)
-    sums = covering_sums(fam, max(summed - 1, 0), cap=cap)
-    for d, total in enumerate(sums[:summed]):
+    sums = covering_sums(fam, min(depth + 2, 8))
+    for d, total in enumerate(sums):
         if total != sums[0] * rho**d:
             _fail(cov_f, (d,), total, sums[0] * rho**d, "covering law")
-    results.append(PropertyResult("covering-law", summed, not cov_f, tuple(cov_f)))
+    results.append(PropertyResult("covering-law", len(sums), not cov_f, tuple(cov_f)))
 
     # Sminus endpoint/diameter consistency
     if fam.kind == "Sminus":

@@ -262,9 +262,12 @@ def parse_family(text: str) -> FamilySpec:
         raise FamilyParseError(f"unknown family kind {kind!r}")
     args: dict[str, str] = {}
     for key, eq, val in (part.partition("=") for part in _split_args(body)):
+        key = key.strip()
         if not eq:
             raise FamilyParseError(f"expected key=value, got {key!r}")
-        args[key.strip()] = val.strip()
+        if key in args:
+            raise FamilyParseError(f"repeated key {key!r} in {kind}")
+        args[key] = val.strip()
     keys = _KEYS[kind]
     if set(args) - set(keys):
         raise FamilyParseError(f"unexpected arguments {sorted(set(args) - set(keys))} for {kind}")
@@ -315,7 +318,9 @@ def level_choices(fam: FamilySpec, level: int) -> Sequence[int]:
     """Admissible selectors at one address level (1-indexed): the one list of
     a family's selectors.  MD has a selector for every odd gap and is refused."""
     kind, s = fam.kind, fam.s
-    if kind in ("S", "Su", "NSu", "Sminus"):  # Sminus has no u
+    if kind in ("S", "Su", "NSu", "Sminus"):  # Sminus has no u; S has u = 0
+        if s - 1 - bool(fam.u) > DEFAULT_CAP:  # refused before it is built
+            raise CapExceededError(f"{fam.label()} has over {DEFAULT_CAP} selectors, above the cap")
         return tuple(a for a in range(1, s) if a != fam.u)
     if kind == "MDper":
         return range(s)

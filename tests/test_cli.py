@@ -1,10 +1,12 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +117,18 @@ def test_cover_table(capsys):
     assert lines[0] == "depth,exact,float"
     assert lines[1].startswith("0,1/4,")
     assert lines[3].startswith("2,4/81,")
+    # 2^20 addresses at depth 20, none of them built
+    code, out = run(capsys, "cover", "S(s=3)", "--depth", "20")
+    assert code == 0 and out.splitlines()[-1].startswith(f"20,{Fraction(1, 4) * Fraction(4, 9) ** 20},")
+
+
+@pytest.mark.parametrize("family, rank", [("S(s=4)", 689), ("Su(s=3,u=1)", 912), ("Blocks(s=2,B=[0;1])", 1289)])
+def test_cover_refuses_deep_ranks_fast(capsys, family, rank):
+    start = time.perf_counter()
+    assert main(["cover", family, "--depth", str(10**9)]) == 1
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {rank}+ ranks of ")
 
 
 def test_enumerate(capsys):
@@ -403,7 +417,7 @@ BAD_INT = "invalid literal for int() with base 10: 'x'"
         (("enumerate", "S(s=3)", "--depth", "-1"), "argument --depth: must be an integer >= 0, got '-1'"),
         (("boxcount", "S(s=3)", "--scales=-3:2"), "argument --scales: must be n_lo:n_hi with integers >= 0, got '-3:2'"),
         (("enumerate", "S(s=3)", "--depth", "0", "--cap", "-1"), "argument --cap: must be an integer >= 1, got '-1'"),
-        (("cover", "S(s=3)", "--depth", "0", "--cap", "0"), "argument --cap: must be an integer >= 1, got '0'"),
+        (("enumerate", "S(s=3)", "--depth", "0", "--cap", "0"), "argument --cap: must be an integer >= 1, got '0'"),
         (("boxcount", "S(s=3)", "--cap", "0"), "argument --cap: must be an integer >= 1, got '0'"),
         (("verify", "S(s=3)", "--cap", "1.5"), "argument --cap: must be an integer >= 1, got '1.5'"),
         # a superscript is a digit to str.isdigit but not to int
@@ -432,6 +446,24 @@ def test_malformed_scales_rejected(capsys, scales):
     assert captured.out == "" and "argument --scales" in captured.err
 
 
+@pytest.mark.parametrize(
+    "scales, error",
+    [
+        ("20:22", "scales must span at least two decades of eps"),
+        # s^-n_hi rounds to float 0.0
+        ("700:702", "box width must be positive"),
+        ("100000:100002", "box width must be positive"),
+        ("4:700", "box width must be positive"),
+    ],
+)
+def test_boxcount_checks_scales_before_walking(capsys, scales, error):
+    start = time.perf_counter()
+    assert main(["boxcount", "S(s=3)", "--scales", scales]) == 1
+    assert time.perf_counter() - start < 0.2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {error}\n"
+
+
 #: options a subcommand's handler does not read, and formats it does not print
 UNREAD_OPTIONS = [
     ("dim", "S(s=3)", "--depth", "3"),
@@ -446,6 +478,7 @@ UNREAD_OPTIONS = [
     ("cylinder", "S(s=3)", "--addr", "1", "--cap", "5"),
     ("cylinder", "S(s=3)", "--addr", "1", "--format", "csv"),
     ("cover", "S(s=3)", "--depth", "2", "--format", "json"),
+    ("cover", "S(s=3)", "--cap", "5"),
     ("boxcount", "S(s=3)", "--depth", "3"),
     ("boxcount", "S(s=3)", "--format", "json"),
     ("convert", "--base", "3", "--digits", "0,2", "--target", "negasadic", "--format", "csv"),
@@ -474,6 +507,16 @@ def test_run_block_tables_are_capped(capsys):
         '"residual":1.13686837722e-13,"bracket":[0.100343331888,0.100343331888],'
         f'"iterations":45,"degenerate":false,"note":{json.dumps(note)}}}\n'
     )
+
+
+@pytest.mark.parametrize("family", ["S(s=1000000000)", "Su(s=1000000000,u=5)"])
+@pytest.mark.parametrize("argv", [("dim",), ("cylinder",), ("enumerate", "--depth", "0")])
+def test_huge_run_alphabets_are_refused_before_they_are_built(capsys, family, argv):
+    start = time.perf_counter()
+    assert main([argv[0], family, *argv[1:]]) == 1
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {family} has over 1000000 selectors, above the cap\n"
 
 
 def test_md_gaps_are_capped(capsys):
@@ -560,6 +603,29 @@ def test_eval_and_cylinder_fit_int_string_limit(capsys, int_str_limit):
     capsys.readouterr()
 
 
+def test_cover_fits_int_string_limit(capsys, int_str_limit):
+    # S(s=30)'s sums pass 4300 digits at depth 101, well before the rank cap
+    int_str_limit(4300)
+    assert main(["cover", "S(s=30)", "--depth", "100"]) == 0
+    capsys.readouterr()
+    assert main(["cover", "S(s=30)", "--depth", "101"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: the covering sums to --depth 101 have an integer of over 4300 digits,"
+        " above sys.get_int_max_str_digits()\n"
+    )
+
+
+def test_readme_cli_examples_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("cantorkit ")]
+    assert len(examples) == 13
+    for argv in examples:
+        assert main(argv[1:]) == 0, argv
+        capsys.readouterr()
+
+
 def test_a_closed_pipe_ends_quietly():
     # 19683 lines of 18 bytes: more than a pipe holds, so the write meets the
     # closed reader
@@ -605,7 +671,6 @@ REFUSED_AT_DEFAULTS = {
     ("verify", "MDper(s=3,m=[3,5])"),
     ("verify", "Blocks(s=3,B=[0 2;1])"),
     ("verify", "Cantor(d=[3],I=[{0,2}])"),
-    ("cover", "Tilde(s=4)"),  # 7^8 addresses at depth 8, above the cap
     ("cover", "MD(s=2)"),
     ("enumerate", "Tilde(s=4)"),
     ("enumerate", "MD(s=2)"),

@@ -279,10 +279,25 @@ def test_covering_sums_match_enumerated_hulls(text):
     assert covering_sums(fam, depth) == reference
 
 
-def test_covering_sums_keep_the_address_cap():
-    with pytest.raises(CapExceededError):
-        covering_sums(S3, 5, cap=2**5 - 1)
-    assert len(covering_sums(S3, 5, cap=2**5)) == 6
+def test_covering_sums_count_no_addresses():
+    # 2^20 rank-20 addresses, above the enumeration cap, none of them built
+    assert covering_sums(S3, 20) == [F(1, 4) * F(4, 9) ** d for d in range(21)]
+    with pytest.raises(ValueError):
+        covering_sums(S3, -1)
+
+
+def test_covering_sums_refuse_ranks_times_denominator_digits_past_the_cap():
+    # each rank of S(s=4) adds the 7 bits of its largest denominator 4^3, and
+    # r ranks of r * 7 * log10(2) digits pass 10^6 from r = 689 on
+    s4 = parse_family("S(s=4)")
+    assert len(covering_sums(s4, 688)) == 689
+    with pytest.raises(CapExceededError, match=r"^689\+ ranks"):
+        covering_sums(s4, 689)
+    # the rule reads denominators, not the sums: these are all 1
+    whole = parse_family("Blocks(s=2,B=[0;1])")
+    assert covering_sums(whole, 20) == [1] * 21
+    with pytest.raises(CapExceededError, match=r"^1289\+ ranks"):
+        covering_sums(whole, 10**9)
 
 
 def test_sminus_diameter_constant_identity():
@@ -307,10 +322,11 @@ def test_verify_family_passes():
 
 
 def test_verify_counts_covering_depths_summed():
-    # the cap admits depths 0..3 (4^3 = 64 <= 100 < 4^4) of the 0..4 planned
+    # depths 0..4, though 4^4 = 256 addresses at depth 4 pass the cap: the
+    # cap bounds the walk to depth 2 (16 addresses), not the covering sums
     rep = verify_family(parse_family("S(s=5)"), depth=2, oracle_depth=3, cap=100)
     cov = next(r for r in rep.results if r.name == "covering-law")
-    assert rep.passed and cov.checked == 4
+    assert rep.passed and cov.checked == 5
 
 
 def test_verify_rejects_nonformula_families():

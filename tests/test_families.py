@@ -117,6 +117,12 @@ def test_grammar_errors():
             parse_family(bad)
 
 
+@pytest.mark.parametrize("text, key", [("S(s=3,s=4)", "s"), ("Blocks(s=3,B=[0 2;1],B=[1])", "B")])
+def test_repeated_key_is_named(text, key):
+    with pytest.raises(FamilyParseError, match=f"^repeated key '{key}' in "):
+        parse_family(text)
+
+
 def test_blocks_of_run_families():
     blocks = family_blocks(parse_family("S(s=3)"))
     assert blocks == ((1,), (0, 2))
