@@ -1,8 +1,8 @@
 """Empirical box-counting dimension from cylinder covers.
 
 A fixed mesh of width eps is anchored at the set's infimum.  Cylinders are
-subdivided until each hull fits inside one mesh step (never above the
-enumeration cap), and the cover is intersected with the mesh exactly, in
+subdivided until each hull fits inside one mesh step (a walk sized before
+it starts), and the cover is intersected with the mesh exactly, in
 rational arithmetic.  A cell counts when the cover meets its interior or
 contains the cell's left endpoint; with eps a power of 1/s the cover aligns
 with the mesh and exactly self-similar sets produce the clean counts (2^n
@@ -24,8 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .cylinders import _local_hulls, set_interval
-from .errors import CapExceededError
-from .families import DEFAULT_CAP, ROOT_FRAME, FamilySpec, _family_const, child_frames
+from .families import DEFAULT_CAP, ROOT_FRAME, FamilySpec, _family_const, box_walk, child_frames
 
 
 class _ScaleCountFields(NamedTuple):
@@ -69,13 +68,11 @@ def _cover_counts(fam: FamilySpec, epss: Sequence[Fraction], cap: int) -> list[i
     hull width <= epss[i].  Each node carries the index of the first scale
     still open on its path, so the walk descends only while the finest scale
     is open: it visits exactly the nodes of the finest scale's own walk,
-    which contains every coarser one.
+    which contains every coarser one; `box_walk` counts them before it.
     """
     if any(eps <= 0 for eps in epss):
         raise ValueError("eps must be positive")
     hull = set_interval(fam)
-    if hull.width == 0:
-        return [1] * len(epss)
     # eps_i = p/q, so each mesh index floor(x/eps_i) is one integer division
     pq = [(eps.numerator, eps.denominator) for eps in epss]
     hn, hd = hull.width.numerator, hull.width.denominator
@@ -91,13 +88,11 @@ def _cover_counts(fam: FamilySpec, epss: Sequence[Fraction], cap: int) -> list[i
     ends = {phase: (int(lo * M), int(hi * M), int((hi - lo) * M)) for phase, (lo, hi) in local.items()}
     pm = [p * M for p, _ in pq]
     n_scales = len(epss)
-    visited = 0
+    n = (math.log(epss[-1].denominator) - math.log(epss[-1].numerator)) / math.log(fam.s)  # eps = s^-n
+    box_walk(fam, lambda den, phase: ends[phase][2] * pq[-1][1] > pm[-1] * den, cap, f"to eps={fam.s}^-{n:.6g}")
     stack = [(0, ROOT_FRAME)]
     while stack:
         first, frame = stack.pop()
-        visited += 1
-        if visited > cap:
-            raise CapExceededError(f"cover needs more than {cap} cylinders at eps={epss[-1]}")
         V, den, sign, phase = frame
         lo, hi, width = ends[phase]
         end = first  # hull width over M * den against eps_i = p/q

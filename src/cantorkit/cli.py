@@ -373,7 +373,7 @@ def _options(name: str) -> dict:
     if "cap" in shared:
         options["--cap"] = {
             "type": _at_least(1), "default": DEFAULT_CAP,
-            "help": f"most cylinders a run may enumerate (default {DEFAULT_CAP:,})",
+            "help": f"most cylinders a walk may visit (default {DEFAULT_CAP:,})",
         }
     if formats:
         options["--format"] = {"choices": formats, "default": formats[0], "help": f"output format (default {formats[0]})"}

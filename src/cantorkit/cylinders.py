@@ -33,11 +33,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, log10, prod
+from math import lcm, prod
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .errors import CapExceededError, FamilyConstraintError, UnsupportedFamilyError
+from .errors import FamilyConstraintError, UnsupportedFamilyError
 from .families import (
     DEFAULT_CAP,
     ROOT_FRAME,
@@ -46,11 +46,12 @@ from .families import (
     _family_const,
     _inadmissible,
     _walk,
-    address_count,
     address_frame,
     child_frames,
+    denominator_digits,
     digit_maps,
     level_choices,
+    walk_size,
 )
 
 
@@ -232,16 +233,13 @@ PhaseMaps = Mapping[int, tuple[tuple[tuple[Fraction, Fraction], ...], int]]
 def _phase_maps(fam: FamilySpec) -> PhaseMaps:
     """The digit maps and the next phase of each phase reachable from 0:
     the one place that lists a family's phases.  A hull solve composes the
-    maps round the whole cycle, so the walk is refused as soon as L x D
-    passes DEFAULT_CAP, for the L phases walked and D the decimal digits of
-    the product of their largest denominators."""
+    maps round the whole cycle, so each phase walked is one step of the
+    walk budget's rule 2 (`denominator_digits`)."""
     system: dict = {}
     phase, digits = 0, 0.0
     while phase not in system:
         maps = digit_maps(fam, phase).values()
-        digits += max(m for *_, m, _ in maps).bit_length() * log10(2)  # str() fails past 4,300 digits
-        if (len(system) + 1) * digits > DEFAULT_CAP:
-            raise CapExceededError(f"{len(system) + 1}+ phases of {digits:.0f} denominator digits: above the cap")
+        digits = denominator_digits(len(system) + 1, digits, max(m for *_, m, _ in maps), "phases")
         nxt = next(iter(maps))[4]
         system[phase] = (tuple((Fraction(gn, m), Fraction(sk, m)) for _, gn, sk, m, _ in maps), nxt)
         phase = nxt
@@ -513,9 +511,8 @@ def covering_sums(fam: FamilySpec, depth: int) -> list[Fraction]:
 
     A cylinder's length is |scale| times its phase's local hull length, and
     every phase has one successor, so a rank's cylinders share one phase and
-    one mass, their total |scale|.  Counts no addresses; refused as
-    `_phase_maps` refuses a cycle, once r ranks of D decimal digits in the
-    product of their largest denominators have r x D > DEFAULT_CAP."""
+    one mass, their total |scale|.  Counts no addresses; each rank is one
+    step of the walk budget's rule 2, as each phase of `_phase_maps` is."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     hulls, system = _local_hulls(fam), _phase_maps(fam)
@@ -523,9 +520,7 @@ def covering_sums(fam: FamilySpec, depth: int) -> list[Fraction]:
     sums = [hulls[0][1] - hulls[0][0]]
     for rank in range(1, depth + 1):
         maps, phase = system[phase]
-        digits += max(k.denominator for _, k in maps).bit_length() * log10(2)
-        if rank * digits > DEFAULT_CAP:
-            raise CapExceededError(f"{rank}+ ranks of {digits:.0f} denominator digits: above the cap")
+        digits = denominator_digits(rank, digits, max(k.denominator for _, k in maps), "ranks", "; lower --depth")
         mass *= sum(abs(k) for _, k in maps)
         lo, hi = hulls[phase]
         sums.append(mass * (hi - lo))
@@ -576,6 +571,7 @@ def verify_family(
 ) -> VerificationReport:
     """Run the full cylinder property suite for one closed-form family.
 
+    Refused first by the walk budget (`covering_sums` to depth, `walk_size`).
     Checks, over all addresses of rank <= depth: oracle containment with the
     geometric tail bound, child nesting, the exact ratio law, nonempty
     sibling gaps, predicted orderings, the covering-sum decay law, and the
@@ -594,7 +590,8 @@ def verify_family(
     the sum of |k| = s^-c over the digit maps, the rho the row compares with.
     """
     _require_formula_family(fam)
-    address_count(fam, depth, cap)
+    sums = covering_sums(fam, max(depth, min(depth + 2, 8)))[: min(depth + 2, 8) + 1]
+    walk_size(fam, depth, cap)
     s = fam.s
     digits = level_choices(fam, 1)
     oracle_f, nest_f, ratio_f, part_f, gap_f, ord_f = [], [], [], [], [], []
@@ -699,7 +696,6 @@ def verify_family(
     # geometric covering-sum law
     cov_f = []
     rho = sum(Fraction(1, s**a) for a in digits)
-    sums = covering_sums(fam, min(depth + 2, 8))
     for d, total in enumerate(sums):
         if total != sums[0] * rho**d:
             _fail(cov_f, (d,), total, sums[0] * rho**d, "covering law")

@@ -22,7 +22,7 @@ class OutOfRangeError(CantorkitError, ValueError):
 
 
 class CapExceededError(CantorkitError, RuntimeError):
-    """An enumeration would exceed the configured size cap."""
+    """A walk or a table would pass its size cap; raised before it is built."""
 
 
 class FamilyParseError(CantorkitError, ValueError):

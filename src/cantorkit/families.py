@@ -42,7 +42,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, product
-from math import gcd, lcm
+from math import gcd, lcm, log10
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -295,14 +295,10 @@ def family_blocks(fam: FamilySpec) -> tuple[tuple[int, ...], ...]:
     by `level_choices`, a Cantor series (digits restricted per level) here."""
     if fam.kind == "Cantor":
         raise UnsupportedFamilyError("Cantor families restrict digits per level, not blocks")
-    if fam.kind == "MDper":
-        if fam.s ** len(fam.period) > DEFAULT_CAP:
-            raise CapExceededError("MDper period blocks exceed the enumeration cap")
-        # one block per period: the phase blocks in sequence
-        phases = [[m[0] for m in digit_maps(fam, p).values()] for p in range(len(fam.period))]
-        blocks = [sum(combo, ()) for combo in product(*phases)]
-    else:
-        blocks = [m[0] for m in digit_maps(fam, 0).values()]
+    L = len(fam.period) if fam.kind == "MDper" else 1  # one block per rank-L cylinder
+    walk_size(fam, L, DEFAULT_CAP, "")
+    phases = [[m[0] for m in digit_maps(fam, p).values()] for p in range(L)]
+    blocks = [sum(combo, ()) for combo in product(*phases)]
     return tuple(sorted(blocks, key=lambda b: (len(b), b)))
 
 
@@ -333,23 +329,50 @@ def level_choices(fam: FamilySpec, level: int) -> Sequence[int]:
     raise UnsupportedFamilyError("MD has unbounded branching")
 
 
-def address_count(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> int:
-    """Number of rank-`depth` addresses; CapExceededError when above `cap`."""
+# -- the walk budget: whether a walk is too big, decided before it starts -------
+
+
+def walk_size(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP, fix: str = "; lower --depth or raise --cap") -> int:
+    """Rule 1 (a walk visits at most `cap` cylinders) for ranks 0..depth, one a rank at least."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     level_choices(fam, 1)  # refuses MD at every depth, rank 0 included
-    total = 1
+    total = nodes = 1
     for level in range(1, depth + 1):
-        total *= len(level_choices(fam, level))
-        if total > cap:
-            raise CapExceededError(f"{total}+ addresses at depth {depth} exceed cap {cap}")
+        nodes *= len(level_choices(fam, level))
+        total += nodes
+        if max(total, depth + 1) > cap:  # so a depth >= cap is refused at rank 1
+            raise CapExceededError(f"{max(total, depth + 1)}+ cylinders in ranks 0..{depth}: above the cap {cap}{fix}")
     return total
+
+
+def box_walk(fam: FamilySpec, splits, cap: int, where: str) -> int:
+    """Rule 1 for the box walk from the root frame, which splits while splits(den, phase)."""
+    paths, total = {(1, 0): 1}, 0  # root paths to each (den, phase), which decides the split
+    while paths:
+        state = min(paths)  # a child's den is its parent's times m >= 2: one pop per state
+        n = paths.pop(state)
+        total += n
+        if total > cap:
+            raise CapExceededError(f"{total}+ cylinders {where}: above the cap {cap}; lower --scales or raise --cap")
+        if splits(*state):
+            for *_, m, nxt in digit_maps(fam, state[1]).values():
+                paths[state[0] * m, nxt] = paths.get((state[0] * m, nxt), 0) + n
+    return total
+
+
+def denominator_digits(count: int, digits: float, m: int, what: str, fix: str = "") -> float:
+    """Rule 2 (ranks or phases x denominator digits <= DEFAULT_CAP): `digits` plus those of `m`."""
+    digits += m.bit_length() * log10(2)  # str() fails past 4,300 digits
+    if count * digits > DEFAULT_CAP:
+        raise CapExceededError(f"{count}+ {what} of {digits:.0f} denominator digits: above the cap {DEFAULT_CAP}{fix}")
+    return digits
 
 
 def enumerate_addresses(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> list[tuple]:
     """All rank-`depth` addresses, lexicographically sorted; admissible by
     construction, so none is walked."""
-    address_count(fam, depth, cap)
+    walk_size(fam, depth, cap)
     return list(product(*(level_choices(fam, level) for level in range(1, depth + 1))))
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import cantorkit.boxcount as bc
 from cantorkit import (
     CapExceededError,
     ScaleCount,
@@ -14,7 +15,7 @@ from cantorkit import (
     set_interval,
 )
 from cantorkit.boxcount import _cover_counts
-from cantorkit.families import level_choices
+from cantorkit.families import box_walk, child_frames, level_choices
 
 LOG32 = math.log(2) / math.log(3)
 
@@ -34,9 +35,11 @@ def test_full_alphabet_fills_every_box():
 
 
 def test_degenerate_singleton_counts_one_box():
-    fam = parse_family("Su(s=3,u=1)")
-    for n in (2, 5, 9):
-        assert _cover_counts(fam, [F(1, 3**n)], 10**6)[0] == 1
+    # one selector per level, or one block, or one digit: a hull of width 0
+    for text in ("Su(s=3,u=1)", "Blocks(s=2,B=[0 1])", "Cantor(d=[3],I=[{1}])"):
+        fam = parse_family(text)
+        for n in (2, 5, 9):
+            assert _cover_counts(fam, [F(1, fam.s**n)], 10**6)[0] == 1, text
 
 
 def test_counts_nonincreasing_in_eps():
@@ -183,6 +186,44 @@ def test_cap_bounds_the_finest_walk(text):
     with pytest.raises(CapExceededError):
         box_dimension(fam, 2, 7, cap=visited - 1)
     box_dimension(fam, 2, 7, cap=visited)
+
+
+# every kind with a map table: NSu with u = 0 and u > 0, a block list with a
+# block that is a prefix of another, two gap phases, a two-phase Cantor series
+@pytest.mark.parametrize(
+    "text",
+    (
+        "S(s=3)",
+        "Su(s=5,u=2)",
+        "NSu(s=4,u=0)",
+        "NSu(s=4,u=1)",
+        "Sminus(s=3)",
+        "Tilde(s=4)",
+        "Blocks(s=3,B=[0;0 2;1])",
+        "MDper(s=3,m=[3,5])",
+        "Cantor(d=[4,5],I=[{0,3},{1,2,4}])",
+    ),
+)
+def test_predicted_box_walk_is_the_walked_one(monkeypatch, text):
+    fam = parse_family(text)
+    for eps in (F(1, fam.s**3), F(1, 10), F(2, 45)):
+        predicted, walked = [], 1
+
+        def recorded(*args):
+            predicted.append(box_walk(*args))
+            return predicted[-1]
+
+        def counted(fam, frame):
+            nonlocal walked
+            for child in child_frames(fam, frame):
+                walked += 1
+                yield child
+
+        with monkeypatch.context() as patch:
+            patch.setattr(bc, "box_walk", recorded)
+            patch.setattr(bc, "child_frames", counted)
+            _cover_counts(fam, [eps], 10**6)
+        assert predicted == [walked] == [_walk_size(fam, eps)], (text, eps)
 
 
 def test_negative_scale_exponent_rejected():

@@ -13,6 +13,7 @@ import pytest
 
 import cantorkit.cylinders as cyl
 from cantorkit import (
+    CapExceededError,
     IntervalR,
     cylinder_interval,
     enumerate_addresses,
@@ -20,7 +21,7 @@ from cantorkit import (
     tail_extrema_oracle,
     verify_family,
 )
-from cantorkit.families import _family_const, address_count, digit_map, level_choices
+from cantorkit.families import _family_const, digit_map, level_choices, walk_size
 
 
 def ref_cylinder_interval(fam, base):
@@ -75,7 +76,8 @@ def ref_oracle_interval(fam, frame, depth):
 
 
 def ref_verify_family(fam, depth, oracle_depth, cap=10**6):
-    address_count(fam, depth, cap)
+    cyl.covering_sums(fam, depth)  # the ranks x digits rule, as `cover --depth` applies it
+    walk_size(fam, depth, cap)
     s = fam.s
     digits = level_choices(fam, 1)
     _fail = cyl._fail
@@ -217,3 +219,26 @@ def test_ratio_and_partition_failures_are_reported(monkeypatch):
     failures = {r.name: r.failures for r in rep.results if not r.passed}
     assert failures["ratio-law"][0] == "addr=(1, 1): ratio law: 4/3 vs 1/3"
     assert failures["partition"][0] == "addr=(1,): children exceed parent length: 4/27 vs 1/12"
+
+
+# one rank past the digit rule, past the cap by a whole rank or by one cylinder, and at the cap
+@pytest.mark.parametrize(
+    "text, depth, cap, refused",
+    [
+        ("Su(s=3,u=1)", 912, 10**6, True),
+        ("S(s=4)", 689, 10**6, True),
+        ("S(s=3)", 19, 10**6, True),
+        ("S(s=3)", 5, 62, True),
+        ("S(s=3)", 5, 63, False),
+    ],
+)
+def test_reference_refuses_what_verify_refuses(text, depth, cap, refused):
+    fam = parse_family(text)
+    outcomes = []
+    for walk in (verify_family, ref_verify_family):
+        try:
+            outcomes.append(walk(fam, depth, depth + 6, cap))
+        except CapExceededError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert isinstance(outcomes[0], str) == refused
