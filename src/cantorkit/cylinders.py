@@ -22,11 +22,11 @@ admissible digit continuation of an address out to a given rank, closes each
 one with a periodic admissible tail (so every value it ranges over is an
 actual member of the set), and returns the exact min/max.  Each level's
 choices act as monotone affine maps on the levels below, so that min/max
-follows from one interval step per level (the step `solve_phase_hulls`
-iterates) instead of a walk over every continuation.  Containment of the
+follows from one interval step per level (the step `solve_phase_hulls` takes
+each round) instead of a walk over every continuation.  Containment of the
 oracle interval in the formula interval, with Hausdorff distance below the
-geometric tail bound, is the package's independent evidence for the
-interval formulas.
+geometric tail bound, is the package's independent evidence for the interval
+formulas.
 """
 
 from __future__ import annotations
@@ -285,40 +285,33 @@ def solve_phase_hulls(system: PhaseMaps) -> dict[int, tuple[Fraction, Fraction]]
     """Exact hull [lo, hi] of each phase's attractor in a graph-directed
     system of monotone contractions x -> g + k*x (Mauldin & Williams 1988).
 
-    Iterates the per-phase interval step.  After each step, every hull end
-    is taken to be the image of one end of the next phase's hull under the
-    map that attained it, so the ends solve exactly as a functional graph
-    (`_solve_chains`); the solution is returned once it is verified to be
-    the true fixed point of the interval step.  As the iterates converge,
-    the attaining maps become extremal at the true hull, which then solves
-    the chain."""
+    Policy iteration (Howard 1960) on the per-phase interval step.  A policy
+    picks the map attaining each hull end, so the ends it implies solve
+    exactly as a functional graph (`_solve_chains`).  The first policy
+    attains one step at x = 0; each round steps once from the solution and
+    returns it if the step gives it back (the step contracts, so its fixed
+    point is unique), else adopts the maps the step attained.  It ends: with
+    each hi written as -w, every end is a minimum over maps of g' + |k| * (an
+    end of the next phase), so the step is monotone.  It can only lower a
+    policy's solution, and the next policy's solution lies at or below that
+    step: the solutions strictly decrease and no policy comes back."""
     if not system or not all(maps for maps, _ in system.values()):
         raise ValueError("need at least one affine map per phase")
-    kmax = max(abs(k) for maps, _ in system.values() for _, k in maps)
-    if kmax >= 1:
+    if max(abs(k) for maps, _ in system.values() for _, k in maps) >= 1:
         raise ValueError("affine maps must be contractions")
-    bound = max(abs(g) for maps, _ in system.values() for g, _ in maps) / (1 - kmax) + 1
-    lo, hi = dict.fromkeys(system, -bound), dict.fromkeys(system, bound)
-    for _ in range(400):
-        steps = {p: _interval_step(maps, lo[n], hi[n]) for p, (maps, n) in system.items()}
-        lo = {p: st[0] for p, st in steps.items()}
-        hi = {p: st[1] for p, st in steps.items()}
-        # end 0 (lo) of phase p is g + k * (end 0 of the next phase if k > 0, else end 1)
+    ends = {(p, e): Fraction(0) for p in system for e in (0, 1)}  # end 0 is lo, end 1 hi
+    while True:
+        steps = {p: _interval_step(maps, ends[n, 0], ends[n, 1]) for p, (maps, n) in system.items()}
+        hulls = {p: (ends[p, 0], ends[p, 1]) for p in system}
+        if all(st[:2] == hulls[p] for p, st in steps.items()):
+            return hulls
+        # end e of phase p is g + k * (end e of the next phase if k > 0, else the other end)
         links = {}
-        for p, (_, _, ilo, ihi) in steps.items():
-            maps, n = system[p]
-            (g, k), (g2, k2) = maps[ilo], maps[ihi]
-            links[p, 0] = ((n, 0 if k > 0 else 1), g, k)
-            links[p, 1] = ((n, 1 if k2 > 0 else 0), g2, k2)
+        for p, (maps, n) in system.items():
+            for e, i in enumerate(steps[p][2:]):
+                g, k = maps[i]
+                links[p, e] = ((n, e if k > 0 else 1 - e), g, k)
         ends = _solve_chains(links)
-        L = {p: ends[p, 0] for p in system}
-        H = {p: ends[p, 1] for p in system}
-        if all(
-            _interval_step(maps, L[n], H[n])[:2] == (L[p], H[p]) and L[p] <= H[p]
-            for p, (maps, n) in system.items()
-        ):
-            return {p: (L[p], H[p]) for p in system}
-    raise RuntimeError("affine hull iteration found no exact fixed point")
 
 
 @lru_cache(maxsize=256)
@@ -511,20 +504,19 @@ def covering_sums(fam: FamilySpec, depth: int) -> list[Fraction]:
 
     A cylinder's length is |scale| times its phase's local hull length, and
     every phase has one successor, so a rank's cylinders share one phase and
-    one mass, their total |scale|.  Counts no addresses; each rank is one
-    step of the walk budget's rule 2, as each phase of `_phase_maps` is."""
+    one mass, their total |scale|.  Counts no addresses.  Each rank is one
+    step of the walk budget's rule 2, as each phase of `_phase_maps` is, and
+    every rank passes it before any hull is solved."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    hulls, system = _local_hulls(fam), _phase_maps(fam)
-    phase, mass, digits = 0, Fraction(1), 0.0
-    sums = [hulls[0][1] - hulls[0][0]]
+    system = _phase_maps(fam)
+    ranks, digits = [(0, Fraction(1))], 0.0  # each rank's (phase, mass)
     for rank in range(1, depth + 1):
-        maps, phase = system[phase]
+        maps, phase = system[ranks[-1][0]]
         digits = denominator_digits(rank, digits, max(k.denominator for _, k in maps), "ranks", "; lower --depth")
-        mass *= sum(abs(k) for _, k in maps)
-        lo, hi = hulls[phase]
-        sums.append(mass * (hi - lo))
-    return sums
+        ranks.append((phase, ranks[-1][1] * sum(abs(k) for _, k in maps)))
+    hulls = _local_hulls(fam)
+    return [mass * (hulls[p][1] - hulls[p][0]) for p, mass in ranks]
 
 
 def cylinder_report(fam: FamilySpec, addr, child: int | None = None) -> CylinderReport:

@@ -1,6 +1,9 @@
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorkit import (
     CapExceededError,
@@ -21,7 +24,8 @@ from cantorkit import (
     tail_extrema_oracle,
     verify_family,
 )
-from cantorkit.cylinders import solve_phase_hulls
+from cantorkit.cli import main
+from cantorkit.cylinders import _interval_step, _phase_maps, solve_phase_hulls
 from cantorkit.families import level_choices
 
 S3 = parse_family("S(s=3)")
@@ -159,6 +163,40 @@ def test_affine_hull_solver():
         solve_phase_hulls({0: ((), 0)})
     with pytest.raises(ValueError):
         solve_phase_hulls({0: (((F(1), F(2)),), 0)})
+
+
+@st.composite
+def affine_systems(draw):
+    """1-4 phases of 1-5 maps x -> g + k*x, g a small rational and k = +-1/m,
+    each phase with any next phase."""
+    n = draw(st.integers(1, 4))
+    g = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+    k = st.builds(F, st.sampled_from((-1, 1)), st.integers(2, 9))
+    maps = st.lists(st.tuples(g, k), min_size=1, max_size=5).map(tuple)
+    return {p: (draw(maps), draw(st.integers(0, n - 1))) for p in range(n)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(affine_systems())
+def test_phase_hulls_are_the_fixed_point_of_the_interval_step(system):
+    # the step contracts (lo, -hi), so its fixed point is unique: the hull
+    hulls = solve_phase_hulls(system)
+    assert hulls.keys() == system.keys()
+    for p, (maps, n) in system.items():
+        lo, hi = hulls[p]
+        assert lo <= hi and _interval_step(maps, *hulls[n])[:2] == (lo, hi)
+
+
+@pytest.mark.parametrize("L", [399, 2000])
+def test_near_tied_maps_solve_exactly(capsys, L):
+    # blocks 1 and 1^(L-1) 0: the maps x -> (1 + x)/2 and x -> (2^L - 2 + x)/2^L,
+    # whose images of the inf differ by about 2^-(L+1)
+    family = f"Blocks(s=2,B=[1;{'1 ' * (L - 1)}0])"
+    assert solve_phase_hulls(_phase_maps(parse_family(family))) == {0: (1 - F(1, 2**L - 1), F(1))}
+    for argv in (["cylinder", family], ["cover", family, "--depth", "3"], ["boxcount", family]):
+        start = time.perf_counter()
+        assert main(argv) == 0, capsys.readouterr().err
+        assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("p, refused", [(30, False), (40, True)])
