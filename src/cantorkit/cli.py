@@ -231,9 +231,7 @@ def _cmd_cylinder(args) -> int:
 
 def _cmd_verify(args) -> int:
     fam = parse_family(args.family)
-    report = cyl.verify_family(
-        fam, depth=args.depth, oracle_depth=args.depth + 6, cap=args.cap
-    )
+    report = cyl.verify_family(fam, depth=args.depth, cap=args.cap)
     if args.format == "json":
         payload = {
             "family": report.family,
@@ -250,7 +248,7 @@ def _cmd_verify(args) -> int:
         }
         _emit(_jdump(payload), args.out)
     else:
-        lines = [f"verify {report.family} (depth {args.depth}, oracle depth {args.depth + 6})"]
+        lines = [f"verify {report.family} (depth {args.depth}, oracle depth {args.depth + cyl.ORACLE_EXTRA_DEPTH})"]
         for r in report.results:
             mark = "pass" if r.passed else "FAIL"
             lines.append(f"[{mark}] {r.name:<20} {r.checked} checks")

@@ -15,6 +15,7 @@ of the defining equations are reported so callers can judge conditioning.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -135,12 +136,22 @@ def md_closed_form(s: int) -> DimensionResult:
     alpha = log_s x where x = cbrt((s-1)/2 + R) + cbrt((s-1)/2 - R),
     R = sqrt((27(s-1)^2 - 4)/3)/6; x is the positive root of x^3 - x = s-1.
     The generic cubic bisection is recorded as a cross-check.
+
+    a - R = 1/(27 (a + R)), a = (s-1)/2, cancels as s grows (below 0 at
+    s = 10^13), so from s = 5 on x = c + 1/(3c), c = cbrt(a + R); below 5 the
+    two cube roots, within 2 ulp there, keep the bytes `clibench` records.
     """
     if s < 2:
         raise OutOfRangeError(f"base must be >= 2, got {s}")
+    if s > sys.float_info.max:
+        raise OutOfRangeError(f"MD base {s} is past the float range")
     a = (s - 1) / 2.0
-    r = math.sqrt((27.0 * (s - 1) ** 2 - 4.0) / 3.0) / 6.0
-    x = (a + r) ** (1.0 / 3.0) + (a - r) ** (1.0 / 3.0)  # a - r > 0 (a^2 - r^2 = 1/27)
+    if s < 5:
+        r = math.sqrt((27.0 * (s - 1) ** 2 - 4.0) / 3.0) / 6.0
+        x = (a + r) ** (1.0 / 3.0) + (a - r) ** (1.0 / 3.0)
+    else:
+        c = (a + a * math.sqrt(1 - 1 / (27 * a * a))) ** (1.0 / 3.0)
+        x = c + 1 / (3 * c)
     alpha = math.log(x) / math.log(s)
 
     def poly(t):

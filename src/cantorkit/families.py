@@ -65,6 +65,20 @@ _KEYS = {
 
 KINDS = tuple(_KEYS)
 
+#: each kind's least base s, as its refusal words it (Cantor's s is its largest basis value)
+_LEAST_BASE = {**dict.fromkeys(("S", "Su", "NSu", "Sminus", "Tilde"), (3, "s > 2")),
+               "MD": (2, "s > 1"), "MDper": (2, "s > 1"), "Blocks": (2, "s >= 2")}
+
+#: each `FamilySpec` field past s, in field order: what a kind whose `_KEYS`
+#: set it needs, and what any other kind takes no
+_FIELD_WORDS = {
+    "u": ("a digit parameter u", "u parameter"),
+    "period": ("a gap period m=[...]", "period"),
+    "blocks": ("a nonempty block list B=[...]", "explicit block list"),
+    "basis": ("a basis and per-level digit sets", "Cantor basis"),
+    "level_sets": ("a basis and per-level digit sets", "Cantor basis"),
+}
+
 #: kinds whose addresses are indices into a finite block list
 BLOCK_KINDS = ("Tilde", "Blocks")
 
@@ -94,36 +108,25 @@ class FamilySpec(_FamilySpecFields):
     ):
         if kind not in KINDS:
             raise FamilyParseError(f"unknown family kind {kind!r}")
-        if kind in ("S", "Su", "NSu", "Sminus", "Tilde"):
-            if s <= 2:
-                raise FamilyConstraintError(f"{kind} requires s > 2, got {s}")
-        elif kind in ("MD", "MDper"):
-            if s <= 1:
-                raise FamilyConstraintError(f"{kind} requires s > 1, got {s}")
-        elif kind == "Blocks":
-            if s < 2:
-                raise FamilyConstraintError(f"Blocks requires s >= 2, got {s}")
-        if kind == "S" and u in (None, 0):  # 0 is how pickle and copy rebuild an S
-            u = 0
-        elif kind in ("Su", "NSu"):
-            if u is None:
-                raise FamilyConstraintError(f"{kind} needs a digit parameter u")
-            if not 0 <= u < s:
-                raise FamilyConstraintError(f"u={u} outside alphabet of base {s}")
-        elif u is not None:
-            raise FamilyConstraintError(f"{kind} takes no u parameter")
-        if kind == "MDper":
-            if not period:
-                raise FamilyConstraintError("MDper needs a gap period m=[...]")
+        least, words = _LEAST_BASE.get(kind, (0, ""))
+        if s < least:
+            raise FamilyConstraintError(f"{kind} requires {words}, got {s}")
+        if kind == "S" and u == 0:  # 0 is how pickle and copy rebuild an S
+            u = None
+        taken = {_GRAMMAR[key][0] for key in _KEYS[kind]}
+        for (field, (needs, takes_no)), value in zip(_FIELD_WORDS.items(), (u, period, blocks, basis, level_sets)):
+            if field not in taken and value is not None:
+                raise FamilyConstraintError(f"{kind} takes no {takes_no}")
+            if field in taken and (value is None if field == "u" else not value):  # u = 0 is a digit
+                raise FamilyConstraintError(f"{kind} needs {needs}")
+        if u is not None and not 0 <= u < s:
+            raise FamilyConstraintError(f"u={u} outside alphabet of base {s}")
+        if period is not None:
             period = tuple(int(m) for m in period)
             for m in period:
                 if m < 3 or m % 2 == 0:
                     raise FamilyConstraintError(f"MDper gaps must be odd and >= 3, got {m}")
-        elif period is not None:
-            raise FamilyConstraintError(f"{kind} takes no period")
-        if kind == "Blocks":
-            if not blocks:
-                raise FamilyConstraintError("Blocks needs a nonempty block list B=[...]")
+        if blocks is not None:
             blocks = tuple(tuple(int(d) for d in b) for b in blocks)
             if len(set(blocks)) != len(blocks):
                 raise FamilyConstraintError("duplicate blocks")
@@ -134,11 +137,7 @@ class FamilySpec(_FamilySpecFields):
                     if not 0 <= d < s:
                         raise InvalidDigitError(f"block digit {d} outside base {s}")
             blocks = tuple(sorted(blocks, key=lambda b: (len(b), b)))
-        elif blocks is not None:
-            raise FamilyConstraintError(f"{kind} takes no explicit block list")
-        if kind == "Cantor":
-            if not basis or not level_sets:
-                raise FamilyConstraintError("Cantor needs a basis and per-level digit sets")
+        if basis is not None:
             basis = tuple(int(v) for v in basis)
             if min(basis) < 2:
                 raise FamilyConstraintError(f"basis value {min(basis)} must be > 1")
@@ -159,9 +158,7 @@ class FamilySpec(_FamilySpecFields):
                 k = min(range(c, len(basis), g), key=basis.__getitem__)
                 if level_sets[i][-1] >= basis[k]:
                     raise InvalidDigitError(f"digit {level_sets[i][-1]} of I_{i + 1} >= d_{k + 1} = {basis[k]}")
-        elif basis is not None or level_sets is not None:
-            raise FamilyConstraintError(f"{kind} takes no Cantor basis")
-        return super().__new__(cls, kind, s, u, period, blocks, basis, level_sets)
+        return super().__new__(cls, kind, s, 0 if kind == "S" else u, period, blocks, basis, level_sets)
 
     # -- structural helpers -------------------------------------------------
 
@@ -312,21 +309,24 @@ def block_histogram(blocks) -> dict[int, int]:
 
 def level_choices(fam: FamilySpec, level: int) -> Sequence[int]:
     """Admissible selectors at one address level (1-indexed): the one list of
-    a family's selectors.  MD has a selector for every odd gap and is refused."""
+    a family's selectors.  MD has a selector for every odd gap and is refused;
+    so is a level of over DEFAULT_CAP selectors that s counts, before any is
+    built or `len` overflows on it (Blocks and Cantor list theirs in full)."""
     kind, s = fam.kind, fam.s
-    if kind in ("S", "Su", "NSu", "Sminus"):  # Sminus has no u; S has u = 0
-        if s - 1 - bool(fam.u) > DEFAULT_CAP:  # refused before it is built
-            raise CapExceededError(f"{fam.label()} has over {DEFAULT_CAP} selectors, above the cap")
-        return tuple(a for a in range(1, s) if a != fam.u)
-    if kind == "MDper":
-        return range(s)
     if kind == "Cantor":
         return fam.level_sets[(level - 1) % len(fam.level_sets)]
     if kind == "Blocks":
         return range(len(fam.blocks))
-    if kind == "Tilde":  # (1,) and s-1 blocks of each length 2..s-1
-        return range(1 + (s - 1) * (s - 2))
-    raise UnsupportedFamilyError("MD has unbounded branching")
+    if kind == "MD":
+        raise UnsupportedFamilyError("MD has unbounded branching")
+    # MDper's digits; Tilde's (1,) and s-1 blocks of each length 2..s-1; the
+    # run digits 1..s-1 but u (Sminus has no u; S has u = 0)
+    count = {"MDper": s, "Tilde": 1 + (s - 1) * (s - 2)}.get(kind, s - 1 - bool(fam.u))
+    if count > DEFAULT_CAP:
+        raise CapExceededError(f"{fam.label()} has over {DEFAULT_CAP} selectors, above the cap")
+    if kind in ("MDper", "Tilde"):
+        return range(count)
+    return tuple(a for a in range(1, s) if a != fam.u)
 
 
 # -- the walk budget: whether a walk is too big, decided before it starts -------

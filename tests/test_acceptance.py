@@ -93,7 +93,7 @@ def test_c05_cylinder_property_suite():
     t0 = time.perf_counter()
     failures = []
     for text in configs:
-        rep = verify_family(parse_family(text), depth=4, oracle_depth=10, cap=2_000_000)
+        rep = verify_family(parse_family(text), depth=4, cap=2_000_000)
         if not rep.passed:
             failures.append((text, [r.name for r in rep.results if not r.passed]))
     dt = time.perf_counter() - t0

@@ -35,7 +35,7 @@ def test_predicted_rank_walks_are_the_walked_ones(text):
         predicted = walk_size(fam, depth)
         assert predicted == sum(len(enumerate_addresses(fam, r)) for r in range(depth + 1)), (text, depth)
         if _has_closed_form(fam):  # the kinds `verify` walks
-            report = verify_family(fam, depth, depth + 2)
+            report = verify_family(fam, depth)
             assert report.results[0].name == "interval-vs-oracle"
             assert report.results[0].checked == predicted, (text, depth)
 

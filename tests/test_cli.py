@@ -15,6 +15,8 @@ from typing import get_type_hints
 import pytest
 
 import cantorkit
+import cantorkit.cylinders as cyl
+import cantorkit.families as families
 from cantorkit import CantorkitError
 from cantorkit.cli import _COMMANDS, _UsageError, main
 
@@ -45,12 +47,17 @@ def test_dim_json_is_deterministic(capsys):
     assert payload["residual"] <= 1e-10
 
 
-def test_dim_md_has_cross_check(capsys):
-    code, out = run(capsys, "dim", "MD(s=2)")
+@pytest.mark.parametrize("s", [2, 10**5, 10**8, 10**13, 10**200])
+def test_dim_md_has_cross_check(capsys, s):
+    # the closed form's second cube root cancels as s grows, to below 0 at 10^13
+    start = time.perf_counter()
+    code, out = run(capsys, "dim", f"MD(s={s})")
+    assert time.perf_counter() - start < 0.5
     payload = json.loads(out)
-    assert code == 0
-    assert payload["method"] == "closed-cubic"
-    assert abs(payload["alpha"] - payload["cross_check"]) <= 1e-10
+    lo, hi = payload["bracket"]
+    assert code == 0 and payload["method"] == "closed-cubic" and lo <= payload["alpha"] <= hi
+    if s < 10**39:  # past it the root t = s^-alpha is below the bisection's tolerance
+        assert abs(payload["alpha"] - payload["cross_check"]) <= 1e-11
 
 
 def test_dim_degenerate_flag(capsys):
@@ -80,8 +87,8 @@ def test_verify_json_format(capsys):
     code, out = run(capsys, "verify", "S(s=3)", "--depth", "3", "--format", "json")
     payload = json.loads(out)
     assert code == 0 and payload["passed"] is True
-    names = {p["name"] for p in payload["properties"]}
-    assert {"interval-vs-oracle", "ratio-law", "sibling-gaps", "ordering"} <= names
+    names = [p["name"] for p in payload["properties"]]
+    assert names == ["interval-vs-oracle", "nesting", "sibling-gaps", "ordering", "covering-law"]
 
 
 def test_eval_and_rationals(capsys):
@@ -240,6 +247,73 @@ def test_verify_failure_reports_address_and_rationals(capsys, monkeypatch):
     assert "FAIL" in out and "addr=" in out and "/" in out
     cyl._local_hulls.cache_clear()
     cyl._oracle_local.cache_clear()
+
+
+def _bounds_moved(lo_by, hi_by):
+    """Move S/Su's whole-set inf and sup by these multiples of the hull width."""
+
+    def sabotage(monkeypatch):
+        true_bounds = cyl._su_bounds
+
+        def bounds(s, u):
+            inf0, sup0 = true_bounds(s, u)
+            return inf0 + lo_by * (sup0 - inf0), sup0 + hi_by * (sup0 - inf0)
+
+        monkeypatch.setattr(cyl, "_su_bounds", bounds)
+
+    return sabotage
+
+
+def _digit_2_scale_off(monkeypatch):
+    # run digit 2 of S(s=3) maps by 1/10, not 3^-2
+    true_map = families.digit_map
+
+    def digit_map(fam, sel, phase=0):
+        block, gn, sk, m, nxt = true_map(fam, sel, phase)
+        return block, gn, sk, m + (sel == 2), nxt
+
+    monkeypatch.setattr(families, "digit_map", digit_map)
+
+
+def _diameter_off(monkeypatch):
+    true_diameter = cyl.sminus_diameter_constant
+    monkeypatch.setattr(cyl, "sminus_diameter_constant", lambda s: true_diameter(s) + Fraction(1, s))
+
+
+#: (family, sabotage, the rows it must fail): one failing case for every row
+SABOTAGES = [
+    ("S(s=3)", _bounds_moved(Fraction(1, 9), 0), {"interval-vs-oracle", "nesting"}),
+    ("S(s=3)", _bounds_moved(-3, 3), {"sibling-gaps", "ordering"}),
+    ("S(s=3)", _digit_2_scale_off, {"covering-law"}),
+    ("Sminus(s=3)", _diameter_off, {"diameter-constants"}),
+]
+
+
+def _clear_caches():
+    for cache in (cyl._local_hulls, cyl._oracle_local, cyl._phase_maps, families.digit_maps):
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("text, sabotage, rows", SABOTAGES, ids=[", ".join(sorted(r)) for *_, r in SABOTAGES])
+def test_every_verify_row_can_fail(capsys, monkeypatch, text, sabotage, rows):
+    sabotage(monkeypatch)
+    _clear_caches()
+    try:
+        code, out = run(capsys, "verify", text, "--depth", "2", "--format", "json")
+    finally:
+        monkeypatch.undo()
+        _clear_caches()
+    failing = {p["name"] for p in json.loads(out)["properties"] if not p["passed"]}
+    assert code == 2 and rows <= failing, failing
+
+
+def test_verify_prints_only_rows_that_can_fail(capsys):
+    printed = set()
+    for text in ("S(s=3)", "Su(s=4,u=2)", "NSu(s=3,u=0)", "Sminus(s=3)"):
+        code, out = run(capsys, "verify", text, "--depth", "2", "--format", "json")
+        assert code == 0
+        printed |= {p["name"] for p in json.loads(out)["properties"]}
+    assert printed == set().union(*(rows for *_, rows in SABOTAGES))
 
 
 def test_back_to_back_commands_carry_nothing_over(capsys):
@@ -429,6 +503,7 @@ BAD_INT = "invalid literal for int() with base 10: 'x'"
         (("enumerate", "S(s=3)", "--depth", "0", "--cap", "0"), "argument --cap: must be an integer >= 1, got '0'"),
         (("boxcount", "S(s=3)", "--cap", "0"), "argument --cap: must be an integer >= 1, got '0'"),
         (("verify", "S(s=3)", "--cap", "1.5"), "argument --cap: must be an integer >= 1, got '1.5'"),
+        (("dim", f"MD(s={2 * 10**308})"), f"MD base {2 * 10**308} is past the float range"),
         # a superscript is a digit to str.isdigit but not to int
         (("verify", "S(s=3)", "--depth", "\u00b2"), "argument --depth: must be an integer >= 0, got '\u00b2'"),
         (("boxcount", "S(s=3)", "--scales", "\u00b2:7"),
@@ -548,8 +623,13 @@ def test_run_block_tables_are_capped(capsys):
     )
 
 
-@pytest.mark.parametrize("family", ["S(s=1000000000)", "Su(s=1000000000,u=5)"])
-@pytest.mark.parametrize("argv", [("dim",), ("cylinder",), ("enumerate", "--depth", "0")])
+@pytest.mark.parametrize(
+    "family", ["S(s=1000000000)", "Su(s=1000000000,u=5)", "Tilde(s=10000000000)", f"MDper(s={10**200},m=[3])"]
+)
+@pytest.mark.parametrize(
+    "argv",
+    [("dim",), ("blocks",), ("cylinder",), ("cover",), ("eval", "--alphas", "1"), ("enumerate", "--depth", "0")],
+)
 def test_huge_run_alphabets_are_refused_before_they_are_built(capsys, family, argv):
     start = time.perf_counter()
     assert main([argv[0], family, *argv[1:]]) == 1

@@ -355,18 +355,18 @@ def test_cylinder_report():
 
 def test_verify_family_passes():
     for text in ("S(s=3)", "Su(s=4,u=2)", "NSu(s=3,u=0)", "Sminus(s=3)"):
-        rep = verify_family(parse_family(text), depth=3, oracle_depth=8)
+        rep = verify_family(parse_family(text), depth=3)
         assert rep.passed, [(r.name, r.failures) for r in rep.results if not r.passed]
 
 
 def test_verify_counts_covering_depths_summed():
     # depths 0..4, though 4^4 = 256 addresses at depth 4 pass the cap: the
     # cap bounds the walk to depth 2 (16 addresses), not the covering sums
-    rep = verify_family(parse_family("S(s=5)"), depth=2, oracle_depth=3, cap=100)
+    rep = verify_family(parse_family("S(s=5)"), depth=2, cap=100)
     cov = next(r for r in rep.results if r.name == "covering-law")
     assert rep.passed and cov.checked == 5
 
 
 def test_verify_rejects_nonformula_families():
     with pytest.raises(UnsupportedFamilyError):
-        verify_family(parse_family("Tilde(s=4)"), depth=2, oracle_depth=4)
+        verify_family(parse_family("Tilde(s=4)"), depth=2)

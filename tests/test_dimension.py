@@ -112,6 +112,7 @@ def test_md_closed_form():
     for s in range(2, 17):
         r = md_closed_form(s)
         assert abs(r.alpha - r.cross_check) <= 1e-10
+    assert md_closed_form(7).alpha == math.log(2) / math.log(7)  # 2^3 - 2 = 6
     assert family_dimension(parse_family("MD(s=2)")).method == "closed-cubic"
     # MD's block language has no finite histogram: only md_closed_form solves it
     with pytest.raises(ValueError, match="md_closed_form"):

@@ -75,18 +75,18 @@ def ref_oracle_interval(fam, frame, depth):
     return iv, Fraction(fam.s, fam.s - 1) * abs(scale) * shrink
 
 
-def ref_verify_family(fam, depth, oracle_depth, cap=10**6):
+def ref_verify_family(fam, depth, cap=10**6):
     cyl.covering_sums(fam, depth)  # the ranks x digits rule, as `cover --depth` applies it
     walk_size(fam, depth, cap)
     s = fam.s
     digits = level_choices(fam, 1)
     _fail = cyl._fail
-    oracle_f, nest_f, ratio_f, part_f, gap_f, ord_f = [], [], [], [], [], []
+    oracle_f, nest_f, gap_f, ord_f = [], [], [], []
     n_addr = n_child = n_pair = 0
     stack = [((), (_family_const(fam), Fraction(1), 0), ref_cylinder_interval(fam, ()))]
     while stack:
         base, frame, parent = stack.pop()
-        oracle, bound = ref_oracle_interval(fam, frame, oracle_depth)
+        oracle, bound = ref_oracle_interval(fam, frame, depth + cyl.ORACLE_EXTRA_DEPTH)
         n_addr += 1
         if not parent.contains(oracle):
             _fail(oracle_f, base, oracle, parent, "oracle escapes formula")
@@ -95,16 +95,10 @@ def ref_verify_family(fam, depth, oracle_depth, cap=10**6):
         if len(base) == depth:
             continue
         children = {c: ref_cylinder_interval(fam, base + (c,)) for c in digits}
-        child_sum = Fraction(0)
         for c, child in children.items():
             n_child += 1
             if not parent.contains(child):
                 _fail(nest_f, base + (c,), child, parent, "child escapes parent")
-            if parent.width and child.width * s**c != parent.width:
-                _fail(ratio_f, base + (c,), child.width / parent.width, Fraction(1, s**c), "ratio law")
-            child_sum += child.width
-        if parent.width and child_sum > parent.width:
-            _fail(part_f, base, child_sum, parent.width, "children exceed parent length")
         entries = cyl._ordering_entries(fam, base, {c: (iv.lo, iv.hi) for c, iv in children.items()})
         n_pair += len(entries)
         for e in entries:
@@ -120,8 +114,6 @@ def ref_verify_family(fam, depth, oracle_depth, cap=10**6):
     results = [
         cyl.PropertyResult("interval-vs-oracle", n_addr, not oracle_f, tuple(oracle_f)),
         cyl.PropertyResult("nesting", n_child, not nest_f, tuple(nest_f)),
-        cyl.PropertyResult("ratio-law", n_child, not ratio_f, tuple(ratio_f)),
-        cyl.PropertyResult("partition", n_child, not part_f, tuple(part_f)),
         cyl.PropertyResult("sibling-gaps", n_pair, not gap_f, tuple(gap_f)),
         cyl.PropertyResult("ordering", n_pair, not ord_f, tuple(ord_f)),
     ]
@@ -156,8 +148,8 @@ def _assert_walks_agree(texts):
                 want = ref_cylinder_interval(fam, addr)
                 assert cylinder_interval(fam, addr) == want, (text, addr)
         for depth in range(6):
-            got = verify_family(fam, depth=depth, oracle_depth=depth + 6)
-            assert got == ref_verify_family(fam, depth, depth + 6), (text, depth)
+            got = verify_family(fam, depth=depth)
+            assert got == ref_verify_family(fam, depth), (text, depth)
 
 
 @pytest.mark.parametrize("bounds", sorted(FAMILIES))
@@ -181,7 +173,7 @@ def test_integer_walk_equals_fraction_walk_on_sabotaged_bounds(monkeypatch, boun
 
     monkeypatch.setattr(cyl, bounds, sabotaged)
     fam = parse_family(FAMILIES[bounds][0])
-    assert not verify_family(fam, depth=2, oracle_depth=8).passed
+    assert not verify_family(fam, depth=2).passed
     _assert_walks_agree(FAMILIES[bounds])
 
 
@@ -191,23 +183,23 @@ def test_hausdorff_threshold_is_the_tail_bound(monkeypatch, bounds):
     # exceeds the node's bound, by less than that bound
     fam = parse_family(FAMILIES[bounds][0])
     true_bounds = getattr(cyl, bounds)
-    bound = tail_extrema_oracle(fam, (), 8).bound
+    bound = tail_extrema_oracle(fam, (), 3 + cyl.ORACLE_EXTRA_DEPTH).bound
 
     def sabotaged(s, *u):
         inf0, sup0 = true_bounds(s, *u)
         return inf0 - bound, sup0
 
     monkeypatch.setattr(cyl, bounds, sabotaged)
-    got = verify_family(fam, depth=3, oracle_depth=8)
-    assert got == ref_verify_family(fam, 3, 8)
+    got = verify_family(fam, depth=3)
+    assert got == ref_verify_family(fam, 3)
     oracle = got.results[0]
     assert oracle.name == "interval-vs-oracle" and len(oracle.failures) == 5
     assert all("Hausdorff distance above tail bound" in f for f in oracle.failures)
 
 
-def test_ratio_and_partition_failures_are_reported(monkeypatch):
-    # a self-similar closed form cannot break these two laws, so stretch
-    # every rank-2 interval to four times its width
+def test_stretched_closed_forms_fail_nesting_and_the_oracle(monkeypatch):
+    # a closed form that is not self-similar: every rank-2 interval stretched
+    # to four times its width escapes its parent and strays from the oracle
     true_ends = cyl._closed_ends
 
     def stretched(fam, form, state):
@@ -215,10 +207,11 @@ def test_ratio_and_partition_failures_are_reported(monkeypatch):
         return (lo, hi + 3 * (hi - lo)) if state[2] == 2 else (lo, hi)
 
     monkeypatch.setattr(cyl, "_closed_ends", stretched)
-    rep = verify_family(parse_family("S(s=3)"), depth=2, oracle_depth=6)
+    rep = verify_family(parse_family("S(s=3)"), depth=2)
     failures = {r.name: r.failures for r in rep.results if not r.passed}
-    assert failures["ratio-law"][0] == "addr=(1, 1): ratio law: 4/3 vs 1/3"
-    assert failures["partition"][0] == "addr=(1,): children exceed parent length: 4/27 vs 1/12"
+    assert set(failures) == {"interval-vs-oracle", "nesting"}
+    assert failures["nesting"][0] == "addr=(1, 1): child escapes parent: [17/36, 7/12] vs [5/12, 1/2]"
+    assert failures["interval-vs-oracle"][0] == "addr=(1, 1): Hausdorff distance above tail bound: 1/12 vs 1/39366"
 
 
 # one rank past the digit rule, past the cap by a whole rank or by one cylinder, and at the cap
@@ -237,7 +230,7 @@ def test_reference_refuses_what_verify_refuses(text, depth, cap, refused):
     outcomes = []
     for walk in (verify_family, ref_verify_family):
         try:
-            outcomes.append(walk(fam, depth, depth + 6, cap))
+            outcomes.append(walk(fam, depth, cap))
         except CapExceededError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
