@@ -1,12 +1,13 @@
 """Empirical box-counting dimension from cylinder covers.
 
-A fixed mesh of width eps is anchored at the set's infimum.  Cylinders are
-subdivided until each hull fits inside one mesh step (a walk sized before
-it starts), and the cover is intersected with the mesh exactly, in
-rational arithmetic.  A cell counts when the cover meets its interior or
-contains the cell's left endpoint; with eps a power of 1/s the cover aligns
-with the mesh and exactly self-similar sets produce the clean counts (2^n
-boxes of width 3^-n for the classical Cantor set) with no boundary noise.
+A fixed mesh of width eps = s^-n is anchored at phase 0's local infimum,
+the set's infimum less the family constant: a translation changes no
+count.  Cylinders are subdivided until each hull fits inside one mesh step
+(a walk sized before it starts), and the cover is intersected with the
+mesh exactly, in integers.  A cell counts when the cover meets its interior
+or contains the cell's left endpoint; at these widths the cover aligns with
+the mesh, and exactly self-similar sets produce the clean counts (2^n boxes
+of width 3^-n for the classical Cantor set) with no boundary noise.
 
 Subdividing only the cylinders still wider than eps gives the same cell set
 as deepening every address uniformly: hull endpoints are attained by set
@@ -20,11 +21,10 @@ mesh cells of each scale by integer division, with no `Fraction` per node.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .cylinders import _local_hulls, set_interval
-from .families import DEFAULT_CAP, ROOT_FRAME, FamilySpec, _family_const, box_walk, child_frames
+from .cylinders import _local_hulls
+from .families import DEFAULT_CAP, ROOT_FRAME, FamilySpec, box_walk, child_frames, level_choices
 
 
 class _ScaleCountFields(NamedTuple):
@@ -60,55 +60,48 @@ class FitResult(_FitResultFields):
         return super().__new__(cls, slope, min(r2, 1.0), scales)
 
 
-def _cover_counts(fam: FamilySpec, epss: Sequence[Fraction], cap: int) -> list[int]:
-    """Mesh cells touched at each width of the descending list `epss`, from
-    one walk of the cylinder tree.
+def _cover_counts(fam: FamilySpec, ns: Sequence[int], cap: int) -> list[int]:
+    """Mesh cells touched at each width s^-n, n in the ascending list `ns`,
+    from one walk of the cylinder tree.
 
-    A node is terminal for scale i when it is the first on its path with
-    hull width <= epss[i].  Each node carries the index of the first scale
-    still open on its path, so the walk descends only while the finest scale
-    is open: it visits exactly the nodes of the finest scale's own walk,
-    which contains every coarser one; `box_walk` counts them before it.
+    The mesh is anchored at phase 0's local inf, the set's inf less the
+    family constant; a translation changes no count.  A node is terminal for
+    scale i when it is the first on its path with hull width <= s^-ns[i].
+    Each node carries the index of the first scale still open on its path,
+    so the walk descends only while the finest scale is open: it visits
+    exactly the nodes of the finest scale's own walk, which contains every
+    coarser one; `box_walk` counts them before it.
     """
-    if any(eps <= 0 for eps in epss):
-        raise ValueError("eps must be positive")
-    hull = set_interval(fam)
-    # eps_i = p/q, so each mesh index floor(x/eps_i) is one integer division
-    pq = [(eps.numerator, eps.denominator) for eps in epss]
-    hn, hd = hull.width.numerator, hull.width.denominator
-    last = [-((-hn * q) // (hd * p)) - 1 for p, q in pq]  # ceil(width/eps) cells
-    cells: list[set[int]] = [set() for _ in epss]
-    # a frame's hull ends, measured from the mesh's anchor inf, are
-    # shift + (V + sign * local end)/den; over M * den all are integers
     local = _local_hulls(fam)  # refuses MD: its branching is unbounded
-    shift = _family_const(fam) - hull.lo
-    M = math.lcm(shift.denominator, *(x.denominator for ends in local.values() for x in ends))
-    shift_m = int(shift * M)
+    # a frame's hull ends, measured from the anchor, are (V + sign * local
+    # end)/den - anchor; over d = M * den all are integers, and the mesh
+    # index of x/d at width 1/q is one integer division, x * q // d
+    M = math.lcm(*(x.denominator for ends in local.values() for x in ends))
+    anchor = int(local[0][0] * M)
     # phase -> local hull ends and width, as numerators over M
     ends = {phase: (int(lo * M), int(hi * M), int((hi - lo) * M)) for phase, (lo, hi) in local.items()}
-    pm = [p * M for p, _ in pq]
-    n_scales = len(epss)
-    n = (math.log(epss[-1].denominator) - math.log(epss[-1].numerator)) / math.log(fam.s)  # eps = s^-n
-    box_walk(fam, lambda den, phase: ends[phase][2] * pq[-1][1] > pm[-1] * den, cap, f"to eps={fam.s}^-{n:.6g}")
+    qs = [fam.s**n for n in ns]
+    last = [-((-ends[0][2] * q) // M) - 1 for q in qs]  # ceil(width * q) cells
+    cells: list[set[int]] = [set() for _ in qs]
+    box_walk(fam, lambda den, phase: ends[phase][2] * qs[-1] > M * den, cap, f"to eps={fam.s}^-{ns[-1]}")
     stack = [(0, ROOT_FRAME)]
     while stack:
         first, frame = stack.pop()
         V, den, sign, phase = frame
         lo, hi, width = ends[phase]
-        end = first  # hull width over M * den against eps_i = p/q
-        while end < n_scales and width * pq[end][1] <= pm[end] * den:
+        d, end = M * den, first
+        while end < len(qs) and width * qs[end] <= d:
             end += 1
         if end > first:
-            at = shift_m * den + V * M
+            at = V * M - anchor * den
             a, b = (at + lo, at + hi) if sign > 0 else (at - hi, at - lo)
             for i in range(first, end):
-                q, d = pq[i][1], pm[i] * den
-                k1 = min((a * q) // d, last[i])
-                k2, rem = divmod(b * q, d)
+                k1 = min((a * qs[i]) // d, last[i])
+                k2, rem = divmod(b * qs[i], d)
                 if rem == 0:
                     k2 -= 1  # a right end on a mesh line claims nothing beyond it
                 cells[i].update(range(k1, min(max(k2, k1), last[i]) + 1))
-        if end < n_scales:
+        if end < len(qs):
             stack.extend((end, child) for _, child in child_frames(fam, frame))
     return [len(c) for c in cells]
 
@@ -143,6 +136,7 @@ def box_dimension(
     smallest n >= 10 with s^(n-4) >= 100, the two decades `fit_dimension` needs."""
     if n_hi is None:
         n_hi = 10 + (fam.s**6 < 100)
+    level_choices(fam, 1)  # a base of over DEFAULT_CAP selectors is refused first
     if n_lo < 0:
         raise ValueError("scale exponents must be >= 0")
     if n_hi - n_lo < 2:
@@ -150,10 +144,9 @@ def box_dimension(
     # the checks `ScaleCount` and `fit_dimension` make after the walk, made
     # before it: float(s^-n) is 0.0 once s^n >= 2^1075, always when n > 1075
     if n_hi > 1075 or fam.s**n_hi >= 2**1075:
-        raise ValueError("box width must be positive")
+        raise ValueError(f"--scales n_hi = {n_hi} makes eps = {fam.s}^-{n_hi} round to float 0; lower n_hi")
     if (n_hi - n_lo) * math.log10(fam.s) < 2:
         raise ValueError("scales must span at least two decades of eps")
-    epss = [Fraction(1, fam.s**n) for n in range(n_lo, n_hi + 1)]
-    counts = _cover_counts(fam, epss, cap)
-    points = [ScaleCount(float(eps), count) for eps, count in zip(epss, counts)]
+    ns = range(n_lo, n_hi + 1)
+    points = [ScaleCount(1 / fam.s**n, count) for n, count in zip(ns, _cover_counts(fam, ns, cap))]
     return fit_dimension(points), points

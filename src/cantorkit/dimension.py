@@ -135,7 +135,9 @@ def md_closed_form(s: int) -> DimensionResult:
 
     alpha = log_s x where x = cbrt((s-1)/2 + R) + cbrt((s-1)/2 - R),
     R = sqrt((27(s-1)^2 - 4)/3)/6; x is the positive root of x^3 - x = s-1.
-    The generic cubic bisection is recorded as a cross-check.
+    A bisection of alpha itself on [0, 1], where 1 - (s-1) s^-3alpha -
+    s^-2alpha increases, is recorded as a cross-check; one of t = s^-alpha
+    would stop at a width of 1e-13 in t, far from a root that small.
 
     a - R = 1/(27 (a + R)), a = (s-1)/2, cancels as s grows (below 0 at
     s = 10^13), so from s = 5 on x = c + 1/(3c), c = cbrt(a + R); below 5 the
@@ -154,12 +156,9 @@ def md_closed_form(s: int) -> DimensionResult:
         x = c + 1 / (3 * c)
     alpha = math.log(x) / math.log(s)
 
-    def poly(t):
-        return (s - 1) * t**3 + t**2 - 1.0
-
-    t, it, t_lo, t_hi = _bisect_increasing(poly, 0.0, 1.0)
-    cross = _alpha_from_t(t, s)
-    residual = abs(poly(s**-alpha))
+    cross, it, _, _ = _bisect_increasing(lambda e: 1.0 - (s - 1) * s ** (-3 * e) - s ** (-2 * e), 0.0, 1.0)
+    t = s**-alpha
+    residual = abs((s - 1) * t**3 + t**2 - 1.0)
     lo, hi = sorted((alpha, cross))
     return DimensionResult(
         alpha, "closed-cubic", residual, (lo - 1e-12, hi + 1e-12), it, cross_check=cross

@@ -25,13 +25,13 @@ def test_cantor_counts_are_powers_of_two():
     for text in ("Blocks(s=3,B=[0;2])", "Cantor(d=[3],I=[{0,2}])"):
         fam = parse_family(text)
         for n in range(4, 11):
-            assert _cover_counts(fam, [F(1, 3**n)], 10**6)[0] == 2**n, text
+            assert _cover_counts(fam, [n], 10**6)[0] == 2**n, text
 
 
 def test_full_alphabet_fills_every_box():
     fam = parse_family("Blocks(s=3,B=[0;1;2])")
     for n in range(2, 6):
-        assert _cover_counts(fam, [F(1, 3**n)], 10**6)[0] == 3**n
+        assert _cover_counts(fam, [n], 10**6)[0] == 3**n
 
 
 def test_degenerate_singleton_counts_one_box():
@@ -39,12 +39,12 @@ def test_degenerate_singleton_counts_one_box():
     for text in ("Su(s=3,u=1)", "Blocks(s=2,B=[0 1])", "Cantor(d=[3],I=[{1}])"):
         fam = parse_family(text)
         for n in (2, 5, 9):
-            assert _cover_counts(fam, [F(1, fam.s**n)], 10**6)[0] == 1, text
+            assert _cover_counts(fam, [n], 10**6)[0] == 1, text
 
 
 def test_counts_nonincreasing_in_eps():
     fam = parse_family("S(s=3)")
-    counts = [_cover_counts(fam, [F(1, 3**n)], 10**6)[0] for n in range(3, 10)]
+    counts = [_cover_counts(fam, [n], 10**6)[0] for n in range(3, 10)]
     assert counts == sorted(counts)
 
 
@@ -119,14 +119,14 @@ ONE_WALK_FAMILIES = (
 def test_one_walk_matches_one_scale_counts(text):
     fam = parse_family(text)
     _, points = box_dimension(fam, 1, 6)
-    assert [p.count for p in points] == [_cover_counts(fam, [F(1, fam.s**n)], 10**6)[0] for n in range(1, 7)]
+    assert [p.count for p in points] == [_cover_counts(fam, [n], 10**6)[0] for n in range(1, 7)]
 
 
 @pytest.mark.parametrize("text", ONE_WALK_FAMILIES)
 def test_one_walk_takes_any_descending_widths(text):
     fam = parse_family(text)
-    epss = [F(2, 3), F(1, 7), F(1, 10), F(3, 100), F(3, 100), F(1, 250)]
-    assert _cover_counts(fam, epss, 10**6) == [_cover_counts(fam, [eps], 10**6)[0] for eps in epss]
+    ns = [0, 2, 3, 3, 5, 6]  # not contiguous, with a repeat
+    assert _cover_counts(fam, ns, 10**6) == [_cover_counts(fam, [n], 10**6)[0] for n in ns]
 
 
 def _hull_count(fam, eps, min_rank=0):
@@ -152,8 +152,8 @@ def _hull_count(fam, eps, min_rank=0):
 @pytest.mark.parametrize("text", ONE_WALK_FAMILIES + ("Cantor(d=[4,5],I=[{0,3},{1,2,4}])",))
 def test_integer_walk_matches_hull_reference(text):
     fam = parse_family(text)
-    epss = [F(1, fam.s**n) for n in (2, 3, 4)] + [F(1, 10), F(2, 45)]
-    assert [_cover_counts(fam, [eps], 10**6)[0] for eps in epss] == [_hull_count(fam, eps) for eps in epss]
+    ns = (0, 1, 2, 3, 4)
+    assert [_cover_counts(fam, [n], 10**6)[0] for n in ns] == [_hull_count(fam, F(1, fam.s**n)) for n in ns]
 
 
 @pytest.mark.parametrize("text", ("S(s=3)", "NSu(s=4,u=1)", "MDper(s=3,m=[3,5])"))
@@ -161,9 +161,9 @@ def test_adaptive_cover_matches_uniform_depth(text):
     # hull ends are set members, so forcing every cylinder down to a minimum
     # rank touches the same cells as splitting only those wider than eps
     fam = parse_family(text)
-    for eps in [F(1, fam.s**n) for n in (2, 3, 4)] + [F(1, 10)]:
-        count = _cover_counts(fam, [eps], 10**6)[0]
-        assert [_hull_count(fam, eps, min_rank) for min_rank in (0, 2, 4)] == [count] * 3, (text, eps)
+    for n in (1, 2, 3, 4):
+        count = _cover_counts(fam, [n], 10**6)[0]
+        assert [_hull_count(fam, F(1, fam.s**n), min_rank) for min_rank in (0, 2, 4)] == [count] * 3, (text, n)
 
 
 def _walk_size(fam, eps):
@@ -206,7 +206,7 @@ def test_cap_bounds_the_finest_walk(text):
 )
 def test_predicted_box_walk_is_the_walked_one(monkeypatch, text):
     fam = parse_family(text)
-    for eps in (F(1, fam.s**3), F(1, 10), F(2, 45)):
+    for n in (1, 3, 4):
         predicted, walked = [], 1
 
         def recorded(*args):
@@ -222,8 +222,8 @@ def test_predicted_box_walk_is_the_walked_one(monkeypatch, text):
         with monkeypatch.context() as patch:
             patch.setattr(bc, "box_walk", recorded)
             patch.setattr(bc, "child_frames", counted)
-            _cover_counts(fam, [eps], 10**6)
-        assert predicted == [walked] == [_walk_size(fam, eps)], (text, eps)
+            _cover_counts(fam, [n], 10**6)
+        assert predicted == [walked] == [_walk_size(fam, F(1, fam.s**n))], (text, n)
 
 
 def test_negative_scale_exponent_rejected():

@@ -47,17 +47,17 @@ def test_dim_json_is_deterministic(capsys):
     assert payload["residual"] <= 1e-10
 
 
-@pytest.mark.parametrize("s", [2, 10**5, 10**8, 10**13, 10**200])
+@pytest.mark.parametrize("s", [2, 10**5, 10**8, 10**13, 10**38, 10**45, 10**200])
 def test_dim_md_has_cross_check(capsys, s):
-    # the closed form's second cube root cancels as s grows, to below 0 at 10^13
+    # the closed form's second cube root cancels as s grows, to below 0 at 10^13,
+    # and from about 10^38 on the root t = s^-alpha is below 1e-13
     start = time.perf_counter()
     code, out = run(capsys, "dim", f"MD(s={s})")
     assert time.perf_counter() - start < 0.5
     payload = json.loads(out)
     lo, hi = payload["bracket"]
     assert code == 0 and payload["method"] == "closed-cubic" and lo <= payload["alpha"] <= hi
-    if s < 10**39:  # past it the root t = s^-alpha is below the bisection's tolerance
-        assert abs(payload["alpha"] - payload["cross_check"]) <= 1e-11
+    assert abs(payload["alpha"] - payload["cross_check"]) <= 1e-11 and hi - lo < 1e-9
 
 
 def test_dim_degenerate_flag(capsys):
@@ -150,6 +150,9 @@ def test_cover_refuses_deep_ranks_fast(capsys, family, rank):
 def test_enumerate(capsys):
     _, out = run(capsys, "enumerate", "Su(s=5,u=2)", "--depth", "1")
     assert out.strip().splitlines() == ["1", "3", "4"]
+    code, out = run(capsys, "enumerate", "Su(s=5,u=2)", "--depth", "2", "--format", "json")
+    addresses = [[p, q] for p in (1, 3, 4) for q in (1, 3, 4)]
+    assert code == 0 and json.loads(out) == {"family": "Su(s=5,u=2)", "depth": 2, "addresses": addresses}
 
 
 def test_boxcount_csv(capsys):
@@ -280,12 +283,20 @@ def _diameter_off(monkeypatch):
     monkeypatch.setattr(cyl, "sminus_diameter_constant", lambda s: true_diameter(s) + Fraction(1, s))
 
 
-#: (family, sabotage, the rows it must fail): one failing case for every row
+def _orientations_swapped(monkeypatch):
+    swap = {"left-to-right": "right-to-left", "right-to-left": "left-to-right", None: None}
+    true_orientation = cyl._predicted_orientation
+    monkeypatch.setattr(cyl, "_predicted_orientation", lambda *args: swap[true_orientation(*args)])
+
+
+#: (family, sabotage, the rows it is a case for, the other rows it fails):
+#: one failing case for every row
 SABOTAGES = [
-    ("S(s=3)", _bounds_moved(Fraction(1, 9), 0), {"interval-vs-oracle", "nesting"}),
-    ("S(s=3)", _bounds_moved(-3, 3), {"sibling-gaps", "ordering"}),
-    ("S(s=3)", _digit_2_scale_off, {"covering-law"}),
-    ("Sminus(s=3)", _diameter_off, {"diameter-constants"}),
+    ("S(s=3)", _bounds_moved(Fraction(1, 9), 0), {"interval-vs-oracle", "nesting"}, set()),
+    ("S(s=3)", _bounds_moved(-3, 3), {"sibling-gaps", "ordering"}, {"interval-vs-oracle"}),
+    ("S(s=3)", _orientations_swapped, {"ordering"}, set()),
+    ("S(s=3)", _digit_2_scale_off, {"covering-law"}, {"interval-vs-oracle"}),
+    ("Sminus(s=3)", _diameter_off, {"diameter-constants"}, set()),
 ]
 
 
@@ -294,8 +305,8 @@ def _clear_caches():
         cache.cache_clear()
 
 
-@pytest.mark.parametrize("text, sabotage, rows", SABOTAGES, ids=[", ".join(sorted(r)) for *_, r in SABOTAGES])
-def test_every_verify_row_can_fail(capsys, monkeypatch, text, sabotage, rows):
+@pytest.mark.parametrize("text, sabotage, rows, also", SABOTAGES, ids=[", ".join(sorted(r)) for *_, r, _ in SABOTAGES])
+def test_every_verify_row_can_fail(capsys, monkeypatch, text, sabotage, rows, also):
     sabotage(monkeypatch)
     _clear_caches()
     try:
@@ -304,7 +315,7 @@ def test_every_verify_row_can_fail(capsys, monkeypatch, text, sabotage, rows):
         monkeypatch.undo()
         _clear_caches()
     failing = {p["name"] for p in json.loads(out)["properties"] if not p["passed"]}
-    assert code == 2 and rows <= failing, failing
+    assert code == 2 and failing == rows | also, failing
 
 
 def test_verify_prints_only_rows_that_can_fail(capsys):
@@ -313,7 +324,7 @@ def test_verify_prints_only_rows_that_can_fail(capsys):
         code, out = run(capsys, "verify", text, "--depth", "2", "--format", "json")
         assert code == 0
         printed |= {p["name"] for p in json.loads(out)["properties"]}
-    assert printed == set().union(*(rows for *_, rows in SABOTAGES))
+    assert printed == set().union(*(rows for _, _, rows, _ in SABOTAGES))
 
 
 def test_back_to_back_commands_carry_nothing_over(capsys):
@@ -565,9 +576,9 @@ def test_malformed_scales_rejected(capsys, scales):
     [
         ("20:22", "scales must span at least two decades of eps"),
         # s^-n_hi rounds to float 0.0
-        ("700:702", "box width must be positive"),
-        ("100000:100002", "box width must be positive"),
-        ("4:700", "box width must be positive"),
+        ("700:702", "--scales n_hi = 702 makes eps = 3^-702 round to float 0; lower n_hi"),
+        ("100000:100002", "--scales n_hi = 100002 makes eps = 3^-100002 round to float 0; lower n_hi"),
+        ("4:700", "--scales n_hi = 700 makes eps = 3^-700 round to float 0; lower n_hi"),
     ],
 )
 def test_boxcount_checks_scales_before_walking(capsys, scales, error):
@@ -636,6 +647,29 @@ def test_huge_run_alphabets_are_refused_before_they_are_built(capsys, family, ar
     assert time.perf_counter() - start < 0.5
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {family} has over 1000000 selectors, above the cap\n"
+
+
+@pytest.mark.parametrize(
+    "family, error",
+    [
+        (f"S(s={10**52})", f"S(s={10**52}) has over 1000000 selectors, above the cap"),
+        (f"MDper(s={10**200},m=[3])", f"MDper(s={10**200},m=[3]) has over 1000000 selectors, above the cap"),
+        # two selectors, but eps = s^-10 at the default --scales rounds to float 0
+        (f"Blocks(s={10**52},B=[0;1])", f"--scales n_hi = 10 makes eps = {10**52}^-10 round to float 0; lower n_hi"),
+    ],
+    ids=("S", "MDper", "Blocks"),
+)
+def test_boxcount_refuses_huge_bases_before_walking(capsys, family, error):
+    start = time.perf_counter()
+    assert main(["boxcount", family]) == 1
+    assert time.perf_counter() - start < 0.1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {error}\n"
+
+
+def test_boxcount_runs_a_huge_base_at_short_scales(capsys):
+    code, out = run(capsys, "boxcount", f"Blocks(s={10**52},B=[0;1])", "--scales", "0:2")
+    assert code == 0 and out.splitlines()[:4] == ["eps,count", "1,1", "1e-52,2", "1e-104,4"]
 
 
 def test_md_gaps_are_capped(capsys):

@@ -287,6 +287,17 @@ def test_su_orientation_families_sweep():
                 assert ordering_check(fam, addr).passed, (s, u, addr)
 
 
+@pytest.mark.parametrize("text", ("S(s=4)", *(f"Su(s=5,u={u})" for u in range(5)), "NSu(s=4,u=0)", "Sminus(s=4)"))
+def test_every_sibling_layout_is_predicted(text):
+    # the paper's layout cases name every adjacent pair but the one straddling
+    # Su(s=5,u=2)'s excluded digit, and each named layout is the observed one
+    fam = parse_family(text)
+    for addr in [()] + [(c,) for c in level_choices(fam, 1)]:
+        for e in ordering_check(fam, addr).entries:
+            unpredicted = text == "Su(s=5,u=2)" and (e.p, e.q) == (1, 3)
+            assert e.predicted == (None if unpredicted else e.observed), (text, addr, e)
+
+
 def test_covering_sums():
     cantor = parse_family("Blocks(s=3,B=[0;2])")
     assert covering_sums(cantor, 7) == [F(2, 3) ** n for n in range(8)]

@@ -29,6 +29,7 @@ PROPERTY = PropertyResult("nesting", 3, True, ())
 RECORDS = [
     (lambda: DigitString(3, (0, 2, 1)), "digits"),
     (lambda: FamilySpec("Blocks", 3, blocks=((2, 0), (1,))), "blocks"),
+    (lambda: FamilySpec("S", 3), "u"),  # S keeps u = 0 but rebuilds from u = None
     (lambda: IntervalR(F(1, 4), F(1, 2)), "lo"),
     (lambda: CylinderReport((1,), IV, F(1, 4), F(1, 3), "right-to-left"), "interval"),
     (lambda: OracleResult(IV, F(1, 9), 4), "bound"),
