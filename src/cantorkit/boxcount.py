@@ -24,7 +24,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .cylinders import _local_hulls
-from .families import DEFAULT_CAP, ROOT_FRAME, FamilySpec, box_walk, child_frames, level_choices
+from .families import DEFAULT_CAP, ROOT_FRAME, FamilySpec, _selector_maps, box_walk, child_frames
 
 
 class _ScaleCountFields(NamedTuple):
@@ -136,7 +136,7 @@ def box_dimension(
     smallest n >= 10 with s^(n-4) >= 100, the two decades `fit_dimension` needs."""
     if n_hi is None:
         n_hi = 10 + (fam.s**6 < 100)
-    level_choices(fam, 1)  # a base of over DEFAULT_CAP selectors is refused first
+    next(_selector_maps(fam, 0))  # MD and a base of over DEFAULT_CAP selectors are refused first
     if n_lo < 0:
         raise ValueError("scale exponents must be >= 0")
     if n_hi - n_lo < 2:

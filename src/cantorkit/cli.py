@@ -125,9 +125,12 @@ def _cmd_dim(args) -> int:
             args.out,
         )
     elif args.format == "csv":
+        label = payload["family"]
+        if "," in label:  # RFC 4180 quotes a field that holds a comma; no label holds a quote
+            label = f'"{label}"'
         _emit(
             "family,alpha,method,residual,degenerate\n"
-            f"{payload['family']},{_jfloat(payload['alpha'])},{payload['method']},"
+            f"{label},{_jfloat(payload['alpha'])},{payload['method']},"
             f"{_jfloat(payload['residual'])},{payload['degenerate']}",
             args.out,
         )

@@ -45,12 +45,12 @@ from .families import (
     Frame,
     _family_const,
     _inadmissible,
+    _rank_maps,
     _walk,
     address_frame,
     child_frames,
     denominator_digits,
     digit_maps,
-    level_choices,
     walk_size,
 )
 
@@ -355,7 +355,7 @@ def _frame_hull(fam: FamilySpec, frame: Frame) -> IntervalR:
 
 def _child_hulls(fam: FamilySpec, frame: Frame, wanted: tuple = ()) -> dict[object, IntervalR]:
     """selector -> hull of each child of the cylinder at `frame`, from one
-    table read, in `level_choices` order; refuses a `wanted` non-child."""
+    table read, in selector order; refuses a `wanted` non-child."""
     hulls = {sel: _frame_hull(fam, child) for sel, child in child_frames(fam, frame)}
     for sel in wanted:
         if sel not in hulls:
@@ -418,7 +418,7 @@ def tail_extrema_oracle(fam: FamilySpec, addr, depth: int) -> OracleResult:
     frame = address_frame(fam, addr)
     _, den, _, phase = frame
     lo, hi, shrink = _oracle_local(fam, depth, phase)
-    leaves = prod(len(level_choices(fam, phase + level)) for level in range(1, depth + 1))
+    leaves = prod(map(len, _rank_maps(fam, depth, phase)))
     return OracleResult(_frame_image(fam, frame, lo, hi), _tail_bound(fam, shrink) / den, leaves)
 
 
@@ -577,7 +577,7 @@ def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> Ve
     sums = covering_sums(fam, max(depth, min(depth + 2, 8)))[: min(depth + 2, 8) + 1]
     walk_size(fam, depth, cap)
     s = fam.s
-    digits = level_choices(fam, 1)
+    digits = digit_maps(fam, 0)  # the run digits, in order
     oracle_f, nest_f, gap_f, ord_f = [], [], [], []
     n_addr = n_child = n_pair = 0
     # formula ends are numerators over Q * s^E, E the digit sum; oracle ends

@@ -3,7 +3,7 @@
 Each family is a set of real numbers whose expansion (s-adic, nega-s-adic or
 gap-structured) uses only certain digit combinations.  A `FamilySpec` names
 the family and its parameters; an address, a plain sequence of selectors
-(`level_choices` lists them), selects a nested cylinder inside it.
+(`digit_maps` lists each phase's), selects a nested cylinder inside it.
 
 Family kinds and their value maps (alphas are the restricted digits, A_k
 their prefix sums):
@@ -21,11 +21,12 @@ their prefix sums):
 
 Every kind but MD is the attractor of finitely many monotone affine digit
 maps per phase.  A selector writes a digit block into the expansion and maps
-the local tail value after it by x -> (gn + sk*x)/m in integers
-(`digit_map`, tabulated per phase by `digit_maps`).  MDper's gap period and
-a Cantor series' periodic basis and level sets give their maps phases, so
-they form graph-directed systems; the other kinds have one phase.  MD has a
-map for every odd gap, so its maps are made one at a time.  Every walk over
+the local tail value after it by x -> (gn + sk*x)/m in integers.  Each kind
+is written once, as one branch of `_selector_maps`, which `digit_maps`
+tabulates per phase.  MDper's gap period and a Cantor series' periodic basis
+and level sets give their maps phases, so they form graph-directed systems;
+the other kinds have one phase.  MD has a map for every odd gap, so its maps
+are made one at a time (`_gap_map`, as MDper's are).  Every walk over
 a selector sequence (`_walk`) reads the same maps and refuses the first
 inadmissible selector; integer frames (V, den, sign, phase) fold the maps
 along an address, so every traversal applies one map per child without
@@ -40,8 +41,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
-from itertools import groupby, product
+from functools import lru_cache, reduce
+from itertools import chain, groupby, islice, product
 from math import gcd, lcm, log10
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -78,9 +79,6 @@ _FIELD_WORDS = {
     "basis": ("a basis and per-level digit sets", "Cantor basis"),
     "level_sets": ("a basis and per-level digit sets", "Cantor basis"),
 }
-
-#: kinds whose addresses are indices into a finite block list
-BLOCK_KINDS = ("Tilde", "Blocks")
 
 
 class _FamilySpecFields(NamedTuple):
@@ -164,11 +162,15 @@ class FamilySpec(_FamilySpecFields):
 
     @property
     def degenerate(self) -> bool:
-        """True when the family collapses to a single point (one choice per level)."""
+        """True when the family collapses to a single point: one selector at
+        every phase.  Reads at most two selectors a phase, so no table is
+        built.  Phase p of a Cantor series lists I_(p mod #I), so its first
+        #I phases decide, not all lcm(#d, #I); every other kind has as many
+        selectors at each of its phases."""
         if self.kind == "MD":
             return False
-        levels = len(self.level_sets) if self.level_sets else 1  # only a Cantor series has level sets
-        return all(len(level_choices(self, j)) <= 1 for j in range(1, levels + 1))
+        phases = len(self.level_sets) if self.level_sets else 1
+        return all(len(list(islice(_selector_maps(self, p), 2))) < 2 for p in range(phases))
 
     def label(self) -> str:
         """Canonical grammar form of this family: its kind's keys in `_KEYS`
@@ -289,44 +291,19 @@ def parse_family(text: str) -> FamilySpec:
 def family_blocks(fam: FamilySpec) -> tuple[tuple[int, ...], ...]:
     """The digit-block language defining `fam`, sorted by length, then digits;
     MDper's blocks span a gap period.  MD (infinitely many blocks) is refused
-    by `level_choices`, a Cantor series (digits restricted per level) here."""
+    by `digit_maps`, a Cantor series (digits restricted per level) here."""
     if fam.kind == "Cantor":
         raise UnsupportedFamilyError("Cantor families restrict digits per level, not blocks")
     L = len(fam.period) if fam.kind == "MDper" else 1  # one block per rank-L cylinder
     walk_size(fam, L, DEFAULT_CAP, "")
-    phases = [[m[0] for m in digit_maps(fam, p).values()] for p in range(L)]
-    blocks = [sum(combo, ()) for combo in product(*phases)]
+    ranks = [[dmap[0] for dmap in maps.values()] for maps in _rank_maps(fam, L)]
+    blocks = [sum(combo, ()) for combo in product(*ranks)]
     return tuple(sorted(blocks, key=lambda b: (len(b), b)))
 
 
 def block_histogram(blocks) -> dict[int, int]:
     """Block length k -> the count N_k of blocks of that length, by increasing k."""
     return {k: len(list(same)) for k, same in groupby(sorted(map(len, blocks)))}
-
-
-# -- addresses ----------------------------------------------------------------
-
-
-def level_choices(fam: FamilySpec, level: int) -> Sequence[int]:
-    """Admissible selectors at one address level (1-indexed): the one list of
-    a family's selectors.  MD has a selector for every odd gap and is refused;
-    so is a level of over DEFAULT_CAP selectors that s counts, before any is
-    built or `len` overflows on it (Blocks and Cantor list theirs in full)."""
-    kind, s = fam.kind, fam.s
-    if kind == "Cantor":
-        return fam.level_sets[(level - 1) % len(fam.level_sets)]
-    if kind == "Blocks":
-        return range(len(fam.blocks))
-    if kind == "MD":
-        raise UnsupportedFamilyError("MD has unbounded branching")
-    # MDper's digits; Tilde's (1,) and s-1 blocks of each length 2..s-1; the
-    # run digits 1..s-1 but u (Sminus has no u; S has u = 0)
-    count = {"MDper": s, "Tilde": 1 + (s - 1) * (s - 2)}.get(kind, s - 1 - bool(fam.u))
-    if count > DEFAULT_CAP:
-        raise CapExceededError(f"{fam.label()} has over {DEFAULT_CAP} selectors, above the cap")
-    if kind in ("MDper", "Tilde"):
-        return range(count)
-    return tuple(a for a in range(1, s) if a != fam.u)
 
 
 # -- the walk budget: whether a walk is too big, decided before it starts -------
@@ -336,10 +313,10 @@ def walk_size(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP, fix: str = ";
     """Rule 1 (a walk visits at most `cap` cylinders) for ranks 0..depth, one a rank at least."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    level_choices(fam, 1)  # refuses MD at every depth, rank 0 included
+    digit_maps(fam, 0)  # refuses MD and an over-cap table at every depth, rank 0 included
     total = nodes = 1
-    for level in range(1, depth + 1):
-        nodes *= len(level_choices(fam, level))
+    for maps in _rank_maps(fam, depth):
+        nodes *= len(maps)
         total += nodes
         if max(total, depth + 1) > cap:  # so a depth >= cap is refused at rank 1
             raise CapExceededError(f"{max(total, depth + 1)}+ cylinders in ranks 0..{depth}: above the cap {cap}{fix}")
@@ -373,7 +350,7 @@ def enumerate_addresses(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> 
     """All rank-`depth` addresses, lexicographically sorted; admissible by
     construction, so none is walked."""
     walk_size(fam, depth, cap)
-    return list(product(*(level_choices(fam, level) for level in range(1, depth + 1))))
+    return list(product(*_rank_maps(fam, depth)))
 
 
 # -- affine digit maps ----------------------------------------------------------
@@ -390,39 +367,46 @@ Frame = tuple[int, int, int, int]
 ROOT_FRAME: Frame = (0, 1, 1, 0)
 
 
-def digit_map(fam: FamilySpec, sel, phase: int = 0) -> DigitMap:
-    """(block, gn, sk, m, next_phase) of one selector at `phase`, in integers.
+def _selector_maps(fam: FamilySpec, phase: int) -> Iterator[tuple[object, DigitMap]]:
+    """(selector, (block, gn, sk, m, next_phase)) of each admissible selector
+    at `phase`, in selector order, made one at a time: the one description of
+    each kind.
 
     The selector (a run digit; a block index for Tilde/Blocks; a digit for
-    MDper and Cantor; a (gap, digit) pair for MD) writes `block` into the
-    digit expansion, and the local tail value from it on is
-    x -> (gn + sk*x)/m of the local tail value at `next_phase`, which
-    depends on `phase` alone; m >= 2 and sk = +-1.  Cantor phase p reads
-    level p+1 (mod lcm(#d, #I)): x -> (e + x)/d_(p+1).  MD has no table of
-    admissible selectors, so its pairs are checked by `_md_pair`.
-    """
-    s, kind = fam.s, fam.kind
-    if kind in ("S", "Su", "NSu"):
-        sk = -1 if kind == "NSu" and sel % 2 else 1
-        return (fam.u,) * (sel - 1) + (sel,), sk * (sel - fam.u), sk, s**sel, 0
-    if kind == "Sminus":
-        return (0,) * (sel - 1) + (sel,), -sel, -1, s**sel, 0
-    if kind == "Cantor":
-        nxt = (phase + 1) % lcm(len(fam.basis), len(fam.level_sets))
-        return (sel,), sel, 1, fam.basis[phase % len(fam.basis)], nxt
-    if kind in BLOCK_KINDS:
-        if kind == "Blocks":
-            block = fam.blocks[sel]
-        else:  # Tilde: (1,), then v^(k-1) k for k = 2..s-1 over the digits v != k
-            k, v = divmod(sel - 1, s - 1)
-            k += 2
-            block = (v + (v >= k),) * (k - 1) + (k,) if sel else (1,)
-        return block, sum(d * s**i for i, d in enumerate(reversed(block))), 1, s ** len(block), 0
+    MDper and Cantor) writes `block` into the digit expansion, and the local
+    tail value from it on is x -> (gn + sk*x)/m of the local tail value at
+    `next_phase`, which depends on `phase` alone.  A kind whose selectors s
+    counts is refused past DEFAULT_CAP of them before any is made.  MD has a
+    selector for every odd gap and is refused; `_walk` makes its maps."""
+    kind, s, u = fam.kind, fam.s, fam.u or 0
     if kind == "MD":
-        (m, eps), nxt = _md_pair(fam, sel), 0
-    else:  # MDper
-        m, eps, nxt = fam.period[phase], sel, (phase + 1) % len(fam.period)
-    return (0,) * (m - 1) + (eps,), -eps, -1, s**m, nxt
+        raise UnsupportedFamilyError("MD has unbounded branching")
+    if kind == "Cantor":  # phase p reads level p+1 (mod lcm(#d, #I)): x -> (e + x)/d_(p+1)
+        d, nxt = fam.basis[phase % len(fam.basis)], (phase + 1) % lcm(len(fam.basis), len(fam.level_sets))
+        yield from ((e, ((e,), e, 1, d, nxt)) for e in fam.level_sets[phase % len(fam.level_sets)])
+        return
+    # MDper's digits; Tilde's (1,) and s-1 blocks of each length 2..s-1; the
+    # run digits 1..s-1 but u (Sminus has no u; S has u = 0); Blocks' list
+    count = {"MDper": s, "Tilde": 1 + (s - 1) * (s - 2), "Blocks": len(fam.blocks or ())}.get(kind, s - 1 - bool(u))
+    if count > DEFAULT_CAP:
+        raise CapExceededError(f"{fam.label()} has over {DEFAULT_CAP} selectors, above the cap")
+    if kind == "MDper":
+        nxt = (phase + 1) % len(fam.period)
+        yield from ((eps, _gap_map(s, fam.period[phase], eps, nxt)) for eps in range(s))
+    elif kind in ("Tilde", "Blocks"):  # Tilde: (1,), then v^(k-1) k for k = 2..s-1 over the digits v != k
+        tilde = ((v,) * (k - 1) + (k,) for k in range(2, s) for v in range(s) if v != k)
+        for sel, block in enumerate(fam.blocks or chain([(1,)], tilde)):
+            yield sel, (block, reduce(lambda n, d: n * s + d, block, 0), 1, s ** len(block), 0)
+    else:  # run digit a writes u^(a-1) a; NSu's odd digits and all of Sminus' reverse
+        for a in range(1, s):
+            if a != u:
+                sk = -1 if kind == "Sminus" or (kind == "NSu" and a % 2) else 1
+                yield a, ((u,) * (a - 1) + (a,), sk * (a - u), sk, s**a, 0)
+
+
+def _gap_map(s: int, gap: int, eps: int, nxt: int = 0) -> DigitMap:
+    """MD's and MDper's map: digit eps after gap - 1 zeros, x -> (-eps - x)/s^gap."""
+    return (0,) * (gap - 1) + (eps,), -eps, -1, s**gap, nxt
 
 
 def _md_pair(fam: FamilySpec, sel) -> tuple[int, int]:
@@ -442,18 +426,28 @@ def _md_pair(fam: FamilySpec, sel) -> tuple[int, int]:
 
 @lru_cache(maxsize=256)
 def digit_maps(fam: FamilySpec, phase: int) -> Mapping[object, DigitMap]:
-    """selector -> `digit_map` at `phase`, in `level_choices` order.
+    """selector -> (block, gn, sk, m, next_phase) of each admissible selector
+    at `phase`, in selector order (`_selector_maps`).
 
     Refused with CapExceededError as soon as the phase's blocks pass
     DEFAULT_CAP digits, so no table grows without bound (S(s) writes about
     s^2/2 digits)."""
     table, digits = {}, 0
-    for sel in level_choices(fam, phase + 1):
-        table[sel] = dmap = digit_map(fam, sel, phase)
+    for sel, dmap in _selector_maps(fam, phase):
+        table[sel] = dmap
         digits += len(dmap[0])
         if digits > DEFAULT_CAP:
             raise CapExceededError(f"{fam.label()} blocks hold over {DEFAULT_CAP} digits, above the cap")
     return MappingProxyType(table)
+
+
+def _rank_maps(fam: FamilySpec, depth: int, phase: int = 0) -> Iterator[Mapping[object, DigitMap]]:
+    """The `digit_maps` table of each of the `depth` ranks below a cylinder at
+    `phase`: every map at a phase leads to the same next phase."""
+    for _ in range(depth):
+        maps = digit_maps(fam, phase)
+        yield maps
+        phase = next(iter(maps.values()))[4]
 
 
 def _inadmissible(fam: FamilySpec, sel) -> FamilyConstraintError:
@@ -465,7 +459,7 @@ def _walk(fam: FamilySpec, sels: Sequence, phase: int = 0) -> Iterator[DigitMap]
     raises at the first selector not admissible at the phase it is read in."""
     for sel in sels:
         if fam.kind == "MD":  # a map for every odd gap, too many for a table
-            dmap = digit_map(fam, sel, phase)
+            dmap = _gap_map(fam.s, *_md_pair(fam, sel))
         else:
             try:
                 dmap = digit_maps(fam, phase)[sel]
@@ -502,10 +496,7 @@ def membership_prefix(fam: FamilySpec, digits) -> bool:
     phase is its level).  Any parse counts, since the families are defined
     by digit appearance rather than unique decodability.
     """
-    seq = digits.digits if isinstance(digits, DigitString) else tuple(int(d) for d in digits)
-    for d in seq:
-        if not 0 <= d < fam.s:
-            raise InvalidDigitError(f"digit {d} outside alphabet of base {fam.s}")
+    seq = DigitString(fam.s, digits).digits  # refuses a digit outside base s
     if fam.kind == "MD":
         return _md_prefix_ok(seq)
     n = len(seq)

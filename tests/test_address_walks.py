@@ -2,7 +2,7 @@
 
 Every function that reads an address folds its selectors through
 `families._walk`, one `digit_maps` lookup per selector, and enumeration lists
-addresses from `level_choices` without walking any.  The sibling checks and
+addresses from one table a rank without walking any.  The sibling checks and
 the `cylinder` report walk their base address once and read its children's
 frames from one more table.  Counting the lookups through a patched
 `digit_maps` pins that down without timing anything.
@@ -61,7 +61,8 @@ def test_one_lookup_per_selector(monkeypatch, text, addr):
 def test_enumeration_walks_no_address(monkeypatch, text):
     fam = parse_family(text)
     addrs = []
-    assert _lookups(monkeypatch, lambda: addrs.extend(enumerate_addresses(fam, 4))) == 0
+    # the walk budget reads phase 0's table and each rank's, and the product each rank's again
+    assert _lookups(monkeypatch, lambda: addrs.extend(enumerate_addresses(fam, 4))) == 1 + 2 * 4
     assert addrs and all(len(a) == 4 for a in addrs)
 
 

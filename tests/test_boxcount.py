@@ -15,7 +15,7 @@ from cantorkit import (
     set_interval,
 )
 from cantorkit.boxcount import _cover_counts
-from cantorkit.families import box_walk, child_frames, level_choices
+from cantorkit.families import address_frame, box_walk, child_frames, digit_maps
 
 LOG32 = math.log(2) / math.log(3)
 
@@ -140,7 +140,7 @@ def _hull_count(fam, eps, min_rank=0):
         addr = stack.pop()
         hull = cylinder_hull(fam, addr)
         if hull.width > eps or len(addr) < min_rank:
-            stack.extend(addr + (c,) for c in level_choices(fam, len(addr) + 1))
+            stack.extend(addr + (c,) for c in digit_maps(fam, address_frame(fam, addr)[3]))
             continue
         k1 = min(math.floor((hull.lo - whole.lo) / eps), last)
         k2 = math.ceil((hull.hi - whole.lo) / eps) - 1  # a right end on a mesh line claims nothing beyond
@@ -174,7 +174,7 @@ def _walk_size(fam, eps):
         addr = stack.pop()
         total += 1
         if cylinder_hull(fam, addr).width > eps:
-            stack.extend(addr + (c,) for c in level_choices(fam, len(addr) + 1))
+            stack.extend(addr + (c,) for c in digit_maps(fam, address_frame(fam, addr)[3]))
     return total
 
 

@@ -95,7 +95,7 @@ def test_only_the_budget_and_the_table_guards_raise_at_a_cap():
         ("families", "walk_size"),
         ("families", "box_walk"),
         ("families", "denominator_digits"),
-        ("families", "level_choices"),
+        ("families", "_selector_maps"),
         ("families", "digit_maps"),
         ("families", "_md_pair"),
     }

@@ -1,5 +1,6 @@
 import ast
 import builtins
+import csv
 import hashlib
 import json
 import os
@@ -17,7 +18,7 @@ import pytest
 import cantorkit
 import cantorkit.cylinders as cyl
 import cantorkit.families as families
-from cantorkit import CantorkitError
+from cantorkit import CantorkitError, CapExceededError, parse_family
 from cantorkit.cli import _COMMANDS, _UsageError, main
 
 
@@ -269,13 +270,13 @@ def _bounds_moved(lo_by, hi_by):
 
 def _digit_2_scale_off(monkeypatch):
     # run digit 2 of S(s=3) maps by 1/10, not 3^-2
-    true_map = families.digit_map
+    true_maps = families._selector_maps
 
-    def digit_map(fam, sel, phase=0):
-        block, gn, sk, m, nxt = true_map(fam, sel, phase)
-        return block, gn, sk, m + (sel == 2), nxt
+    def selector_maps(fam, phase):
+        for sel, (block, gn, sk, m, nxt) in true_maps(fam, phase):
+            yield sel, (block, gn, sk, m + (sel == 2), nxt)
 
-    monkeypatch.setattr(families, "digit_map", digit_map)
+    monkeypatch.setattr(families, "_selector_maps", selector_maps)
 
 
 def _diameter_off(monkeypatch):
@@ -316,6 +317,14 @@ def test_every_verify_row_can_fail(capsys, monkeypatch, text, sabotage, rows, al
         _clear_caches()
     failing = {p["name"] for p in json.loads(out)["properties"] if not p["passed"]}
     assert code == 2 and failing == rows | also, failing
+
+
+def test_verify_refuses_empty_whole_set_bounds(capsys, monkeypatch):
+    # S's inf and sup swapped: the closed form's root interval is empty
+    _bounds_moved(1, -1)(monkeypatch)
+    assert main(["verify", "S(s=3)", "--depth", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: empty interval: ")
 
 
 def test_verify_prints_only_rows_that_can_fail(capsys):
@@ -519,6 +528,9 @@ BAD_INT = "invalid literal for int() with base 10: 'x'"
         (("verify", "S(s=3)", "--depth", "\u00b2"), "argument --depth: must be an integer >= 0, got '\u00b2'"),
         (("boxcount", "S(s=3)", "--scales", "\u00b2:7"),
          "argument --scales: must be n_lo:n_hi with integers >= 0, got '\u00b2:7'"),
+        (("--x", "dim", "S(s=3)"), "unrecognized arguments: --x"),  # an option before the command
+        (("dim", "S(s=3)", "--=x"), "ambiguous option: --=x could match --help, --format, --out"),
+        (("dim", "-h=x"), "argument -h/--help: ignored explicit argument 'x'"),
     ],
 )
 def test_bad_input_is_an_error_not_a_traceback(capsys, argv, error):
@@ -670,6 +682,25 @@ def test_boxcount_refuses_huge_bases_before_walking(capsys, family, error):
 def test_boxcount_runs_a_huge_base_at_short_scales(capsys):
     code, out = run(capsys, "boxcount", f"Blocks(s={10**52},B=[0;1])", "--scales", "0:2")
     assert code == 0 and out.splitlines()[:4] == ["eps,count", "1,1", "1e-52,2", "1e-104,4"]
+
+
+@pytest.mark.parametrize("family, depth", [("S(s=1415)", "0"), ("Tilde(s=200)", "1")])
+def test_enumerate_refuses_the_block_tables_eval_refuses(capsys, family, depth):
+    error = f"error: {family} blocks hold over 1000000 digits, above the cap\n"
+    for argv in (("eval", family, "--alphas", "1"), ("enumerate", family, "--depth", depth)):
+        assert main(list(argv)) == 1
+        assert capsys.readouterr() == ("", error), argv
+
+
+def test_dim_reads_no_table_of_a_periodic_gap_family(capsys):
+    # only `degenerate` reads its selectors, two of them, so no table is built
+    with pytest.raises(CapExceededError, match="blocks hold over 1000000 digits"):
+        families.digit_maps(parse_family("MDper(s=100000,m=[11])"), 0)
+    code, out = run(capsys, "dim", "MDper(s=100000,m=[11])")
+    assert code == 0 and out == (
+        '{"family":"MDper(s=100000,m=[11])","alpha":0.0909090909091,"method":"periodic","residual":0,'
+        '"bracket":[0.0909090909091,0.0909090909091],"iterations":0,"degenerate":false,"note":"exact 1/11"}\n'
+    )
 
 
 def test_md_gaps_are_capped(capsys):
@@ -845,3 +876,11 @@ def test_default_flags_on_every_kind(capsys):
     assert len(codes) == 63
     assert {run for run, code in codes.items() if code} == REFUSED_AT_DEFAULTS
     assert set(codes.values()) == {0, 1}
+
+
+@pytest.mark.parametrize("family", EVERY_KIND + ("Cantor(d=[4,5],I=[{0,3},{1,2,4}])",))
+def test_dim_csv_rows_have_five_fields(capsys, family):
+    code, out = run(capsys, "dim", family, "--format", "csv")
+    header, row = csv.reader(out.splitlines())
+    assert code == 0 and len(header) == len(row) == 5
+    assert parse_family(row[0]) == parse_family(family)

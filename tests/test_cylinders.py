@@ -26,7 +26,7 @@ from cantorkit import (
 )
 from cantorkit.cli import main
 from cantorkit.cylinders import _interval_step, _phase_maps, solve_phase_hulls
-from cantorkit.families import level_choices
+from cantorkit.families import digit_maps
 
 S3 = parse_family("S(s=3)")
 SM3 = parse_family("Sminus(s=3)")
@@ -79,7 +79,7 @@ def test_ratio_law_and_diameter_scaling():
         for addr in enumerate_addresses(fam, 2):
             diam = cylinder_hull(fam, addr).width
             assert diam == whole / fam.s ** sum(addr)
-        digits = level_choices(fam, 1)
+        digits = tuple(digit_maps(fam, 0))
         parent = digits[-1]
         for c in digits:
             assert cylinder_hull(fam, (parent, c)).width * fam.s**c == cylinder_hull(fam, (parent,)).width
@@ -283,7 +283,7 @@ def test_su_orientation_families_sweep():
             fam = parse_family(f"Su(s={s},u={u})")
             if fam.degenerate:
                 continue
-            for addr in [(), (level_choices(fam, 1)[0],)]:
+            for addr in [(), (next(iter(digit_maps(fam, 0))),)]:
                 assert ordering_check(fam, addr).passed, (s, u, addr)
 
 
@@ -292,7 +292,7 @@ def test_every_sibling_layout_is_predicted(text):
     # the paper's layout cases name every adjacent pair but the one straddling
     # Su(s=5,u=2)'s excluded digit, and each named layout is the observed one
     fam = parse_family(text)
-    for addr in [()] + [(c,) for c in level_choices(fam, 1)]:
+    for addr in [()] + [(c,) for c in digit_maps(fam, 0)]:
         for e in ordering_check(fam, addr).entries:
             unpredicted = text == "Su(s=5,u=2)" and (e.p, e.q) == (1, 3)
             assert e.predicted == (None if unpredicted else e.observed), (text, addr, e)

@@ -27,7 +27,7 @@ from cantorkit import (
     membership_prefix,
 )
 from cantorkit.cylinders import _has_closed_form
-from cantorkit.families import _family_const, address_frame, digit_maps, level_choices
+from cantorkit.families import _family_const, _rank_maps, address_frame, digit_maps
 
 
 @st.composite
@@ -66,7 +66,7 @@ def cases(draw):
     else:
         unit = 1
     size = unit * draw(st.integers(1, 3 if unit == 1 else 2))
-    sels = tuple(draw(st.sampled_from(level_choices(fam, j))) for j in range(1, n + size + 1))
+    sels = tuple(draw(st.sampled_from(list(maps))) for maps in _rank_maps(fam, n + size))
     return fam, sels[:n], sels[n:]
 
 

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from cantorkit import (
     CapExceededError,
+    DigitString,
     FamilyConstraintError,
     FamilyParseError,
     FamilySpec,
+    InvalidDigitError,
     UnsupportedFamilyError,
     enumerate_addresses,
     eval_family_point,
@@ -18,7 +20,7 @@ from cantorkit import (
     membership_prefix,
     parse_family,
 )
-from cantorkit.families import block_histogram, family_blocks
+from cantorkit.families import address_frame, block_histogram, family_blocks, walk_size
 from cantorkit.radix import eval_negasadic
 
 
@@ -194,6 +196,10 @@ def test_membership_prefix():
     per = parse_family("MDper(s=3,m=[3])")
     assert membership_prefix(per, (0, 0, 2, 0, 0, 0))
     assert not membership_prefix(per, (1,))
+    # digits are read through `DigitString`, which refuses one outside base s
+    for digits in ((0, 5), DigitString(10, (0, 5))):
+        with pytest.raises(InvalidDigitError, match="^digit 5 outside alphabet of base 3$"):
+            membership_prefix(S3, digits)
 
 
 def test_every_enumerated_address_is_a_member_prefix():
@@ -271,6 +277,32 @@ def test_degenerate_flags():
     assert parse_family("Su(s=3,u=2)").degenerate
     assert not parse_family("Su(s=4,u=1)").degenerate
     assert not parse_family("MDper(s=2,m=[3])").degenerate
+    assert not parse_family("MD(s=2)").degenerate
+    assert parse_family("Blocks(s=2,B=[1 0])").degenerate
+    assert not parse_family("Tilde(s=3)").degenerate
+    # every phase of the cycle counts: the second level of the second series has two digits
+    assert parse_family("Cantor(d=[3,4],I=[{1},{2}])").degenerate
+    assert not parse_family("Cantor(d=[3,4],I=[{1},{0,2}])").degenerate
+
+
+def test_degenerate_reads_each_level_set_once():
+    # 999,000 phases, lcm(1000, 999), of which the first 999 list every level set
+    fam = FamilySpec("Cantor", 8, basis=tuple(2 + i % 7 for i in range(1000)), level_sets=((1,),) * 999)
+    start = time.perf_counter()
+    assert fam.degenerate
+    assert time.perf_counter() - start < 0.2
+
+
+def test_refusals_name_their_cause():
+    with pytest.raises(FamilyParseError, match="^cannot parse family 'S s=3'$"):
+        parse_family("S s=3")
+    for sel in (3, (3, 1, 2)):
+        with pytest.raises(FamilyConstraintError, match=r"^MD addresses are \(gap, digit\) pairs$"):
+            address_frame(parse_family("MD(s=3)"), ((3, 1), sel))
+    with pytest.raises(UnsupportedFamilyError, match="^Cantor addresses have no single-base digit form$"):
+        expand_address(parse_family("Cantor(d=[3],I=[{0,2}])"), (0,))
+    with pytest.raises(ValueError, match="^depth must be >= 0$"):
+        walk_size(parse_family("S(s=3)"), -1)
 
 
 def test_cantor_restrict_family():

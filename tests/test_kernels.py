@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cantorkit import FamilySpec, cylinder_hull, parse_family, tail_extrema_oracle
 from cantorkit.cylinders import _level_minmax, _oracle_local
-from cantorkit.families import family_blocks, level_choices
+from cantorkit.families import _rank_maps, address_frame, digit_maps, family_blocks
 from cantorkit.radix import DigitString, eval_cantor, eval_negas_cantor, eval_negasadic, eval_sadic
 
 
@@ -74,7 +74,7 @@ def _local_value(fam, phase, sels):
         return eval_cantor(sels, ds) + tail / prod(ds[:n])
     if fam.kind in ("S", "Su", "NSu"):
         digits = DigitString(s, tuple(d for a in sels for d in (u,) * (a - 1) + (a,)))
-        a0 = level_choices(fam, 1)[0]
+        a0 = next(iter(digit_maps(fam, 0)))
         tail = (u,) * (a0 - 1) + (a0,)
         if fam.kind == "NSu":
             return eval_negasadic(digits, tail) + F(u, s + 1)
@@ -82,7 +82,7 @@ def _local_value(fam, phase, sels):
     if fam.kind == "Sminus":
         # sum (-1)^n a_n s^-(a_1+...+a_n), then the tail a0 a0 ... summed geometrically
         head = eval_negas_cantor(sels, sels, s)
-        a0 = level_choices(fam, 1)[0]
+        a0 = next(iter(digit_maps(fam, 0)))
         return head + F((-1) ** (len(sels) + 1) * a0, s ** sum(sels) * (s**a0 + 1))
     if fam.kind == "MDper":
         # the closing digit is 0: nothing after the continuation
@@ -113,7 +113,7 @@ def _local_value(fam, phase, sels):
 )
 def test_family_trees_match_reference(text, depth, phase):
     fam = parse_family(text)
-    pools = [level_choices(fam, phase + j) for j in range(1, depth + 1)]
+    pools = list(_rank_maps(fam, depth, phase))
     values = [_local_value(fam, phase, sels) for sels in product(*pools)]
     assert _oracle_local(fam, depth, phase)[:2] == (min(values), max(values))
 
@@ -142,7 +142,7 @@ def oracle_cases(draw):
         sets = tuple(map(tuple, draw(st.lists(digits, min_size=1, max_size=3))))
         fam = FamilySpec(kind, max(values), basis=tuple(values), level_sets=sets)
     rank = draw(st.integers(0, 2))
-    addr = tuple(draw(st.sampled_from(level_choices(fam, j))) for j in range(1, rank + 1))
+    addr = tuple(draw(st.sampled_from(list(maps))) for maps in _rank_maps(fam, rank))
     return fam, addr, draw(st.integers(1, 3))
 
 
@@ -153,7 +153,7 @@ def test_random_family_oracles(case):
     # the radix evaluators, and lie inside the hull within the tail bound
     fam, addr, depth = case
     oracle = tail_extrema_oracle(fam, addr, depth)
-    pools = [level_choices(fam, len(addr) + j) for j in range(1, depth + 1)]
+    pools = list(_rank_maps(fam, depth, address_frame(fam, addr)[3]))
     const = F(fam.u, fam.s - 1) if fam.kind == "Su" else 0
     leaves = [const + _local_value(fam, 0, addr + sels) for sels in product(*pools)]
     assert (oracle.interval.lo, oracle.interval.hi) == (min(leaves), max(leaves))

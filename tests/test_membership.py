@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorkit import FamilySpec, expand_address, membership_prefix, parse_family
-from cantorkit.families import family_blocks, level_choices
+from cantorkit.families import _rank_maps, family_blocks
 
 
 def ref_membership_prefix(fam, seq):
@@ -74,7 +74,7 @@ def cases(draw):
     if draw(st.booleans()):
         seq = draw(st.lists(digit, max_size=12))
     else:
-        addr = [draw(st.sampled_from(level_choices(fam, j))) for j in range(1, draw(st.integers(0, 5)) + 1)]
+        addr = [draw(st.sampled_from(list(maps))) for maps in _rank_maps(fam, draw(st.integers(0, 5)))]
         seq = addr if fam.kind == "Cantor" else list(expand_address(fam, addr).digits)  # a Cantor selector is its digit
         for _ in range(draw(st.integers(0, 2)) if seq else 0):
             seq[draw(st.integers(0, len(seq) - 1))] = draw(digit)

@@ -1,7 +1,7 @@
 """The integer `verify_family` walk against the Fraction walk it replaced.
 
 The reference below is that walk: it re-sums each closed-form prefix in
-`Fraction`s, folds `Fraction` frames through `digit_map`, and builds an
+`Fraction`s, folds `Fraction` frames through `digit_maps`, and builds an
 `IntervalR` per node.  Both must return equal reports, failure strings
 included, on correct whole-set constants and on sabotaged ones, which the
 suite must catch the same way.
@@ -21,7 +21,7 @@ from cantorkit import (
     tail_extrema_oracle,
     verify_family,
 )
-from cantorkit.families import _family_const, digit_map, level_choices, walk_size
+from cantorkit.families import _family_const, digit_maps, walk_size
 
 
 def ref_cylinder_interval(fam, base):
@@ -61,8 +61,7 @@ def ref_cylinder_interval(fam, base):
 
 def ref_child_frames(fam, frame):
     value, scale, phase = frame
-    for sel in level_choices(fam, phase + 1):
-        _, gn, sk, m, nxt = digit_map(fam, sel, phase)
+    for sel, (_, gn, sk, m, nxt) in digit_maps(fam, phase).items():
         g, k = Fraction(gn, m), Fraction(sk, m)
         yield sel, (value + scale * g, scale * k, nxt)
 
@@ -79,7 +78,7 @@ def ref_verify_family(fam, depth, cap=10**6):
     cyl.covering_sums(fam, depth)  # the ranks x digits rule, as `cover --depth` applies it
     walk_size(fam, depth, cap)
     s = fam.s
-    digits = level_choices(fam, 1)
+    digits = tuple(digit_maps(fam, 0))
     _fail = cyl._fail
     oracle_f, nest_f, gap_f, ord_f = [], [], [], []
     n_addr = n_child = n_pair = 0
