@@ -376,32 +376,46 @@ def _selector_maps(fam: FamilySpec, phase: int) -> Iterator[tuple[object, DigitM
     MDper and Cantor) writes `block` into the digit expansion, and the local
     tail value from it on is x -> (gn + sk*x)/m of the local tail value at
     `next_phase`, which depends on `phase` alone.  A kind whose selectors s
-    counts is refused past DEFAULT_CAP of them before any is made.  MD has a
-    selector for every odd gap and is refused; `_walk` makes its maps."""
+    counts is refused past DEFAULT_CAP of them when called, before any is
+    made.  MD has a selector for every odd gap and is refused; `_walk` makes
+    its maps."""
     kind, s, u = fam.kind, fam.s, fam.u or 0
     if kind == "MD":
         raise UnsupportedFamilyError("MD has unbounded branching")
     if kind == "Cantor":  # phase p reads level p+1 (mod lcm(#d, #I)): x -> (e + x)/d_(p+1)
         d, nxt = fam.basis[phase % len(fam.basis)], (phase + 1) % lcm(len(fam.basis), len(fam.level_sets))
-        yield from ((e, ((e,), e, 1, d, nxt)) for e in fam.level_sets[phase % len(fam.level_sets)])
-        return
-    # MDper's digits; Tilde's (1,) and s-1 blocks of each length 2..s-1; the
-    # run digits 1..s-1 but u (Sminus has no u; S has u = 0); Blocks' list
-    count = {"MDper": s, "Tilde": 1 + (s - 1) * (s - 2), "Blocks": len(fam.blocks or ())}.get(kind, s - 1 - bool(u))
-    if count > DEFAULT_CAP:
+        return ((e, ((e,), e, 1, d, nxt)) for e in fam.level_sets[phase % len(fam.level_sets)])
+    if _table_size(fam, phase)[0] > DEFAULT_CAP:
         raise CapExceededError(f"{fam.label()} has over {DEFAULT_CAP} selectors, above the cap")
     if kind == "MDper":
         nxt = (phase + 1) % len(fam.period)
-        yield from ((eps, _gap_map(s, fam.period[phase], eps, nxt)) for eps in range(s))
-    elif kind in ("Tilde", "Blocks"):  # Tilde: (1,), then v^(k-1) k for k = 2..s-1 over the digits v != k
+        return ((eps, _gap_map(s, fam.period[phase], eps, nxt)) for eps in range(s))
+    if kind in ("Tilde", "Blocks"):  # Tilde: (1,), then v^(k-1) k for k = 2..s-1 over the digits v != k
         tilde = ((v,) * (k - 1) + (k,) for k in range(2, s) for v in range(s) if v != k)
-        for sel, block in enumerate(fam.blocks or chain([(1,)], tilde)):
-            yield sel, (block, reduce(lambda n, d: n * s + d, block, 0), 1, s ** len(block), 0)
-    else:  # run digit a writes u^(a-1) a; NSu's odd digits and all of Sminus' reverse
-        for a in range(1, s):
-            if a != u:
-                sk = -1 if kind == "Sminus" or (kind == "NSu" and a % 2) else 1
-                yield a, ((u,) * (a - 1) + (a,), sk * (a - u), sk, s**a, 0)
+        blocks = enumerate(fam.blocks or chain([(1,)], tilde))
+        return ((sel, (b, reduce(lambda n, d: n * s + d, b, 0), 1, s ** len(b), 0)) for sel, b in blocks)
+    # run digit a writes u^(a-1) a; NSu's odd digits and all of Sminus' reverse
+    odd_flip, all_flip = kind == "NSu", kind == "Sminus"
+    signs = ((a, -1 if all_flip or (odd_flip and a % 2) else 1) for a in range(1, s) if a != u)
+    return ((a, ((u,) * (a - 1) + (a,), sk * (a - u), sk, s**a, 0)) for a, sk in signs)
+
+
+def _table_size(fam: FamilySpec, phase: int) -> tuple[int, int]:
+    """(selectors, block digits) of the table at `phase`, counted from the spec
+    before any block is made.  The run digits 1..s-1 but u write a digits
+    each, s(s-1)/2 - u in all (S has u = 0, Sminus none); Tilde writes (1,)
+    and s - 1 blocks of each length 2..s-1; an MDper digit writes the phase's
+    gap, a Cantor digit one digit, and a Blocks list its own lengths."""
+    s, u = fam.s, fam.u or 0
+    gaps, blocks, levels = fam.period or (0,), fam.blocks or (), fam.level_sets or ((),)
+    level = levels[phase % len(levels)]
+    runs = s * (s - 1) // 2
+    return {
+        "MDper": (s, s * gaps[phase % len(gaps)]),
+        "Tilde": (1 + (s - 1) * (s - 2), 1 + (s - 1) * (runs - 1)),
+        "Blocks": (len(blocks), sum(map(len, blocks))),
+        "Cantor": (len(level), len(level)),
+    }.get(fam.kind, (s - 1 - bool(u), runs - u))
 
 
 def _gap_map(s: int, gap: int, eps: int, nxt: int = 0) -> DigitMap:
@@ -429,16 +443,14 @@ def digit_maps(fam: FamilySpec, phase: int) -> Mapping[object, DigitMap]:
     """selector -> (block, gn, sk, m, next_phase) of each admissible selector
     at `phase`, in selector order (`_selector_maps`).
 
-    Refused with CapExceededError as soon as the phase's blocks pass
-    DEFAULT_CAP digits, so no table grows without bound (S(s) writes about
-    s^2/2 digits)."""
-    table, digits = {}, 0
-    for sel, dmap in _selector_maps(fam, phase):
-        table[sel] = dmap
-        digits += len(dmap[0])
-        if digits > DEFAULT_CAP:
-            raise CapExceededError(f"{fam.label()} blocks hold over {DEFAULT_CAP} digits, above the cap")
-    return MappingProxyType(table)
+    Refused with CapExceededError when the phase's blocks would hold over
+    DEFAULT_CAP digits, counted from the spec before any block is made
+    (`_table_size`), so no table grows without bound (S(s) writes s(s-1)/2
+    digits)."""
+    maps = _selector_maps(fam, phase)  # MD and a table of over DEFAULT_CAP selectors are refused first
+    if _table_size(fam, phase)[1] > DEFAULT_CAP:
+        raise CapExceededError(f"{fam.label()} blocks hold over {DEFAULT_CAP} digits, above the cap")
+    return MappingProxyType(dict(maps))
 
 
 def _rank_maps(fam: FamilySpec, depth: int, phase: int = 0) -> Iterator[Mapping[object, DigitMap]]:

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cantorkit.boxcount as bc
 from cantorkit import (
@@ -14,8 +16,8 @@ from cantorkit import (
     parse_family,
     set_interval,
 )
-from cantorkit.boxcount import _cover_counts
-from cantorkit.families import address_frame, box_walk, child_frames, digit_maps
+from cantorkit.boxcount import _cover_counts, _type_counts
+from cantorkit.families import FamilySpec, address_frame, box_walk, child_frames, digit_maps
 
 LOG32 = math.log(2) / math.log(3)
 
@@ -115,7 +117,10 @@ ONE_WALK_FAMILIES = (
 )
 
 
-@pytest.mark.parametrize("text", ONE_WALK_FAMILIES)
+# a one-basis Cantor series counts by cell types, a mixed basis by the walk
+@pytest.mark.parametrize(
+    "text", ONE_WALK_FAMILIES + ("Cantor(d=[3],I=[{0,2},{1}])", "Cantor(d=[4,5],I=[{0,3},{1,2,4}])")
+)
 def test_one_walk_matches_one_scale_counts(text):
     fam = parse_family(text)
     _, points = box_dimension(fam, 1, 6)
@@ -229,3 +234,63 @@ def test_predicted_box_walk_is_the_walked_one(monkeypatch, text):
 def test_negative_scale_exponent_rejected():
     with pytest.raises(ValueError):
         box_dimension(parse_family("S(s=3)"), -3, 2)
+
+
+def _refused(*args):
+    raise AssertionError("the other counter ran")
+
+
+@pytest.mark.parametrize(
+    "text, counter, other",
+    [
+        ("Cantor(d=[4,5],I=[{0,3},{1,2,4}])", "_cover_counts", "_type_counts"),
+        ("Cantor(d=[2,4],I=[{0,1}])", "_cover_counts", "_type_counts"),  # 2 is no power of s = 4
+        ("Cantor(d=[3],I=[{0,2},{1}])", "_type_counts", "_cover_counts"),
+        ("MDper(s=3,m=[3,5])", "_type_counts", "_cover_counts"),
+    ],
+)
+def test_the_maps_choose_the_counter(monkeypatch, text, counter, other):
+    # the type recursion takes every family whose maps' m are powers of s; a
+    # mixed basis never enters it
+    fam = parse_family(text)
+    expected = getattr(bc, counter)(fam, range(1, 7), 10**6)
+    monkeypatch.setattr(bc, other, _refused)
+    assert [p.count for p in box_dimension(fam, 1, 6)[1]] == expected
+
+
+@st.composite
+def finite_type_families(draw):
+    """A family of any kind whose maps' m are powers of s: NSu with u = 0 and
+    u > 0, block lists that overlap or parse two ways, several gaps, a
+    one-basis Cantor series with several level sets, and one-point sets."""
+    kind = draw(st.sampled_from(("S", "Su", "NSu", "Sminus", "Tilde", "Blocks", "MDper", "Cantor", "point")))
+    if kind in ("Su", "NSu"):
+        s = draw(st.integers(3, 7))
+        return FamilySpec(kind, s, u=draw(st.integers(0, s - 1)))
+    if kind in ("S", "Sminus"):
+        return FamilySpec(kind, draw(st.integers(3, 8)))
+    if kind == "Tilde":
+        return FamilySpec(kind, draw(st.integers(3, 6)))
+    s = draw(st.integers(2, 4))
+    if kind == "MDper":
+        return FamilySpec(kind, s, period=tuple(draw(st.lists(st.sampled_from((3, 5, 7)), min_size=1, max_size=3))))
+    digit_sets = st.lists(st.integers(0, s - 1), min_size=1, max_size=s, unique=True)
+    if kind == "Cantor":
+        level_sets = draw(st.lists(digit_sets, min_size=1, max_size=3))
+        return FamilySpec(kind, s, basis=(s,), level_sets=tuple(map(tuple, level_sets)))
+    block = st.lists(st.integers(0, s - 1), min_size=1, max_size=3).map(tuple)
+    if kind == "point":  # one block, or one digit at every level
+        if draw(st.booleans()):
+            return FamilySpec("Blocks", s, blocks=(draw(block),))
+        one = (draw(st.integers(0, s - 1)),)
+        return FamilySpec("Cantor", s, basis=(s,), level_sets=(one,) * draw(st.integers(1, 3)))
+    return FamilySpec(kind, s, blocks=tuple(draw(st.lists(block, min_size=1, max_size=4, unique=True))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_type_families())
+@example(parse_family("Blocks(s=3,B=[1;2;1 2])"))  # 1 2 parses two ways
+@example(parse_family("Blocks(s=2,B=[0;0 1;1 0])"))  # so does 0 1 0
+def test_type_counts_equal_the_walk(fam):
+    ns = range(0, 7 if fam.s < 6 else 5)
+    assert _type_counts(fam, ns, 10**6) == _cover_counts(fam, ns, 10**6), fam.label()

@@ -686,9 +686,12 @@ def test_boxcount_runs_a_huge_base_at_short_scales(capsys):
 
 @pytest.mark.parametrize("family, depth", [("S(s=1415)", "0"), ("Tilde(s=200)", "1")])
 def test_enumerate_refuses_the_block_tables_eval_refuses(capsys, family, depth):
+    # the table's digits are counted from s, so no block is made before the refusal
     error = f"error: {family} blocks hold over 1000000 digits, above the cap\n"
-    for argv in (("eval", family, "--alphas", "1"), ("enumerate", family, "--depth", depth)):
+    for argv in (("eval", family, "--alphas", "1"), ("enumerate", family, "--depth", depth), ("boxcount", family)):
+        start = time.perf_counter()
         assert main(list(argv)) == 1
+        assert time.perf_counter() - start < 0.1, argv
         assert capsys.readouterr() == ("", error), argv
 
 

@@ -5,7 +5,8 @@ of the digit string the same selectors write, closed by the tail's digits
 repeated forever (for a Cantor series, `eval_cantor` of the digits and one
 pass of the tail, closed geometrically); it must lie in its cylinder's hull;
 and the digit string must be a member prefix.  Every map must have the
-integer form x -> (gn + sk*x)/m that the walks step with.
+integer form x -> (gn + sk*x)/m that the walks step with, and every table
+the size `_table_size` counts from the spec.
 """
 
 from fractions import Fraction
@@ -27,7 +28,7 @@ from cantorkit import (
     membership_prefix,
 )
 from cantorkit.cylinders import _has_closed_form
-from cantorkit.families import _family_const, _rank_maps, address_frame, digit_maps
+from cantorkit.families import _family_const, _rank_maps, _table_size, address_frame, digit_maps
 
 
 @st.composite
@@ -111,8 +112,11 @@ def test_maps_have_integer_form_and_fold_to_radix_values(case):
     phase, seen = 0, set()
     while phase not in seen:  # every phase reachable from 0
         seen.add(phase)
-        for _, gn, sk, m, nxt in digit_maps(fam, phase).values():
+        table = digit_maps(fam, phase)
+        for _, gn, sk, m, nxt in table.values():
             assert all(type(x) is int for x in (gn, sk, m)) and m >= 2 and sk in (1, -1)
+        # the sizes the cap guards count before making the table
+        assert _table_size(fam, phase) == (len(table), sum(len(block) for block, *_ in table.values()))
         phase = nxt
     V, den, sign, _ = address_frame(fam, addr)
     assert _family_const(fam) + Fraction(V, den) == _zero_tail_value(fam, addr)

@@ -4,7 +4,9 @@
 closed forms and build `Fraction`s only for their per-walk constants, per
 depth or per scale results, and failure text.  Counting every `Fraction`
 construction pins that down without timing anything: the count must not
-grow with the number of nodes a walk visits.
+grow with the number of nodes a walk visits.  The box counts' type
+recursion is pinned the same way: past the level where its types close,
+neither its types nor its `Fraction`s grow with the finest scale.
 """
 
 from fractions import Fraction
@@ -59,9 +61,33 @@ def test_box_count_builds_no_fraction_per_node(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(bc, "child_frames", counted_children)
-            built = _fractions_built(monkeypatch, lambda: box_dimension(fam, 2, n_hi))
+            built = _fractions_built(monkeypatch, lambda: bc._cover_counts(fam, range(2, n_hi + 1), 10**6))
         visits.append(nodes)
         return built
 
     coarse, fine = box(7), box(9)
     assert fine - coarse < (visits[1] - visits[0]) // 10, (coarse, fine, visits)
+
+
+def test_box_types_stop_growing_with_the_finest_scale(monkeypatch):
+    # Tilde(s=3)'s cell types all appear by level 7: two finer scales split
+    # no new type and build no new Fraction
+    fam = parse_family("Tilde(s=3)")
+    split = []
+
+    def box(n_hi):
+        types = 0
+
+        def counted_split(*args):
+            nonlocal types
+            types += 1
+            return true_split(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(bc, "_subcell_types", counted_split)
+            built = _fractions_built(monkeypatch, lambda: box_dimension(fam, 2, n_hi))
+        split.append(types)
+        return built
+
+    true_split = bc._subcell_types
+    assert box(9) == box(7) and split[0] == split[1] > 0, split
