@@ -1,13 +1,12 @@
 """Empirical box-counting dimension from exact mesh counts.
 
-A fixed mesh of width eps = s^-n is anchored at phase 0's local infimum,
-the set's infimum less the family constant: a translation changes no
-count.  The cover is made of terminal cylinders, the first on each path
-whose hull fits inside one mesh step, and is intersected with the mesh
-exactly, in integers.  A cell counts when the cover meets its interior or
-contains the cell's left endpoint; at these widths the cover aligns with
-the mesh, and exactly self-similar sets produce the clean counts (2^n boxes
-of width 3^-n for the classical Cantor set) with no boundary noise.
+A fixed mesh of width eps = s^-n is anchored at the set's infimum, the
+left end of phase 0's hull.  The cover is made of terminal cylinders, the
+first on each path whose hull fits inside one mesh step, and is intersected
+with the mesh exactly, in integers.  A cell counts when the cover meets its
+interior or contains the cell's left endpoint; at these widths the cover
+aligns with the mesh, and exactly self-similar sets produce the clean counts
+(2^n boxes of width 3^-n for the classical Cantor set) with no boundary noise.
 
 Subdividing only the cylinders still wider than eps gives the same cell set
 as deepening every address uniformly: hull endpoints are attained by set
@@ -42,7 +41,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .cylinders import _local_hulls
-from .families import DEFAULT_CAP, ROOT_FRAME, FamilySpec, _selector_maps, box_walk, child_frames, digit_maps
+from .families import DEFAULT_CAP, ROOT_FRAME, FamilySpec, _counted, box_walk, child_frames, digit_maps
 
 
 class _ScaleCountFields(NamedTuple):
@@ -81,10 +80,7 @@ class FitResult(_FitResultFields):
 def _mesh(fam: FamilySpec, ns: Sequence[int], cap: int) -> tuple[int, dict[int, tuple[int, int, int]]]:
     """M and phase -> (lo, hi, width) of the phase's local hull as numerators
     over M, once `box_walk` has admitted the walk to the finest scale s^-ns[-1]
-    (rule 1, for either counter).
-
-    The mesh is anchored at phase 0's local inf, the set's inf less the
-    family constant; a translation changes no count."""
+    (rule 1, for either counter).  The mesh is anchored at phase 0's inf."""
     local = _local_hulls(fam)  # refuses MD: its branching is unbounded
     M = math.lcm(*(x.denominator for ends in local.values() for x in ends))
     ends = {phase: (int(lo * M), int(hi * M), int((hi - lo) * M)) for phase, (lo, hi) in local.items()}
@@ -134,7 +130,7 @@ def _cover_counts(fam: FamilySpec, ns: Sequence[int], cap: int) -> list[int]:
 
 
 #: a piece of a cell's cover, (T, R, sign, phase), all integers: the image of
-#: the local tail set at `phase` under x -> (T + sign * R * x * M) / unit, in
+#: the set at `phase` under x -> (T + sign * R * x * M) / unit, in
 #: coordinates where the cell is [0, 1) and `unit` is fixed per family
 Piece = tuple[int, int, int, int]
 
@@ -180,24 +176,17 @@ def _type_counts(fam: FamilySpec, ns: Sequence[int], cap: int) -> list[int]:
     M, ends = _mesh(fam, ns, cap)
     s = fam.s
     maps = {p: [(gn * M, sk, m, nxt) for _, gn, sk, m, nxt in digit_maps(fam, p).values()] for p in ends}
-    # start at level -j0, where the whole hull fits cell 0; `unit` is M * s^j,
-    # with j >= j0 large enough that a split piece's scale R divides by its m
-    widest, m_max = max(w for *_, w in ends.values()), max(m for ms in maps.values() for *_, m, _ in ms)
-    j0 = 0
-    while s**j0 * M < ends[0][2]:
-        j0 += 1
-    j = j0
-    while s**j * M < m_max * widest:
-        j += 1
-    unit, R = M * s**j, s ** (j - j0)
+    # every phase's hull has width <= 1 (s-adic and Cantor values lie in
+    # [0, 1], nega-s-adic ones in [-s/(s+1), 1/(s+1)], Sminus' in [-1/s, 0]),
+    # so with R the largest m the whole hull fits cell 0 at level 0, and a
+    # piece wide enough to split has a scale every m divides
+    R = max(m for ms in maps.values() for *_, m, _ in ms)
+    unit = M * R
     root = frozenset({(-R * ends[0][0], R, 1, 0)})
     types = {root: root}  # each type once, so a lookup compares by identity
     subcells: dict[frozenset, list[frozenset]] = {}
-    counts, at = {root: 1}, {}
-    for level in range(-j0, ns[-1] + 1):
-        at[level] = sum(counts.values())
-        if level == ns[-1]:
-            break
+    counts, at = {root: 1}, [1]  # at[n]: the cells of level n
+    for _ in range(ns[-1]):
         finer: dict[frozenset, int] = {}
         for cell, count in counts.items():
             if cell not in subcells:
@@ -205,6 +194,7 @@ def _type_counts(fam: FamilySpec, ns: Sequence[int], cap: int) -> list[int]:
             for t in subcells[cell]:
                 finer[t] = finer.get(t, 0) + count
         counts = finer
+        at.append(sum(counts.values()))
     return [at[n] for n in ns]
 
 
@@ -246,7 +236,7 @@ def box_dimension(
     smallest n >= 10 with s^(n-4) >= 100, the two decades `fit_dimension` needs."""
     if n_hi is None:
         n_hi = 10 + (fam.s**6 < 100)
-    _selector_maps(fam, 0)  # MD and a base of over DEFAULT_CAP selectors are refused first
+    _counted(fam, 0)  # MD and a base of over DEFAULT_CAP selectors are refused first
     if n_lo < 0:
         raise ValueError("scale exponents must be >= 0")
     if n_hi - n_lo < 2:

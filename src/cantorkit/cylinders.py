@@ -43,7 +43,6 @@ from .families import (
     ROOT_FRAME,
     FamilySpec,
     Frame,
-    _family_const,
     _inadmissible,
     _rank_maps,
     _walk,
@@ -316,7 +315,7 @@ def solve_phase_hulls(system: PhaseMaps) -> dict[int, tuple[Fraction, Fraction]]
 
 @lru_cache(maxsize=256)
 def _local_hulls(fam: FamilySpec) -> Mapping[int, tuple[Fraction, Fraction]]:
-    """phase -> exact hull of the local tail-value set (family constant excluded)."""
+    """phase -> exact hull of the set at that phase."""
     return MappingProxyType(solve_phase_hulls(_phase_maps(fam)))
 
 
@@ -329,13 +328,12 @@ def set_interval(fam: FamilySpec) -> IntervalR:
     return cylinder_hull(fam, ())
 
 
-def _frame_image(fam: FamilySpec, frame: Frame, lo: Fraction, hi: Fraction) -> IntervalR:
-    """The image of [lo, hi] under the frame's map x -> const + (V + sign * x)/den."""
+def _frame_image(frame: Frame, lo: Fraction, hi: Fraction) -> IntervalR:
+    """The image of [lo, hi] under the frame's map x -> (V + sign * x)/den."""
     V, den, sign, _ = frame
     if sign < 0:
         lo, hi = -hi, -lo
-    at = _family_const(fam) + Fraction(V, den)
-    return IntervalR(at + lo / den, at + hi / den)
+    return IntervalR((V + lo) / den, (V + hi) / den)
 
 
 def cylinder_hull(fam: FamilySpec, addr) -> IntervalR:
@@ -350,7 +348,7 @@ def cylinder_hull(fam: FamilySpec, addr) -> IntervalR:
 
 def _frame_hull(fam: FamilySpec, frame: Frame) -> IntervalR:
     """The hull of the cylinder at `frame`: its phase's local hull, imaged."""
-    return _frame_image(fam, frame, *_local_hulls(fam)[frame[3]])
+    return _frame_image(frame, *_local_hulls(fam)[frame[3]])
 
 
 def _child_hulls(fam: FamilySpec, frame: Frame, wanted: tuple = ()) -> dict[object, IntervalR]:
@@ -387,8 +385,8 @@ def _level_minmax(levels, x0: Fraction) -> tuple[Fraction, Fraction]:
 
 @lru_cache(maxsize=256)
 def _oracle_local(fam: FamilySpec, depth: int, phase: int) -> tuple[Fraction, Fraction, Fraction]:
-    """(min, max, shrink) of the local tail value over every continuation
-    `depth` levels deep from `phase`.
+    """(min, max, shrink) of the value in the set at `phase` over every
+    continuation `depth` levels deep from it.
 
     Each continuation is closed by taking every phase's first selector from
     then on (for MDper the digit 0, so nothing follows): a member of the
@@ -419,7 +417,7 @@ def tail_extrema_oracle(fam: FamilySpec, addr, depth: int) -> OracleResult:
     _, den, _, phase = frame
     lo, hi, shrink = _oracle_local(fam, depth, phase)
     leaves = prod(map(len, _rank_maps(fam, depth, phase)))
-    return OracleResult(_frame_image(fam, frame, lo, hi), _tail_bound(fam, shrink) / den, leaves)
+    return OracleResult(_frame_image(frame, lo, hi), _tail_bound(fam, shrink) / den, leaves)
 
 
 # -- gaps, orderings, coverings ---------------------------------------------------
@@ -587,13 +585,11 @@ def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> Ve
     lo, hi = _closed_ends(fam, form, ROOT_STATE)
     if lo > hi:  # refuse empty whole-set bounds as `cylinder_interval` does
         _interval(lo, hi, Q)
-    const = _family_const(fam)
     local = {}
     for phase in _phase_maps(fam):
         olo, ohi, shrink = _oracle_local(fam, depth + ORACLE_EXTRA_DEPTH, phase)
         local[phase] = (olo, ohi, _tail_bound(fam, shrink))
-    M = lcm(const.denominator, *(x.denominator for ends in local.values() for x in ends))
-    cM = int(const * M)
+    M = lcm(*(x.denominator for ends in local.values() for x in ends))
     oracle = {phase: tuple(int(x * M) for x in ends) for phase, ends in local.items()}
     c_top = max(digits)
     top = s**c_top
@@ -603,10 +599,7 @@ def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> Ve
         V, den, sign, phase = frame
         fd, od = Q * s ** state[1], M * den
         olo, ohi, bound = oracle[phase]
-        if sign < 0:
-            olo, ohi = -ohi, -olo
-        at = cM * den + V * M
-        olo, ohi = at + olo, at + ohi
+        olo, ohi = (V * M + olo, V * M + ohi) if sign > 0 else (V * M - ohi, V * M - olo)
         n_addr += 1
         # both intervals over fd * od
         if not (lo * od <= olo * fd and ohi * fd <= hi * od):

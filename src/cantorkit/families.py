@@ -20,17 +20,19 @@ their prefix sums):
 * ``Cantor``  Cantor series with per-level digit subsets I_j
 
 Every kind but MD is the attractor of finitely many monotone affine digit
-maps per phase.  A selector writes a digit block into the expansion and maps
-the local tail value after it by x -> (gn + sk*x)/m in integers.  Each kind
-is written once, as one branch of `_selector_maps`, which `digit_maps`
-tabulates per phase.  MDper's gap period and a Cantor series' periodic basis
-and level sets give their maps phases, so they form graph-directed systems;
-the other kinds have one phase.  MD has a map for every odd gap, so its maps
-are made one at a time (`_gap_map`, as MDper's are).  Every walk over
-a selector sequence (`_walk`) reads the same maps and refuses the first
-inadmissible selector; integer frames (V, den, sign, phase) fold the maps
-along an address, so every traversal applies one map per child without
-building a `Fraction`.
+maps per phase, in the set's own values.  A selector writes a block of digit
+runs, and its map is that block read in the kind's radix (`_block_map`):
+x -> v + base^-n x for a block of n digits and value v, in base s, -s for
+NSu, MDper and MD, and d_j at level j of a Cantor series; Sminus negates each
+run's map.  `_kind` states each kind once per phase (counts, radix, next
+phase and each selector's runs) and `digit_maps` tabulates it.  MDper's gap
+period and a Cantor series' periodic basis and level sets give their maps
+phases, so they form graph-directed systems; the other kinds have one phase.
+MD has a map for every odd gap, so `_walk` makes its maps one at a time.
+Every walk over a selector sequence (`_walk`) reads the same maps and refuses
+the first inadmissible selector; integer frames (V, den, sign, phase) fold
+the maps along an address, so every traversal applies one map per child
+without building a `Fraction`.
 
 The grammar (``Su(s=5,u=2)``) is one table: `_KEYS` gives each kind's keys
 and `_GRAMMAR` each key's field, reader and writer, so `parse_family` and
@@ -41,8 +43,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import chain, groupby, islice, product
+from functools import lru_cache
+from itertools import chain, groupby, product
 from math import gcd, lcm, log10
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -163,14 +165,10 @@ class FamilySpec(_FamilySpecFields):
     @property
     def degenerate(self) -> bool:
         """True when the family collapses to a single point: one selector at
-        every phase.  Reads at most two selectors a phase, so no table is
-        built.  Phase p of a Cantor series lists I_(p mod #I), so its first
-        #I phases decide, not all lcm(#d, #I); every other kind has as many
-        selectors at each of its phases."""
-        if self.kind == "MD":
-            return False
+        every phase, counted from the spec.  A Cantor series' first #I phases
+        decide (phase p lists I_(p mod #I)); other kinds count alike at every phase."""
         phases = len(self.level_sets) if self.level_sets else 1
-        return all(len(list(islice(_selector_maps(self, p), 2))) < 2 for p in range(phases))
+        return self.kind != "MD" and all(_counted(self, p)[0] < 2 for p in range(phases))
 
     def label(self) -> str:
         """Canonical grammar form of this family: its kind's keys in `_KEYS`
@@ -356,71 +354,72 @@ def enumerate_addresses(fam: FamilySpec, depth: int, cap: int = DEFAULT_CAP) -> 
 # -- affine digit maps ----------------------------------------------------------
 
 #: (block, gn, sk, m, next_phase): a selector writes `block` and maps the
-#: local tail value by x -> (gn + sk*x)/m, all integers, m >= 2, sk = +-1
+#: tail value after it by x -> (gn + sk*x)/m, all integers, m >= 2, sk = +-1
 DigitMap = tuple[tuple[int, ...], int, int, int, int]
 
-#: (V, den, sign, phase), all integers: a cylinder is the image of the local
-#: tail set at `phase` under x -> const + (V + sign * x) / den, where const
-#: is the family constant (`_family_const`) and den >= 1
+#: (V, den, sign, phase), all integers: a cylinder is the image of the set at
+#: `phase` under x -> (V + sign * x) / den, den >= 1
 Frame = tuple[int, int, int, int]
 
 ROOT_FRAME: Frame = (0, 1, 1, 0)
 
+def _kind(fam: FamilySpec, phase: int) -> tuple:
+    """The one description of each kind: (selectors, digits, base, flip,
+    next_phase, pairs) at `phase`, all but `pairs` counted from the spec.
+    `digits` is the total its selectors' blocks hold, `base` the radix they
+    are read in, flip = -1 where each block's map is negated (Sminus) and 1
+    elsewhere, and `pairs` makes each (selector, its (digit, count) runs) one
+    at a time (`_block_map` reads them).
 
-def _selector_maps(fam: FamilySpec, phase: int) -> Iterator[tuple[object, DigitMap]]:
-    """(selector, (block, gn, sk, m, next_phase)) of each admissible selector
-    at `phase`, in selector order, made one at a time: the one description of
-    each kind.
-
-    The selector (a run digit; a block index for Tilde/Blocks; a digit for
-    MDper and Cantor) writes `block` into the digit expansion, and the local
-    tail value from it on is x -> (gn + sk*x)/m of the local tail value at
-    `next_phase`, which depends on `phase` alone.  A kind whose selectors s
-    counts is refused past DEFAULT_CAP of them when called, before any is
-    made.  MD has a selector for every odd gap and is refused; `_walk` makes
-    its maps."""
+    A selector is a run digit (S, Su, NSu, Sminus), a block index (Tilde,
+    Blocks) or a digit (MDper, Cantor).  MD has a selector for every odd gap
+    and is refused; `_walk` makes its maps."""
     kind, s, u = fam.kind, fam.s, fam.u or 0
     if kind == "MD":
         raise UnsupportedFamilyError("MD has unbounded branching")
-    if kind == "Cantor":  # phase p reads level p+1 (mod lcm(#d, #I)): x -> (e + x)/d_(p+1)
-        d, nxt = fam.basis[phase % len(fam.basis)], (phase + 1) % lcm(len(fam.basis), len(fam.level_sets))
-        return ((e, ((e,), e, 1, d, nxt)) for e in fam.level_sets[phase % len(fam.level_sets)])
-    if _table_size(fam, phase)[0] > DEFAULT_CAP:
+    if kind == "Cantor":  # phase p reads level p+1 (mod lcm(#d, #I)) in base d_(p+1)
+        level, base = fam.level_sets[phase % len(fam.level_sets)], fam.basis[phase % len(fam.basis)]
+        nxt = (phase + 1) % lcm(len(fam.basis), len(fam.level_sets))
+        return len(level), len(level), base, 1, nxt, ((e, ((e, 1),)) for e in level)
+    if kind == "MDper":  # digit eps after the phase's gap - 1 zeros, in base -s
+        gap = fam.period[phase]
+        pairs = ((eps, ((0, gap - 1), (eps, 1))) for eps in range(s))
+        return s, s * gap, -s, 1, (phase + 1) % len(fam.period), pairs
+    if fam.blocks:
+        pairs = ((sel, tuple((d, len(list(k))) for d, k in groupby(b))) for sel, b in enumerate(fam.blocks))
+        return len(fam.blocks), sum(map(len, fam.blocks)), s, 1, 0, pairs
+    if kind == "Tilde":  # (1,), then v^(k-1) k for k = 2..s-1 over the digits v != k
+        pairs = enumerate(chain([((1, 1),)], (((v, k - 1), (k, 1)) for k in range(2, s) for v in range(s) if v != k)))
+        return 1 + (s - 1) * (s - 2), 1 + (s - 1) * (s * (s - 1) // 2 - 1), s, 1, 0, pairs
+    # run digit a writes u^(a-1) a, s(s-1)/2 - u digits in all: NSu in base -s, Sminus negating each run
+    pairs = ((a, ((u, a - 1), (a, 1))) for a in range(1, s) if a != u)
+    base, flip = -s if kind == "NSu" else s, -1 if kind == "Sminus" else 1
+    return s - 1 - bool(u), s * (s - 1) // 2 - u, base, flip, 0, pairs
+
+
+def _counted(fam: FamilySpec, phase: int) -> tuple:
+    """`_kind`, refused past DEFAULT_CAP selectors before any run is made;
+    `eval_family_point` reads only a radix, so it calls `_kind` itself."""
+    desc = _kind(fam, phase)
+    if desc[0] > DEFAULT_CAP:
         raise CapExceededError(f"{fam.label()} has over {DEFAULT_CAP} selectors, above the cap")
-    if kind == "MDper":
-        nxt = (phase + 1) % len(fam.period)
-        return ((eps, _gap_map(s, fam.period[phase], eps, nxt)) for eps in range(s))
-    if kind in ("Tilde", "Blocks"):  # Tilde: (1,), then v^(k-1) k for k = 2..s-1 over the digits v != k
-        tilde = ((v,) * (k - 1) + (k,) for k in range(2, s) for v in range(s) if v != k)
-        blocks = enumerate(fam.blocks or chain([(1,)], tilde))
-        return ((sel, (b, reduce(lambda n, d: n * s + d, b, 0), 1, s ** len(b), 0)) for sel, b in blocks)
-    # run digit a writes u^(a-1) a; NSu's odd digits and all of Sminus' reverse
-    odd_flip, all_flip = kind == "NSu", kind == "Sminus"
-    signs = ((a, -1 if all_flip or (odd_flip and a % 2) else 1) for a in range(1, s) if a != u)
-    return ((a, ((u,) * (a - 1) + (a,), sk * (a - u), sk, s**a, 0)) for a, sk in signs)
+    return desc
 
 
-def _table_size(fam: FamilySpec, phase: int) -> tuple[int, int]:
-    """(selectors, block digits) of the table at `phase`, counted from the spec
-    before any block is made.  The run digits 1..s-1 but u write a digits
-    each, s(s-1)/2 - u in all (S has u = 0, Sminus none); Tilde writes (1,)
-    and s - 1 blocks of each length 2..s-1; an MDper digit writes the phase's
-    gap, a Cantor digit one digit, and a Blocks list its own lengths."""
-    s, u = fam.s, fam.u or 0
-    gaps, blocks, levels = fam.period or (0,), fam.blocks or (), fam.level_sets or ((),)
-    level = levels[phase % len(levels)]
-    runs = s * (s - 1) // 2
-    return {
-        "MDper": (s, s * gaps[phase % len(gaps)]),
-        "Tilde": (1 + (s - 1) * (s - 2), 1 + (s - 1) * (runs - 1)),
-        "Blocks": (len(blocks), sum(map(len, blocks))),
-        "Cantor": (len(level), len(level)),
-    }.get(fam.kind, (s - 1 - bool(u), runs - u))
+def _block_map(runs, base: int, nxt: int, flip: int = 1) -> DigitMap:
+    """The map of writing the digit runs (digit, count) in `base`:
+    x -> flip * (v + base^-n * x), v the block's value and n its length,
+    that is x -> (gn + sk*x)/m with m = |base^n| and sk = flip * sign(base^n).
 
-
-def _gap_map(s: int, gap: int, eps: int, nxt: int = 0) -> DigitMap:
-    """MD's and MDper's map: digit eps after gap - 1 zeros, x -> (-eps - x)/s^gap."""
-    return (0,) * (gap - 1) + (eps,), -eps, -1, s**gap, nxt
+    v * base^n is summed one run at a time, from the last: with T = base^j
+    for the j digits after a run, its k digits d add d (T base^k - T)/(base - 1)."""
+    block, N, T = (), 0, 1
+    for d, k in reversed(runs):
+        p = T * base**k
+        N, T, block = N - d * T + d * p, p, (d,) * k + block
+    W = N // (base - 1)
+    sk = -flip if T < 0 else flip
+    return block, W if sk > 0 else -W, sk, abs(T), nxt
 
 
 def _md_pair(fam: FamilySpec, sel) -> tuple[int, int]:
@@ -441,16 +440,13 @@ def _md_pair(fam: FamilySpec, sel) -> tuple[int, int]:
 @lru_cache(maxsize=256)
 def digit_maps(fam: FamilySpec, phase: int) -> Mapping[object, DigitMap]:
     """selector -> (block, gn, sk, m, next_phase) of each admissible selector
-    at `phase`, in selector order (`_selector_maps`).
-
-    Refused with CapExceededError when the phase's blocks would hold over
-    DEFAULT_CAP digits, counted from the spec before any block is made
-    (`_table_size`), so no table grows without bound (S(s) writes s(s-1)/2
-    digits)."""
-    maps = _selector_maps(fam, phase)  # MD and a table of over DEFAULT_CAP selectors are refused first
-    if _table_size(fam, phase)[1] > DEFAULT_CAP:
+    at `phase`, in selector order: `_kind`'s runs, each read by `_block_map`.
+    Refused past DEFAULT_CAP block digits, counted before any block is made,
+    so no table grows without bound (S(s) writes s(s-1)/2 digits)."""
+    _, digits, base, flip, nxt, pairs = _counted(fam, phase)  # MD and over DEFAULT_CAP selectors are refused first
+    if digits > DEFAULT_CAP:
         raise CapExceededError(f"{fam.label()} blocks hold over {DEFAULT_CAP} digits, above the cap")
-    return MappingProxyType(dict(maps))
+    return MappingProxyType({sel: _block_map(runs, base, nxt, flip) for sel, runs in pairs})
 
 
 def _rank_maps(fam: FamilySpec, depth: int, phase: int = 0) -> Iterator[Mapping[object, DigitMap]]:
@@ -471,7 +467,8 @@ def _walk(fam: FamilySpec, sels: Sequence, phase: int = 0) -> Iterator[DigitMap]
     raises at the first selector not admissible at the phase it is read in."""
     for sel in sels:
         if fam.kind == "MD":  # a map for every odd gap, too many for a table
-            dmap = _gap_map(fam.s, *_md_pair(fam, sel))
+            gap, eps = _md_pair(fam, sel)
+            dmap = _block_map(((0, gap - 1), (eps, 1)), -fam.s, 0)
         else:
             try:
                 dmap = digit_maps(fam, phase)[sel]
@@ -543,32 +540,28 @@ def _md_prefix_ok(seq: tuple[int, ...]) -> bool:
 # -- values --------------------------------------------------------------------
 
 
-def _family_const(fam: FamilySpec) -> Fraction:
-    if fam.kind in ("S", "Su"):
-        return Fraction(fam.u, fam.s - 1)
-    if fam.kind == "NSu":
-        return Fraction(-fam.u, fam.s + 1)
-    return Fraction(0)
-
-
 def address_frame(fam: FamilySpec, addr) -> Frame:
     """(V, den, sign, phase) of `addr`: its cylinder is the image of the
-    family's local tail set at `phase` under x -> const + (V + sign * x)/den."""
+    set at `phase` under x -> (V + sign * x)/den."""
     return _fold(fam, addr, ROOT_FRAME)
 
 
 def eval_family_point(fam: FamilySpec, alphas, tail: Sequence = ()) -> Fraction:
     """Exact partial-sum value of the family's series for a finite selector
-    prefix, optionally closed by a periodic selector tail."""
+    prefix, closed by a periodic selector tail, else by u written forever in
+    the kind's radix (u = 0 but in Su and NSu)."""
     V, den, sign, phase = address_frame(fam, alphas)
     if tail:
-        # the tail's own map x -> (tv + tk*x)/td fixes tv/(td - tk)
         tv, td, tk, end = _fold(fam, tail, (0, 1, 1, phase))
         if end != phase:
             msg = f"a periodic tail must return to the phase it starts at ({phase}); it ends at {end}"
             raise FamilyConstraintError(msg)
-        V, den = V * (td - tk) + sign * tv, den * (td - tk)
-    return _family_const(fam) + Fraction(V, den)
+    elif fam.u:  # no kind with a u flips its runs
+        _, tv, tk, td, _ = _block_map(((fam.u, 1),), _kind(fam, phase)[2], phase)
+    else:
+        return Fraction(V, den)
+    # the tail's own map x -> (tv + tk*x)/td fixes tv/(td - tk)
+    return Fraction(V * (td - tk) + sign * tv, den * (td - tk))
 
 
 def expand_address(fam: FamilySpec, addr) -> DigitString:

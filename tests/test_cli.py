@@ -269,14 +269,14 @@ def _bounds_moved(lo_by, hi_by):
 
 
 def _digit_2_scale_off(monkeypatch):
-    # run digit 2 of S(s=3) maps by 1/10, not 3^-2
-    true_maps = families._selector_maps
+    # run digit 2 of S(s=3), the block 0 2, maps by 1/10, not 3^-2
+    true_map = families._block_map
 
-    def selector_maps(fam, phase):
-        for sel, (block, gn, sk, m, nxt) in true_maps(fam, phase):
-            yield sel, (block, gn, sk, m + (sel == 2), nxt)
+    def block_map(runs, base, nxt, flip=1):
+        block, gn, sk, m, nxt = true_map(runs, base, nxt, flip)
+        return block, gn, sk, m + (block == (0, 2)), nxt
 
-    monkeypatch.setattr(families, "_selector_maps", selector_maps)
+    monkeypatch.setattr(families, "_block_map", block_map)
 
 
 def _diameter_off(monkeypatch):
@@ -662,6 +662,15 @@ def test_huge_run_alphabets_are_refused_before_they_are_built(capsys, family, ar
 
 
 @pytest.mark.parametrize(
+    "family, value", [("Su(s=1000000000,u=5)", "5/999999999"), ("NSu(s=1000000000,u=5)", "-5/1000000001")]
+)
+def test_an_empty_address_evaluates_without_a_selector_table(capsys, family, value):
+    # the point closes with u written forever in the kind's radix, which lists no selector
+    code, out = run(capsys, "eval", family, "--alphas", "")
+    assert code == 0 and json.loads(out)["value"] == value
+
+
+@pytest.mark.parametrize(
     "family, error",
     [
         (f"S(s={10**52})", f"S(s={10**52}) has over 1000000 selectors, above the cap"),
@@ -696,7 +705,7 @@ def test_enumerate_refuses_the_block_tables_eval_refuses(capsys, family, depth):
 
 
 def test_dim_reads_no_table_of_a_periodic_gap_family(capsys):
-    # only `degenerate` reads its selectors, two of them, so no table is built
+    # only `degenerate` reads its selectors, counted from the spec, so no table is built
     with pytest.raises(CapExceededError, match="blocks hold over 1000000 digits"):
         families.digit_maps(parse_family("MDper(s=100000,m=[11])"), 0)
     code, out = run(capsys, "dim", "MDper(s=100000,m=[11])")

@@ -5,11 +5,13 @@ of the digit string the same selectors write, closed by the tail's digits
 repeated forever (for a Cantor series, `eval_cantor` of the digits and one
 pass of the tail, closed geometrically); it must lie in its cylinder's hull;
 and the digit string must be a member prefix.  Every map must have the
-integer form x -> (gn + sk*x)/m that the walks step with, and every table
-the size `_table_size` counts from the spec.
+integer form x -> (gn + sk*x)/m that the walks step with, be its block's
+value read in the kind's radix (MD's too, made by `_walk`), and every table
+the size `_kind` counts from the spec.
 """
 
 from fractions import Fraction
+from itertools import groupby
 from math import lcm, prod
 
 from hypothesis import given, settings
@@ -26,9 +28,11 @@ from cantorkit import (
     eval_sadic,
     expand_address,
     membership_prefix,
+    set_interval,
 )
 from cantorkit.cylinders import _has_closed_form
-from cantorkit.families import _family_const, _rank_maps, _table_size, address_frame, digit_maps
+from cantorkit.cylinders import _local_hulls
+from cantorkit.families import _block_map, _kind, _rank_maps, _walk, address_frame, digit_maps
 
 
 @st.composite
@@ -94,15 +98,32 @@ def test_maps_agree_with_digit_strings_and_hulls(case):
 
 
 def _zero_tail_value(fam, addr):
-    """The radix value of the digits `addr` writes, followed by the digits of
-    local tail value 0: u repeated for S/Su/NSu, zeros for the rest."""
+    """The radix value of the digits `addr` writes, followed by no more."""
     if fam.kind == "Cantor":
         return eval_cantor(addr, fam.basis)
     if fam.kind == "Sminus":  # sum (-1)^n a_n s^-(a_1+...+a_n)
         return eval_negas_cantor(addr, addr, fam.s)
-    digits = expand_address(fam, addr)
     radix = eval_negasadic if fam.kind in ("NSu", "MDper") else eval_sadic
-    return radix(digits, (fam.u,) if fam.kind in ("S", "Su", "NSu") else ())
+    return radix(expand_address(fam, addr))
+
+
+def _radix(fam, phase):
+    """(base, flip): the kind's blocks at `phase` are read in `base`, and
+    Sminus negates each run's value."""
+    if fam.kind == "Cantor":
+        return fam.basis[phase % len(fam.basis)], 1
+    return (-fam.s if fam.kind in ("NSu", "MDper", "MD") else fam.s), (-1 if fam.kind == "Sminus" else 1)
+
+
+def _assert_block_read_in_radix(fam, phase, dmap):
+    """The map is x -> flip * (v + base^-n * x), v the value of its block
+    of n digits read in the kind's base, and `_block_map` of the block's runs."""
+    block, gn, sk, m, nxt = dmap
+    base, flip = _radix(fam, phase)
+    value = sum(d * Fraction(1, base) ** i for i, d in enumerate(block, 1))
+    assert (Fraction(gn, m), Fraction(sk, m)) == (flip * value, flip * Fraction(1, base) ** len(block))
+    runs = tuple((d, len(list(same))) for d, same in groupby(block))
+    assert _block_map(runs, base, nxt, flip) == dmap
 
 
 @settings(max_examples=200, deadline=None)
@@ -113,14 +134,43 @@ def test_maps_have_integer_form_and_fold_to_radix_values(case):
     while phase not in seen:  # every phase reachable from 0
         seen.add(phase)
         table = digit_maps(fam, phase)
-        for _, gn, sk, m, nxt in table.values():
+        for dmap in table.values():
+            _, gn, sk, m, nxt = dmap
             assert all(type(x) is int for x in (gn, sk, m)) and m >= 2 and sk in (1, -1)
+            _assert_block_read_in_radix(fam, phase, dmap)
         # the sizes the cap guards count before making the table
-        assert _table_size(fam, phase) == (len(table), sum(len(block) for block, *_ in table.values()))
+        assert _kind(fam, phase)[:2] == (len(table), sum(len(block) for block, *_ in table.values()))
+        # so the box counter's whole hull fits one cell at level 0
+        lo, hi = _local_hulls(fam)[phase]
+        assert hi - lo <= 1
         phase = nxt
     V, den, sign, _ = address_frame(fam, addr)
-    assert _family_const(fam) + Fraction(V, den) == _zero_tail_value(fam, addr)
+    assert Fraction(V, den) == _zero_tail_value(fam, addr)
+    if fam.u is not None:  # with no tail, S/Su/NSu points close with u repeated forever
+        radix = eval_negasadic if fam.kind == "NSu" else eval_sadic
+        assert eval_family_point(fam, addr) == radix(expand_address(fam, addr), (fam.u,))
     if fam.kind == "Cantor":
         assert den == prod(fam.basis[(j - 1) % len(fam.basis)] for j in range(1, len(addr) + 1))
+        # read with base -d_j, the same levels fold to the alternating series
+        V, den, sign = 0, 1, 1
+        for j, e in enumerate(addr):
+            _, gn, sk, m, _ = _block_map(((e, 1),), -fam.basis[j % len(fam.basis)], 0)
+            V, den, sign = V * m + sign * gn, den * m, sign * sk
+        assert Fraction(V, den) == eval_cantor(addr, fam.basis, alternating=True)
     else:
         assert den == fam.s ** len(expand_address(fam, addr).digits)
+
+
+md_selectors = st.tuples(st.sampled_from((3, 5, 7, 9)), st.integers(1, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), st.lists(md_selectors, max_size=4))
+def test_md_maps_are_blocks_read_in_base_minus_s(s, sels):
+    fam = FamilySpec("MD", s)
+    sels = [(gap, 1 + (eps - 1) % (s - 1)) for gap, eps in sels]
+    for dmap in _walk(fam, sels):
+        _assert_block_read_in_radix(fam, 0, dmap)
+    assert set_interval(fam).width <= 1
+    V, den, _, _ = address_frame(fam, sels)
+    assert Fraction(V, den) == eval_family_point(fam, sels) == eval_negasadic(expand_address(fam, sels))

@@ -59,9 +59,9 @@ def test_backends_match_reference(seed, exp_parity):
 
 
 def _local_value(fam, phase, sels):
-    """Local tail value of a continuation closed by taking the first selector
-    of every level from then on, from the radix evaluators and the paper's
-    digit blocks."""
+    """Value, in the set at `phase`, of a continuation closed by taking the
+    first selector of every level from then on, from the radix evaluators
+    and the paper's digit blocks."""
     s, u = fam.s, fam.u or 0
     if fam.kind == "Cantor":
         # levels phase+1, phase+2, ...; after the continuation the first
@@ -76,9 +76,7 @@ def _local_value(fam, phase, sels):
         digits = DigitString(s, tuple(d for a in sels for d in (u,) * (a - 1) + (a,)))
         a0 = next(iter(digit_maps(fam, 0)))
         tail = (u,) * (a0 - 1) + (a0,)
-        if fam.kind == "NSu":
-            return eval_negasadic(digits, tail) + F(u, s + 1)
-        return eval_sadic(digits, tail) - F(u, s - 1)
+        return (eval_negasadic if fam.kind == "NSu" else eval_sadic)(digits, tail)
     if fam.kind == "Sminus":
         # sum (-1)^n a_n s^-(a_1+...+a_n), then the tail a0 a0 ... summed geometrically
         head = eval_negas_cantor(sels, sels, s)
@@ -154,8 +152,7 @@ def test_random_family_oracles(case):
     fam, addr, depth = case
     oracle = tail_extrema_oracle(fam, addr, depth)
     pools = list(_rank_maps(fam, depth, address_frame(fam, addr)[3]))
-    const = F(fam.u, fam.s - 1) if fam.kind == "Su" else 0
-    leaves = [const + _local_value(fam, 0, addr + sels) for sels in product(*pools)]
+    leaves = [_local_value(fam, 0, addr + sels) for sels in product(*pools)]
     assert (oracle.interval.lo, oracle.interval.hi) == (min(leaves), max(leaves))
     assert oracle.leaves == len(leaves)
     hull = cylinder_hull(fam, addr)

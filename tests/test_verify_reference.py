@@ -21,7 +21,7 @@ from cantorkit import (
     tail_extrema_oracle,
     verify_family,
 )
-from cantorkit.families import _family_const, digit_maps, walk_size
+from cantorkit.families import digit_maps, walk_size
 
 
 def ref_cylinder_interval(fam, base):
@@ -82,7 +82,7 @@ def ref_verify_family(fam, depth, cap=10**6):
     _fail = cyl._fail
     oracle_f, nest_f, gap_f, ord_f = [], [], [], []
     n_addr = n_child = n_pair = 0
-    stack = [((), (_family_const(fam), Fraction(1), 0), ref_cylinder_interval(fam, ()))]
+    stack = [((), (Fraction(0), Fraction(1), 0), ref_cylinder_interval(fam, ()))]
     while stack:
         base, frame, parent = stack.pop()
         oracle, bound = ref_oracle_interval(fam, frame, depth + cyl.ORACLE_EXTRA_DEPTH)
