@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -560,7 +560,8 @@ ORACLE_EXTRA_DEPTH = 6
 def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> VerificationReport:
     """Run the cylinder property suite for one closed-form family.
 
-    Refused first by the walk budget (`covering_sums` to depth, `walk_size`).
+    Refused first by the walk budget (`covering_sums` to depth, `walk_size`),
+    so past `cap` addresses even though the walk computes few of them.
     Checks, over all addresses of rank <= depth: oracle containment with the
     geometric tail bound (the oracle at depth + ORACLE_EXTRA_DEPTH), child
     nesting, nonempty sibling gaps, predicted orderings, the covering-sum
@@ -570,6 +571,21 @@ def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> Ve
     integer frame, and each child is one closed-form step and one digit map
     from its parent, so every check compares integers; a `Fraction` is
     built only for the text of a failure.
+
+    Each cylinder is an affine image of the set, so a subtree's checks
+    depend only on the node's memo key: its rank (the subtree's height), its
+    phase, its frame's sign (which flips the observed layouts), the parity
+    of its digit sum E (NSu's flips and predicted layouts; the rank's parity
+    is Sminus's) and its closed form read through its frame: the scale
+    den/(Q s^E) and the node's two ends, each exact, which fix the closed
+    form's map up to the flip.  The true maps keep this map the same from
+    node to node, and a map with a wrong scale moves it, so no wrong
+    subtree is merged.  A subtree whose walk fails no check stores its
+    (addresses, children, pairs) counts under its key; a later node with
+    that key adds them and is not descended.  A subtree that fails a check
+    is never stored, so every failure is found where and in the order the
+    full walk finds it, and each count still counts every address, a merged
+    subtree once for each place it occurs.
     """
     _require_formula_family(fam)
     sums = covering_sums(fam, max(depth, min(depth + 2, 8)))[: min(depth + 2, 8) + 1]
@@ -577,7 +593,13 @@ def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> Ve
     s = fam.s
     digits = digit_maps(fam, 0)  # the run digits, in order
     oracle_f, nest_f, gap_f, ord_f = [], [], [], []
-    n_addr = n_child = n_pair = 0
+    n_addr = n_child = n_pair = n_bad = 0
+
+    def fail(failures, *args):  # counts every failure, recorded or not
+        nonlocal n_bad
+        n_bad += 1
+        _fail(failures, *args)
+
     # formula ends are numerators over Q * s^E, E the digit sum; oracle ends
     # and tail bounds are numerators over M * den, den the frame's
     form = _closed_form(fam)
@@ -593,21 +615,37 @@ def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> Ve
     oracle = {phase: tuple(int(x * M) for x in ends) for phase, ends in local.items()}
     c_top = max(digits)
     top = s**c_top
+    memo = {}  # memo key -> (addresses, children, pairs) of a subtree that failed nothing
     stack = [((), ROOT_FRAME, ROOT_STATE, lo, hi)]
     while stack:
-        base, frame, state, lo, hi = stack.pop()
+        item = stack.pop()
+        if len(item) == 2:  # a subtree is done: (its key, the counts and failures before it)
+            key, before = item
+            if before[3] == n_bad:
+                memo[key] = (n_addr - before[0], n_child - before[1], n_pair - before[2])
+            continue
+        base, frame, state, lo, hi = item
         V, den, sign, phase = frame
         fd, od = Q * s ** state[1], M * den
+        # the scale den/fd and the ends read through the frame, over one reduced denominator
+        rel_lo, rel_hi = den * lo - V * fd, den * hi - V * fd
+        g = gcd(den, rel_lo, rel_hi, fd)
+        key = (len(base), phase, sign, state[1] % 2, den // g, rel_lo // g, rel_hi // g, fd // g)
+        counts = memo.get(key)
+        if counts is not None:
+            n_addr, n_child, n_pair = n_addr + counts[0], n_child + counts[1], n_pair + counts[2]
+            continue
+        stack.append((key, (n_addr, n_child, n_pair, n_bad)))
         olo, ohi, bound = oracle[phase]
         olo, ohi = (V * M + olo, V * M + ohi) if sign > 0 else (V * M - ohi, V * M - olo)
         n_addr += 1
         # both intervals over fd * od
         if not (lo * od <= olo * fd and ohi * fd <= hi * od):
-            _fail(oracle_f, base, _interval(olo, ohi, od), _interval(lo, hi, fd), "oracle escapes formula")
+            fail(oracle_f, base, _interval(olo, ohi, od), _interval(lo, hi, fd), "oracle escapes formula")
         else:
             dist = max(olo * fd - lo * od, hi * od - ohi * fd)
             if dist > bound * fd:
-                _fail(
+                fail(
                     oracle_f,
                     base,
                     Fraction(dist, fd * od),
@@ -626,7 +664,7 @@ def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> Ve
             n_child += 1
             if not (lo * sc <= c_lo and c_hi <= hi * sc):
                 child, parent = _interval(c_lo, c_hi, fd * sc), _interval(lo, hi, fd)
-                _fail(nest_f, base + (c,), child, parent, "child escapes parent")
+                fail(nest_f, base + (c,), child, parent, "child escapes parent")
             # siblings over one denominator, fd * s^c_top
             up = s ** (c_top - c)
             children[c] = (c_lo * up, c_hi * up)
@@ -640,10 +678,10 @@ def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> Ve
                 a, b = children[e.p], children[e.q]
                 first, second = (a, b) if a[0] <= b[0] else (b, a)
                 what = f"siblings {e.p},{e.q} touch or overlap"
-                _fail(gap_f, base, Fraction(first[1], fd * top), Fraction(second[0], fd * top), what)
+                fail(gap_f, base, Fraction(first[1], fd * top), Fraction(second[0], fd * top), what)
         bad = next((e for e in entries if not e.ok), None)
         if bad is not None:
-            _fail(
+            fail(
                 ord_f,
                 base,
                 bad.observed,

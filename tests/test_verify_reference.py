@@ -2,16 +2,23 @@
 
 The reference below is that walk: it re-sums each closed-form prefix in
 `Fraction`s, folds `Fraction` frames through `digit_maps`, and builds an
-`IntervalR` per node.  Both must return equal reports, failure strings
-included, on correct whole-set constants and on sabotaged ones, which the
-suite must catch the same way.
+`IntervalR` at every node.  `verify_family` merges each repeated
+failure-free subtree by its memo key (rank, phase, frame sign, digit-sum
+parity, closed form relative to the frame) and descends only the first.
+Both must return equal reports, counts and failure strings included, on
+correct whole-set constants and on sabotaged constants, digit maps and
+closed forms, which the suite must catch the same way: a map with a wrong
+scale or a closed form shifted in one parity class must split the classes
+the memo would otherwise merge.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
 
 import cantorkit.cylinders as cyl
+import cantorkit.families as families
 from cantorkit import (
     CapExceededError,
     IntervalR,
@@ -21,6 +28,7 @@ from cantorkit import (
     tail_extrema_oracle,
     verify_family,
 )
+from cantorkit.cli import main
 from cantorkit.families import digit_maps, walk_size
 
 
@@ -234,3 +242,81 @@ def test_reference_refuses_what_verify_refuses(text, depth, cap, refused):
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
     assert isinstance(outcomes[0], str) == refused
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty table caches before and after a test that sabotages the maps
+    (requesting monkeypatch, so they are emptied before it is undone)."""
+    caches = (cyl._local_hulls, cyl._oracle_local, cyl._phase_maps, families.digit_maps)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("text", ["S(s=4)", "S(s=3)"])
+def test_memo_key_splits_subtrees_of_a_wrong_scale(monkeypatch, fresh_tables, text):
+    # run digit 2, the block 0 2, maps by 1/(s^2 + 1): the frames drift from
+    # the closed form by a different affine map at every node, so the key's
+    # scale and ends must keep each node's subtree apart
+    true_map = families._block_map
+
+    def block_map(runs, base, nxt, flip=1):
+        block, gn, sk, m, nxt = true_map(runs, base, nxt, flip)
+        return block, gn, sk, m + (block == (0, 2)), nxt
+
+    monkeypatch.setattr(families, "_block_map", block_map)
+    fam = parse_family(text)
+    assert not verify_family(fam, 2).passed
+    for depth in range(1, 6):
+        assert verify_family(fam, depth) == ref_verify_family(fam, depth), (text, depth)
+
+
+# the closed form shifted up by a fifth of its width at odd digit sum (NSu's
+# flips) or at odd rank (Sminus's): each parity class of nodes is its own
+@pytest.mark.parametrize(
+    "text, odd_walk, odd_ref",
+    [
+        ("NSu(s=4,u=0)", lambda state: state[1] % 2, lambda base: sum(base) % 2),
+        ("Sminus(s=4)", lambda state: state[2] % 2, lambda base: len(base) % 2),
+    ],
+)
+def test_memo_key_keeps_the_parity_classes(monkeypatch, text, odd_walk, odd_ref):
+    true_ends, true_ref = cyl._closed_ends, ref_cylinder_interval
+
+    def ends(fam, form, state):
+        lo, hi = true_ends(fam, form, state)
+        assert (hi - lo) % 5 == 0  # so both walks shift by the same rational
+        shift = (hi - lo) // 5 if odd_walk(state) else 0
+        return lo + shift, hi + shift
+
+    def ref(fam, base):
+        iv = true_ref(fam, base)
+        shift = iv.width / 5 if odd_ref(base) else 0
+        return IntervalR(iv.lo + shift, iv.hi + shift)
+
+    monkeypatch.setattr(cyl, "_closed_ends", ends)
+    monkeypatch.setitem(globals(), "ref_cylinder_interval", ref)
+    fam = parse_family(text)
+    for depth in range(6):
+        got = verify_family(fam, depth)
+        assert got == ref_verify_family(fam, depth), (text, depth)
+    assert {r.name for r in got.results if not r.passed} == {"interval-vs-oracle", "nesting"}
+
+
+def test_deep_verify_merges_repeated_subtrees(capsys):
+    # 2^19 - 1 addresses, each still counted; the full walk took seconds
+    start = time.perf_counter()
+    code = main(["verify", "S(s=3)", "--depth", "18"])
+    assert time.perf_counter() - start < 0.5
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "[pass] interval-vs-oracle   524287 checks" in out
+
+
+def test_verify_walks_a_chain_to_the_digit_rule():
+    # one child a rank, 912 ranks deep on the walk's own stack, not Python's:
+    # the deepest rank rule 2 lets through (`test_reference_refuses_what_verify_refuses`)
+    assert main(["verify", "Su(s=3,u=1)", "--depth", "911"]) == 0
