@@ -6,8 +6,10 @@ Every hull the package reports comes from the digit maps of
 the local hull at its phase onto the cylinder's hull.  The local hulls of
 all phases are the exact fixed point of one graph-directed system
 (`solve_phase_hulls`), the same for one-phase kinds, MDper's gap phases and
-a periodic Cantor series' levels.  Traversals carry frames and apply one map
-per child, so sibling gaps and layouts read one frame and one table.
+a periodic Cantor series' levels.  That solve, the level oracle and the
+covering sums step integer numerators and build one `Fraction` per value
+they report.  Traversals carry frames and apply one map per child, so sibling
+gaps and layouts read one frame and one table.
 
 Closed-form intervals exist for the run-length families S/Su (any u), NSu
 with u = 0, and Sminus; each cylinder is the image of the whole set under an
@@ -224,8 +226,8 @@ def cylinder_interval(fam: FamilySpec, addr) -> IntervalR:
 
 # -- exact hulls for arbitrary enumerable families ------------------------------
 
-#: phase -> (the phase's digit maps as (g, k) pairs, the next phase)
-PhaseMaps = Mapping[int, tuple[tuple[tuple[Fraction, Fraction], ...], int]]
+#: phase -> (M, its digit maps x -> (G + K*x)/M as integer (G, K), M their lcm, the next phase)
+PhaseMaps = Mapping[int, tuple[int, tuple[tuple[int, int], ...], int]]
 
 
 @lru_cache(maxsize=256)
@@ -240,26 +242,32 @@ def _phase_maps(fam: FamilySpec) -> PhaseMaps:
         maps = digit_maps(fam, phase).values()
         digits = denominator_digits(len(system) + 1, digits, max(m for *_, m, _ in maps), "phases")
         nxt = next(iter(maps))[4]
-        system[phase] = (tuple((Fraction(gn, m), Fraction(sk, m)) for _, gn, sk, m, _ in maps), nxt)
+        M = lcm(*(m for *_, m, _ in maps))
+        system[phase] = (M, tuple((gn * (M // m), sk * (M // m)) for _, gn, sk, m, _ in maps), nxt)
         phase = nxt
     return MappingProxyType(system)
 
 
-def _interval_step(maps, lo, hi) -> tuple[Fraction, Fraction, int, int]:
-    """Hull of the images of [lo, hi] under the monotone maps x -> g + k*x,
-    with the indices of the maps attaining its two ends."""
-    new_lo, ilo = min((g + k * (lo if k > 0 else hi), i) for i, (g, k) in enumerate(maps))
-    new_hi, ihi = max((g + k * (hi if k > 0 else lo), i) for i, (g, k) in enumerate(maps))
+def _interval_step(maps, lo: int, hi: int, D: int) -> tuple[int, int, int, int]:
+    """Hull of the images of [lo/D, hi/D] under the monotone maps
+    x -> (G + K*x)/M, given as (G, K) pairs: its two ends as numerators over
+    M*D, with the indices of the maps attaining them."""
+    scaled = [(G * D, K) for G, K in maps]  # each G*D once, for both ends
+    new_lo, ilo = min((GD + K * (lo if K > 0 else hi), i) for i, (GD, K) in enumerate(scaled))
+    new_hi, ihi = max((GD + K * (hi if K > 0 else lo), i) for i, (GD, K) in enumerate(scaled))
     return new_lo, new_hi, ilo, ihi
 
 
 def _solve_chains(links: dict) -> dict:
-    """Exact values of unknowns x_u = g + k * x_v, given as links u -> (v, g, k)
-    with |k| < 1 around every cycle.
+    """Exact values (numerator, denominator > 0) of unknowns x_u = (G + K * x_v)/M,
+    given as links u -> (v, G, K, M) with |K| < M.
 
     Each unknown depends on exactly one other, so the links form a
-    functional graph: every walk runs into a cycle, whose composed map has
-    a unique fixed point, and the unknowns on the way back-substitute."""
+    functional graph: every walk runs into a cycle, whose composed map
+    x -> (a + b*x)/c has the unique fixed point a/(c - b), and the unknowns
+    on the way back-substitute.  Composed from any node round the cycle,
+    the map has the same b and c, so every node of the cycle is over c - b,
+    and a step back round it divides by M exactly."""
     value: dict = {}
     for start in links:
         path, seen, node = [], set(), start
@@ -268,49 +276,60 @@ def _solve_chains(links: dict) -> dict:
             path.append(node)
             node = links[node][0]
         if node not in value:  # a new cycle, from `node` round to itself
-            a, b = Fraction(0), Fraction(1)  # x_node = a + b * x_(current)
-            for u in path[path.index(node) :]:
-                _, g, k = links[u]
-                a, b = a + b * g, b * k
-            value[node] = a / (1 - b)
+            cycle = path[path.index(node) :]
+            a, b, c = 0, 1, 1  # x_node = (a + b * x_(current)) / c
+            for u in cycle:
+                _, G, K, M = links[u]
+                a, b, c = a * M + b * G, b * K, c * M
+            value[node] = (a, c - b)
+            for u in reversed(cycle[1:]):
+                v, G, K, M = links[u]
+                value[u] = ((G * (c - b) + K * value[v][0]) // M, c - b)
         for u in reversed(path):
             if u not in value:
-                v, g, k = links[u]
-                value[u] = g + k * value[v]
+                v, G, K, M = links[u]
+                p, q = value[v]
+                value[u] = (G * q + K * p, M * q)
     return value
 
 
 def solve_phase_hulls(system: PhaseMaps) -> dict[int, tuple[Fraction, Fraction]]:
     """Exact hull [lo, hi] of each phase's attractor in a graph-directed
-    system of monotone contractions x -> g + k*x (Mauldin & Williams 1988).
+    system of monotone contractions x -> (G + K*x)/M (Mauldin & Williams 1988).
 
     Policy iteration (Howard 1960) on the per-phase interval step.  A policy
     picks the map attaining each hull end, so the ends it implies solve
-    exactly as a functional graph (`_solve_chains`).  The first policy
-    attains one step at x = 0; each round steps once from the solution and
-    returns it if the step gives it back (the step contracts, so its fixed
-    point is unique), else adopts the maps the step attained.  It ends: with
-    each hi written as -w, every end is a minimum over maps of g' + |k| * (an
-    end of the next phase), so the step is monotone.  It can only lower a
-    policy's solution, and the next policy's solution lies at or below that
-    step: the solutions strictly decrease and no policy comes back."""
-    if not system or not all(maps for maps, _ in system.values()):
+    exactly as a functional graph (`_solve_chains`).  The first policy takes
+    every end to 0; each round steps once from the solution and returns it
+    if each end the step gives is the policy's (the step contracts, so its
+    fixed point is unique), else adopts the maps the step attained.  It
+    ends: with each hi written as -w, every end is a minimum over maps of
+    g' + |k| * (an end of the next phase), so the step is monotone.  It can
+    only lower a policy's solution, and the next policy's solution lies at
+    or below that step: the solutions strictly decrease and no policy comes
+    back.  In integers throughout: each returned end is one `Fraction`, of
+    its own chain value."""
+    if not system or not all(maps for _, maps, _ in system.values()):
         raise ValueError("need at least one affine map per phase")
-    if max(abs(k) for maps, _ in system.values() for _, k in maps) >= 1:
+    if any(abs(K) >= M for M, maps, _ in system.values() for _, K in maps):
         raise ValueError("affine maps must be contractions")
-    ends = {(p, e): Fraction(0) for p in system for e in (0, 1)}  # end 0 is lo, end 1 hi
+    # end 0 is lo, end 1 hi; end e of phase p is (G + K * (end f of the next phase)) / M
+    links = {(p, e): ((n, e), 0, 0, 1) for p, (_, _, n) in system.items() for e in (0, 1)}
     while True:
-        steps = {p: _interval_step(maps, ends[n, 0], ends[n, 1]) for p, (maps, n) in system.items()}
-        hulls = {p: (ends[p, 0], ends[p, 1]) for p in system}
-        if all(st[:2] == hulls[p] for p, st in steps.items()):
-            return hulls
-        # end e of phase p is g + k * (end e of the next phase if k > 0, else the other end)
-        links = {}
-        for p, (maps, n) in system.items():
-            for e, i in enumerate(steps[p][2:]):
-                g, k = maps[i]
-                links[p, e] = ((n, e if k > 0 else 1 - e), g, k)
-        ends = _solve_chains(links)
+        value = _solve_chains(links)
+        policy, stable = {}, True
+        for p, (M, maps, n) in system.items():
+            (lo, d_lo), (hi, d_hi) = value[n, 0], value[n, 1]
+            lo, hi, D = (lo, hi, d_lo) if d_lo == d_hi else (lo * d_hi, hi * d_lo, d_lo * d_hi)
+            step = _interval_step(maps, lo, hi, D)
+            for e in (0, 1):
+                (_, f), G, K, _ = links[p, e]
+                stable = stable and step[e] == G * D + K * (hi if f else lo)
+                G, K = maps[step[2 + e]]
+                policy[p, e] = ((n, e if K > 0 else 1 - e), G, K, M)
+        if stable:
+            return {p: (Fraction(*value[p, 0]), Fraction(*value[p, 1])) for p in system}
+        links = policy
 
 
 @lru_cache(maxsize=256)
@@ -328,14 +347,6 @@ def set_interval(fam: FamilySpec) -> IntervalR:
     return cylinder_hull(fam, ())
 
 
-def _frame_image(frame: Frame, lo: Fraction, hi: Fraction) -> IntervalR:
-    """The image of [lo, hi] under the frame's map x -> (V + sign * x)/den."""
-    V, den, sign, _ = frame
-    if sign < 0:
-        lo, hi = -hi, -lo
-    return IntervalR((V + lo) / den, (V + hi) / den)
-
-
 def cylinder_hull(fam: FamilySpec, addr) -> IntervalR:
     """Exact hull of any enumerable cylinder via the affine frame.
 
@@ -347,8 +358,13 @@ def cylinder_hull(fam: FamilySpec, addr) -> IntervalR:
 
 
 def _frame_hull(fam: FamilySpec, frame: Frame) -> IntervalR:
-    """The hull of the cylinder at `frame`: its phase's local hull, imaged."""
-    return _frame_image(frame, *_local_hulls(fam)[frame[3]])
+    """The hull of the cylinder at `frame`: its phase's local hull under the
+    frame's map x -> (V + sign * x)/den."""
+    V, den, sign, phase = frame
+    lo, hi = _local_hulls(fam)[phase]
+    if sign < 0:
+        lo, hi = -hi, -lo
+    return IntervalR((V + lo) / den, (V + hi) / den)
 
 
 def _child_hulls(fam: FamilySpec, frame: Frame, wanted: tuple = ()) -> dict[object, IntervalR]:
@@ -364,43 +380,40 @@ def _child_hulls(fam: FamilySpec, frame: Frame, wanted: tuple = ()) -> dict[obje
 # -- the level oracle -------------------------------------------------------------
 
 
-def _tail_bound(fam: FamilySpec, shrink: Fraction) -> Fraction:
-    """Tail bound of an oracle interval at frame denominator 1: s/(s-1)
-    bounds every local hull width, times the continuation's shrink."""
-    return Fraction(fam.s, fam.s - 1) * shrink
-
-
-def _level_minmax(levels, x0: Fraction) -> tuple[Fraction, Fraction]:
-    """Exact min/max of f_1(f_2(...f_d(x0))) over every choice of f_j, a map
-    x -> g + k*x from the list levels[j-1].
-
-    Each level offers the same maps whatever was chosen above it, so one
-    interval step per level, deepest first, gives the extremes exactly.
-    """
-    lo = hi = x0
-    for maps in reversed(levels):
-        lo, hi, _, _ = _interval_step(maps, lo, hi)
-    return lo, hi
+def _level_minmax(levels, x: int, D: int) -> tuple[int, int, int]:
+    """Exact min/max of f_1(f_2(...f_d(x/D))) over every choice of f_j, a map
+    x -> (G + K*x)/M from levels[j-1] = (M, ((G, K), ...)), as numerators
+    over the D' returned with them, D times every level's M.  Each level
+    offers the same maps whatever was chosen above it, so one interval step
+    per level, deepest first, gives the extremes exactly."""
+    lo = hi = x
+    for M, maps in reversed(levels):
+        lo, hi, _, _ = _interval_step(maps, lo, hi, D)
+        D *= M
+    return lo, hi, D
 
 
 @lru_cache(maxsize=256)
-def _oracle_local(fam: FamilySpec, depth: int, phase: int) -> tuple[Fraction, Fraction, Fraction]:
-    """(min, max, shrink) of the value in the set at `phase` over every
-    continuation `depth` levels deep from it.
+def _oracle_local(fam: FamilySpec, depth: int, phase: int) -> tuple[int, int, int, int]:
+    """(min, max, shrink, D) of the value in the set at `phase` over every
+    continuation `depth` levels deep from it: the three as integer
+    numerators over one denominator D.
 
     Each continuation is closed by taking every phase's first selector from
     then on (for MDper the digit 0, so nothing follows): a member of the
     set, the fixed point of the first selectors' cycle carried back to the
     phase the continuation ends at.  `shrink`, the largest product of |k|
-    along a continuation, scales the local hull left out below it."""
+    along a continuation, scales the local hull left out below it, whose
+    width s/(s-1) bounds: their product is the oracle's tail bound."""
     system = _phase_maps(fam)
-    closing = _solve_chains({p: (n, *maps[0]) for p, (maps, n) in system.items()})
-    levels, shrink = [], Fraction(1)
+    closing = _solve_chains({p: (n, *maps[0], M) for p, (M, maps, n) in system.items()})
+    levels, shrink = [], 1
     for _ in range(depth):
-        maps, phase = system[phase]
-        levels.append(maps)
-        shrink *= max(abs(k) for _, k in maps)
-    return (*_level_minmax(levels, closing[phase]), shrink)
+        M, maps, phase = system[phase]
+        levels.append((M, maps))
+        shrink *= max(abs(K) for _, K in maps)
+    lo, hi, D = _level_minmax(levels, *closing[phase])
+    return lo, hi, shrink * closing[phase][1], D
 
 
 def tail_extrema_oracle(fam: FamilySpec, addr, depth: int) -> OracleResult:
@@ -413,11 +426,12 @@ def tail_extrema_oracle(fam: FamilySpec, addr, depth: int) -> OracleResult:
     """
     if depth < 1:
         raise ValueError("oracle depth must be >= 1")
-    frame = address_frame(fam, addr)
-    _, den, _, phase = frame
-    lo, hi, shrink = _oracle_local(fam, depth, phase)
+    V, den, sign, phase = address_frame(fam, addr)
+    lo, hi, shrink, D = _oracle_local(fam, depth, phase)
+    lo, hi = (V * D + lo, V * D + hi) if sign > 0 else (V * D - hi, V * D - lo)
     leaves = prod(map(len, _rank_maps(fam, depth, phase)))
-    return OracleResult(_frame_image(frame, lo, hi), _tail_bound(fam, shrink) / den, leaves)
+    bound = Fraction(fam.s * shrink, (fam.s - 1) * D * den)
+    return OracleResult(_interval(lo, hi, den * D), bound, leaves)
 
 
 # -- gaps, orderings, coverings ---------------------------------------------------
@@ -508,13 +522,14 @@ def covering_sums(fam: FamilySpec, depth: int) -> list[Fraction]:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     system = _phase_maps(fam)
-    ranks, digits = [(0, Fraction(1))], 0.0  # each rank's (phase, mass)
+    ranks, digits = [(0, 1, 1)], 0.0  # each rank's (phase, mass as numerator, denominator)
     for rank in range(1, depth + 1):
-        maps, phase = system[ranks[-1][0]]
-        digits = denominator_digits(rank, digits, max(k.denominator for _, k in maps), "ranks", "; lower --depth")
-        ranks.append((phase, ranks[-1][1] * sum(abs(k) for _, k in maps)))
-    hulls = _local_hulls(fam)
-    return [mass * (hulls[p][1] - hulls[p][0]) for p, mass in ranks]
+        phase, num, den = ranks[-1]
+        M, maps, nxt = system[phase]  # the lcm of powers of one radix: the largest m
+        digits = denominator_digits(rank, digits, M, "ranks", "; lower --depth")
+        ranks.append((nxt, num * sum(abs(K) for _, K in maps), den * M))
+    widths = {p: hi - lo for p, (lo, hi) in _local_hulls(fam).items()}
+    return [Fraction(num * widths[p].numerator, den * widths[p].denominator) for p, num, den in ranks]
 
 
 def cylinder_report(fam: FamilySpec, addr, child: int | None = None) -> CylinderReport:
@@ -600,19 +615,15 @@ def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> Ve
         n_bad += 1
         _fail(failures, *args)
 
-    # formula ends are numerators over Q * s^E, E the digit sum; oracle ends
-    # and tail bounds are numerators over M * den, den the frame's
+    # formula ends are numerators over Q * s^E, E the digit sum; a phase's
+    # oracle ends and shrink are numerators over its oracle denominator D
+    # times den, den the frame's; the tail bound is s/(s-1) times the shrink
     form = _closed_form(fam)
     Q = form[0]
     lo, hi = _closed_ends(fam, form, ROOT_STATE)
     if lo > hi:  # refuse empty whole-set bounds as `cylinder_interval` does
         _interval(lo, hi, Q)
-    local = {}
-    for phase in _phase_maps(fam):
-        olo, ohi, shrink = _oracle_local(fam, depth + ORACLE_EXTRA_DEPTH, phase)
-        local[phase] = (olo, ohi, _tail_bound(fam, shrink))
-    M = lcm(*(x.denominator for ends in local.values() for x in ends))
-    oracle = {phase: tuple(int(x * M) for x in ends) for phase, ends in local.items()}
+    oracle = {phase: _oracle_local(fam, depth + ORACLE_EXTRA_DEPTH, phase) for phase in _phase_maps(fam)}
     c_top = max(digits)
     top = s**c_top
     memo = {}  # memo key -> (addresses, children, pairs) of a subtree that failed nothing
@@ -626,7 +637,7 @@ def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> Ve
             continue
         base, frame, state, lo, hi = item
         V, den, sign, phase = frame
-        fd, od = Q * s ** state[1], M * den
+        fd = Q * s ** state[1]
         # the scale den/fd and the ends read through the frame, over one reduced denominator
         rel_lo, rel_hi = den * lo - V * fd, den * hi - V * fd
         g = gcd(den, rel_lo, rel_hi, fd)
@@ -636,22 +647,18 @@ def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> Ve
             n_addr, n_child, n_pair = n_addr + counts[0], n_child + counts[1], n_pair + counts[2]
             continue
         stack.append((key, (n_addr, n_child, n_pair, n_bad)))
-        olo, ohi, bound = oracle[phase]
-        olo, ohi = (V * M + olo, V * M + ohi) if sign > 0 else (V * M - ohi, V * M - olo)
+        olo, ohi, shrink, D = oracle[phase]
+        olo, ohi = (V * D + olo, V * D + ohi) if sign > 0 else (V * D - ohi, V * D - olo)
+        od = D * den
         n_addr += 1
         # both intervals over fd * od
         if not (lo * od <= olo * fd and ohi * fd <= hi * od):
             fail(oracle_f, base, _interval(olo, ohi, od), _interval(lo, hi, fd), "oracle escapes formula")
         else:
             dist = max(olo * fd - lo * od, hi * od - ohi * fd)
-            if dist > bound * fd:
-                fail(
-                    oracle_f,
-                    base,
-                    Fraction(dist, fd * od),
-                    Fraction(bound, od),
-                    "Hausdorff distance above tail bound",
-                )
+            if dist * (s - 1) > s * shrink * fd:
+                bound = Fraction(s * shrink, (s - 1) * od)
+                fail(oracle_f, base, Fraction(dist, fd * od), bound, "Hausdorff distance above tail bound")
         if len(base) == depth:
             continue
 
@@ -681,13 +688,7 @@ def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> Ve
                 fail(gap_f, base, Fraction(first[1], fd * top), Fraction(second[0], fd * top), what)
         bad = next((e for e in entries if not e.ok), None)
         if bad is not None:
-            fail(
-                ord_f,
-                base,
-                bad.observed,
-                bad.predicted,
-                f"pair ({bad.p},{bad.q}) orientation",
-            )
+            fail(ord_f, base, bad.observed, bad.predicted, f"pair ({bad.p},{bad.q}) orientation")
         # reversed, so addresses come off the stack in lexicographic order
         stack.extend(reversed(kids))
     results = [
@@ -709,13 +710,7 @@ def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> Ve
     if fam.kind == "Sminus":
         inf0, sup0 = _sminus_bounds(s)
         ok = sup0 - inf0 == sminus_diameter_constant(s)
-        results.append(
-            PropertyResult(
-                "diameter-constants",
-                1,
-                ok,
-                () if ok else (f"sup-inf={sup0 - inf0} vs {sminus_diameter_constant(s)}",),
-            )
-        )
+        fails = () if ok else (f"sup-inf={sup0 - inf0} vs {sminus_diameter_constant(s)}",)
+        results.append(PropertyResult("diameter-constants", 1, ok, fails))
 
     return VerificationReport(fam.label(), tuple(results), all(r.passed for r in results))

@@ -20,6 +20,7 @@ import cantorkit.cylinders as cyl
 import cantorkit.families as families
 from cantorkit import CantorkitError, CapExceededError, parse_family
 from cantorkit.cli import _COMMANDS, _UsageError, main
+from conftest import clear_caches
 
 
 def run(capsys, *argv):
@@ -244,13 +245,11 @@ def test_verify_failure_reports_address_and_rationals(capsys, monkeypatch):
     import cantorkit.cylinders as cyl
 
     monkeypatch.setattr(cyl, "_nega0_bounds", lambda s: (Fraction(-1, 3), Fraction(1, 5)))
-    cyl._local_hulls.cache_clear()
-    cyl._oracle_local.cache_clear()
+    clear_caches()
     code, out = run(capsys, "verify", "NSu(s=3,u=0)", "--depth", "2")
     assert code == 2
     assert "FAIL" in out and "addr=" in out and "/" in out
-    cyl._local_hulls.cache_clear()
-    cyl._oracle_local.cache_clear()
+    clear_caches()
 
 
 def _bounds_moved(lo_by, hi_by):
@@ -301,20 +300,15 @@ SABOTAGES = [
 ]
 
 
-def _clear_caches():
-    for cache in (cyl._local_hulls, cyl._oracle_local, cyl._phase_maps, families.digit_maps):
-        cache.cache_clear()
-
-
 @pytest.mark.parametrize("text, sabotage, rows, also", SABOTAGES, ids=[", ".join(sorted(r)) for *_, r, _ in SABOTAGES])
 def test_every_verify_row_can_fail(capsys, monkeypatch, text, sabotage, rows, also):
     sabotage(monkeypatch)
-    _clear_caches()
+    clear_caches()
     try:
         code, out = run(capsys, "verify", text, "--depth", "2", "--format", "json")
     finally:
         monkeypatch.undo()
-        _clear_caches()
+        clear_caches()
     failing = {p["name"] for p in json.loads(out)["properties"] if not p["passed"]}
     assert code == 2 and failing == rows | also, failing
 

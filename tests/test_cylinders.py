@@ -25,8 +25,10 @@ from cantorkit import (
     verify_family,
 )
 from cantorkit.cli import main
-from cantorkit.cylinders import _interval_step, _phase_maps, solve_phase_hulls
+from cantorkit.cylinders import _local_hulls, _phase_maps, solve_phase_hulls
 from cantorkit.families import digit_maps
+from fraction_kernels import fraction_system, integer_system, interval_step
+from fraction_kernels import solve_phase_hulls as ref_solve_phase_hulls
 
 S3 = parse_family("S(s=3)")
 SM3 = parse_family("Sminus(s=3)")
@@ -158,11 +160,11 @@ def test_oracle_rejects_md():
 def test_affine_hull_solver():
     # classical Cantor set: maps x/3 and (2+x)/3 fix [0, 1]
     maps = ((F(0), F(1, 3)), (F(2, 3), F(1, 3)))
-    assert solve_phase_hulls({0: (maps, 0)}) == {0: (F(0), F(1))}
+    assert solve_phase_hulls(integer_system({0: (maps, 0)})) == {0: (F(0), F(1))}
     with pytest.raises(ValueError):
-        solve_phase_hulls({0: ((), 0)})
+        solve_phase_hulls(integer_system({0: ((), 0)}))
     with pytest.raises(ValueError):
-        solve_phase_hulls({0: (((F(1), F(2)),), 0)})
+        solve_phase_hulls(integer_system({0: (((F(1), F(2)),), 0)}))
 
 
 @st.composite
@@ -180,11 +182,19 @@ def affine_systems(draw):
 @given(affine_systems())
 def test_phase_hulls_are_the_fixed_point_of_the_interval_step(system):
     # the step contracts (lo, -hi), so its fixed point is unique: the hull
-    hulls = solve_phase_hulls(system)
+    hulls = solve_phase_hulls(integer_system(system))
     assert hulls.keys() == system.keys()
     for p, (maps, n) in system.items():
         lo, hi = hulls[p]
-        assert lo <= hi and _interval_step(maps, *hulls[n])[:2] == (lo, hi)
+        assert lo <= hi and interval_step(maps, *hulls[n])[:2] == (lo, hi)
+
+
+# a gap of 4999 digits: maps with 1,505-digit denominators at s = 2 and
+# 2,386-digit ones at s = 3, each hull end reduced from its own chain value
+@pytest.mark.parametrize("family", ["MDper(s=2,m=[4999])", "MDper(s=3,m=[4999,3])"])
+def test_big_denominator_hulls_match_the_reference(family):
+    fam = parse_family(family)
+    assert dict(_local_hulls(fam)) == ref_solve_phase_hulls(fraction_system(_phase_maps(fam)))
 
 
 @pytest.mark.parametrize("L", [399, 2000])

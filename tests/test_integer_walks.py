@@ -6,22 +6,26 @@ depth or per scale results, and failure text.  Counting every `Fraction`
 construction pins that down without timing anything: the count must not
 grow with the number of nodes a walk visits.  The box counts' type
 recursion is pinned the same way: past the level where its types close,
-neither its types nor its `Fraction`s grow with the finest scale.
+neither its types nor its `Fraction`s grow with the finest scale.  So are
+the phase system's kernels, which step integer numerators: the hull solve
+builds one `Fraction` per hull end, the oracle none at any depth, and the
+covering sums one per rank.
 """
 
 from fractions import Fraction
 
+import pytest
+
 import cantorkit.boxcount as bc
 import cantorkit.cylinders as cyl
 import cantorkit.families as families
-from cantorkit import box_dimension, parse_family, verify_family
+from cantorkit import box_dimension, covering_sums, parse_family, verify_family
+from conftest import clear_caches
 
 
 def _fractions_built(monkeypatch, run) -> int:
     """`Fraction`s constructed by run(), from cold caches."""
-    caches = (cyl._local_hulls, cyl._oracle_local, cyl._phase_maps, families.digit_maps, families.family_blocks)
-    for cache in caches:
-        cache.cache_clear()
+    clear_caches()
     count = 0
     new = Fraction.__new__
 
@@ -91,3 +95,39 @@ def test_box_types_stop_growing_with_the_finest_scale(monkeypatch):
 
     true_split = bc._subcell_types
     assert box(9) == box(7) and split[0] == split[1] > 0, split
+
+
+def test_covering_sums_build_one_fraction_per_rank(monkeypatch):
+    fam = parse_family("S(s=3)")
+    shallow = _fractions_built(monkeypatch, lambda: covering_sums(fam, 10))
+    deep = _fractions_built(monkeypatch, lambda: covering_sums(fam, 40))
+    assert deep - shallow <= (40 - 10) + 2, (shallow, deep)
+
+
+ORACLE_FAMILIES = ["S(s=3)", "Tilde(s=4)", "MDper(s=3,m=[3,5])", "Cantor(d=[3,4,5],I=[{0,2},{1,3},{0,4}])"]
+
+
+@pytest.mark.parametrize("text", ORACLE_FAMILIES)
+def test_oracle_builds_no_fraction_per_level(monkeypatch, text):
+    fam = parse_family(text)
+    shallow = _fractions_built(monkeypatch, lambda: cyl._oracle_local(fam, 6, 0))
+    deep = _fractions_built(monkeypatch, lambda: cyl._oracle_local(fam, 30, 0))
+    assert deep <= shallow, (shallow, deep)
+
+
+@pytest.mark.parametrize("text", ["MDper(s=5,m=[3,3,7])", "Cantor(d=[3,4,5],I=[{0,2},{1,3},{0,4}])"])
+def test_hull_solve_builds_one_fraction_per_end(monkeypatch, text):
+    fam = parse_family(text)
+    phases = len(cyl._phase_maps(fam))
+    assert phases > 1
+    built = _fractions_built(monkeypatch, lambda: cyl._local_hulls(fam))
+    assert built <= 2 * phases + 2, (phases, built)
+
+
+def test_clear_caches_empties_every_table():
+    verify_family(parse_family("S(s=3)"), depth=2)
+    families.family_blocks(parse_family("Tilde(s=3)"))
+    caches = (cyl._local_hulls, cyl._oracle_local, cyl._phase_maps, families.digit_maps, families.family_blocks)
+    assert all(cache.cache_info().currsize for cache in caches)
+    clear_caches()
+    assert not any(cache.cache_info().currsize for cache in caches)

@@ -1,18 +1,22 @@
-"""The oracle's level recursion against a brute-force walk over every leaf."""
+"""The oracle's level recursion against a brute-force walk over every leaf,
+and the integer kernels against their `Fraction` references."""
 
 import random
 from fractions import Fraction as F
 from itertools import product
 from math import lcm, prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cantorkit.cylinders as cyl
 from cantorkit import FamilySpec, cylinder_hull, parse_family, tail_extrema_oracle
 from cantorkit.cylinders import _level_minmax, _oracle_local
 from cantorkit.families import _rank_maps, address_frame, digit_maps, family_blocks
 from cantorkit.radix import DigitString, eval_cantor, eval_negas_cantor, eval_negasadic, eval_sadic
+from fraction_kernels import fraction_system, integer_maps, oracle_local, over_lcm, solve_phase_hulls
 
 
 def _eval_tree(levels, x0):
@@ -28,6 +32,12 @@ def _eval_tree(levels, x0):
 
     walk(0, F(0), F(1))
     return min(leaves), max(leaves)
+
+
+def _minmax(levels, x0):
+    """The integer `_level_minmax` of `Fraction` levels and start, back in `Fraction`s."""
+    lo, hi, D = _level_minmax([integer_maps(maps) for maps in levels], x0.numerator, x0.denominator)
+    return F(lo, D), F(hi, D)
 
 
 def _random_levels(rng, s, depth, exp_parity):
@@ -55,7 +65,7 @@ def test_backends_match_reference(seed, exp_parity):
     s = rng.randint(2, 5)
     levels = _random_levels(rng, s, rng.randint(1, 4), exp_parity)
     x0 = F(rng.randint(-4, 4), rng.randint(1, 9))
-    assert _level_minmax(levels, x0) == _eval_tree(levels, x0), seed
+    assert _minmax(levels, x0) == _eval_tree(levels, x0), seed
 
 
 def _local_value(fam, phase, sels):
@@ -113,7 +123,8 @@ def test_family_trees_match_reference(text, depth, phase):
     fam = parse_family(text)
     pools = list(_rank_maps(fam, depth, phase))
     values = [_local_value(fam, phase, sels) for sels in product(*pools)]
-    assert _oracle_local(fam, depth, phase)[:2] == (min(values), max(values))
+    lo, hi, _, D = _oracle_local(fam, depth, phase)
+    assert (F(lo, D), F(hi, D)) == (min(values), max(values))
 
 
 @st.composite
@@ -160,17 +171,45 @@ def test_random_family_oracles(case):
     assert hull.hausdorff(oracle.interval) <= oracle.bound
 
 
+@st.composite
+def integer_systems(draw):
+    """1-4 phases of 1-5 maps x -> (gn + kn*x)/m, |kn| < m <= 72 and
+    |gn| <= 9m, each phase with any next phase: every contraction with
+    |g| <= 9 and g, k over one m <= 72, k = 0 included, so every map
+    `test_cylinders.affine_systems` draws (g over 1-9, k = +-1/(2-9))."""
+    n = draw(st.integers(1, 4))
+
+    def over(m):
+        return st.tuples(st.integers(-9 * m, 9 * m), st.integers(1 - m, m - 1), st.just(m))
+
+    maps = st.lists(st.integers(1, 72).flatmap(over), min_size=1, max_size=5)
+    return {p: (*over_lcm(draw(maps)), draw(st.integers(0, n - 1))) for p in range(n)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_systems(), st.integers(0, 5), st.data())
+def test_integer_kernels_equal_the_references(system, depth, data):
+    # the hull solve, and the oracle below a drawn phase, over the drawn
+    # system in place of a family's (the oracle read past its cache)
+    ref = fraction_system(system)
+    assert cyl.solve_phase_hulls(system) == solve_phase_hulls(ref)
+    phase = data.draw(st.sampled_from(sorted(system)))
+    with mock.patch.object(cyl, "_phase_maps", lambda fam: system):
+        lo, hi, shrink, D = _oracle_local.__wrapped__(None, depth, phase)
+    assert (F(lo, D), F(hi, D), F(shrink, D)) == oracle_local(ref, depth, phase)
+
+
 def test_parity_sign_hand_case():
     # one nega-3-adic level: digit 1 at position 1 or digit 2 at position 2,
     # values -1/3 and +2/9
     levels = [[(F(-1, 3), F(-1, 3)), (F(2, 9), F(1, 9))]]
-    assert _level_minmax(levels, F(0)) == (F(-1, 3), F(2, 9))
+    assert _minmax(levels, F(0)) == (F(-1, 3), F(2, 9))
 
 
 def test_exact_at_exponent_160():
     levels = [[(F(1, 7**40), F(1, 7**40))]] * 4  # single path, exponent 160
     want = sum(F(1, 7 ** (40 * k)) for k in range(1, 5))
-    assert _level_minmax(levels, F(0)) == (want, want)
+    assert _minmax(levels, F(0)) == (want, want)
     assert _eval_tree(levels, F(0)) == (want, want)
 
 
@@ -178,6 +217,6 @@ def test_leaf_count_and_validation():
     assert tail_extrema_oracle(parse_family("Tilde(s=4)"), (), 3).leaves == 7**3
     assert tail_extrema_oracle(parse_family("MDper(s=3,m=[3,5])"), (1,), 4).leaves == 3**4
     with pytest.raises(ValueError):
-        _level_minmax([[]], F(0))
+        _minmax([[]], F(0))
     with pytest.raises(ValueError):
         tail_extrema_oracle(parse_family("S(s=3)"), (), 0)

@@ -1,7 +1,8 @@
 """The integer `verify_family` walk against the Fraction walk it replaced.
 
 The reference below is that walk: it re-sums each closed-form prefix in
-`Fraction`s, folds `Fraction` frames through `digit_maps`, and builds an
+`Fraction`s, folds `Fraction` frames through `digit_maps`, reads the
+`Fraction` reference oracle (`fraction_kernels.oracle_local`), and builds an
 `IntervalR` at every node.  `verify_family` merges each repeated
 failure-free subtree by its memo key (rank, phase, frame sign, digit-sum
 parity, closed form relative to the frame) and descends only the first.
@@ -30,6 +31,8 @@ from cantorkit import (
 )
 from cantorkit.cli import main
 from cantorkit.families import digit_maps, walk_size
+from conftest import clear_caches
+from fraction_kernels import fraction_system, oracle_local
 
 
 def ref_cylinder_interval(fam, base):
@@ -74,9 +77,9 @@ def ref_child_frames(fam, frame):
         yield sel, (value + scale * g, scale * k, nxt)
 
 
-def ref_oracle_interval(fam, frame, depth):
+def ref_oracle_interval(fam, frame, local):
     value, scale, phase = frame
-    lo, hi, shrink = cyl._oracle_local(fam, depth, phase)
+    lo, hi, shrink = local[phase]
     a, b = value + scale * lo, value + scale * hi
     iv = IntervalR(a, b) if scale > 0 else IntervalR(b, a)
     return iv, Fraction(fam.s, fam.s - 1) * abs(scale) * shrink
@@ -90,10 +93,12 @@ def ref_verify_family(fam, depth, cap=10**6):
     _fail = cyl._fail
     oracle_f, nest_f, gap_f, ord_f = [], [], [], []
     n_addr = n_child = n_pair = 0
+    system = fraction_system(cyl._phase_maps(fam))
+    local = {p: oracle_local(system, depth + cyl.ORACLE_EXTRA_DEPTH, p) for p in system}
     stack = [((), (Fraction(0), Fraction(1), 0), ref_cylinder_interval(fam, ()))]
     while stack:
         base, frame, parent = stack.pop()
-        oracle, bound = ref_oracle_interval(fam, frame, depth + cyl.ORACLE_EXTRA_DEPTH)
+        oracle, bound = ref_oracle_interval(fam, frame, local)
         n_addr += 1
         if not parent.contains(oracle):
             _fail(oracle_f, base, oracle, parent, "oracle escapes formula")
@@ -204,6 +209,25 @@ def test_hausdorff_threshold_is_the_tail_bound(monkeypatch, bounds):
     assert all("Hausdorff distance above tail bound" in f for f in oracle.failures)
 
 
+@pytest.mark.parametrize("bounds", sorted(FAMILIES))
+def test_hausdorff_threshold_is_no_lower_than_the_tail_bound(monkeypatch, bounds):
+    # lower the inf by half the root's tail bound: the oracle's own distance
+    # plus that half stays within each node's bound, so nothing fails, where
+    # a threshold a factor s too low fails
+    fam = parse_family(FAMILIES[bounds][0])
+    true_bounds = getattr(cyl, bounds)
+    bound = tail_extrema_oracle(fam, (), 3 + cyl.ORACLE_EXTRA_DEPTH).bound
+
+    def sabotaged(s, *u):
+        inf0, sup0 = true_bounds(s, *u)
+        return inf0 - bound / 2, sup0
+
+    monkeypatch.setattr(cyl, bounds, sabotaged)
+    got = verify_family(fam, depth=3)
+    assert got == ref_verify_family(fam, 3)
+    assert got.results[0].name == "interval-vs-oracle" and got.results[0].passed
+
+
 def test_stretched_closed_forms_fail_nesting_and_the_oracle(monkeypatch):
     # a closed form that is not self-similar: every rank-2 interval stretched
     # to four times its width escapes its parent and strays from the oracle
@@ -248,12 +272,9 @@ def test_reference_refuses_what_verify_refuses(text, depth, cap, refused):
 def fresh_tables(monkeypatch):
     """Empty table caches before and after a test that sabotages the maps
     (requesting monkeypatch, so they are emptied before it is undone)."""
-    caches = (cyl._local_hulls, cyl._oracle_local, cyl._phase_maps, families.digit_maps)
-    for cache in caches:
-        cache.cache_clear()
+    clear_caches()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    clear_caches()
 
 
 @pytest.mark.parametrize("text", ["S(s=4)", "S(s=3)"])
