@@ -11,11 +11,11 @@ significant digits, rationals as "p/q" strings.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _jstr
 
 from . import boxcount as bc
 from . import cylinders as cyl
@@ -40,23 +40,24 @@ def _jfloat(x: float) -> str:
 
 
 def _jdump(obj) -> str:
+    """JSON of a payload, by each value's exact type; strings escaped as `json.dumps` escapes them."""
+    kind = type(obj)
+    if kind is str:
+        return _jstr(obj)
+    if kind is int:
+        return str(obj)
+    if kind is float:
+        return _jfloat(obj)
+    if kind is dict:
+        return "{" + ",".join(f"{_jstr(str(k))}:{_jdump(v)}" for k, v in obj.items()) + "}"
+    if kind is list or kind is tuple:
+        return "[" + ",".join(map(_jdump, obj)) + "]"
+    if kind is Fraction:
+        return f'"{obj.numerator}/{obj.denominator}"'
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
+    if kind is bool:
         return "true" if obj else "false"
-    if isinstance(obj, Fraction):
-        return json.dumps(f"{obj.numerator}/{obj.denominator}")
-    if isinstance(obj, float):
-        return _jfloat(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        inner = ",".join(f"{json.dumps(str(k))}:{_jdump(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_jdump(v) for v in obj) + "]"
     raise TypeError(f"cannot serialise {type(obj)}")
 
 
@@ -165,8 +166,8 @@ def _refuse_past_str_limit(what: str, digits: int) -> None:
 
 def _refuse_long_denominators(what: str, n: int, base: int) -> None:
     """Refuse denominators of base^n past Python's int-to-str limit, before computing them."""
-    digits = math.floor(n * Fraction(math.log10(base))) + 1  # exact: n may be past any float
-    _refuse_past_str_limit(f"{what} at base {base} may print denominators", digits)
+    p, q = math.log10(base).as_integer_ratio()  # n * p // q is exact: n may be past any float
+    _refuse_past_str_limit(f"{what} at base {base} may print denominators", n * p // q + 1)
 
 
 def _refuse_long_values(what: str, values) -> None:

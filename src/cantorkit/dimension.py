@@ -100,10 +100,12 @@ def block_dimension(s: int, hist: Mapping[int, int]) -> DimensionResult:
             note="single block: the set is one point",
         )
 
-    def poly(t):
-        return math.fsum(n * t**k for k, n in sorted(hist.items())) - 1.0
+    terms = sorted(hist.items())
 
-    note = "solved sum_k N_k t^k = 1 with t = s^-alpha; N = " + str(dict(sorted(hist.items())))
+    def poly(t):
+        return math.fsum([n * t**k for k, n in terms]) - 1.0
+
+    note = "solved sum_k N_k t^k = 1 with t = s^-alpha; N = " + str(dict(terms))
     t, it, t_lo, t_hi = _bisect_increasing(poly, 0.0, 1.0)
     alpha = _alpha_from_t(t, s)
     residual = abs(poly(s**-alpha))

@@ -1,6 +1,6 @@
 """Exact evaluation of positional number expansions.
 
-Everything here is computed over `fractions.Fraction`.  Supported
+Every value is returned as an exact `fractions.Fraction`.  Supported
 expansions, for an integer base s > 1:
 
 * s-adic:                 x = sum_n  a_n s^-n,          a_n in {0..s-1}
@@ -10,8 +10,12 @@ expansions, for an integer base s > 1:
 * nega-s-adic Cantor:     x = sum_n (-1)^n e_n s^-(m_1+...+m_n)
 
 Finite digit sequences denote zero-padded tails.  An optional periodic tail
-closes eventually-periodic expansions exactly (geometric series in Fraction
-arithmetic); those two tail forms are the only closures supported.
+closes eventually-periodic expansions exactly (a geometric series); those
+two tail forms are the only closures supported.
+
+The (nega-)s-adic evaluators fold the digits Horner-style into one integer
+numerator over s^n; `digits_from_rational` steps one over x's denominator.
+The Cantor-series evaluators sum `Fraction`s term by term.
 """
 
 from __future__ import annotations
@@ -74,6 +78,14 @@ def _check_digit(d: int, bound: int, what: str = "digit") -> int:
     return d
 
 
+def _fold(s: int, digits: Sequence[int], alternating: bool) -> int:
+    """sum_k sgn(k) d_k s^(len-k) over the digits d_1..d_len; sgn(k) is (-1)^k when alternating, else 1."""
+    b, num = (-s if alternating else s), 0
+    for a in digits:
+        num = num * b + a  # Horner in base -s gives (-1)^len times the alternating sum
+    return -num if alternating and len(digits) % 2 else num
+
+
 def _periodic_tail_value(s: int, tail: Sequence[int], alternating: bool, start: int) -> Fraction:
     """Exact value of the periodic tail t_1 t_2 ... appended after position `start`.
 
@@ -85,16 +97,19 @@ def _periodic_tail_value(s: int, tail: Sequence[int], alternating: bool, start: 
     tail = tuple(_check_digit(t, s, "tail digit") for t in tail)
     if not tail:
         return Fraction(0)
-    p = len(tail)
-    if alternating:
-        eff = p if p % 2 == 0 else 2 * p
-        block = sum(
-            Fraction((-1) ** (start + j) * tail[(j - 1) % p], s**j) for j in range(1, eff + 1)
-        )
-        # sign pattern of period eff repeats exactly: (-1)^(start+j+eff) = (-1)^(start+j)
-        return block * Fraction(s**eff, s**eff - 1)
-    block = sum(Fraction(tail[(j - 1) % p], s**j) for j in range(1, p + 1))
-    return block * Fraction(s**p, s**p - 1)
+    block = tail * (1 + (alternating and len(tail) % 2))  # one effective period, of length e
+    num = _fold(s, block, alternating)  # the block's value times s^e, signed from position 1
+    return Fraction(-num if alternating and start % 2 else num, s ** len(block) - 1)
+
+
+def _value(d: DigitString, tail: Sequence[int], alternating: bool) -> Fraction:
+    """The digits, then the periodic tail, as one numerator over s^n (s^n (s^e - 1) with the tail)."""
+    s, n = d.s, len(d.digits)
+    num = _fold(s, d.digits, alternating)
+    if not tail:
+        return Fraction(num, s**n)
+    t = _periodic_tail_value(s, tail, alternating, n)
+    return Fraction(num * t.denominator + t.numerator, s**n * t.denominator)
 
 
 def eval_sadic(d: DigitString, tail: Sequence[int] = ()) -> Fraction:
@@ -103,20 +118,12 @@ def eval_sadic(d: DigitString, tail: Sequence[int] = ()) -> Fraction:
     `tail`, when given, is a digit block repeated forever after the finite
     prefix; the geometric closure is evaluated exactly.
     """
-    s = d.s
-    value = sum(Fraction(a, s**n) for n, a in enumerate(d.digits, 1))
-    if tail:
-        value += Fraction(1, s ** len(d)) * _periodic_tail_value(s, tail, False, len(d))
-    return value
+    return _value(d, tail, False)
 
 
 def eval_negasadic(d: DigitString, tail: Sequence[int] = ()) -> Fraction:
     """Exact value of a nega-s-adic expansion: sum (-1)^n a_n s^-n."""
-    s = d.s
-    value = sum(Fraction((-1) ** n * a, s**n) for n, a in enumerate(d.digits, 1))
-    if tail:
-        value += Fraction(1, s ** len(d)) * _periodic_tail_value(s, tail, True, len(d))
-    return value
+    return _value(d, tail, True)
 
 
 def eval_cantor(eps: Sequence[int], basis: Sequence[int], alternating: bool = False) -> Fraction:
@@ -171,28 +178,24 @@ def digits_from_rational(x, s: int, n: int, negative: bool = False) -> DigitStri
     if n < 1:
         raise ValueError("need at least one digit")
     x = Fraction(x)
+    r, q = x.numerator, x.denominator
     digits = []
     if not negative:
         if x == 1:
             raise OutOfRangeError("1 has no canonical expansion (only the trailing (s-1)-run)")
-        if not 0 <= x < 1:
+        if not 0 <= r < q:
             raise OutOfRangeError(f"{x} outside [0, 1)")
-        y = x
         for _ in range(n):
-            y *= s
-            a = y.numerator // y.denominator
+            a, r = divmod(r * s, q)
             digits.append(a)
-            y -= a
     else:
-        lo, hi = Fraction(-s, s + 1), Fraction(1, s + 1)
-        if not lo <= x <= hi:
+        if not -s * q <= r * (s + 1) <= q:
             raise OutOfRangeError(f"{x} outside [-s/(s+1), 1/(s+1)]")
-        y = x
+        k, qs = s * (s + 1), q * (s + 1)
         for _ in range(n):
-            # digit a must keep the shifted remainder -s*y - a inside [lo, hi]
-            a_min = -s * y - hi
-            a = -((-a_min.numerator) // a_min.denominator)  # ceil
-            a = min(max(a, 0), s - 1)
+            # with y = r/q, digit a must keep the shifted remainder -s*y - a
+            # inside [-s/(s+1), 1/(s+1)]: the least a >= -s*y - 1/(s+1), clamped
+            a = min(max(-((r * k + q) // qs), 0), s - 1)
             digits.append(a)
-            y = -s * y - a
+            r = -s * r - a * q
     return DigitString(s, tuple(digits))

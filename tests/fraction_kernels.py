@@ -1,14 +1,19 @@
-"""Reference kernels: the phase system's hull solve and level oracle in
-`Fraction`s, each map x -> g + k*x a (g, k) pair of `Fraction`s.
+"""Reference kernels in `Fraction`s: the phase system's hull solve and
+level oracle, each map x -> g + k*x a (g, k) pair of `Fraction`s, and the
+s-adic and nega-s-adic evaluators and digit extraction of `cantorkit.radix`.
 
 `cantorkit.cylinders` steps the same system in integer numerators, each
-phase's maps as (G, K) over one denominator M.  These are the `Fraction`
-versions it replaced; the tests compare the two, value for value, and
-convert systems and levels between the two forms.
+phase's maps as (G, K) over one denominator M, and `cantorkit.radix` folds
+digits into one integer numerator.  These are the `Fraction` versions they
+replaced; the tests compare the two, value for value, and convert systems
+and levels between the two forms.
 """
 
 from fractions import Fraction
 from math import lcm
+
+from cantorkit.errors import InvalidDigitError, OutOfRangeError
+from cantorkit.radix import DigitString, _check_digit
 
 
 def interval_step(maps, lo, hi):
@@ -112,3 +117,74 @@ def integer_system(system):
 def fraction_system(system):
     """{phase: (`Fraction` maps, next)} of {phase: (M, integer maps, next)}."""
     return {p: (tuple((Fraction(G, M), Fraction(K, M)) for G, K in maps), n) for p, (M, maps, n) in system.items()}
+
+
+# -- positional expansions ---------------------------------------------------------
+
+
+def periodic_tail_value(s, tail, alternating, start):
+    """Value of the periodic tail after position `start`, relative to s^-start,
+    summed one term at a time over the tail's (effective) period."""
+    tail = tuple(_check_digit(t, s, "tail digit") for t in tail)
+    if not tail:
+        return Fraction(0)
+    p = len(tail)
+    if alternating:
+        eff = p if p % 2 == 0 else 2 * p
+        block = sum(
+            Fraction((-1) ** (start + j) * tail[(j - 1) % p], s**j) for j in range(1, eff + 1)
+        )
+        return block * Fraction(s**eff, s**eff - 1)
+    block = sum(Fraction(tail[(j - 1) % p], s**j) for j in range(1, p + 1))
+    return block * Fraction(s**p, s**p - 1)
+
+
+def eval_sadic(d, tail=()):
+    """sum a_n s^-n, then the periodic tail, one `Fraction` a digit."""
+    s = d.s
+    value = sum(Fraction(a, s**n) for n, a in enumerate(d.digits, 1))
+    if tail:
+        value += Fraction(1, s ** len(d)) * periodic_tail_value(s, tail, False, len(d))
+    return value
+
+
+def eval_negasadic(d, tail=()):
+    """sum (-1)^n a_n s^-n, then the periodic tail, one `Fraction` a digit."""
+    s = d.s
+    value = sum(Fraction((-1) ** n * a, s**n) for n, a in enumerate(d.digits, 1))
+    if tail:
+        value += Fraction(1, s ** len(d)) * periodic_tail_value(s, tail, True, len(d))
+    return value
+
+
+def digits_from_rational(x, s, n, negative=False):
+    """First n (nega-)s-adic digits of x, each step a `Fraction` remainder."""
+    if s < 2:
+        raise InvalidDigitError(f"base must be >= 2, got {s}")
+    if n < 1:
+        raise ValueError("need at least one digit")
+    x = Fraction(x)
+    digits = []
+    if not negative:
+        if x == 1:
+            raise OutOfRangeError("1 has no canonical expansion (only the trailing (s-1)-run)")
+        if not 0 <= x < 1:
+            raise OutOfRangeError(f"{x} outside [0, 1)")
+        y = x
+        for _ in range(n):
+            y *= s
+            a = y.numerator // y.denominator
+            digits.append(a)
+            y -= a
+    else:
+        lo, hi = Fraction(-s, s + 1), Fraction(1, s + 1)
+        if not lo <= x <= hi:
+            raise OutOfRangeError(f"{x} outside [-s/(s+1), 1/(s+1)]")
+        y = x
+        for _ in range(n):
+            a_min = -s * y - hi
+            a = -((-a_min.numerator) // a_min.denominator)  # ceil
+            a = min(max(a, 0), s - 1)
+            digits.append(a)
+            y = -s * y - a
+    return DigitString(s, tuple(digits))

@@ -16,6 +16,7 @@ from typing import get_type_hints
 import pytest
 
 import cantorkit
+import cantorkit.cli as cli
 import cantorkit.cylinders as cyl
 import cantorkit.families as families
 from cantorkit import CantorkitError, CapExceededError, parse_family
@@ -739,6 +740,21 @@ def test_convert_length_fits_int_string_limit(capsys, int_str_limit):
         assert "sys.get_int_max_str_digits()" in capsys.readouterr().err
     int_str_limit(0)  # no limit: nothing is refused
     assert main(argv + ["9100"]) == 0
+
+
+def test_denominator_guard_counts_the_digits_exactly(monkeypatch, int_str_limit):
+    # the guard's count of base^n's decimal digits is exact, so it refuses
+    # exactly the lengths whose denominators would pass the limit
+    counted = []
+    monkeypatch.setattr(cli, "_refuse_past_str_limit", lambda what, digits: counted.append(digits))
+    int_str_limit(0)
+    cases = [(base, n) for base in range(2, 1001) for n in (0, 1, 2, 3, 7, 64, 333, 1000)]
+    cases += [(10**k, n) for k in range(1, 41) for n in (0, 1, 2, 3, 7, 64, 333, 1000)]
+    cases += [(2**k, n) for k in range(1, 64) for n in (0, 1, 2, 3, 7, 64, 333, 1000)]
+    cases += [(2, n) for n in range(14280, 14290)] + [(3, n) for n in range(9008, 9016)] + [(10, 4299), (10, 4300)]
+    for base, n in cases:
+        cli._refuse_long_denominators("x", n, base)
+        assert counted.pop() == len(str(base**n)), (base, n)
 
 
 def test_md_eval_fits_int_string_limit(capsys, int_str_limit):

@@ -9,7 +9,8 @@ recursion is pinned the same way: past the level where its types close,
 neither its types nor its `Fraction`s grow with the finest scale.  So are
 the phase system's kernels, which step integer numerators: the hull solve
 builds one `Fraction` per hull end, the oracle none at any depth, and the
-covering sums one per rank.
+covering sums one per rank.  So are the radix conversions: an evaluation
+builds one `Fraction`, and `convert` builds as many at any length.
 """
 
 from fractions import Fraction
@@ -19,7 +20,8 @@ import pytest
 import cantorkit.boxcount as bc
 import cantorkit.cylinders as cyl
 import cantorkit.families as families
-from cantorkit import box_dimension, covering_sums, parse_family, verify_family
+from cantorkit import DigitString, box_dimension, covering_sums, eval_sadic, parse_family, verify_family
+from cantorkit.cli import main
 from conftest import clear_caches
 
 
@@ -131,3 +133,19 @@ def test_clear_caches_empties_every_table():
     assert all(cache.cache_info().currsize for cache in caches)
     clear_caches()
     assert not any(cache.cache_info().currsize for cache in caches)
+
+
+def test_eval_sadic_builds_one_fraction(monkeypatch):
+    digits = DigitString(7, tuple(range(7)) * 7 + (3,))
+    assert len(digits) == 50
+    assert _fractions_built(monkeypatch, lambda: eval_sadic(digits)) == 1
+
+
+def test_convert_builds_no_fraction_per_digit(monkeypatch, capsys):
+    def convert(length):
+        return lambda: main(["convert", "--base", "3", "--digits", "0,2", "--target", "negasadic", "--length", length])
+
+    short = _fractions_built(monkeypatch, convert("8"))
+    long = _fractions_built(monkeypatch, convert("200"))
+    capsys.readouterr()
+    assert long <= short, (short, long)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_kernels as ref
 from cantorkit import (
     DigitString,
     InvalidDigitError,
@@ -14,6 +15,7 @@ from cantorkit import (
     eval_negasadic,
     eval_sadic,
 )
+from cantorkit.radix import _periodic_tail_value
 
 
 def test_sadic_finite_sums():
@@ -129,3 +131,85 @@ def test_digit_validation():
         DigitString(1, (0,))
     with pytest.raises(InvalidDigitError):
         eval_negas_cantor((5,), (3,), 3)
+
+
+def _outcome(f, *args, **kwargs):
+    """What f returns, or the type and message of the error it raises."""
+    try:
+        return f(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _expansions(draw):
+    s = draw(st.integers(2, 40))
+    digits = draw(st.lists(st.integers(0, s - 1), max_size=30))
+    tail = draw(st.lists(st.integers(0, s - 1), max_size=4))
+    return s, tuple(digits), tuple(tail)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expansions(), st.integers(0, 40))
+def test_integer_evaluators_equal_the_references(expansion, start):
+    s, digits, tail = expansion
+    d = DigitString(s, digits)
+    assert eval_sadic(d) == ref.eval_sadic(d)
+    assert eval_negasadic(d) == ref.eval_negasadic(d)
+    assert eval_sadic(d, tail) == ref.eval_sadic(d, tail)
+    assert eval_negasadic(d, tail) == ref.eval_negasadic(d, tail)
+    for alternating in (False, True):
+        assert _periodic_tail_value(s, tail, alternating, start) == ref.periodic_tail_value(s, tail, alternating, start)
+
+
+@pytest.mark.parametrize("alternating", (False, True))
+def test_tail_digit_refusal_matches_the_reference(alternating):
+    want = _outcome(ref.periodic_tail_value, 3, (1, 3), alternating, 2)
+    assert _outcome(_periodic_tail_value, 3, (1, 3), alternating, 2) == want
+    assert want == (InvalidDigitError, "tail digit 3 outside {0..2}")
+
+
+@st.composite
+def _conversions(draw):
+    s = draw(st.integers(2, 40))
+    negative = draw(st.booleans())
+    x = draw(
+        st.one_of(
+            # the ends of both ranges, 0 and 1, and just past the nega-s-adic ends
+            st.sampled_from(
+                (F(-s, s + 1), F(1, s + 1), F(0), 0, 1, F(1), F(-s, s + 1) - F(1, 10**9), F(1, s + 1) + F(1, 10**9))
+            ),
+            st.integers(1, 10**30).map(lambda k: 1 - F(1, k + 1)),  # just under 1
+            st.fractions(min_value=-2, max_value=2),
+            st.fractions(min_value=F(-s, s + 1), max_value=F(1, s + 1)),
+            st.integers(-3, 3),
+        )
+    )
+    return x, s, draw(st.integers(1, 30)), negative
+
+
+@settings(max_examples=400, deadline=None)
+@given(_conversions())
+def test_integer_digit_extraction_equals_the_reference(conversion):
+    x, s, n, negative = conversion
+    got = _outcome(digits_from_rational, x, s, n, negative=negative)
+    assert got == _outcome(ref.digits_from_rational, x, s, n, negative=negative)
+
+
+@pytest.mark.parametrize(
+    "x, s, n, negative",
+    [
+        (1, 3, 4, False),  # no canonical expansion
+        (F(5, 4), 3, 4, False),
+        (F(-1, 7), 5, 4, False),
+        (F(1, 2), 3, 4, True),
+        (F(-4, 5), 3, 4, True),
+        ("1/3", 1, 4, False),  # base
+        ("1/3", 3, 0, True),  # length
+        ("x", 3, 4, False),  # not a number
+    ],
+)
+def test_digit_extraction_refuses_as_the_reference(x, s, n, negative):
+    got = _outcome(digits_from_rational, x, s, n, negative=negative)
+    want = _outcome(ref.digits_from_rational, x, s, n, negative=negative)
+    assert isinstance(got, tuple) and got == want
