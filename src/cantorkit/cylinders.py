@@ -12,12 +12,15 @@ they report.  Traversals carry frames and apply one map per child, so sibling
 gaps and layouts read one frame and one table.
 
 Closed-form intervals exist for the run-length families S/Su (any u), NSu
-with u = 0, and Sminus; each cylinder is the image of the whole set under an
-affine contraction, so its hull is the prefix value plus a signed rescale of
-the whole-set hull.  The prefix value is folded one run digit at a time, in
-integers, from the formula alone.  The closed form is read only where it is
-itself under test: `cylinder_interval`, the witness the frames are compared
-against, and `verify_family`.
+with u = 0, and Sminus, which are one signed series
+x = u/(s-1) + sum sigma_n (c_n - u) s^-E_n, E_n = c_1 + ... + c_n, and
+differ only in the sign sigma_n that `_sign` states once.  Each cylinder is
+the image of the whole set under an affine contraction, so its hull is the
+prefix value plus the whole-set hull rescaled by s^-E and that sign.  The
+prefix value is folded one run digit at a time, in integers, from the
+formula alone.  The closed form is read only where it is itself under
+test: `cylinder_interval`, the witness the frames are compared against,
+and `verify_family`.
 
 The tail-extrema oracle never touches the closed forms.  It takes every
 admissible digit continuation of an address out to a given rank, closes each
@@ -143,11 +146,9 @@ def sminus_diameter_constant(s: int) -> Fraction:
 
 # -- closed-form cylinder intervals --------------------------------------------
 
-_FORMULA_KINDS = ("S", "Su", "NSu", "Sminus")
-
 
 def _has_closed_form(fam: FamilySpec) -> bool:
-    return fam.kind in _FORMULA_KINDS and not (fam.kind == "NSu" and fam.u != 0)
+    return fam.kind in ("S", "Su", "Sminus") or (fam.kind == "NSu" and fam.u == 0)
 
 
 def _require_formula_family(fam: FamilySpec) -> None:
@@ -155,6 +156,13 @@ def _require_formula_family(fam: FamilySpec) -> None:
         raise UnsupportedFamilyError(
             f"no closed cylinder formula for {fam.label()}; use the oracle hull"
         )
+
+
+def _sign(fam: FamilySpec, E: int, n: int) -> int:
+    """The sign of the closed form's n-th term, E = c_1 + ... + c_n: (-1)^E
+    for NSu, (-1)^n for Sminus, 1 for S/Su.  The terms after it sum to the
+    whole set's terms times s^-E and this sign."""
+    return -1 if (fam.kind == "NSu" and E % 2) or (fam.kind == "Sminus" and n % 2) else 1
 
 
 #: a closed form after the prefix c_1..c_n: (T, E, n), where E is the digit
@@ -166,45 +174,38 @@ ROOT_STATE: ClosedState = (0, 0, 0)
 
 def _closed_form(fam: FamilySpec) -> tuple[int, int, int, int]:
     """(Q, shift, lo0, hi0): numerators over one denominator Q of the
-    constant u/(s-1) (S/Su; 0 otherwise) and of the whole-set inf and sup.
+    series' constant u/(s-1) (0 where u = 0, as for NSu and Sminus) and of
+    the whole-set inf and sup.
 
     Reads the whole-set constants afresh on every call; each walk calls it
     once, at its root."""
-    s = fam.s
+    s, u = fam.s, fam.u or 0
     if fam.kind in ("S", "Su"):
-        inf0, sup0 = _su_bounds(s, fam.u)
-        shift = Fraction(fam.u, s - 1)
+        inf0, sup0 = _su_bounds(s, u)
     else:
         inf0, sup0 = _nega0_bounds(s) if fam.kind == "NSu" else _sminus_bounds(s)
-        shift = Fraction(0)
+    shift = Fraction(u, s - 1)
     Q = lcm(inf0.denominator, sup0.denominator, shift.denominator)
     return Q, int(shift * Q), int(inf0 * Q), int(sup0 * Q)
 
 
 def _closed_step(fam: FamilySpec, state: ClosedState, c: int) -> ClosedState:
-    """The closed form's state one run digit c further down.
-
-    S/Su sum (c_n - u) s^-E_n, NSu sum (-1)^E_n c_n s^-E_n and Sminus
-    sum (-1)^n c_n s^-E_n, with E_n = c_1 + ... + c_n."""
+    """The closed form's state one run digit c further down: the series
+    u/(s-1) + sum sigma_n (c_n - u) s^-E_n, E_n = c_1 + ... + c_n, gains the
+    term sigma (c - u), its sign from `_sign`."""
     T, E, n = state
     E, n = E + c, n + 1
-    if fam.kind == "NSu":
-        term = -c if E % 2 else c
-    elif fam.kind == "Sminus":
-        term = -c if n % 2 else c
-    else:
-        term = c - fam.u
-    return T * fam.s**c + term, E, n
+    return T * fam.s**c + _sign(fam, E, n) * (c - (fam.u or 0)), E, n
 
 
 def _closed_ends(fam: FamilySpec, form: tuple[int, int, int, int], state: ClosedState) -> tuple[int, int]:
-    """Numerators over Q * s^E of the cylinder's [inf, sup]: the prefix sum
-    plus s^-E times the whole-set hull, flipped for NSu at odd E and for
-    Sminus at odd rank.  S/Su add u/(s-1) (1 - s^-E) for the u digits."""
+    """Numerators over Q * s^E of the cylinder's [inf, sup]: the prefix sum,
+    plus u/(s-1) (1 - s^-E) for the u digits, plus s^-E times the whole-set
+    hull, flipped where the last term's sign is -1."""
     Q, shift, lo0, hi0 = form
     T, E, n = state
     at = T * Q + shift * (fam.s**E - 1)
-    if (fam.kind == "NSu" and E % 2) or (fam.kind == "Sminus" and n % 2):
+    if _sign(fam, E, n) < 0:
         return at - hi0, at - lo0
     return at + lo0, at + hi0
 
@@ -462,23 +463,22 @@ class OrderingReport(NamedTuple):
     passed: bool
 
 
+_LAYOUTS = ("left-to-right", "right-to-left")
+
+
 def _predicted_orientation(fam: FamilySpec, addr_base: tuple, p: int, q: int) -> str | None:
-    s, u = fam.s, fam.u
-    if fam.kind in ("S", "Su"):
-        if u in (0, 1):
-            return "right-to-left"
-        if u >= s - 2:
-            return "left-to-right"
-        if q < u:
-            return "left-to-right"
-        if p > u:
-            return "right-to-left"
+    """S/Su's layout of siblings p < q by u (NSu and Sminus as u = 0),
+    reversed where the siblings' closed-form sign is -1."""
+    s, u = fam.s, fam.u or 0
+    if u <= 1:
+        rtl = True
+    elif u >= s - 2 or q < u:
+        rtl = False
+    elif p > u:
+        rtl = True
+    else:
         return None  # the pair straddling the excluded digit: compare directly
-    if fam.kind == "NSu":
-        return "right-to-left" if (sum(addr_base) + p) % 2 == 0 else "left-to-right"
-    # Sminus: orientation set by the rank of the siblings
-    rank = len(addr_base) + 1
-    return "right-to-left" if rank % 2 == 0 else "left-to-right"
+    return _LAYOUTS[rtl != (_sign(fam, sum(addr_base) + p, len(addr_base) + 1) < 0)]
 
 
 def _ordering_entries(fam: FamilySpec, addr_base: tuple, children: dict) -> tuple[OrderingEntry, ...]:
@@ -589,26 +589,28 @@ def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> Ve
 
     Each cylinder is an affine image of the set, so a subtree's checks
     depend only on the node's memo key: its rank (the subtree's height), its
-    phase, its frame's sign (which flips the observed layouts), the parity
-    of its digit sum E (NSu's flips and predicted layouts; the rank's parity
-    is Sminus's) and its closed form read through its frame: the scale
-    den/(Q s^E) and the node's two ends, each exact, which fix the closed
-    form's map up to the flip.  The true maps keep this map the same from
-    node to node, and a map with a wrong scale moves it, so no wrong
-    subtree is merged.  A subtree whose walk fails no check stores its
-    (addresses, children, pairs) counts under its key; a later node with
-    that key adds them and is not descended.  A subtree that fails a check
-    is never stored, so every failure is found where and in the order the
-    full walk finds it, and each count still counts every address, a merged
-    subtree once for each place it occurs.
+    phase, its frame's sign (which flips the observed layouts), the closed
+    form's sign `_sign` (its hull's flip and its predicted layouts) and its
+    closed form read through its frame: the scale den/(Q s^E) and the
+    node's two ends, each exact, which fix the closed form's map up to the
+    flip.  The true maps keep this map the same from node to node, and a
+    map with a wrong scale moves it, so no wrong subtree is merged.  The key
+    of a subtree whose walk fails no check is stored; a later node with that
+    key is not descended.  A subtree that fails a check is never stored, so
+    every failure is found where and in the order the full walk finds it.
+    The counts are the tree's, not the walk's: every address is an oracle
+    check, every address but the root a nesting check, and every inner
+    node's children less one a sibling pair, which sum to the rank-`depth`
+    leaves less one.
     """
     _require_formula_family(fam)
     sums = covering_sums(fam, max(depth, min(depth + 2, 8)))[: min(depth + 2, 8) + 1]
-    walk_size(fam, depth, cap)
+    n_addr = walk_size(fam, depth, cap)
+    n_pair = prod(map(len, _rank_maps(fam, depth))) - 1  # each inner node's children less one
     s = fam.s
     digits = digit_maps(fam, 0)  # the run digits, in order
     oracle_f, nest_f, gap_f, ord_f = [], [], [], []
-    n_addr = n_child = n_pair = n_bad = 0
+    n_bad = 0
 
     def fail(failures, *args):  # counts every failure, recorded or not
         nonlocal n_bad
@@ -626,14 +628,14 @@ def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> Ve
     oracle = {phase: _oracle_local(fam, depth + ORACLE_EXTRA_DEPTH, phase) for phase in _phase_maps(fam)}
     c_top = max(digits)
     top = s**c_top
-    memo = {}  # memo key -> (addresses, children, pairs) of a subtree that failed nothing
+    memo = set()  # the memo keys of subtrees that failed nothing
     stack = [((), ROOT_FRAME, ROOT_STATE, lo, hi)]
     while stack:
         item = stack.pop()
-        if len(item) == 2:  # a subtree is done: (its key, the counts and failures before it)
+        if len(item) == 2:  # a subtree is done: (its key, the failures before it)
             key, before = item
-            if before[3] == n_bad:
-                memo[key] = (n_addr - before[0], n_child - before[1], n_pair - before[2])
+            if before == n_bad:
+                memo.add(key)
             continue
         base, frame, state, lo, hi = item
         V, den, sign, phase = frame
@@ -641,16 +643,13 @@ def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> Ve
         # the scale den/fd and the ends read through the frame, over one reduced denominator
         rel_lo, rel_hi = den * lo - V * fd, den * hi - V * fd
         g = gcd(den, rel_lo, rel_hi, fd)
-        key = (len(base), phase, sign, state[1] % 2, den // g, rel_lo // g, rel_hi // g, fd // g)
-        counts = memo.get(key)
-        if counts is not None:
-            n_addr, n_child, n_pair = n_addr + counts[0], n_child + counts[1], n_pair + counts[2]
+        key = (len(base), phase, sign, _sign(fam, *state[1:]), den // g, rel_lo // g, rel_hi // g, fd // g)
+        if key in memo:
             continue
-        stack.append((key, (n_addr, n_child, n_pair, n_bad)))
+        stack.append((key, n_bad))
         olo, ohi, shrink, D = oracle[phase]
         olo, ohi = (V * D + olo, V * D + ohi) if sign > 0 else (V * D - ohi, V * D - olo)
         od = D * den
-        n_addr += 1
         # both intervals over fd * od
         if not (lo * od <= olo * fd and ohi * fd <= hi * od):
             fail(oracle_f, base, _interval(olo, ohi, od), _interval(lo, hi, fd), "oracle escapes formula")
@@ -668,7 +667,6 @@ def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> Ve
             child_state = _closed_step(fam, state, c)
             c_lo, c_hi = _closed_ends(fam, form, child_state)
             sc = s**c
-            n_child += 1
             if not (lo * sc <= c_lo and c_hi <= hi * sc):
                 child, parent = _interval(c_lo, c_hi, fd * sc), _interval(lo, hi, fd)
                 fail(nest_f, base + (c,), child, parent, "child escapes parent")
@@ -679,7 +677,6 @@ def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> Ve
 
         # sibling gaps + orderings
         entries = _ordering_entries(fam, base, children)
-        n_pair += len(entries)
         for e in entries:
             if e.observed == "overlap":
                 a, b = children[e.p], children[e.q]
@@ -693,7 +690,7 @@ def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> Ve
         stack.extend(reversed(kids))
     results = [
         PropertyResult("interval-vs-oracle", n_addr, not oracle_f, tuple(oracle_f)),
-        PropertyResult("nesting", n_child, not nest_f, tuple(nest_f)),
+        PropertyResult("nesting", n_addr - 1, not nest_f, tuple(nest_f)),
         PropertyResult("sibling-gaps", n_pair, not gap_f, tuple(gap_f)),
         PropertyResult("ordering", n_pair, not ord_f, tuple(ord_f)),
     ]

@@ -38,6 +38,10 @@ def test_predicted_rank_walks_are_the_walked_ones(text):
             report = verify_family(fam, depth)
             assert report.results[0].name == "interval-vs-oracle"
             assert report.results[0].checked == predicted, (text, depth)
+            checked = {r.name: r.checked for r in report.results}
+            assert checked["nesting"] == predicted - 1, (text, depth)
+            pairs = len(enumerate_addresses(fam, depth)) - 1  # each inner node's children less one
+            assert checked["sibling-gaps"] == checked["ordering"] == pairs, (text, depth)
 
 
 def test_rank_walks_are_refused_one_cylinder_past_the_cap():

@@ -312,6 +312,10 @@ def test_every_verify_row_can_fail(capsys, monkeypatch, text, sabotage, rows, al
         clear_caches()
     failing = {p["name"] for p in json.loads(out)["properties"] if not p["passed"]}
     assert code == 2 and failing == rows | also, failing
+    # a sabotage splits memo classes, but the counts are the tree's
+    _, clean = run(capsys, "verify", text, "--depth", "2", "--format", "json")
+    checked = [(p["name"], p["checked"]) for p in json.loads(out)["properties"]]
+    assert checked == [(p["name"], p["checked"]) for p in json.loads(clean)["properties"]]
 
 
 def test_verify_refuses_empty_whole_set_bounds(capsys, monkeypatch):

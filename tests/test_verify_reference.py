@@ -4,17 +4,22 @@ The reference below is that walk: it re-sums each closed-form prefix in
 `Fraction`s, folds `Fraction` frames through `digit_maps`, reads the
 `Fraction` reference oracle (`fraction_kernels.oracle_local`), and builds an
 `IntervalR` at every node.  `verify_family` merges each repeated
-failure-free subtree by its memo key (rank, phase, frame sign, digit-sum
-parity, closed form relative to the frame) and descends only the first.
+failure-free subtree by its memo key (rank, phase, frame sign, closed-form
+sign, closed form relative to the frame) and descends only the first.
 Both must return equal reports, counts and failure strings included, on
 correct whole-set constants and on sabotaged constants, digit maps and
 closed forms, which the suite must catch the same way: a map with a wrong
 scale or a closed form shifted in one parity class must split the classes
 the memo would otherwise merge.
+
+The closed form's per-kind statement (`ref_closed_form`, `ref_closed_step`,
+`ref_closed_ends`, `ref_predicted_orientation`: a sign chain per kind) is
+kept as the reference for the one signed series `cylinders` states.
 """
 
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -68,6 +73,57 @@ def ref_cylinder_interval(fam, base):
     if len(base) % 2 == 0:
         return IntervalR(sig + inf0 * scale, sig + sup0 * scale)
     return IntervalR(sig - sup0 * scale, sig - inf0 * scale)
+
+
+def ref_closed_form(fam):
+    s = fam.s
+    if fam.kind in ("S", "Su"):
+        inf0, sup0 = cyl._su_bounds(s, fam.u)
+        shift = Fraction(fam.u, s - 1)
+    else:
+        inf0, sup0 = cyl._nega0_bounds(s) if fam.kind == "NSu" else cyl._sminus_bounds(s)
+        shift = Fraction(0)
+    Q = lcm(inf0.denominator, sup0.denominator, shift.denominator)
+    return Q, int(shift * Q), int(inf0 * Q), int(sup0 * Q)
+
+
+def ref_closed_step(fam, state, c):
+    T, E, n = state
+    E, n = E + c, n + 1
+    if fam.kind == "NSu":
+        term = -c if E % 2 else c
+    elif fam.kind == "Sminus":
+        term = -c if n % 2 else c
+    else:
+        term = c - fam.u
+    return T * fam.s**c + term, E, n
+
+
+def ref_closed_ends(fam, form, state):
+    Q, shift, lo0, hi0 = form
+    T, E, n = state
+    at = T * Q + shift * (fam.s**E - 1)
+    if (fam.kind == "NSu" and E % 2) or (fam.kind == "Sminus" and n % 2):
+        return at - hi0, at - lo0
+    return at + lo0, at + hi0
+
+
+def ref_predicted_orientation(fam, addr_base, p, q):
+    s, u = fam.s, fam.u
+    if fam.kind in ("S", "Su"):
+        if u in (0, 1):
+            return "right-to-left"
+        if u >= s - 2:
+            return "left-to-right"
+        if q < u:
+            return "left-to-right"
+        if p > u:
+            return "right-to-left"
+        return None
+    if fam.kind == "NSu":
+        return "right-to-left" if (sum(addr_base) + p) % 2 == 0 else "left-to-right"
+    rank = len(addr_base) + 1
+    return "right-to-left" if rank % 2 == 0 else "left-to-right"
 
 
 def ref_child_frames(fam, frame):
@@ -167,6 +223,28 @@ def _assert_walks_agree(texts):
 @pytest.mark.parametrize("bounds", sorted(FAMILIES))
 def test_integer_walk_equals_fraction_walk(bounds):
     _assert_walks_agree(FAMILIES[bounds])
+
+
+@pytest.mark.parametrize("s", range(3, 11))
+def test_signed_series_equals_the_per_kind_closed_forms(s):
+    # state for state, end for end and prediction for prediction, on every
+    # address to rank 2 and every adjacent digit pair under it
+    texts = [f"S(s={s})", f"NSu(s={s},u=0)", f"Sminus(s={s})"] + [f"Su(s={s},u={u})" for u in range(s)]
+    for text in texts:
+        fam = parse_family(text)
+        form = cyl._closed_form(fam)
+        assert form == ref_closed_form(fam), text
+        digits = list(digit_maps(fam, 0))
+        for rank in range(3):
+            for addr in enumerate_addresses(fam, rank):
+                state = want = cyl.ROOT_STATE
+                for c in addr:
+                    state, want = cyl._closed_step(fam, state, c), ref_closed_step(fam, want, c)
+                    assert state == want, (text, addr)
+                assert cyl._closed_ends(fam, form, state) == ref_closed_ends(fam, form, state), (text, addr)
+                for p, q in zip(digits, digits[1:]):
+                    want = ref_predicted_orientation(fam, addr, p, q)
+                    assert cyl._predicted_orientation(fam, addr, p, q) == want, (text, addr, p)
 
 
 # "narrow" raises the inf: the oracle escapes the formula and children their
