@@ -8,8 +8,11 @@ all phases are the exact fixed point of one graph-directed system
 (`solve_phase_hulls`), the same for one-phase kinds, MDper's gap phases and
 a periodic Cantor series' levels.  That solve, the level oracle and the
 covering sums step integer numerators and build one `Fraction` per value
-they report.  Traversals carry frames and apply one map per child, so sibling
-gaps and layouts read one frame and one table.
+they report.  The covering sums are each rank's integer mass times its
+phase's hull width; `verify_family`'s covering law reads the masses alone,
+as the width cancels, so a passing verify solves no hull.  Traversals carry
+frames and apply one map per child, so sibling gaps and layouts read one
+frame and one table.
 
 Closed-form intervals exist for the run-length families S/Su (any u), NSu
 with u = 0, and Sminus, which are one signed series
@@ -253,9 +256,16 @@ def _interval_step(maps, lo: int, hi: int, D: int) -> tuple[int, int, int, int]:
     """Hull of the images of [lo/D, hi/D] under the monotone maps
     x -> (G + K*x)/M, given as (G, K) pairs: its two ends as numerators over
     M*D, with the indices of the maps attaining them."""
-    scaled = [(G * D, K) for G, K in maps]  # each G*D once, for both ends
-    new_lo, ilo = min((GD + K * (lo if K > 0 else hi), i) for i, (GD, K) in enumerate(scaled))
-    new_hi, ihi = max((GD + K * (hi if K > 0 else lo), i) for i, (GD, K) in enumerate(scaled))
+    if not maps:
+        raise ValueError("need at least one affine map")
+    new_lo = new_hi = None
+    for i, (G, K) in enumerate(maps):
+        G *= D
+        a, b = (G + K * lo, G + K * hi) if K > 0 else (G + K * hi, G + K * lo)
+        if new_lo is None or a < new_lo:  # a tie keeps the first index, as min over (value, i)
+            new_lo, ilo = a, i
+        if new_hi is None or b >= new_hi:  # and the last, as max over (value, i)
+            new_hi, ihi = b, i
     return new_lo, new_hi, ilo, ihi
 
 
@@ -511,23 +521,28 @@ def ordering_check(fam: FamilySpec, addr) -> OrderingReport:
     return OrderingReport(base, entries, all(e.ok for e in entries))
 
 
-def covering_sums(fam: FamilySpec, depth: int) -> list[Fraction]:
-    """Exact total length of the rank-d cylinder cover, for each d = 0..depth.
-
-    A cylinder's length is |scale| times its phase's local hull length, and
-    every phase has one successor, so a rank's cylinders share one phase and
-    one mass, their total |scale|.  Counts no addresses.  Each rank is one
-    step of the walk budget's rule 2, as each phase of `_phase_maps` is, and
-    every rank passes it before any hull is solved."""
+def _rank_masses(fam: FamilySpec, depth: int) -> list[tuple[int, int, int]]:
+    """Each rank d = 0..depth's (phase, mass numerator, denominator): every
+    phase has one successor, so a rank's cylinders share one phase, and its
+    mass is their total |scale|.  Counts no addresses.  Each rank is one
+    step of the walk budget's rule 2, as each phase of `_phase_maps` is."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     system = _phase_maps(fam)
-    ranks, digits = [(0, 1, 1)], 0.0  # each rank's (phase, mass as numerator, denominator)
+    ranks, digits = [(0, 1, 1)], 0.0
     for rank in range(1, depth + 1):
         phase, num, den = ranks[-1]
         M, maps, nxt = system[phase]  # the lcm of powers of one radix: the largest m
         digits = denominator_digits(rank, digits, M, "ranks", "; lower --depth")
         ranks.append((nxt, num * sum(abs(K) for _, K in maps), den * M))
+    return ranks
+
+
+def covering_sums(fam: FamilySpec, depth: int) -> list[Fraction]:
+    """Exact total length of the rank-d cylinder cover, for each d = 0..depth:
+    each rank's mass (`_rank_masses`) times its phase's local hull width.
+    Every rank passes the walk budget's rule 2 before any hull is solved."""
+    ranks = _rank_masses(fam, depth)
     widths = {p: hi - lo for p, (lo, hi) in _local_hulls(fam).items()}
     return [Fraction(num * widths[p].numerator, den * widths[p].denominator) for p, num, den in ranks]
 
@@ -575,17 +590,24 @@ ORACLE_EXTRA_DEPTH = 6
 def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> VerificationReport:
     """Run the cylinder property suite for one closed-form family.
 
-    Refused first by the walk budget (`covering_sums` to depth, `walk_size`),
-    so past `cap` addresses even though the walk computes few of them.
-    Checks, over all addresses of rank <= depth: oracle containment with the
-    geometric tail bound (the oracle at depth + ORACLE_EXTRA_DEPTH), child
-    nesting, nonempty sibling gaps, predicted orderings, the covering-sum
-    decay law against the run digits' sum of s^-c, and the Sminus
-    diameter/endpoint consistency identity.  Addresses are walked
-    depth-first.  Each node carries its closed-form state and ends and its
-    integer frame, and each child is one closed-form step and one digit map
-    from its parent, so every check compares integers; a `Fraction` is
-    built only for the text of a failure.
+    Refused first by the walk budget (`_rank_masses` to depth, as `cover`
+    refuses it, then `walk_size`), so past `cap` addresses even though the
+    walk computes few of them.  Checks, over all addresses of rank <= depth:
+    oracle containment with the geometric tail bound (the oracle at depth +
+    ORACLE_EXTRA_DEPTH), child nesting, nonempty sibling gaps, predicted
+    orderings, the covering-sum decay law against the run digits' sum of
+    s^-c, and the Sminus diameter/endpoint consistency identity.
+
+    The covering law compares rank d's total length with rank 0's times
+    rho^d, rho = R / s^c_top, R the sum of s^(c_top - c) over the run digits
+    c.  Every rank is at phase 0, whose hull width cancels, so each rank's
+    integer mass is cross-multiplied against R^d and no hull is solved; only
+    a failing rank builds the totals (`covering_sums`), for its text.
+
+    Addresses are walked depth-first.  Each node carries its closed-form
+    state and ends and its integer frame, and each child is one closed-form
+    step and one digit map from its parent, so every check compares
+    integers; a `Fraction` is built only for the text of a failure.
 
     Each cylinder is an affine image of the set, so a subtree's checks
     depend only on the node's memo key: its rank (the subtree's height), its
@@ -594,9 +616,15 @@ def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> Ve
     closed form read through its frame: the scale den/(Q s^E) and the
     node's two ends, each exact, which fix the closed form's map up to the
     flip.  The true maps keep this map the same from node to node, and a
-    map with a wrong scale moves it, so no wrong subtree is merged.  The key
-    of a subtree whose walk fails no check is stored; a later node with that
-    key is not descended.  A subtree that fails a check is never stored, so
+    map with a wrong scale moves it, so no wrong subtree is merged.  The
+    closed form's sign is fixed by the rest of the key wherever the frame
+    has the closed form's scale (den = s^E): the relative inf den*lo - V is
+    then T - V + inf0 under sign 1 and T - V - sup0 under sign -1, T and V
+    integers, and inf0 + sup0 lies strictly between -1 and 0 for NSu and
+    Sminus (S and Su have sign 1 throughout).  A frame of another scale has
+    no such argument, so the key keeps the sign.  The key of a subtree whose
+    walk fails no check is stored; a later node with that key is not
+    descended.  A subtree that fails a check is never stored, so
     every failure is found where and in the order the full walk finds it.
     The counts are the tree's, not the walk's: every address is an oracle
     check, every address but the root a nesting check, and every inner
@@ -604,7 +632,8 @@ def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> Ve
     leaves less one.
     """
     _require_formula_family(fam)
-    sums = covering_sums(fam, max(depth, min(depth + 2, 8)))[: min(depth + 2, 8) + 1]
+    n_cov = min(depth + 2, 8)  # the deepest rank of the covering law
+    masses = _rank_masses(fam, max(depth, n_cov))[: n_cov + 1]
     n_addr = walk_size(fam, depth, cap)
     n_pair = prod(map(len, _rank_maps(fam, depth))) - 1  # each inner node's children less one
     s = fam.s
@@ -695,13 +724,17 @@ def verify_family(fam: FamilySpec, depth: int = 4, cap: int = DEFAULT_CAP) -> Ve
         PropertyResult("ordering", n_pair, not ord_f, tuple(ord_f)),
     ]
 
-    # geometric covering-sum law
+    # geometric covering-sum law: every rank shares phase 0's hull width,
+    # which cancels, so rank d's mass must be rho^d, rho = R / s^c_top
     cov_f = []
-    rho = sum(Fraction(1, s**a) for a in digits)
-    for d, total in enumerate(sums):
-        if total != sums[0] * rho**d:
-            _fail(cov_f, (d,), total, sums[0] * rho**d, "covering law")
-    results.append(PropertyResult("covering-law", len(sums), not cov_f, tuple(cov_f)))
+    R = sum(s ** (c_top - c) for c in digits)
+    bad = [d for d, (_, num, den) in enumerate(masses) if num * top**d != R**d * den]
+    if bad:  # a failing rank's text compares totals; a degenerate family's are all 0 and pass
+        sums, rho = covering_sums(fam, n_cov), Fraction(R, top)
+        for d in bad:
+            if sums[d] != sums[0] * rho**d:
+                _fail(cov_f, (d,), sums[d], sums[0] * rho**d, "covering law")
+    results.append(PropertyResult("covering-law", len(masses), not cov_f, tuple(cov_f)))
 
     # Sminus endpoint/diameter consistency
     if fam.kind == "Sminus":

@@ -37,10 +37,10 @@ class DigitString:
     def __init__(self, s: int, digits: tuple[int, ...]):
         if s < 2:
             raise InvalidDigitError(f"base must be >= 2, got {s}")
-        digits = tuple(int(d) for d in digits)
-        for d in digits:
-            if not 0 <= d < s:
-                raise InvalidDigitError(f"digit {d} outside alphabet of base {s}")
+        digits = tuple(map(int, digits))
+        if digits and not (0 <= min(digits) and max(digits) < s):
+            bad = next(d for d in digits if not 0 <= d < s)
+            raise InvalidDigitError(f"digit {bad} outside alphabet of base {s}")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "digits", digits)
 

@@ -16,7 +16,7 @@ from cantorkit import FamilySpec, cylinder_hull, parse_family, tail_extrema_orac
 from cantorkit.cylinders import _level_minmax, _oracle_local
 from cantorkit.families import _rank_maps, address_frame, digit_maps, family_blocks
 from cantorkit.radix import DigitString, eval_cantor, eval_negas_cantor, eval_negasadic, eval_sadic
-from fraction_kernels import fraction_system, integer_maps, oracle_local, over_lcm, solve_phase_hulls
+from fraction_kernels import fraction_system, integer_maps, interval_step, oracle_local, over_lcm, solve_phase_hulls
 
 
 def _eval_tree(levels, x0):
@@ -197,6 +197,24 @@ def test_integer_kernels_equal_the_references(system, depth, data):
     with mock.patch.object(cyl, "_phase_maps", lambda fam: system):
         lo, hi, shrink, D = _oracle_local.__wrapped__(None, depth, phase)
     assert (F(lo, D), F(hi, D), F(shrink, D)) == oracle_local(ref, depth, phase)
+
+
+def test_interval_step_breaks_ties_as_min_and_max_do():
+    # the first map attaining the low end and the last attaining the high
+    # end, as min and max over (value, index) pick them: here maps of
+    # either sign tie at both ends, in either order
+    assert cyl._interval_step(((0, 2), (4, -2)), 1, 3, 2) == (2, 6, 0, 1)
+    assert cyl._interval_step(((4, -2), (0, 2)), 1, 3, 2) == (2, 6, 0, 1)
+    # every list of up to 3 maps x -> (G + K*x)/3 with |G| <= 1, |K| <= 2
+    pairs = [(G, K) for G in range(-1, 2) for K in range(-2, 3)]
+    for n in (1, 2, 3):
+        for maps in product(pairs, repeat=n):
+            for lo, hi, D in ((0, 0, 1), (1, 3, 2), (-2, 1, 3)):
+                lo_n, hi_n, ilo, ihi = cyl._interval_step(maps, lo, hi, D)
+                want = interval_step([(F(G, 3), F(K, 3)) for G, K in maps], F(lo, D), F(hi, D))
+                assert (F(lo_n, 3 * D), F(hi_n, 3 * D), ilo, ihi) == want, (maps, lo, hi, D)
+    with pytest.raises(ValueError):
+        cyl._interval_step((), 0, 1, 1)
 
 
 def test_parity_sign_hand_case():

@@ -133,6 +133,16 @@ def test_digit_validation():
         eval_negas_cantor((5,), (3,), 3)
 
 
+@pytest.mark.parametrize(
+    "digits, bad",
+    [((3,), 3), ((0, 2, 5, -1, 7), 5), ((1, -1, 5), -1), ((2, 0, -4), -4), ((0, 9, 1), 9)],
+)
+def test_digit_refusal_names_the_first_bad_digit(digits, bad):
+    with pytest.raises(InvalidDigitError) as exc:
+        DigitString(3, digits)
+    assert str(exc.value) == f"digit {bad} outside alphabet of base 3"
+
+
 def _outcome(f, *args, **kwargs):
     """What f returns, or the type and message of the error it raises."""
     try:

@@ -38,6 +38,7 @@ from cantorkit.cli import main
 from cantorkit.families import digit_maps, walk_size
 from conftest import clear_caches
 from fraction_kernels import fraction_system, oracle_local
+from test_cli import _digit_2_scale_off
 
 
 def ref_cylinder_interval(fam, base):
@@ -371,6 +372,47 @@ def test_memo_key_splits_subtrees_of_a_wrong_scale(monkeypatch, fresh_tables, te
     assert not verify_family(fam, 2).passed
     for depth in range(1, 6):
         assert verify_family(fam, depth) == ref_verify_family(fam, depth), (text, depth)
+
+
+def _no_hull_solve(system):
+    raise AssertionError("a passing verify solves no hull")
+
+
+@pytest.mark.parametrize("text", ["S(s=3)", "Su(s=5,u=2)", "NSu(s=4,u=0)", "Sminus(s=4)"])
+def test_a_passing_verify_solves_no_hull(monkeypatch, fresh_tables, text):
+    # every rank is at phase 0, whose hull width cancels from the covering
+    # law: the ranks' integer masses decide it
+    monkeypatch.setattr(cyl, "solve_phase_hulls", _no_hull_solve)
+    rep = verify_family(parse_family(text), depth=6)
+    assert rep.passed and rep.results[4] == cyl.PropertyResult("covering-law", 9, True, ())
+
+
+def test_a_failing_covering_law_is_worded_from_the_totals(monkeypatch, fresh_tables):
+    # the masses find the failing ranks; their text compares the totals,
+    # the hull width and all, as the reference's Fraction law does
+    _digit_2_scale_off(monkeypatch)
+    fam = parse_family("S(s=3)")
+    got = verify_family(fam, 2)
+    assert got == ref_verify_family(fam, 2)
+    law = got.results[4]
+    assert law.name == "covering-law" and len(law.failures) == 4
+    assert law.failures[0] == "addr=(1,): covering law: 13/108 vs 10/81"
+
+
+def test_a_degenerate_covering_law_passes_at_any_scale(monkeypatch, fresh_tables):
+    # Su(s=3,u=2) is one point: with its one digit map's scale off, its
+    # masses leave rho^d, but every total is 0 and the law holds
+    true_map = families._block_map
+
+    def block_map(runs, base, nxt, flip=1):
+        block, gn, sk, m, nxt = true_map(runs, base, nxt, flip)
+        return block, gn, sk, m + 1, nxt
+
+    monkeypatch.setattr(families, "_block_map", block_map)
+    fam = parse_family("Su(s=3,u=2)")
+    got = verify_family(fam, 2)
+    assert got == ref_verify_family(fam, 2)
+    assert got.results[4] == cyl.PropertyResult("covering-law", 5, True, ())
 
 
 # the closed form shifted up by a fifth of its width at odd digit sum (NSu's
