@@ -9,19 +9,24 @@ expansions, for an integer base s > 1:
 * alternating Cantor:     x = sum_n (-1)^n e_n / (d_1...d_n)
 * nega-s-adic Cantor:     x = sum_n (-1)^n e_n s^-(m_1+...+m_n)
 
-Finite digit sequences denote zero-padded tails.  An optional periodic tail
-closes eventually-periodic expansions exactly (a geometric series); those
-two tail forms are the only closures supported.
+Each is x = sum_n e_n / (b_1...b_n), the alternating forms read in the
+negated bases, since (-b_1)...(-b_n) = (-1)^n b_1...b_n: base s or -s, d_n or
+-d_n, and -s^(m_n).  Every evaluator folds its digits Horner-style into one
+integer numerator over the product of its bases, read in base -b where the
+series alternates; `digits_from_rational` steps one over x's denominator.
 
-The (nega-)s-adic evaluators fold the digits Horner-style into one integer
-numerator over s^n; `digits_from_rational` steps one over x's denominator.
-The Cantor-series evaluators sum `Fraction`s term by term.
+Finite digit sequences denote zero-padded tails.  An optional periodic tail
+closes eventually-periodic (nega-)s-adic expansions exactly: a block of e
+digits repeats as a geometric series, in one step for every e.  Those two
+tail forms are the only closures supported.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from itertools import cycle, repeat
+from math import prod
+from typing import Iterable, Sequence
 
 from .errors import InvalidDigitError, OutOfRangeError
 
@@ -78,38 +83,25 @@ def _check_digit(d: int, bound: int, what: str = "digit") -> int:
     return d
 
 
-def _fold(s: int, digits: Sequence[int], alternating: bool) -> int:
-    """sum_k sgn(k) d_k s^(len-k) over the digits d_1..d_len; sgn(k) is (-1)^k when alternating, else 1."""
-    b, num = (-s if alternating else s), 0
-    for a in digits:
-        num = num * b + a  # Horner in base -s gives (-1)^len times the alternating sum
-    return -num if alternating and len(digits) % 2 else num
+def _fold(digits: Iterable[int], bases: Iterable[int]) -> int:
+    """sum_n d_n b_(n+1)...b_N over the digits d_1..d_N and their bases b_1..b_N, by Horner:
+    the numerator of sum_n d_n / (b_1...b_n) over b_1...b_N."""
+    num = 0
+    for d, b in zip(digits, bases):
+        num = num * b + d
+    return num
 
 
-def _periodic_tail_value(s: int, tail: Sequence[int], alternating: bool, start: int) -> Fraction:
-    """Exact value of the periodic tail t_1 t_2 ... appended after position `start`.
-
-    Returns sum_{j>=1} sgn(start+j) * t_((j-1) mod p + 1) * s^-(start+j) divided
-    by s^-start, i.e. the tail value *relative* to position `start`; the caller
-    scales by s^-start.  For the alternating form the effective period is 2p
-    when p is odd (the sign pattern needs two passes to repeat).
-    """
-    tail = tuple(_check_digit(t, s, "tail digit") for t in tail)
+def _value(d: DigitString, tail: Sequence[int], b: int) -> Fraction:
+    """The digits, then the periodic tail, read in the base b = +-s: one numerator
+    over b^n, or over b^n (b^e - 1) with a tail of e digits, which repeats as
+    its block's value t / b^e times b^e / (b^e - 1)."""
+    num, n = _fold(d.digits, repeat(b)), len(d.digits)
     if not tail:
-        return Fraction(0)
-    block = tail * (1 + (alternating and len(tail) % 2))  # one effective period, of length e
-    num = _fold(s, block, alternating)  # the block's value times s^e, signed from position 1
-    return Fraction(-num if alternating and start % 2 else num, s ** len(block) - 1)
-
-
-def _value(d: DigitString, tail: Sequence[int], alternating: bool) -> Fraction:
-    """The digits, then the periodic tail, as one numerator over s^n (s^n (s^e - 1) with the tail)."""
-    s, n = d.s, len(d.digits)
-    num = _fold(s, d.digits, alternating)
-    if not tail:
-        return Fraction(num, s**n)
-    t = _periodic_tail_value(s, tail, alternating, n)
-    return Fraction(num * t.denominator + t.numerator, s**n * t.denominator)
+        return Fraction(num, b**n)
+    tail = [_check_digit(t, d.s, "tail digit") for t in tail]
+    r = b ** len(tail) - 1
+    return Fraction(num * r + _fold(tail, repeat(b)), b**n * r)
 
 
 def eval_sadic(d: DigitString, tail: Sequence[int] = ()) -> Fraction:
@@ -118,12 +110,12 @@ def eval_sadic(d: DigitString, tail: Sequence[int] = ()) -> Fraction:
     `tail`, when given, is a digit block repeated forever after the finite
     prefix; the geometric closure is evaluated exactly.
     """
-    return _value(d, tail, False)
+    return _value(d, tail, d.s)
 
 
 def eval_negasadic(d: DigitString, tail: Sequence[int] = ()) -> Fraction:
     """Exact value of a nega-s-adic expansion: sum (-1)^n a_n s^-n."""
-    return _value(d, tail, True)
+    return _value(d, tail, -d.s)
 
 
 def eval_cantor(eps: Sequence[int], basis: Sequence[int], alternating: bool = False) -> Fraction:
@@ -134,15 +126,9 @@ def eval_cantor(eps: Sequence[int], basis: Sequence[int], alternating: bool = Fa
         raise ValueError("a Cantor basis needs at least one value")
     if min(basis) < 2:
         raise ValueError(f"basis value {min(basis)} must be > 1")
-    value = Fraction(0)
-    denom = 1
-    for n, e in enumerate(eps, 1):
-        dn = basis[(n - 1) % len(basis)]
-        e = _check_digit(e, dn)
-        denom *= dn
-        term = Fraction(e, denom)
-        value += -term if (alternating and n % 2 == 1) else term
-    return value
+    digits = [_check_digit(e, dn) for e, dn in zip(eps, cycle(basis))]
+    bases = [-dn if alternating else dn for _, dn in zip(digits, cycle(basis))]
+    return Fraction(_fold(digits, bases), prod(bases))
 
 
 def eval_negas_cantor(eps: Sequence[int], gaps: Sequence[int], s: int) -> Fraction:
@@ -152,15 +138,13 @@ def eval_negas_cantor(eps: Sequence[int], gaps: Sequence[int], s: int) -> Fracti
         raise InvalidDigitError(f"base must be >= 2, got {s}")
     if len(gaps) < len(eps):
         raise ValueError(f"{len(eps)} digits need as many gaps, got {len(gaps)}")
-    value = Fraction(0)
-    k = 0
-    for n, (e, m) in enumerate(zip(eps, gaps), 1):
-        e = _check_digit(e, s)
+    digits, bases = [], []
+    for e, m in zip(eps, gaps):
+        digits.append(_check_digit(e, s))
         if m < 1:
             raise ValueError(f"gap {m} must be a positive integer")
-        k += m
-        value += Fraction((-1) ** n * e, s**k)
-    return value
+        bases.append(-(s**m))
+    return Fraction(_fold(digits, bases), prod(bases))
 
 
 def digits_from_rational(x, s: int, n: int, negative: bool = False) -> DigitString:

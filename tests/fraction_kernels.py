@@ -1,12 +1,12 @@
 """Reference kernels in `Fraction`s: the phase system's hull solve and
 level oracle, each map x -> g + k*x a (g, k) pair of `Fraction`s, and the
-s-adic and nega-s-adic evaluators and digit extraction of `cantorkit.radix`.
+series evaluators and digit extraction of `cantorkit.radix`.
 
 `cantorkit.cylinders` steps the same system in integer numerators, each
 phase's maps as (G, K) over one denominator M, and `cantorkit.radix` folds
-digits into one integer numerator.  These are the `Fraction` versions they
-replaced; the tests compare the two, value for value, and convert systems
-and levels between the two forms.
+digits into one integer numerator over the product of its bases.  These are
+the `Fraction` versions they replaced; the tests compare the two, value for
+value, and convert systems and levels between the two forms.
 """
 
 from fractions import Fraction
@@ -154,6 +154,42 @@ def eval_negasadic(d, tail=()):
     value = sum(Fraction((-1) ** n * a, s**n) for n, a in enumerate(d.digits, 1))
     if tail:
         value += Fraction(1, s ** len(d)) * periodic_tail_value(s, tail, True, len(d))
+    return value
+
+
+def eval_cantor(eps, basis, alternating=False):
+    """sum (-1)^n e_n / (d_1...d_n) when alternating, else sum e_n / (d_1...d_n),
+    over the basis repeating `basis`, one `Fraction` a digit."""
+    basis = tuple(int(v) for v in basis)
+    if not basis:
+        raise ValueError("a Cantor basis needs at least one value")
+    if min(basis) < 2:
+        raise ValueError(f"basis value {min(basis)} must be > 1")
+    value = Fraction(0)
+    denom = 1
+    for n, e in enumerate(eps, 1):
+        dn = basis[(n - 1) % len(basis)]
+        e = _check_digit(e, dn)
+        denom *= dn
+        term = Fraction(e, denom)
+        value += -term if (alternating and n % 2 == 1) else term
+    return value
+
+
+def eval_negas_cantor(eps, gaps, s):
+    """sum (-1)^n e_n s^-(m_1+..+m_n), one `Fraction` a digit."""
+    if s < 2:
+        raise InvalidDigitError(f"base must be >= 2, got {s}")
+    if len(gaps) < len(eps):
+        raise ValueError(f"{len(eps)} digits need as many gaps, got {len(gaps)}")
+    value = Fraction(0)
+    k = 0
+    for n, (e, m) in enumerate(zip(eps, gaps), 1):
+        e = _check_digit(e, s)
+        if m < 1:
+            raise ValueError(f"gap {m} must be a positive integer")
+        k += m
+        value += Fraction((-1) ** n * e, s**k)
     return value
 
 

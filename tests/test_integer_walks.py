@@ -10,7 +10,8 @@ neither its types nor its `Fraction`s grow with the finest scale.  So are
 the phase system's kernels, which step integer numerators: the hull solve
 builds one `Fraction` per hull end, the oracle none at any depth, and the
 covering sums one per rank.  So are the radix conversions: an evaluation
-builds one `Fraction`, and `convert` builds as many at any length.
+builds one `Fraction`, in every series, and `convert` builds as many at
+any length.
 """
 
 from fractions import Fraction
@@ -20,7 +21,17 @@ import pytest
 import cantorkit.boxcount as bc
 import cantorkit.cylinders as cyl
 import cantorkit.families as families
-from cantorkit import DigitString, box_dimension, covering_sums, eval_sadic, parse_family, verify_family
+from cantorkit import (
+    DigitString,
+    box_dimension,
+    covering_sums,
+    eval_cantor,
+    eval_negas_cantor,
+    eval_negasadic,
+    eval_sadic,
+    parse_family,
+    verify_family,
+)
 from cantorkit.cli import main
 from conftest import clear_caches
 
@@ -135,10 +146,22 @@ def test_clear_caches_empties_every_table():
     assert not any(cache.cache_info().currsize for cache in caches)
 
 
-def test_eval_sadic_builds_one_fraction(monkeypatch):
-    digits = DigitString(7, tuple(range(7)) * 7 + (3,))
-    assert len(digits) == 50
-    assert _fractions_built(monkeypatch, lambda: eval_sadic(digits)) == 1
+_FIFTY = tuple(range(7)) * 7 + (3,)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: eval_sadic(DigitString(7, _FIFTY)),
+        lambda: eval_negasadic(DigitString(7, _FIFTY), (1, 6, 2)),  # 2 at the term-by-term tail
+        lambda: eval_cantor(tuple(e % 3 for e in _FIFTY), (3, 4, 5), alternating=True),  # 126 term by term
+        lambda: eval_negas_cantor(_FIFTY, tuple(range(1, 51)), 7),  # 101 term by term
+    ],
+    ids=["sadic", "negasadic-tail", "alternating-cantor", "negas-cantor"],
+)
+def test_eval_sadic_builds_one_fraction(monkeypatch, evaluate):
+    assert len(_FIFTY) == 50
+    assert _fractions_built(monkeypatch, evaluate) == 1
 
 
 def test_convert_builds_no_fraction_per_digit(monkeypatch, capsys):

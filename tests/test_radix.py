@@ -14,8 +14,8 @@ from cantorkit import (
     eval_negas_cantor,
     eval_negasadic,
     eval_sadic,
+    radix,
 )
-from cantorkit.radix import _periodic_tail_value
 
 
 def test_sadic_finite_sums():
@@ -35,7 +35,7 @@ def test_negasadic_values():
     assert eval_negasadic(DigitString(3, (1,))) == F(-1, 3)
     assert eval_negasadic(DigitString(3, ()), tail=(2, 0)) == F(-3, 4)
     assert eval_negasadic(DigitString(3, ()), tail=(0, 2)) == F(1, 4)
-    # odd-period tail needs the doubled sign cycle
+    # an odd-period tail closes in one step too: 1 read in base -3 repeats as 1/((-3)^1 - 1)
     assert eval_negasadic(DigitString(3, ()), tail=(1,)) == F(-1, 4)
 
 
@@ -76,12 +76,12 @@ def test_negas_cantor():
 
 @given(
     st.integers(2, 5),
-    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4)), min_size=1, max_size=6),
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 8)), min_size=1, max_size=6),
 )
-def test_odd_gap_series_equals_alternating_cantor(s, raw):
-    # under odd gaps, the gap-structured series IS the alternating Cantor
-    # series with basis d_n = s^(m_n)
-    gaps = tuple(2 * (m % 4) + 1 for _, m in raw)
+def test_gap_series_equals_alternating_cantor(s, raw):
+    # under every gap m_n >= 1, the gap-structured series IS the alternating
+    # Cantor series with basis d_n = s^(m_n)
+    gaps = tuple(m % 9 + 1 for _, m in raw)
     eps = tuple(e % s for e, _ in raw)
     lhs = eval_negas_cantor(eps, gaps, s)
     rhs = eval_cantor(eps, [s**m for m in gaps] or [s], alternating=True)
@@ -160,23 +160,59 @@ def _expansions(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_expansions(), st.integers(0, 40))
-def test_integer_evaluators_equal_the_references(expansion, start):
+@given(_expansions())
+def test_integer_evaluators_equal_the_references(expansion):
     s, digits, tail = expansion
     d = DigitString(s, digits)
     assert eval_sadic(d) == ref.eval_sadic(d)
     assert eval_negasadic(d) == ref.eval_negasadic(d)
-    assert eval_sadic(d, tail) == ref.eval_sadic(d, tail)
-    assert eval_negasadic(d, tail) == ref.eval_negasadic(d, tail)
-    for alternating in (False, True):
-        assert _periodic_tail_value(s, tail, alternating, start) == ref.periodic_tail_value(s, tail, alternating, start)
+    for k in range(len(digits) + 1):  # the tail starts after every prefix, at both parities
+        d = DigitString(s, digits[:k])
+        assert eval_sadic(d, tail) == ref.eval_sadic(d, tail)
+        assert eval_negasadic(d, tail) == ref.eval_negasadic(d, tail)
 
 
 @pytest.mark.parametrize("alternating", (False, True))
 def test_tail_digit_refusal_matches_the_reference(alternating):
-    want = _outcome(ref.periodic_tail_value, 3, (1, 3), alternating, 2)
-    assert _outcome(_periodic_tail_value, 3, (1, 3), alternating, 2) == want
-    assert want == (InvalidDigitError, "tail digit 3 outside {0..2}")
+    ours, theirs = (eval_negasadic, ref.eval_negasadic) if alternating else (eval_sadic, ref.eval_sadic)
+    for prefix in ((0, 2), (1, 0, 2)):  # the bad tail starts at both parities
+        d = DigitString(3, prefix)
+        want = _outcome(theirs, d, (1, 3))
+        assert _outcome(ours, d, (1, 3)) == want
+        assert want == (InvalidDigitError, "tail digit 3 outside {0..2}")
+
+
+@st.composite
+def _cantor_series(draw):
+    basis = tuple(draw(st.lists(st.integers(2, 9), min_size=1, max_size=4)))
+    eps = draw(st.lists(st.integers(0, 8), max_size=30))
+    return tuple(e % basis[n % len(basis)] for n, e in enumerate(eps)), basis
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cantor_series(), st.booleans(), st.integers(2, 7), st.lists(st.integers(1, 6), max_size=30))
+def test_cantor_folds_equal_the_references(series, alternating, s, gaps):
+    eps, basis = series
+    assert eval_cantor(eps, basis, alternating) == ref.eval_cantor(eps, basis, alternating)
+    eps = tuple(e % s for e in eps[: len(gaps)])
+    assert eval_negas_cantor(eps, gaps, s) == ref.eval_negas_cantor(eps, gaps, s)
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("eval_cantor", ((), ())),  # an empty basis
+        ("eval_cantor", ((0,), (3, 1))),  # a basis value of 1
+        ("eval_cantor", ((1, 2, 3, 4), (2, 3, 4), True)),  # a bad digit at a later position
+        ("eval_negas_cantor", ((1,), (1,), 1)),  # s = 1
+        ("eval_negas_cantor", ((1, 1, 1), (3, 3), 2)),  # fewer gaps than digits
+        ("eval_negas_cantor", ((1, 1), (3, 0), 2)),  # a gap of 0
+        ("eval_negas_cantor", ((1, 2), (2, 0), 2)),  # a bad digit before its bad gap
+    ],
+)
+def test_cantor_fold_refusals_match_the_references(name, args):
+    got = _outcome(getattr(radix, name), *args)
+    assert isinstance(got, tuple) and got == _outcome(getattr(ref, name), *args)
 
 
 @st.composite

@@ -16,8 +16,8 @@ from cantorkit.cylinders import (
     PropertyResult,
     VerificationReport,
 )
-from cantorkit.dimension import DimensionResult
-from cantorkit.errors import FamilyConstraintError, FamilyParseError, InvalidDigitError
+from cantorkit.dimension import DimensionResult, block_dimension, md_closed_form, periodic_dimension
+from cantorkit.errors import FamilyConstraintError, FamilyParseError, InvalidDigitError, OutOfRangeError
 from cantorkit.families import FamilySpec
 from cantorkit.radix import DigitString
 
@@ -52,6 +52,9 @@ def test_records_are_immutable_values(make, field):
         setattr(a, field, getattr(b, field))
     with pytest.raises(AttributeError):
         a.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert a.__eq__(object()) is NotImplemented and a != object()
     assert a == b == copy.copy(a) == pickle.loads(pickle.dumps(a))
 
 
@@ -105,6 +108,10 @@ INVALID = [
     (lambda: FitResult(0.5, 1.5, ()), ValueError, "r2 1.5 outside [0, 1]"),
     (lambda: DimensionResult(1.5, "m", 0.0, (0.0, 1.0), 1), ValueError, "dimension 1.5 outside [0, 1]"),
     (lambda: DimensionResult(0.5, "m", 0.0, (0.6, 0.7), 1), ValueError, "alpha 0.5 outside bracket (0.6, 0.7)"),
+    # the solvers refuse what no DimensionResult could describe
+    (lambda: block_dimension(0, {1: 2}), OutOfRangeError, "base must be >= 2, got 0"),
+    (lambda: md_closed_form(-1), OutOfRangeError, "base must be >= 2, got -1"),
+    (lambda: periodic_dimension(()), ValueError, "empty period"),
 ]
 
 
