@@ -20,9 +20,9 @@ counters that count the same cells:
   terminal pieces that claim it, rescaled so the cell is [0, 1); it decides
   its s subcells' types, and there are finitely many types (the finite-type
   condition of Bandt & Graf, Proc. AMS 114, 1992, and Ngai & Wang, J. London
-  Math. Soc. 63, 2001).  Each type is split once and each level carries a
-  count per type, so the cost stops growing with n once the types close
-  (38 for Tilde(s=4)), where the walk grows like N(s^-n).
+  Math. Soc. 63, 2001).  Each type, and each distinct piece, is split once
+  and each level carries a count per type, so the cost stops growing with n
+  once the types close (38 for Tilde(s=4)), where the walk grows like N(s^-n).
 * `_cover_counts`, a walk of the cylinder tree, for a mixed basis: a map
   whose scale is no power of s puts pieces at offsets that need not repeat
   on the mesh, and there the types ran into the thousands, slower than the
@@ -30,9 +30,8 @@ counters that count the same cells:
   child and finds the mesh cells of each scale by integer division.  It is
   also the type counter's test reference.
 
-Either way `box_walk` first counts the cylinders the walk to the finest
-scale would visit and refuses past `--cap`, so both counters admit the
-same scales.
+Each is refused past `--cap` by its own work: the walk by the cylinders
+`box_walk` counts before it, the types by the work of their splits.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .cylinders import _local_hulls
-from .families import DEFAULT_CAP, ROOT_FRAME, FamilySpec, _counted, box_walk, child_frames, digit_maps
+from .families import DEFAULT_CAP, ROOT_FRAME, FamilySpec, _counted, box_walk, child_frames, digit_maps, type_work
 
 
 class _ScaleCountFields(NamedTuple):
@@ -77,19 +76,21 @@ class FitResult(_FitResultFields):
         return super().__new__(cls, slope, min(r2, 1.0), scales)
 
 
-def _mesh(fam: FamilySpec, ns: Sequence[int], cap: int) -> tuple[int, dict[int, tuple[int, int, int]]]:
-    """M and phase -> (lo, hi, width) of the phase's local hull as numerators
-    over M, once `box_walk` has admitted the walk to the finest scale s^-ns[-1]
-    (rule 1, for either counter).  The mesh is anchored at phase 0's inf."""
+Mesh = tuple[int, dict[int, tuple[int, int, int]], dict[int, list[tuple[int, int, int, int]]]]
+
+
+def _mesh(fam: FamilySpec) -> Mesh:
+    """M, phase -> (lo, hi, width) of the phase's local hull as numerators
+    over M, anchored at phase 0's inf, and phase -> its maps (gn * M, sk, m,
+    next_phase): the one pass over hulls and maps that both counters read."""
     local = _local_hulls(fam)  # refuses MD: its branching is unbounded
     M = math.lcm(*(x.denominator for ends in local.values() for x in ends))
     ends = {phase: (int(lo * M), int(hi * M), int((hi - lo) * M)) for phase, (lo, hi) in local.items()}
-    q = fam.s ** ns[-1]
-    box_walk(fam, lambda den, phase: ends[phase][2] * q > M * den, cap, f"to eps={fam.s}^-{ns[-1]}")
-    return M, ends
+    maps = {p: [(gn * M, sk, m, nxt) for _, gn, sk, m, nxt in digit_maps(fam, p).values()] for p in ends}
+    return M, ends, maps
 
 
-def _cover_counts(fam: FamilySpec, ns: Sequence[int], cap: int) -> list[int]:
+def _cover_counts(fam: FamilySpec, ns: Sequence[int], cap: int, mesh: Mesh) -> list[int]:
     """Mesh cells touched at each width s^-n, n in the ascending list `ns`,
     from one walk of the cylinder tree.
 
@@ -97,14 +98,15 @@ def _cover_counts(fam: FamilySpec, ns: Sequence[int], cap: int) -> list[int]:
     hull width <= s^-ns[i].  Each node carries the index of the first scale
     still open on its path, so the walk descends only while the finest scale
     is open: it visits exactly the nodes of the finest scale's own walk,
-    which contains every coarser one; `box_walk` counts them before it.
+    which contains every coarser one; `box_walk` counts them first (rule 1).
     """
     # a frame's hull ends, measured from the anchor, are (V + sign * local
     # end)/den - anchor; over d = M * den all are integers, and the mesh
     # index of x/d at width 1/q is one integer division, x * q // d
-    M, ends = _mesh(fam, ns, cap)
-    anchor = ends[0][0]
+    M, ends, _ = mesh
     qs = [fam.s**n for n in ns]
+    box_walk(fam, lambda den, phase: ends[phase][2] * qs[-1] > M * den, cap, f"to eps={fam.s}^-{ns[-1]}")
+    anchor = ends[0][0]
     last = [-((-ends[0][2] * q) // M) - 1 for q in qs]  # ceil(width * q) cells
     cells: list[set[int]] = [set() for _ in qs]
     stack = [(0, ROOT_FRAME)]
@@ -135,64 +137,80 @@ def _cover_counts(fam: FamilySpec, ns: Sequence[int], cap: int) -> list[int]:
 Piece = tuple[int, int, int, int]
 
 
-def _subcell_types(pieces: frozenset, s: int, unit: int, ends, maps) -> list[frozenset]:
-    """The types of the nonempty subcells of a cell of type `pieces`.
-
-    Rescaled by s, the cell is [0, s) and its subcells [c, c + 1).  A piece
-    now wider than 1 splits through its phase's maps until each part is
-    terminal (its width <= 1); a part that claims no subcell is dropped with
-    all its descendants, which lie inside its hull.  A terminal part claims
-    subcell c under `_cover_counts`' rule: it meets the interior of
-    [c, c + 1), or it is a point of [c, c + 1)."""
-    subcells: dict[int, list[Piece]] = {}  # s may be far too large for a list
-    stack = [(s * T, s * R, sign, phase) for T, R, sign, phase in pieces]
+def _claims(piece: Piece, s: int, unit: int, ends, maps, room: int) -> tuple[dict[int, list[Piece]], int]:
+    """Subcell c of [0, s), the cell rescaled by s, -> the terminal parts
+    (width <= 1) of `piece` that claim it as `_cover_counts` does, and the
+    work: one a part popped plus the maps it applies, stopped before a split
+    past `room`.  A part claiming no subcell is dropped with all its
+    descendants, which lie inside its hull."""
+    found, work, stack = {}, 0, [(s * piece[0], s * piece[1], piece[2], piece[3])]
     while stack:
         T, R, sign, phase = stack.pop()
+        work += 1
         lo, hi, width = ends[phase]
         a, b = (T + R * lo, T + R * hi) if sign > 0 else (T - R * hi, T - R * lo)
         k1 = a // unit
         k2 = max(k1, -(-b // unit) - 1)  # a right end on a mesh line claims nothing beyond it
         if k2 < 0 or k1 >= s:
             continue
-        if R * width > unit:  # a map x -> (gn + sk*x)/m scales the piece by 1/m
+        if R * width > unit:  # a map x -> (gn + sk*x)/m scales the part by 1/m
+            if (work := work + len(maps[phase])) > room:
+                break
             stack.extend((T + sign * (R // m) * gn, R // m, sign * sk, nxt) for gn, sk, m, nxt in maps[phase])
             continue
         for c in range(max(k1, 0), min(k2, s - 1) + 1):
-            subcells.setdefault(c, []).append((T - c * unit, R, sign, phase))
+            found.setdefault(c, []).append((T - c * unit, R, sign, phase))
+    return found, work
+
+
+def _subcell_types(pieces: frozenset, claims) -> list[frozenset]:
+    """The types of a cell's nonempty subcells: its pieces' claims by subcell."""
+    subcells: dict[int, list[Piece]] = {}  # s may be far too large for a list
+    for piece in pieces:
+        for c, parts in claims(piece).items():
+            subcells.setdefault(c, []).extend(parts)
     return [frozenset(parts) for parts in subcells.values()]
 
 
-def _type_counts(fam: FamilySpec, ns: Sequence[int], cap: int) -> list[int]:
+def _type_counts(fam: FamilySpec, ns: Sequence[int], cap: int, mesh: Mesh) -> list[int]:
     """`_cover_counts` from a recursion over cell types, for a family whose
     every map's m is a power of s.
 
     A mesh cell's type is the set of terminal pieces that claim it, rescaled
-    so that the cell is [0, 1); the type alone decides its subcells' types
-    (`_subcell_types`), so each type is split once and each level carries
-    only a count per type.  Since m is a power of s, a piece's scale is a
-    power of s, bounded above by terminality and below by one split, and its
-    offset a multiple of 1/unit in a bounded range: finitely many types.
+    so that the cell is [0, 1); the type alone decides its subcells' type ids
+    (`_subcell_types`), so each type and each distinct piece (`_claims`) is
+    split once, and each level carries a count per id.  Since m is a power of
+    s, a piece's scale is a power of s, bounded above by terminality and below
+    by one split, and its offset a multiple of 1/unit in a bounded range:
+    finitely many types.  `cap` bounds the pieces' work times unit's words.
     """
-    M, ends = _mesh(fam, ns, cap)
-    s = fam.s
-    maps = {p: [(gn * M, sk, m, nxt) for _, gn, sk, m, nxt in digit_maps(fam, p).values()] for p in ends}
+    M, ends, maps = mesh
     # every phase's hull has width <= 1 (s-adic and Cantor values lie in
     # [0, 1], nega-s-adic ones in [-s/(s+1), 1/(s+1)], Sminus' in [-1/s, 0]),
     # so with R the largest m the whole hull fits cell 0 at level 0, and a
     # piece wide enough to split has a scale every m divides
-    R = max(m for ms in maps.values() for *_, m, _ in ms)
+    R = max(m for ms in maps.values() for _, _, m, _ in ms)
     unit = M * R
+    words, spent, found = unit.bit_length() // 64 + 1, 0, {}
+
+    def claims(piece: Piece) -> dict[int, list[Piece]]:
+        nonlocal spent
+        if piece not in found:
+            found[piece], work = _claims(piece, fam.s, unit, ends, maps, (cap - spent) // words)
+            if (spent := spent + work * words) > cap:
+                type_work(spent, cap, f"splitting cell types to eps={fam.s}^-{ns[-1]}")
+        return found[piece]
+
     root = frozenset({(-R * ends[0][0], R, 1, 0)})
-    types = {root: root}  # each type once, so a lookup compares by identity
-    subcells: dict[frozenset, list[frozenset]] = {}
-    counts, at = {root: 1}, [1]  # at[n]: the cells of level n
+    ids, kids = {root: 0}, []  # kids[i]: the ids of type i's subcells' types
+    counts, at = {0: 1}, [1]  # at[n]: the cells of level n
     for _ in range(ns[-1]):
-        finer: dict[frozenset, int] = {}
-        for cell, count in counts.items():
-            if cell not in subcells:
-                subcells[cell] = [types.setdefault(t, t) for t in _subcell_types(cell, s, unit, ends, maps)]
-            for t in subcells[cell]:
-                finer[t] = finer.get(t, 0) + count
+        finer, types = {}, list(ids)
+        for t, count in counts.items():
+            if t == len(kids):  # ids follow the order types first occur in, the order they are split in
+                kids.append([ids.setdefault(sub, len(ids)) for sub in _subcell_types(types[t], claims)])
+            for k in kids[t]:
+                finer[k] = finer.get(k, 0) + count
         counts = finer
         at.append(sum(counts.values()))
     return [at[n] for n in ns]
@@ -207,7 +225,8 @@ def fit_dimension(points: Sequence[ScaleCount]) -> FitResult:
         raise ValueError("degenerate scales: duplicated eps")
     if max(epss) / min(epss) < 100:
         raise ValueError("scales must span at least two decades of eps")
-    xs = [math.log(1.0 / p.epsilon) for p in points]
+    # 1/eps overflows to inf once eps is subnormal, where -log(eps) stays finite
+    xs = [math.log(1.0 / e) if 1.0 / e < math.inf else -math.log(e) for e in epss]
     ys = [math.log(p.count) for p in points]
     if len(set(ys)) == 1:
         return FitResult(0.0, 1.0, tuple(epss))
@@ -219,14 +238,6 @@ def fit_dimension(points: Sequence[ScaleCount]) -> FitResult:
     ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
     r2 = 1.0 - ss_res / ss_tot if ss_tot else 1.0
     return FitResult(slope, max(min(r2, 1.0), 0.0), tuple(epss))
-
-
-def _box_counter(fam: FamilySpec):
-    """`_type_counts` when every digit map's m is a power of s, else (a
-    mixed-basis Cantor series) the walk, `_cover_counts`."""
-    s, local = fam.s, _local_hulls(fam)  # every phase, each refused as the counters refuse it
-    finite = all(s ** round(math.log(m, s)) == m for phase in local for *_, m, _ in digit_maps(fam, phase).values())
-    return _type_counts if finite else _cover_counts
 
 
 def box_dimension(
@@ -248,5 +259,8 @@ def box_dimension(
     if (n_hi - n_lo) * math.log10(fam.s) < 2:
         raise ValueError("scales must span at least two decades of eps")
     ns = range(n_lo, n_hi + 1)
-    points = [ScaleCount(1 / fam.s**n, count) for n, count in zip(ns, _box_counter(fam)(fam, ns, cap))]
+    mesh = _mesh(fam)  # every phase, each refused as the counters refuse it
+    finite = all(fam.s ** round(math.log(m, fam.s)) == m for ms in mesh[2].values() for _, _, m, _ in ms)
+    counts = (_type_counts if finite else _cover_counts)(fam, ns, cap, mesh)  # a mixed basis walks
+    points = [ScaleCount(1 / fam.s**n, count) for n, count in zip(ns, counts)]
     return fit_dimension(points), points

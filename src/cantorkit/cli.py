@@ -373,9 +373,10 @@ def _options(name: str) -> dict:
     if "depth" in shared:
         options["--depth"] = {"type": _at_least(0), "default": 8, "help": "deepest address level (default 8)"}
     if "cap" in shared:
+        types = ", or word steps a count by cell types may take" * (name == "boxcount")
         options["--cap"] = {
             "type": _at_least(1), "default": DEFAULT_CAP,
-            "help": f"most cylinders a walk may visit (default {DEFAULT_CAP:,})",
+            "help": f"most cylinders a walk may visit{types} (default {DEFAULT_CAP:,})",
         }
     if formats:
         options["--format"] = {"choices": formats, "default": formats[0], "help": f"output format (default {formats[0]})"}

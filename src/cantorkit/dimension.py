@@ -21,7 +21,7 @@ from itertools import accumulate
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import OutOfRangeError, UnsupportedFamilyError
-from .families import FamilySpec, block_histogram, family_blocks
+from .families import FamilySpec, block_histogram, digit_maps
 
 ROOT_TOL = 1e-13
 MAX_ITER = 200
@@ -116,10 +116,10 @@ def block_dimension(s: int, hist: Mapping[int, int]) -> DimensionResult:
 def family_dimension(fam: FamilySpec) -> DimensionResult:
     """Dimension of a family by its defining equation.
 
-    Run/block families go through their block histogram; the free odd-gap
-    family uses the cubic closed form; the periodic-gap family the exact
-    ratio t/(m_1+...+m_t); a Cantor series the liminf estimate over
-    CANTOR_TERMS terms.
+    Run/block families go through the block histogram of their digit maps;
+    the free odd-gap family uses the cubic closed form; the periodic-gap
+    family the exact ratio t/(m_1+...+m_t); a Cantor series the liminf
+    estimate over CANTOR_TERMS terms.
     """
     if fam.kind == "Cantor":
         result = cantor_series_dim_estimate(fam)
@@ -128,7 +128,7 @@ def family_dimension(fam: FamilySpec) -> DimensionResult:
     elif fam.kind == "MDper":
         result = periodic_dimension(fam.period)
     else:
-        result = block_dimension(fam.s, block_histogram(family_blocks(fam)))
+        result = block_dimension(fam.s, block_histogram(b for b, *_ in digit_maps(fam, 0).values()))
     return result._replace(degenerate=fam.degenerate)
 
 

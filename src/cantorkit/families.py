@@ -47,7 +47,7 @@ from functools import lru_cache
 from itertools import chain, groupby, product
 from math import gcd, lcm, log10
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 from .errors import (
     CapExceededError,
@@ -334,6 +334,11 @@ def box_walk(fam: FamilySpec, splits, cap: int, where: str) -> int:
             for *_, m, nxt in digit_maps(fam, state[1]).values():
                 paths[state[0] * m, nxt] = paths.get((state[0] * m, nxt), 0) + n
     return total
+
+
+def type_work(spent: int, cap: int, where: str) -> NoReturn:
+    """Rule 1 for the box count by cell types: its splits' work has passed `cap`."""
+    raise CapExceededError(f"{spent}+ word steps {where}: above the cap {cap}; lower --scales or raise --cap")
 
 
 def denominator_digits(count: int, digits: float, m: int, what: str, fix: str = "") -> float:

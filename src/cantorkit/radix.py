@@ -42,7 +42,7 @@ class DigitString:
     def __init__(self, s: int, digits: tuple[int, ...]):
         if s < 2:
             raise InvalidDigitError(f"base must be >= 2, got {s}")
-        digits = tuple(map(int, digits))
+        digits = tuple(_integer(d, "digit") for d in digits)
         if digits and not (0 <= min(digits) and max(digits) < s):
             bad = next(d for d in digits if not 0 <= d < s)
             raise InvalidDigitError(f"digit {bad} outside alphabet of base {s}")
@@ -76,8 +76,15 @@ class DigitString:
         return iter(self.digits)
 
 
+def _integer(v, what: str) -> int:
+    """v as an int, refused unless v % 1 == 0: a fraction, NaN and the infinities are not."""
+    if v % 1 != 0:
+        raise InvalidDigitError(f"{what} {v!r} is not an integer")
+    return int(v)
+
+
 def _check_digit(d: int, bound: int, what: str = "digit") -> int:
-    d = int(d)
+    d = _integer(d, what)
     if not 0 <= d < bound:
         raise InvalidDigitError(f"{what} {d} outside {{0..{bound - 1}}}")
     return d
@@ -121,7 +128,7 @@ def eval_negasadic(d: DigitString, tail: Sequence[int] = ()) -> Fraction:
 def eval_cantor(eps: Sequence[int], basis: Sequence[int], alternating: bool = False) -> Fraction:
     """Exact value of a (possibly alternating) Cantor series over the basis
     repeating `basis`: d_n = basis[(n-1) mod len(basis)]."""
-    basis = tuple(int(v) for v in basis)
+    basis = tuple(_integer(v, "basis value") for v in basis)
     if not basis:
         raise ValueError("a Cantor basis needs at least one value")
     if min(basis) < 2:
@@ -141,9 +148,9 @@ def eval_negas_cantor(eps: Sequence[int], gaps: Sequence[int], s: int) -> Fracti
     digits, bases = [], []
     for e, m in zip(eps, gaps):
         digits.append(_check_digit(e, s))
-        if m < 1:
+        if not (m >= 1 and m % 1 == 0):  # NaN and the infinities fail too
             raise ValueError(f"gap {m} must be a positive integer")
-        bases.append(-(s**m))
+        bases.append(-(s ** int(m)))
     return Fraction(_fold(digits, bases), prod(bases))
 
 

@@ -16,7 +16,7 @@ from cantorkit import (
     parse_family,
     set_interval,
 )
-from cantorkit.boxcount import _cover_counts, _type_counts
+from cantorkit.boxcount import _cover_counts, _mesh, _type_counts
 from cantorkit.families import FamilySpec, address_frame, box_walk, child_frames, digit_maps
 
 LOG32 = math.log(2) / math.log(3)
@@ -27,13 +27,13 @@ def test_cantor_counts_are_powers_of_two():
     for text in ("Blocks(s=3,B=[0;2])", "Cantor(d=[3],I=[{0,2}])"):
         fam = parse_family(text)
         for n in range(4, 11):
-            assert _cover_counts(fam, [n], 10**6)[0] == 2**n, text
+            assert _cover_counts(fam, [n], 10**6, _mesh(fam))[0] == 2**n, text
 
 
 def test_full_alphabet_fills_every_box():
     fam = parse_family("Blocks(s=3,B=[0;1;2])")
     for n in range(2, 6):
-        assert _cover_counts(fam, [n], 10**6)[0] == 3**n
+        assert _cover_counts(fam, [n], 10**6, _mesh(fam))[0] == 3**n
 
 
 def test_degenerate_singleton_counts_one_box():
@@ -41,12 +41,12 @@ def test_degenerate_singleton_counts_one_box():
     for text in ("Su(s=3,u=1)", "Blocks(s=2,B=[0 1])", "Cantor(d=[3],I=[{1}])"):
         fam = parse_family(text)
         for n in (2, 5, 9):
-            assert _cover_counts(fam, [n], 10**6)[0] == 1, text
+            assert _cover_counts(fam, [n], 10**6, _mesh(fam))[0] == 1, text
 
 
 def test_counts_nonincreasing_in_eps():
     fam = parse_family("S(s=3)")
-    counts = [_cover_counts(fam, [n], 10**6)[0] for n in range(3, 10)]
+    counts = [_cover_counts(fam, [n], 10**6, _mesh(fam))[0] for n in range(3, 10)]
     assert counts == sorted(counts)
 
 
@@ -124,14 +124,14 @@ ONE_WALK_FAMILIES = (
 def test_one_walk_matches_one_scale_counts(text):
     fam = parse_family(text)
     _, points = box_dimension(fam, 1, 6)
-    assert [p.count for p in points] == [_cover_counts(fam, [n], 10**6)[0] for n in range(1, 7)]
+    assert [p.count for p in points] == [_cover_counts(fam, [n], 10**6, _mesh(fam))[0] for n in range(1, 7)]
 
 
 @pytest.mark.parametrize("text", ONE_WALK_FAMILIES)
 def test_one_walk_takes_any_descending_widths(text):
     fam = parse_family(text)
     ns = [0, 2, 3, 3, 5, 6]  # not contiguous, with a repeat
-    assert _cover_counts(fam, ns, 10**6) == [_cover_counts(fam, [n], 10**6)[0] for n in ns]
+    assert _cover_counts(fam, ns, 10**6, _mesh(fam)) == [_cover_counts(fam, [n], 10**6, _mesh(fam))[0] for n in ns]
 
 
 def _hull_count(fam, eps, min_rank=0):
@@ -158,7 +158,7 @@ def _hull_count(fam, eps, min_rank=0):
 def test_integer_walk_matches_hull_reference(text):
     fam = parse_family(text)
     ns = (0, 1, 2, 3, 4)
-    assert [_cover_counts(fam, [n], 10**6)[0] for n in ns] == [_hull_count(fam, F(1, fam.s**n)) for n in ns]
+    assert [_cover_counts(fam, [n], 10**6, _mesh(fam))[0] for n in ns] == [_hull_count(fam, F(1, fam.s**n)) for n in ns]
 
 
 @pytest.mark.parametrize("text", ("S(s=3)", "NSu(s=4,u=1)", "MDper(s=3,m=[3,5])"))
@@ -167,7 +167,7 @@ def test_adaptive_cover_matches_uniform_depth(text):
     # rank touches the same cells as splitting only those wider than eps
     fam = parse_family(text)
     for n in (1, 2, 3, 4):
-        count = _cover_counts(fam, [n], 10**6)[0]
+        count = _cover_counts(fam, [n], 10**6, _mesh(fam))[0]
         assert [_hull_count(fam, F(1, fam.s**n), min_rank) for min_rank in (0, 2, 4)] == [count] * 3, (text, n)
 
 
@@ -183,14 +183,67 @@ def _walk_size(fam, eps):
     return total
 
 
-# the middle-thirds set has hulls exactly s^-n wide, so ties with eps occur
-@pytest.mark.parametrize("text", ("S(s=3)", "Blocks(s=3,B=[0;2])", "Blocks(s=3,B=[0 2;1])", "MDper(s=3,m=[3,5])"))
-def test_cap_bounds_the_finest_walk(text):
+def _type_charge(monkeypatch, fam, n_lo, n_hi):
+    """The charge of one count by cell types: each distinct piece's split
+    work, as `_claims` reports it, times the machine words of its `unit`."""
+    charges, true_claims = [], bc._claims
+
+    def recorded(piece, s, unit, ends, maps, room):
+        found, work = true_claims(piece, s, unit, ends, maps, room)
+        charges.append(work * (unit.bit_length() // 64 + 1))
+        return found, work
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bc, "_claims", recorded)
+        box_dimension(fam, n_lo, n_hi)
+    return sum(charges)
+
+
+#: the work of counting by cell types to eps = s^-7, pinned: S(s=20)'s unit
+#: takes three machine words, the others' one
+TYPE_CHARGES = {
+    "S(s=3)": 17,
+    "Blocks(s=3,B=[0;2])": 5,
+    "Blocks(s=3,B=[0 2;1])": 17,
+    "MDper(s=3,m=[3,5])": 13,
+    "S(s=20)": 2550,
+}
+
+
+# a count by cell types is refused by its own work, and the mixed basis by
+# the cylinders its walk visits; the middle-thirds set has hulls exactly
+# s^-n wide, so ties with eps occur
+@pytest.mark.parametrize("text", tuple(TYPE_CHARGES) + ("Cantor(d=[4,5],I=[{0,3},{1,2,4}])",))
+def test_cap_bounds_the_finest_walk(monkeypatch, text):
     fam = parse_family(text)
-    visited = _walk_size(fam, F(1, fam.s**7))
-    with pytest.raises(CapExceededError):
-        box_dimension(fam, 2, 7, cap=visited - 1)
-    box_dimension(fam, 2, 7, cap=visited)
+    if text in TYPE_CHARGES:
+        charge = TYPE_CHARGES[text]
+        assert _type_charge(monkeypatch, fam, 2, 7) == charge
+    else:
+        charge = _walk_size(fam, F(1, fam.s**7))
+    with pytest.raises(CapExceededError, match="; lower --scales or raise --cap$"):
+        box_dimension(fam, 2, 7, cap=charge - 1)
+    box_dimension(fam, 2, 7, cap=charge)
+
+
+def test_each_distinct_piece_is_split_once(monkeypatch):
+    # Tilde(s=4)'s 38 types hold 80 pieces, only 20 of them distinct
+    fam = parse_family("Tilde(s=4)")
+    split, types, true_claims, true_types = [], [], bc._claims, bc._subcell_types
+
+    def counted(piece, *args):
+        split.append(piece)
+        return true_claims(piece, *args)
+
+    def typed(pieces, claims):
+        types.append(len(pieces))
+        return true_types(pieces, claims)
+
+    monkeypatch.setattr(bc, "_claims", counted)
+    monkeypatch.setattr(bc, "_subcell_types", typed)
+    box_dimension(fam)
+    assert (len(types), sum(types)) == (38, 80)
+    assert len(split) == len(set(split)) == 20
 
 
 # every kind with a map table: NSu with u = 0 and u > 0, a block list with a
@@ -227,7 +280,7 @@ def test_predicted_box_walk_is_the_walked_one(monkeypatch, text):
         with monkeypatch.context() as patch:
             patch.setattr(bc, "box_walk", recorded)
             patch.setattr(bc, "child_frames", counted)
-            _cover_counts(fam, [n], 10**6)
+            _cover_counts(fam, [n], 10**6, _mesh(fam))
         assert predicted == [walked] == [_walk_size(fam, F(1, fam.s**n))], (text, n)
 
 
@@ -253,7 +306,7 @@ def test_the_maps_choose_the_counter(monkeypatch, text, counter, other):
     # the type recursion takes every family whose maps' m are powers of s; a
     # mixed basis never enters it
     fam = parse_family(text)
-    expected = getattr(bc, counter)(fam, range(1, 7), 10**6)
+    expected = getattr(bc, counter)(fam, range(1, 7), 10**6, _mesh(fam))
     monkeypatch.setattr(bc, other, _refused)
     assert [p.count for p in box_dimension(fam, 1, 6)[1]] == expected
 
@@ -293,4 +346,4 @@ def finite_type_families(draw):
 @example(parse_family("Blocks(s=2,B=[0;0 1;1 0])"))  # so does 0 1 0
 def test_type_counts_equal_the_walk(fam):
     ns = range(0, 7 if fam.s < 6 else 5)
-    assert _type_counts(fam, ns, 10**6) == _cover_counts(fam, ns, 10**6), fam.label()
+    assert _type_counts(fam, ns, 10**6, _mesh(fam)) == _cover_counts(fam, ns, 10**6, _mesh(fam)), fam.label()

@@ -12,6 +12,7 @@ from cantorkit import CapExceededError, enumerate_addresses, parse_family, verif
 from cantorkit.cli import main
 from cantorkit.cylinders import _has_closed_form
 from cantorkit.families import walk_size
+from conftest import clear_caches
 
 #: every kind with a map table, NSu with u = 0 and u > 0, a block list with a
 #: block that is a prefix of another, two gap phases, a two-phase Cantor series
@@ -61,7 +62,10 @@ def test_rank_walks_are_refused_one_cylinder_past_the_cap():
         (("verify", "Su(s=3,u=1)", "--depth", "100000", "--cap", "5"), "; lower --depth"),
         (("enumerate", "Su(s=3,u=1)", "--depth", "1000000"), "1000001+ cylinders in ranks 0..1000000"),
         (("enumerate", "S(s=3)", "--depth", "19"), "above the cap 1000000; lower --depth or raise --cap"),
-        (("boxcount", "S(s=3)", "--scales", "4:600"), "cylinders to eps=3^-600: above the cap 1000000; lower --scales"),
+        (
+            ("boxcount", "Tilde(s=10)", "--cap", "1000"),
+            "1002+ word steps splitting cell types to eps=10^-10: above the cap 1000; lower --scales",
+        ),
     ],
 )
 def test_walks_past_the_budget_are_refused_before_they_start(capsys, argv, says):
@@ -70,6 +74,31 @@ def test_walks_past_the_budget_are_refused_before_they_start(capsys, argv, says)
     assert time.perf_counter() - start < 0.1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ") and says in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("boxcount", "S(s=3)", "--scales", "4:40"),  # 5 types; the walk would visit 1346268+ cylinders
+        ("boxcount", "S(s=3)", "--scales", "4:600"),
+        ("boxcount", "Tilde(s=7)"),  # 330 types split; 1031525+ cylinders
+        ("boxcount", "S(s=1000)"),  # 99 types, some of about 1,000 pieces, on integers of about 20,000 bits
+        ("boxcount", "S(s=1000)", "--scales", "0:3"),
+    ],
+)
+def test_box_counts_are_budgeted_by_their_own_work(capsys, argv):
+    # a count by cell types is admitted by the work of splitting its types,
+    # not by the cylinders a walk to the finest scale would visit
+    clear_caches()  # the hull solve is part of the time
+    start = time.perf_counter()
+    code = main(list(argv))
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out.startswith("eps,count\n") and captured.err == ""
+    else:
+        assert argv[1] == "S(s=1000)" and code == 1 and captured.out == ""
+        assert "--scales" in captured.err and "--cap" in captured.err
 
 
 def test_verify_runs_to_the_last_rank_the_digit_rule_admits(capsys):
@@ -98,6 +127,7 @@ def test_only_the_budget_and_the_table_guards_raise_at_a_cap():
     assert _cap_raisers() == {
         ("families", "walk_size"),
         ("families", "box_walk"),
+        ("families", "type_work"),
         ("families", "denominator_digits"),
         ("families", "_counted"),
         ("families", "digit_maps"),

@@ -335,13 +335,20 @@ def test_verify_prints_only_rows_that_can_fail(capsys):
     assert printed == set().union(*(rows for _, _, rows, _ in SABOTAGES))
 
 
+def test_boxcount_fits_scales_whose_eps_is_subnormal(capsys):
+    # past s^n = 2^1024, 1/eps overflows a float; the fit reads -log(eps) there
+    assert main(["boxcount", "Tilde(s=10)", "--scales", "4:309"]) == 0
+    captured = capsys.readouterr()
+    assert "\n1e-309," in captured.out and "\n# slope,0.602055210624\n" in captured.out and captured.err == ""
+
+
 def test_back_to_back_commands_carry_nothing_over(capsys):
     runs = [
         ("verify", "S(s=3)", "--depth", "2", "--format", "json"),
         ("cover", "S(s=3)", "--depth", "3"),
         ("dim", "S(s=3)", "--format", "csv"),
         ("verify", "S(s=3)"),
-        ("boxcount", "S(s=3)", "--cap", "100"),
+        ("boxcount", "S(s=3)", "--cap", "1"),
         ("eval", "S(s=3)", "--alphas", "2,1"),
     ]
     first = [run(capsys, *argv) for argv in runs]

@@ -19,7 +19,8 @@ from cantorkit import (
     periodic_dimension,
 )
 from cantorkit.dimension import CANTOR_TERMS, _periodic_prefix
-from cantorkit.families import block_histogram, family_blocks
+from cantorkit.families import block_histogram, digit_maps, family_blocks
+from test_boxcount import finite_type_families
 
 LOG32 = math.log(2) / math.log(3)
 
@@ -93,6 +94,16 @@ def test_two_path_equality_against_alpha_space_bisection():
         r = family_dimension(fam)
         hist = block_histogram(family_blocks(fam))
         assert abs(r.alpha - _alpha_bisect(fam.s, hist)) <= 1e-12, text
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_type_families())
+def test_the_digit_maps_give_the_block_histogram(fam):
+    # `dim` reads the block lengths off the digit maps of phase 0; every kind
+    # it solves by its block equation has one phase, whose maps write the blocks
+    if fam.kind not in ("Cantor", "MDper"):
+        maps = digit_maps(fam, 0)
+        assert block_histogram(b for b, *_ in maps.values()) == block_histogram(family_blocks(fam)), fam.label()
 
 
 def test_degenerate_family_flagged():

@@ -78,7 +78,7 @@ def test_box_count_builds_no_fraction_per_node(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(bc, "child_frames", counted_children)
-            built = _fractions_built(monkeypatch, lambda: bc._cover_counts(fam, range(2, n_hi + 1), 10**6))
+            built = _fractions_built(monkeypatch, lambda: bc._cover_counts(fam, range(2, n_hi + 1), 10**6, bc._mesh(fam)))
         visits.append(nodes)
         return built
 

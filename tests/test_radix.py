@@ -143,6 +143,37 @@ def test_digit_refusal_names_the_first_bad_digit(digits, bad):
     assert str(exc.value) == f"digit {bad} outside alphabet of base 3"
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "f, args, want",
+    [
+        (DigitString, (3, (1.9, 2.5)), (InvalidDigitError, "digit 1.9 is not an integer")),
+        (DigitString, (3, (0, 2, NAN)), (InvalidDigitError, "digit nan is not an integer")),
+        (eval_sadic, (DigitString(3, ()), (1.5,)), (InvalidDigitError, "tail digit 1.5 is not an integer")),
+        (eval_negasadic, (DigitString(3, (1,)), (0, NAN)), (InvalidDigitError, "tail digit nan is not an integer")),
+        (eval_cantor, ((1.7,), (2,)), (InvalidDigitError, "digit 1.7 is not an integer")),
+        (eval_cantor, ((1, float("inf")), (3,), True), (InvalidDigitError, "digit inf is not an integer")),
+        (eval_cantor, ((1,), (2.5,)), (InvalidDigitError, "basis value 2.5 is not an integer")),
+        (eval_cantor, ((1,), (3, NAN)), (InvalidDigitError, "basis value nan is not an integer")),
+        (eval_negas_cantor, ((1.5,), (1,), 3), (InvalidDigitError, "digit 1.5 is not an integer")),
+        (eval_negas_cantor, ((1,), (1.5,), 3), (ValueError, "gap 1.5 must be a positive integer")),
+        (eval_negas_cantor, ((1, 1), (2, NAN), 3), (ValueError, "gap nan must be a positive integer")),
+        (eval_negas_cantor, ((1,), (float("inf"),), 3), (ValueError, "gap inf must be a positive integer")),
+    ],
+)
+def test_non_integer_digits_are_refused_not_truncated(f, args, want):
+    assert _outcome(f, *args) == want
+
+
+def test_integral_digits_of_any_type_are_read_as_ints():
+    digits = DigitString(3, (2.0, F(1), True)).digits
+    assert digits == (2, 1, 1) and {type(d) for d in digits} == {int}
+    assert eval_negas_cantor((1, 2.0), (2.0, F(1)), 3) == eval_negas_cantor((1, 2), (2, 1), 3)
+    assert eval_cantor((1.0,), (2,)) == F(1, 2)
+
+
 def _outcome(f, *args, **kwargs):
     """What f returns, or the type and message of the error it raises."""
     try:
