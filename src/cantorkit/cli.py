@@ -16,6 +16,7 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _jstr
+from types import SimpleNamespace
 
 from . import boxcount as bc
 from . import cylinders as cyl
@@ -99,8 +100,8 @@ def _emit(text: str, out: str | None) -> None:
         print(text, flush=True)  # a closed pipe shows here, not at exit
 
 
-def _dim_payload(family_text: str) -> dict:
-    fam = parse_family(family_text)
+def _cmd_dim(args) -> tuple[str, int]:
+    fam = args.family
     result = dim.family_dimension(fam)
     payload = {
         "family": fam.label(),
@@ -115,33 +116,21 @@ def _dim_payload(family_text: str) -> dict:
         payload["cross_check"] = result.cross_check
     if result.note is not None:
         payload["note"] = result.note
-    return payload
-
-
-def _cmd_dim(args) -> int:
-    payload = _dim_payload(args.family)
     if args.format == "text":
-        _emit(
-            "\n".join(f"{k}: {_jdump(v) if not isinstance(v, str) else v}" for k, v in payload.items()),
-            args.out,
-        )
-    elif args.format == "csv":
+        return "\n".join(f"{k}: {_jdump(v) if not isinstance(v, str) else v}" for k, v in payload.items()), 0
+    if args.format == "csv":
         label = payload["family"]
         if "," in label:  # RFC 4180 quotes a field that holds a comma; no label holds a quote
             label = f'"{label}"'
-        _emit(
+        return (
             "family,alpha,method,residual,degenerate\n"
-            f"{label},{_jfloat(payload['alpha'])},{payload['method']},"
-            f"{_jfloat(payload['residual'])},{payload['degenerate']}",
-            args.out,
-        )
-    else:
-        _emit(_jdump(payload), args.out)
-    return 0
+            f"{label},{_jfloat(result.alpha)},{result.method},{_jfloat(result.residual)},{result.degenerate}"
+        ), 0
+    return _jdump(payload), 0
 
 
-def _cmd_blocks(args) -> int:
-    fam = parse_family(args.family)
+def _cmd_blocks(args) -> tuple[str, int]:
+    fam = args.family
     md = fam.kind == "MD"  # infinitely many blocks: 0^(k-1) a for odd k >= 3, a != 0
     blocks = () if md else family_blocks(fam)
     payload = {
@@ -152,8 +141,7 @@ def _cmd_blocks(args) -> int:
         "histogram": block_histogram(blocks),
         "blocks": [" ".join(map(str, b)) for b in blocks] if blocks else None,
     }
-    _emit(_jdump(payload), args.out)
-    return 0
+    return _jdump(payload), 0
 
 
 def _refuse_past_str_limit(what: str, digits: int) -> None:
@@ -177,8 +165,8 @@ def _refuse_long_values(what: str, values) -> None:
     _refuse_past_str_limit(what, k + (top >= 10**k))
 
 
-def _cmd_eval(args) -> int:
-    fam = parse_family(args.family)
+def _cmd_eval(args) -> tuple[str, int]:
+    fam = args.family
     alphas = _parse_selectors(fam, args.alphas, "--alphas")
     tail = _parse_selectors(fam, args.tail, "--tail") if args.tail else ()
     if fam.kind == "MD":  # a gap writes up to 10^6 digits; the others write short blocks
@@ -196,8 +184,7 @@ def _cmd_eval(args) -> int:
     }
     if fam.kind != "Cantor":
         payload["digits"] = " ".join(map(str, expand_address(fam, alphas).digits))
-    _emit(_jdump(payload), args.out)
-    return 0
+    return _jdump(payload), 0
 
 
 def _parse_selectors(fam, text, option):
@@ -213,8 +200,8 @@ def _parse_selectors(fam, text, option):
     return _int_list(text, option)
 
 
-def _cmd_cylinder(args) -> int:
-    fam = parse_family(args.family)
+def _cmd_cylinder(args) -> tuple[str, int]:
+    fam = args.family
     addr = _parse_selectors(fam, args.addr, "--addr") if args.addr else ()
     report = cyl.cylinder_report(fam, addr, child=args.child)
     values = (report.interval.lo, report.interval.hi, report.diameter, report.child_ratio)
@@ -229,13 +216,11 @@ def _cmd_cylinder(args) -> int:
         "child_ratio": report.child_ratio,
         "orientation": report.orientation,
     }
-    _emit(_jdump(payload), args.out)
-    return 0
+    return _jdump(payload), 0
 
 
-def _cmd_verify(args) -> int:
-    fam = parse_family(args.family)
-    report = cyl.verify_family(fam, depth=args.depth, cap=args.cap)
+def _cmd_verify(args) -> tuple[str, int]:
+    report = cyl.verify_family(args.family, depth=args.depth, cap=args.cap)
     if args.format == "json":
         payload = {
             "family": report.family,
@@ -250,32 +235,28 @@ def _cmd_verify(args) -> int:
                 for r in report.results
             ],
         }
-        _emit(_jdump(payload), args.out)
-    else:
-        lines = [f"verify {report.family} (depth {args.depth}, oracle depth {args.depth + cyl.ORACLE_EXTRA_DEPTH})"]
-        for r in report.results:
-            mark = "pass" if r.passed else "FAIL"
-            lines.append(f"[{mark}] {r.name:<20} {r.checked} checks")
-            for f in r.failures:
-                lines.append(f"       {f}")
-        lines.append("RESULT: " + ("all properties hold" if report.passed else "FAILURES FOUND"))
-        _emit("\n".join(lines), args.out)
-    return 0 if report.passed else 2
+        return _jdump(payload), 0 if report.passed else 2
+    lines = [f"verify {report.family} (depth {args.depth}, oracle depth {args.depth + cyl.ORACLE_EXTRA_DEPTH})"]
+    for r in report.results:
+        mark = "pass" if r.passed else "FAIL"
+        lines.append(f"[{mark}] {r.name:<20} {r.checked} checks")
+        for f in r.failures:
+            lines.append(f"       {f}")
+    lines.append("RESULT: " + ("all properties hold" if report.passed else "FAILURES FOUND"))
+    return "\n".join(lines), 0 if report.passed else 2
 
 
-def _cmd_cover(args) -> int:
-    fam = parse_family(args.family)
-    sums = cyl.covering_sums(fam, args.depth)
+def _cmd_cover(args) -> tuple[str, int]:
+    sums = cyl.covering_sums(args.family, args.depth)
     _refuse_long_values(f"the covering sums to --depth {args.depth} have an integer", sums)
     rows = ["depth,exact,float"]
     for d, total in enumerate(sums):
         rows.append(f"{d},{total.numerator}/{total.denominator},{_jfloat(float(total))}")
-    _emit("\n".join(rows), args.out)
-    return 0
+    return "\n".join(rows), 0
 
 
-def _cmd_boxcount(args) -> int:
-    fam = parse_family(args.family)
+def _cmd_boxcount(args) -> tuple[str, int]:
+    fam = args.family
     fit, points = bc.box_dimension(fam, *args.scales, cap=args.cap)
     solver = dim.family_dimension(fam)
     rows = ["eps,count"]
@@ -284,21 +265,18 @@ def _cmd_boxcount(args) -> int:
     rows.append(f"# r2,{_jfloat(fit.r2)}")
     rows.append(f"# solver_alpha,{_jfloat(solver.alpha)}")
     rows.append(f"# gap,{_jfloat(abs(fit.slope - solver.alpha))}")
-    _emit("\n".join(rows), args.out)
-    return 0
+    return "\n".join(rows), 0
 
 
-def _cmd_enumerate(args) -> int:
-    fam = parse_family(args.family)
+def _cmd_enumerate(args) -> tuple[str, int]:
+    fam = args.family
     addrs = enumerate_addresses(fam, args.depth, cap=args.cap)
     if args.format == "json":
-        _emit(_jdump({"family": fam.label(), "depth": args.depth, "addresses": addrs}), args.out)
-    else:
-        _emit("\n".join(" ".join(map(str, a)) for a in addrs) or "()", args.out)
-    return 0
+        return _jdump({"family": fam.label(), "depth": args.depth, "addresses": addrs}), 0
+    return "\n".join(" ".join(map(str, a)) for a in addrs) or "()", 0
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args) -> tuple[str, int]:
     digits = DigitString(args.base, _int_list(args.digits, "--digits"))
     # the printed rationals have denominators up to base^length
     _refuse_long_denominators(f"--length {args.length}", args.length, args.base)
@@ -320,12 +298,12 @@ def _cmd_convert(args) -> int:
         "bound": bound,
         "within_bound": abs(round_trip - value) <= bound,
     }
-    _emit(_jdump(payload), args.out)
-    return 0
+    return _jdump(payload), 0
 
 
 #: every subcommand, once: name -> (handler, help, the shared arguments its
-#: handler reads, its --format choices with the default first, its own options)
+#: handler reads, its --format choices with the default first, its own options);
+#: a handler maps the values, the family parsed, to its text and exit code
 _COMMANDS = {
     "dim": (_cmd_dim, "dimension of a family", ("family",), ("json", "csv", "text"), ()),
     "blocks": (_cmd_blocks, "digit-block language of a family", ("family",), (), ()),
@@ -357,13 +335,6 @@ _COMMANDS = {
 
 class _UsageError(Exception):
     """A command line that runs no command; args: (its command or None, the message)."""
-
-
-class _Args:
-    """The values of one command line, as attributes named after its options."""
-
-    def __init__(self, values: dict):
-        self.__dict__.update(values)
 
 
 def _options(name: str) -> dict:
@@ -481,7 +452,7 @@ def _read_command(name: str, argv, extras):
         raise _UsageError(name, f"the following arguments are required: {', '.join(missing)}")
     if extras:
         raise _UsageError(name, f"unrecognized arguments: {' '.join(extras)}")
-    return func, _Args(values)
+    return func, SimpleNamespace(**values)
 
 
 def _metavar(flag: str, spec: dict) -> str:
@@ -524,7 +495,8 @@ def _help(name) -> str:
 
 
 def main(argv=None) -> int:
-    """Run one command line (default `sys.argv[1:]`) and return its exit code."""
+    """Run one command line (default `sys.argv[1:]`): parse its family, run
+    its handler, write the text to stdout or --out, and return the exit code."""
     argv = sys.argv[1:] if argv is None else argv
     try:
         command = _read(argv)
@@ -536,7 +508,11 @@ def main(argv=None) -> int:
         return 0
     func, args = command
     try:
-        return func(args)
+        if hasattr(args, "family"):
+            args.family = parse_family(args.family)
+        text, code = func(args)
+        _emit(text, args.out)
+        return code
     except (CantorkitError, ValueError) as exc:
         # every library error, bad numbers included, is a usage error
         sys.stderr.write(f"error: {exc}\n")

@@ -857,6 +857,33 @@ def test_a_closed_pipe_ends_quietly():
     proc.stderr.close()
 
 
+def test_a_pipe_closed_after_one_line_exits_one_quietly():
+    # 16,384 lines: `main` writes the text in one go and its BrokenPipeError
+    # branch turns the closed reader into exit 1 with nothing on stderr
+    src = os.path.dirname(os.path.dirname(cantorkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "cantorkit", "enumerate", "S(s=3)", "--depth", "14"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"1 " * 13 + b"1\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_only_main_parses_the_family_and_writes_the_output():
+    # a handler returns its text and exit code; `main` alone parses the
+    # family, writes the text and maps the errors
+    callers = {
+        func.name
+        for func in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_emit", "parse_family")
+    }
+    assert callers == {"main"}
+
+
 def test_boxcount_refuses_md_as_cover_and_enumerate_do(capsys):
     for command in ("boxcount", "cover", "enumerate"):
         assert main([command, "MD(s=2)"]) == 1

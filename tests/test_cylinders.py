@@ -26,8 +26,8 @@ from cantorkit import (
 )
 from cantorkit.cli import main
 from cantorkit.cylinders import _local_hulls, _phase_maps, solve_phase_hulls
-from cantorkit.families import digit_maps
-from fraction_kernels import fraction_system, integer_system, interval_step
+from cantorkit.families import _block_map, digit_maps
+from fraction_kernels import fraction_system, integer_system, interval_step, over_lcm
 from fraction_kernels import solve_phase_hulls as ref_solve_phase_hulls
 
 S3 = parse_family("S(s=3)")
@@ -195,6 +195,24 @@ def test_phase_hulls_are_the_fixed_point_of_the_interval_step(system):
 def test_big_denominator_hulls_match_the_reference(family):
     fam = parse_family(family)
     assert dict(_local_hulls(fam)) == ref_solve_phase_hulls(fraction_system(_phase_maps(fam)))
+
+
+def md_digit_maps(s):
+    """MD(s) as a two-phase digit-map system in base -s: phase 0 writes 0 0,
+    phase 1 writes 0 0 or a 0 0 (a = 1..s-1), and both go to phase 1.  A
+    chunk 0^(m-1) a, m odd >= 3, is (0 0)^k a with k >= 1, so the closure of
+    MD's digit sequences is 0 0 (0 0 | a 0 0)^omega."""
+    runs = {0: [((0, 2),)], 1: [((0, 2),)] + [((a, 1), (0, 2)) for a in range(1, s)]}
+    return {p: [_block_map(r, -s, 1) for r in blocks] for p, blocks in runs.items()}
+
+
+@pytest.mark.parametrize("s", range(2, 12))
+def test_md_hard_coded_hull_is_its_digit_map_systems_hull(s):
+    # `set_interval` writes MD's hull by hand; the system's solved hull is an
+    # independent witness of it: [-1/8, 0] at s = 2, ..., [-10/1331, 0] at s = 11
+    system = {p: (*over_lcm([(gn, sk, m) for _, gn, sk, m, _ in maps]), 1) for p, maps in md_digit_maps(s).items()}
+    lo, hi = solve_phase_hulls(system)[0]
+    assert IntervalR(lo, hi) == set_interval(parse_family(f"MD(s={s})"))
 
 
 @pytest.mark.parametrize("L", [399, 2000])

@@ -21,6 +21,7 @@ from cantorkit import (
 from cantorkit.dimension import CANTOR_TERMS, _periodic_prefix
 from cantorkit.families import block_histogram, digit_maps, family_blocks
 from test_boxcount import finite_type_families
+from test_cylinders import md_digit_maps
 
 LOG32 = math.log(2) / math.log(3)
 
@@ -130,6 +131,20 @@ def test_md_closed_form():
         block_dimension(2, {})
     with pytest.raises(UnsupportedFamilyError, match="unbounded branching"):
         family_blocks(parse_family("MD(s=2)"))
+
+
+def test_md_cubic_is_its_digit_map_systems_block_equation():
+    # phase 1's blocks 0 0 and a 0 0 form a prefix code (the first digit tells
+    # them apart), so t^2 + (s-1) t^3 = 1, MD's cubic, gives the dimension: a
+    # bisection that shares no code with the cube-root formula
+    for s in range(2, 40):
+        blocks = [block for block, *_ in md_digit_maps(s)[1]]
+        assert not any(b != c and c[: len(b)] == b for b in blocks for c in blocks)
+        hist = block_histogram(blocks)
+        assert hist == {2: 1, 3: s - 1}
+        alpha, closed = block_dimension(s, hist).alpha, md_closed_form(s)
+        assert closed.bracket[0] <= alpha <= closed.bracket[1], s
+        assert abs(alpha - closed.alpha) <= 2e-12, s
 
 
 def test_periodic_dimension():
