@@ -81,11 +81,13 @@ Mesh = tuple[int, dict[int, tuple[int, int, int]], dict[int, list[tuple[int, int
 
 def _mesh(fam: FamilySpec) -> Mesh:
     """M, phase -> (lo, hi, width) of the phase's local hull as numerators
-    over M, anchored at phase 0's inf, and phase -> its maps (gn * M, sk, m,
-    next_phase): the one pass over hulls and maps that both counters read."""
+    over M, and phase -> its maps (gn * M, sk, m, next_phase): the one pass
+    over hulls and maps that both counters read.  M is the least common
+    denominator of every hull end: the lcm of each phase's share, D /
+    gcd(lo, hi, D) of its solved ends (lo, hi, D)."""
     local = _local_hulls(fam)  # refuses MD: its branching is unbounded
-    M = math.lcm(*(x.denominator for ends in local.values() for x in ends))
-    ends = {phase: (int(lo * M), int(hi * M), int((hi - lo) * M)) for phase, (lo, hi) in local.items()}
+    M = math.lcm(*(D // math.gcd(lo, hi, D) for lo, hi, D in local.values()))
+    ends = {phase: (lo * M // D, hi * M // D, (hi - lo) * M // D) for phase, (lo, hi, D) in local.items()}
     maps = {p: [(gn * M, sk, m, nxt) for _, gn, sk, m, nxt in digit_maps(fam, p).values()] for p in ends}
     return M, ends, maps
 

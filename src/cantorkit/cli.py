@@ -159,8 +159,9 @@ def _refuse_long_denominators(what: str, n: int, base: int) -> None:
 
 
 def _refuse_long_values(what: str, values) -> None:
-    """Refuse Fractions whose numerator or denominator is past Python's int-to-str limit."""
-    top = max(abs(n) for v in values for n in (v.numerator, v.denominator))
+    """Refuse rationals, given as (numerator, denominator) pairs, with an
+    integer past Python's int-to-str limit."""
+    top = max(abs(n) for pair in values for n in pair)
     k = int(top.bit_length() * math.log10(2))  # top has k or k + 1 digits
     _refuse_past_str_limit(what, k + (top >= 10**k))
 
@@ -174,7 +175,7 @@ def _cmd_eval(args) -> tuple[str, int]:
         _refuse_long_denominators(f"MD gaps summing to {gaps}", gaps, fam.s)
     value = eval_family_point(fam, alphas, tail)
     given = f"--alphas with {len(alphas)} selectors" + (f" and --tail with {len(tail)} selectors" if tail else "")
-    _refuse_long_values(f"the value of {given} has an integer", [value])
+    _refuse_long_values(f"the value of {given} has an integer", [(value.numerator, value.denominator)])
     payload = {
         "family": fam.label(),
         "alphas": list(alphas),
@@ -206,7 +207,8 @@ def _cmd_cylinder(args) -> tuple[str, int]:
     report = cyl.cylinder_report(fam, addr, child=args.child)
     values = (report.interval.lo, report.interval.hi, report.diameter, report.child_ratio)
     _refuse_long_values(
-        f"the cylinder of --addr with {len(addr)} selectors has an integer", [v for v in values if v is not None]
+        f"the cylinder of --addr with {len(addr)} selectors has an integer",
+        [(v.numerator, v.denominator) for v in values if v is not None],
     )
     payload = {
         "family": fam.label(),
@@ -247,11 +249,11 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 
 def _cmd_cover(args) -> tuple[str, int]:
-    sums = cyl.covering_sums(args.family, args.depth)
+    sums = cyl._covering_sums(args.family, args.depth)
     _refuse_long_values(f"the covering sums to --depth {args.depth} have an integer", sums)
     rows = ["depth,exact,float"]
-    for d, total in enumerate(sums):
-        rows.append(f"{d},{total.numerator}/{total.denominator},{_jfloat(float(total))}")
+    for d, (num, den) in enumerate(sums):
+        rows.append(f"{d},{num}/{den},{_jfloat(num / den)}")
     return "\n".join(rows), 0
 
 

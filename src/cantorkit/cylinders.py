@@ -6,11 +6,15 @@ Every hull the package reports comes from the digit maps of
 the local hull at its phase onto the cylinder's hull.  The local hulls of
 all phases are the exact fixed point of one graph-directed system
 (`solve_phase_hulls`), the same for one-phase kinds, MDper's gap phases and
-a periodic Cantor series' levels.  That solve, the level oracle and the
-covering sums step integer numerators and build one `Fraction` per value
-they report.  The covering sums are each rank's integer mass times its
-phase's hull width; `verify_family`'s covering law reads the masses alone,
-as the width cancels, so a passing verify solves no hull.  Traversals carry
+a periodic Cantor series' levels.  That solve and the level oracle step
+integer numerators, and the solve returns each phase's two ends as integer
+numerators over one denominator, unreduced.  The hull ends stay integers
+from there to `cover`'s and `boxcount`'s printed rows, which build no
+`Fraction`; a public function builds one per value it returns.  The
+covering sums are each rank's integer mass times its phase's hull width,
+reduced once per phase by gcd(hi - lo, D) and once per rank;
+`verify_family`'s covering law reads the masses alone, as the width
+cancels, so a passing verify solves no hull.  Traversals carry
 frames and apply one map per child, so sibling gaps and layouts read one
 frame and one table.
 
@@ -304,34 +308,43 @@ def _solve_chains(links: dict) -> dict:
     return value
 
 
-def solve_phase_hulls(system: PhaseMaps) -> dict[int, tuple[Fraction, Fraction]]:
-    """Exact hull [lo, hi] of each phase's attractor in a graph-directed
-    system of monotone contractions x -> (G + K*x)/M (Mauldin & Williams 1988).
+def solve_phase_hulls(system: PhaseMaps) -> dict[int, tuple[int, int, int]]:
+    """Exact hull [lo/D, hi/D] of each phase's attractor, as integers (lo, hi,
+    D), in a graph-directed system of monotone contractions x -> (G + K*x)/M
+    (Mauldin & Williams 1988).
 
     Policy iteration (Howard 1960) on the per-phase interval step.  A policy
     picks the map attaining each hull end, so the ends it implies solve
-    exactly as a functional graph (`_solve_chains`).  The first policy takes
-    every end to 0; each round steps once from the solution and returns it
-    if each end the step gives is the policy's (the step contracts, so its
-    fixed point is unique), else adopts the maps the step attained.  It
+    exactly as a functional graph (`_solve_chains`).  The first round steps
+    from every end at 0; each round returns the ends if each end the step
+    gives is the policy's (the step contracts, so its fixed point is
+    unique), else adopts the maps the step attained and solves them.  It
     ends: with each hi written as -w, every end is a minimum over maps of
     g' + |k| * (an end of the next phase), so the step is monotone.  It can
     only lower a policy's solution, and the next policy's solution lies at
     or below that step: the solutions strictly decrease and no policy comes
-    back.  In integers throughout: each returned end is one `Fraction`, of
-    its own chain value."""
+    back.
+
+    In integers throughout, and unreduced: a phase's two ends are over their
+    chain denominator, which both share when they lie on one cycle (c - b),
+    else over the product of the two.  Reducing them is left to the reader
+    of each value, once: a hull's width with gcd(hi - lo, D), a mesh's share
+    of the denominator with gcd(lo, hi, D)."""
     if not system or not all(maps for _, maps, _ in system.values()):
         raise ValueError("need at least one affine map per phase")
     if any(abs(K) >= M for M, maps, _ in system.values() for _, K in maps):
         raise ValueError("affine maps must be contractions")
     # end 0 is lo, end 1 hi; end e of phase p is (G + K * (end f of the next phase)) / M
     links = {(p, e): ((n, e), 0, 0, 1) for p, (_, _, n) in system.items() for e in (0, 1)}
+    value = dict.fromkeys(links, (0, 1))  # the solution of that first policy, every end 0
     while True:
-        value = _solve_chains(links)
+        hulls = {}
+        for p in system:  # both ends over one denominator: their shared one, else the product
+            (lo, d_lo), (hi, d_hi) = value[p, 0], value[p, 1]
+            hulls[p] = (lo, hi, d_lo) if d_lo == d_hi else (lo * d_hi, hi * d_lo, d_lo * d_hi)
         policy, stable = {}, True
         for p, (M, maps, n) in system.items():
-            (lo, d_lo), (hi, d_hi) = value[n, 0], value[n, 1]
-            lo, hi, D = (lo, hi, d_lo) if d_lo == d_hi else (lo * d_hi, hi * d_lo, d_lo * d_hi)
+            lo, hi, D = hulls[n]
             step = _interval_step(maps, lo, hi, D)
             for e in (0, 1):
                 (_, f), G, K, _ = links[p, e]
@@ -339,13 +352,15 @@ def solve_phase_hulls(system: PhaseMaps) -> dict[int, tuple[Fraction, Fraction]]
                 G, K = maps[step[2 + e]]
                 policy[p, e] = ((n, e if K > 0 else 1 - e), G, K, M)
         if stable:
-            return {p: (Fraction(*value[p, 0]), Fraction(*value[p, 1])) for p in system}
+            return hulls
         links = policy
+        value = _solve_chains(links)
 
 
 @lru_cache(maxsize=256)
-def _local_hulls(fam: FamilySpec) -> Mapping[int, tuple[Fraction, Fraction]]:
-    """phase -> exact hull of the set at that phase."""
+def _local_hulls(fam: FamilySpec) -> Mapping[int, tuple[int, int, int]]:
+    """phase -> exact hull (lo, hi, D) of the set at that phase, its ends
+    the integer numerators lo and hi over D (`solve_phase_hulls`)."""
     return MappingProxyType(solve_phase_hulls(_phase_maps(fam)))
 
 
@@ -365,23 +380,24 @@ def cylinder_hull(fam: FamilySpec, addr) -> IntervalR:
     it additionally covers NSu with u > 0, Blocks/Tilde, MDper and Cantor
     series.
     """
-    return _frame_hull(fam, address_frame(fam, addr))
+    return _interval(*_frame_ends(fam, address_frame(fam, addr)))
 
 
-def _frame_hull(fam: FamilySpec, frame: Frame) -> IntervalR:
-    """The hull of the cylinder at `frame`: its phase's local hull under the
-    frame's map x -> (V + sign * x)/den."""
+def _frame_ends(fam: FamilySpec, frame: Frame) -> tuple[int, int, int]:
+    """The hull of the cylinder at `frame`, its phase's local hull under the
+    frame's map x -> (V + sign * x)/den, as numerators (lo, hi) over one
+    denominator d: (lo, hi, d)."""
     V, den, sign, phase = frame
-    lo, hi = _local_hulls(fam)[phase]
+    lo, hi, D = _local_hulls(fam)[phase]
     if sign < 0:
         lo, hi = -hi, -lo
-    return IntervalR((V + lo) / den, (V + hi) / den)
+    return V * D + lo, V * D + hi, den * D
 
 
 def _child_hulls(fam: FamilySpec, frame: Frame, wanted: tuple = ()) -> dict[object, IntervalR]:
     """selector -> hull of each child of the cylinder at `frame`, from one
     table read, in selector order; refuses a `wanted` non-child."""
-    hulls = {sel: _frame_hull(fam, child) for sel, child in child_frames(fam, frame)}
+    hulls = {sel: _interval(*_frame_ends(fam, child)) for sel, child in child_frames(fam, frame)}
     for sel in wanted:
         if sel not in hulls:
             raise _inadmissible(fam, sel)
@@ -538,28 +554,45 @@ def _rank_masses(fam: FamilySpec, depth: int) -> list[tuple[int, int, int]]:
     return ranks
 
 
-def covering_sums(fam: FamilySpec, depth: int) -> list[Fraction]:
-    """Exact total length of the rank-d cylinder cover, for each d = 0..depth:
-    each rank's mass (`_rank_masses`) times its phase's local hull width.
-    Every rank passes the walk budget's rule 2 before any hull is solved."""
+def _covering_sums(fam: FamilySpec, depth: int) -> list[tuple[int, int]]:
+    """Exact total length of the rank-d cylinder cover, for each d = 0..depth,
+    as a reduced (numerator, denominator): each rank's mass (`_rank_masses`)
+    times its phase's local hull width.  Every rank passes the walk budget's
+    rule 2 before any hull is solved.  Each phase's width is reduced once,
+    by gcd(hi - lo, D), and each rank's product once."""
     ranks = _rank_masses(fam, depth)
-    widths = {p: hi - lo for p, (lo, hi) in _local_hulls(fam).items()}
-    return [Fraction(num * widths[p].numerator, den * widths[p].denominator) for p, num, den in ranks]
+    hulls, widths, sums = _local_hulls(fam), {}, []
+    for p, num, den in ranks:
+        if p not in widths:
+            lo, hi, D = hulls[p]
+            g = gcd(hi - lo, D)
+            widths[p] = ((hi - lo) // g, D // g)
+        num, den = num * widths[p][0], den * widths[p][1]
+        g = gcd(num, den)
+        sums.append((num // g, den // g))
+    return sums
+
+
+def covering_sums(fam: FamilySpec, depth: int) -> list[Fraction]:
+    """Exact total length of the rank-d cylinder cover, for each d = 0..depth
+    (`_covering_sums`, one `Fraction` per rank)."""
+    return [Fraction(num, den) for num, den in _covering_sums(fam, depth)]
 
 
 def cylinder_report(fam: FamilySpec, addr, child: int | None = None) -> CylinderReport:
     addr = tuple(addr)
     frame = address_frame(fam, addr)
-    iv = _frame_hull(fam, frame)
+    lo, hi, d = _frame_ends(fam, frame)
+    iv, width = _interval(lo, hi, d), Fraction(hi - lo, d)
     ordered = _has_closed_form(fam) and not fam.degenerate
     wanted = () if child is None else (child,)
     children = _child_hulls(fam, frame, wanted) if wanted or ordered else {}
-    ratio = children[child].width / iv.width if wanted and iv.width else None
+    ratio = children[child].width / width if wanted and width else None
     orientation = None
     if ordered:
         seen = {e.observed for e in _ordering_entries(fam, addr, children)}
         orientation = seen.pop() if len(seen) == 1 else "mixed"
-    return CylinderReport(addr, iv, iv.width, ratio, orientation)
+    return CylinderReport(addr, iv, width, ratio, orientation)
 
 
 # -- the cylinder property suite --------------------------------------------------

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import OutOfRangeError, UnsupportedFamilyError
@@ -186,9 +184,17 @@ def _periodic_prefix(cycle: Sequence[float]) -> Callable[[int], float]:
     """n -> sum of the first n terms of the sequence repeating ``cycle``.
 
     That sum is (n // P) * fsum(cycle) + fsum(first n % P terms) for the
-    period P.  Each prefix sum is summed exactly in `Fraction`s and rounded
-    once, so it equals its `math.fsum`; the table takes O(P) sums, not O(P^2)."""
-    partial = [float(x) for x in accumulate(map(Fraction, cycle), initial=Fraction(0))]
+    period P.  Each prefix sum is summed exactly, as an integer over the
+    largest power-of-two denominator of its terms, and rounded once by one
+    integer division, so it equals its `math.fsum`; the table takes O(P)
+    sums, not O(P^2)."""
+    num, unit, partial = 0, 1, [0.0]
+    for x in cycle:
+        n, d = x.as_integer_ratio()
+        if d > unit:  # powers of two: the smaller divides the larger
+            num, unit = num * (d // unit), d
+        num += n * (unit // d)
+        partial.append(num / unit)
     period, total = len(cycle), partial[-1]
     return lambda n: (n // period) * total + partial[n % period]
 

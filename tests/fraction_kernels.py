@@ -114,6 +114,12 @@ def integer_system(system):
     return {p: (*integer_maps(maps), n) for p, (maps, n) in system.items()}
 
 
+def fraction_hulls(hulls):
+    """{phase: (lo, hi) in `Fraction`s} of integer hulls {phase: (lo, hi, D)},
+    ends over D, as `cylinders.solve_phase_hulls` returns them."""
+    return {p: (Fraction(lo, D), Fraction(hi, D)) for p, (lo, hi, D) in hulls.items()}
+
+
 def fraction_system(system):
     """{phase: (`Fraction` maps, next)} of {phase: (M, integer maps, next)}."""
     return {p: (tuple((Fraction(G, M), Fraction(K, M)) for G, K in maps), n) for p, (M, maps, n) in system.items()}

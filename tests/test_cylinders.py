@@ -27,7 +27,7 @@ from cantorkit import (
 from cantorkit.cli import main
 from cantorkit.cylinders import _local_hulls, _phase_maps, solve_phase_hulls
 from cantorkit.families import _block_map, digit_maps
-from fraction_kernels import fraction_system, integer_system, interval_step, over_lcm
+from fraction_kernels import fraction_hulls, fraction_system, integer_system, interval_step, over_lcm
 from fraction_kernels import solve_phase_hulls as ref_solve_phase_hulls
 
 S3 = parse_family("S(s=3)")
@@ -160,7 +160,7 @@ def test_oracle_rejects_md():
 def test_affine_hull_solver():
     # classical Cantor set: maps x/3 and (2+x)/3 fix [0, 1]
     maps = ((F(0), F(1, 3)), (F(2, 3), F(1, 3)))
-    assert solve_phase_hulls(integer_system({0: (maps, 0)})) == {0: (F(0), F(1))}
+    assert fraction_hulls(solve_phase_hulls(integer_system({0: (maps, 0)}))) == {0: (F(0), F(1))}
     with pytest.raises(ValueError):
         solve_phase_hulls(integer_system({0: ((), 0)}))
     with pytest.raises(ValueError):
@@ -182,7 +182,7 @@ def affine_systems(draw):
 @given(affine_systems())
 def test_phase_hulls_are_the_fixed_point_of_the_interval_step(system):
     # the step contracts (lo, -hi), so its fixed point is unique: the hull
-    hulls = solve_phase_hulls(integer_system(system))
+    hulls = fraction_hulls(solve_phase_hulls(integer_system(system)))
     assert hulls.keys() == system.keys()
     for p, (maps, n) in system.items():
         lo, hi = hulls[p]
@@ -194,7 +194,7 @@ def test_phase_hulls_are_the_fixed_point_of_the_interval_step(system):
 @pytest.mark.parametrize("family", ["MDper(s=2,m=[4999])", "MDper(s=3,m=[4999,3])"])
 def test_big_denominator_hulls_match_the_reference(family):
     fam = parse_family(family)
-    assert dict(_local_hulls(fam)) == ref_solve_phase_hulls(fraction_system(_phase_maps(fam)))
+    assert fraction_hulls(_local_hulls(fam)) == ref_solve_phase_hulls(fraction_system(_phase_maps(fam)))
 
 
 def md_digit_maps(s):
@@ -211,7 +211,7 @@ def test_md_hard_coded_hull_is_its_digit_map_systems_hull(s):
     # `set_interval` writes MD's hull by hand; the system's solved hull is an
     # independent witness of it: [-1/8, 0] at s = 2, ..., [-10/1331, 0] at s = 11
     system = {p: (*over_lcm([(gn, sk, m) for _, gn, sk, m, _ in maps]), 1) for p, maps in md_digit_maps(s).items()}
-    lo, hi = solve_phase_hulls(system)[0]
+    lo, hi = fraction_hulls(solve_phase_hulls(system))[0]
     assert IntervalR(lo, hi) == set_interval(parse_family(f"MD(s={s})"))
 
 
@@ -220,7 +220,7 @@ def test_near_tied_maps_solve_exactly(capsys, L):
     # blocks 1 and 1^(L-1) 0: the maps x -> (1 + x)/2 and x -> (2^L - 2 + x)/2^L,
     # whose images of the inf differ by about 2^-(L+1)
     family = f"Blocks(s=2,B=[1;{'1 ' * (L - 1)}0])"
-    assert solve_phase_hulls(_phase_maps(parse_family(family))) == {0: (1 - F(1, 2**L - 1), F(1))}
+    assert fraction_hulls(solve_phase_hulls(_phase_maps(parse_family(family)))) == {0: (1 - F(1, 2**L - 1), F(1))}
     for argv in (["cylinder", family], ["cover", family, "--depth", "3"], ["boxcount", family]):
         start = time.perf_counter()
         assert main(argv) == 0, capsys.readouterr().err

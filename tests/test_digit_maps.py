@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from cantorkit import (
     FamilySpec,
+    IntervalR,
+    covering_sums,
     cylinder_hull,
     cylinder_interval,
     eval_cantor,
@@ -31,8 +33,10 @@ from cantorkit import (
     set_interval,
 )
 from cantorkit.cylinders import _has_closed_form
-from cantorkit.cylinders import _local_hulls
+from cantorkit.cylinders import _local_hulls, _phase_maps
 from cantorkit.families import _block_map, _kind, _rank_maps, _walk, address_frame, digit_maps
+from fraction_kernels import fraction_hulls, fraction_system
+from fraction_kernels import solve_phase_hulls as ref_solve_phase_hulls
 
 
 @st.composite
@@ -141,7 +145,7 @@ def test_maps_have_integer_form_and_fold_to_radix_values(case):
         # the sizes the cap guards count before making the table
         assert _kind(fam, phase)[:2] == (len(table), sum(len(block) for block, *_ in table.values()))
         # so the box counter's whole hull fits one cell at level 0
-        lo, hi = _local_hulls(fam)[phase]
+        lo, hi = fraction_hulls(_local_hulls(fam))[phase]
         assert hi - lo <= 1
         phase = nxt
     V, den, sign, _ = address_frame(fam, addr)
@@ -174,3 +178,24 @@ def test_md_maps_are_blocks_read_in_base_minus_s(s, sels):
     assert set_interval(fam).width <= 1
     V, den, _, _ = address_frame(fam, sels)
     assert Fraction(V, den) == eval_family_point(fam, sels) == eval_negasadic(expand_address(fam, sels))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases(), st.integers(0, 6))
+def test_hulls_and_covering_sums_equal_the_fraction_solve(case, depth):
+    # every value the integer hull ends reach, rebuilt from the `Fraction`
+    # reference solve: the whole set's hull, a cylinder's, and each rank's
+    # cover, its mass the product of sum |k| along the phase cycle
+    fam, addr, _ = case
+    system = fraction_system(_phase_maps(fam))
+    hulls = ref_solve_phase_hulls(system)
+    assert set_interval(fam) == IntervalR(*hulls[0])
+    V, den, sign, phase = address_frame(fam, addr)
+    assert cylinder_hull(fam, addr) == IntervalR(*sorted((V + sign * x) / den for x in hulls[phase]))
+    sums, mass, phase = [], Fraction(1), 0
+    for _ in range(depth + 1):
+        lo, hi = hulls[phase]
+        sums.append(mass * (hi - lo))
+        maps, phase = system[phase]
+        mass *= sum(abs(k) for _, k in maps)
+    assert covering_sums(fam, depth) == sums

@@ -16,7 +16,15 @@ from cantorkit import FamilySpec, cylinder_hull, parse_family, tail_extrema_orac
 from cantorkit.cylinders import _level_minmax, _oracle_local
 from cantorkit.families import _rank_maps, address_frame, digit_maps, family_blocks
 from cantorkit.radix import DigitString, eval_cantor, eval_negas_cantor, eval_negasadic, eval_sadic
-from fraction_kernels import fraction_system, integer_maps, interval_step, oracle_local, over_lcm, solve_phase_hulls
+from fraction_kernels import (
+    fraction_hulls,
+    fraction_system,
+    integer_maps,
+    interval_step,
+    oracle_local,
+    over_lcm,
+    solve_phase_hulls,
+)
 
 
 def _eval_tree(levels, x0):
@@ -192,7 +200,7 @@ def test_integer_kernels_equal_the_references(system, depth, data):
     # the hull solve, and the oracle below a drawn phase, over the drawn
     # system in place of a family's (the oracle read past its cache)
     ref = fraction_system(system)
-    assert cyl.solve_phase_hulls(system) == solve_phase_hulls(ref)
+    assert fraction_hulls(cyl.solve_phase_hulls(system)) == solve_phase_hulls(ref)
     phase = data.draw(st.sampled_from(sorted(system)))
     with mock.patch.object(cyl, "_phase_maps", lambda fam: system):
         lo, hi, shrink, D = _oracle_local.__wrapped__(None, depth, phase)
