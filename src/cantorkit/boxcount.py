@@ -40,7 +40,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .cylinders import _local_hulls
-from .families import DEFAULT_CAP, ROOT_FRAME, FamilySpec, _counted, box_walk, child_frames, digit_maps, type_work
+from .families import DEFAULT_CAP, ROOT_FRAME, FamilySpec, _counted, _system_maps, box_walk, child_frames, type_work
 
 
 class _ScaleCountFields(NamedTuple):
@@ -81,14 +81,14 @@ Mesh = tuple[int, dict[int, tuple[int, int, int]], dict[int, list[tuple[int, int
 
 def _mesh(fam: FamilySpec) -> Mesh:
     """M, phase -> (lo, hi, width) of the phase's local hull as numerators
-    over M, and phase -> its maps (gn * M, sk, m, next_phase): the one pass
-    over hulls and maps that both counters read.  M is the least common
-    denominator of every hull end: the lcm of each phase's share, D /
-    gcd(lo, hi, D) of its solved ends (lo, hi, D)."""
-    local = _local_hulls(fam)  # refuses MD: its branching is unbounded
+    over M, and phase -> its system's maps (gn * M, sk, m, next_phase), MD's
+    too: the one pass over hulls and maps that both counters read.  M is the
+    least common denominator of every hull end: the lcm of each phase's
+    share, D / gcd(lo, hi, D) of its solved ends (lo, hi, D)."""
+    local = _local_hulls(fam)
     M = math.lcm(*(D // math.gcd(lo, hi, D) for lo, hi, D in local.values()))
     ends = {phase: (lo * M // D, hi * M // D, (hi - lo) * M // D) for phase, (lo, hi, D) in local.items()}
-    maps = {p: [(gn * M, sk, m, nxt) for _, gn, sk, m, nxt in digit_maps(fam, p).values()] for p in ends}
+    maps = {p: [(gn * M, sk, m, nxt) for _, gn, sk, m, nxt in _system_maps(fam, p).values()] for p in ends}
     return M, ends, maps
 
 
@@ -249,7 +249,7 @@ def box_dimension(
     smallest n >= 10 with s^(n-4) >= 100, the two decades `fit_dimension` needs."""
     if n_hi is None:
         n_hi = 10 + (fam.s**6 < 100)
-    _counted(fam, 0)  # MD and a base of over DEFAULT_CAP selectors are refused first
+    _counted(fam, 0)  # a base of over DEFAULT_CAP selectors is refused first, MD's by `_mesh`
     if n_lo < 0:
         raise ValueError("scale exponents must be >= 0")
     if n_hi - n_lo < 2:

@@ -168,11 +168,7 @@ def _refuse_long_values(what: str, values) -> None:
 
 def _cmd_eval(args) -> tuple[str, int]:
     fam = args.family
-    alphas = _parse_selectors(fam, args.alphas, "--alphas")
-    tail = _parse_selectors(fam, args.tail, "--tail") if args.tail else ()
-    if fam.kind == "MD":  # a gap writes up to 10^6 digits; the others write short blocks
-        gaps = sum(_md_pair(fam, sel)[0] for sel in alphas + tail)
-        _refuse_long_denominators(f"MD gaps summing to {gaps}", gaps, fam.s)
+    alphas, tail = _parse_selectors(fam, ("--alphas", args.alphas), ("--tail", args.tail or None))
     value = eval_family_point(fam, alphas, tail)
     given = f"--alphas with {len(alphas)} selectors" + (f" and --tail with {len(tail)} selectors" if tail else "")
     _refuse_long_values(f"the value of {given} has an integer", [(value.numerator, value.denominator)])
@@ -188,22 +184,29 @@ def _cmd_eval(args) -> tuple[str, int]:
     return _jdump(payload), 0
 
 
-def _parse_selectors(fam, text, option):
-    if fam.kind == "MD":
-        # pairs m:e separated by commas, e.g. "3:2,5:1"
-        out = []
-        for part in text.split(","):
+def _parse_selectors(fam, *given) -> list[tuple]:
+    """The selectors of each (option, text) in `given`, () for no text.  MD's
+    are gap:digit pairs, e.g. "3:2,5:1", each checked, and their gaps, summed
+    over every option, refused past the int-to-str limit before a fold."""
+    if fam.kind != "MD":
+        return [_int_list(text or "", option) for option, text in given]
+    out = []
+    for option, text in given:
+        pairs = []
+        for part in () if text is None else text.split(","):
             pair = _int_list(part.replace(":", " "), option)
             if part.count(":") != 1 or len(pair) != 2:
                 raise FamilyParseError(f"MD selectors are gap:digit pairs, got {part!r}")
-            out.append(pair)
-        return tuple(out)
-    return _int_list(text, option)
+            pairs.append(pair)
+        out.append(tuple(pairs))
+    gaps = sum(_md_pair(fam, pair)[0] for pairs in out for pair in pairs)
+    _refuse_long_denominators(f"MD gaps summing to {gaps}", gaps, fam.s)
+    return out
 
 
 def _cmd_cylinder(args) -> tuple[str, int]:
     fam = args.family
-    addr = _parse_selectors(fam, args.addr, "--addr") if args.addr else ()
+    (addr,) = _parse_selectors(fam, ("--addr", args.addr or None))
     report = cyl.cylinder_report(fam, addr, child=args.child)
     values = (report.interval.lo, report.interval.hi, report.diameter, report.child_ratio)
     _refuse_long_values(

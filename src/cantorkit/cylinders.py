@@ -57,6 +57,7 @@ from .families import (
     Frame,
     _inadmissible,
     _rank_maps,
+    _system_maps,
     _walk,
     address_frame,
     child_frames,
@@ -240,14 +241,14 @@ PhaseMaps = Mapping[int, tuple[int, tuple[tuple[int, int], ...], int]]
 
 @lru_cache(maxsize=256)
 def _phase_maps(fam: FamilySpec) -> PhaseMaps:
-    """The digit maps and the next phase of each phase reachable from 0:
-    the one place that lists a family's phases.  A hull solve composes the
-    maps round the whole cycle, so each phase walked is one step of the
-    walk budget's rule 2 (`denominator_digits`)."""
+    """The system's digit maps (`_system_maps`) and next phase of each phase
+    reachable from 0: the one place that lists a family's phases.  A hull
+    solve composes the maps round the whole cycle, so each phase walked is
+    one step of the walk budget's rule 2 (`denominator_digits`)."""
     system: dict = {}
     phase, digits = 0, 0.0
     while phase not in system:
-        maps = digit_maps(fam, phase).values()
+        maps = _system_maps(fam, phase).values()
         digits = denominator_digits(len(system) + 1, digits, max(m for *_, m, _ in maps), "phases")
         nxt = next(iter(maps))[4]
         M = lcm(*(m for *_, m, _ in maps))
@@ -365,11 +366,7 @@ def _local_hulls(fam: FamilySpec) -> Mapping[int, tuple[int, int, int]]:
 
 
 def set_interval(fam: FamilySpec) -> IntervalR:
-    """Exact hull [inf, sup] of the whole family."""
-    if fam.kind == "MD":
-        # sup -> 0 as the first gap grows; inf pairs the shortest gap with the
-        # largest digit and the sup tail
-        return IntervalR(Fraction(-(fam.s - 1), fam.s**3), Fraction(0))
+    """Exact hull [inf, sup] of the whole family: the root cylinder's."""
     return cylinder_hull(fam, ())
 
 
@@ -377,8 +374,8 @@ def cylinder_hull(fam: FamilySpec, addr) -> IntervalR:
     """Exact hull of any enumerable cylinder via the affine frame.
 
     For the closed-form families this coincides with `cylinder_interval`;
-    it additionally covers NSu with u > 0, Blocks/Tilde, MDper and Cantor
-    series.
+    it additionally covers NSu with u > 0, Blocks/Tilde, MDper, MD and
+    Cantor series.
     """
     return _interval(*_frame_ends(fam, address_frame(fam, addr)))
 
@@ -454,9 +451,9 @@ def tail_extrema_oracle(fam: FamilySpec, addr, depth: int) -> OracleResult:
     if depth < 1:
         raise ValueError("oracle depth must be >= 1")
     V, den, sign, phase = address_frame(fam, addr)
+    leaves = prod(map(len, _rank_maps(fam, depth, phase)))  # refuses MD, whose ranks have no end
     lo, hi, shrink, D = _oracle_local(fam, depth, phase)
     lo, hi = (V * D + lo, V * D + hi) if sign > 0 else (V * D - hi, V * D - lo)
-    leaves = prod(map(len, _rank_maps(fam, depth, phase)))
     bound = Fraction(fam.s * shrink, (fam.s - 1) * D * den)
     return OracleResult(_interval(lo, hi, den * D), bound, leaves)
 
@@ -544,6 +541,7 @@ def _rank_masses(fam: FamilySpec, depth: int) -> list[tuple[int, int, int]]:
     step of the walk budget's rule 2, as each phase of `_phase_maps` is."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    digit_maps(fam, 0)  # refuses MD: a rank of its (gap, digit) addresses never ends
     system = _phase_maps(fam)
     ranks, digits = [(0, 1, 1)], 0.0
     for rank in range(1, depth + 1):

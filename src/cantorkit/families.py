@@ -19,20 +19,21 @@ their prefix sums):
 * ``Blocks``  s-adic numbers built from an explicit finite block set
 * ``Cantor``  Cantor series with per-level digit subsets I_j
 
-Every kind but MD is the attractor of finitely many monotone affine digit
+Every kind's set is the attractor of finitely many monotone affine digit
 maps per phase, in the set's own values.  A selector writes a block of digit
 runs, and its map is that block read in the kind's radix (`_block_map`):
 x -> v + base^-n x for a block of n digits and value v, in base s, -s for
 NSu, MDper and MD, and d_j at level j of a Cantor series; Sminus negates each
 run's map.  `_kind` states each kind once per phase (counts, radix, next
-phase and each selector's runs) and `digit_maps` tabulates it.  MDper's gap
-period and a Cantor series' periodic basis and level sets give their maps
-phases, so they form graph-directed systems; the other kinds have one phase.
-MD has a map for every odd gap, so `_walk` makes its maps one at a time.
-Every walk over a selector sequence (`_walk`) reads the same maps and refuses
-the first inadmissible selector; integer frames (V, den, sign, phase) fold
-the maps along an address, so every traversal applies one map per child
-without building a `Fraction`.
+phase and each selector's runs) and `_system_maps` tabulates it.  MDper's gap
+period, a Cantor series' periodic basis and level sets, and MD's two phases
+make graph-directed systems; the other kinds have one phase.
+`digit_maps`, the table of an address's selectors, is the same but for MD,
+whose addresses are (gap, digit) pairs, a map for every odd gap: `_walk`
+makes those one at a time.  Every walk over a selector sequence (`_walk`)
+refuses the first inadmissible selector; integer frames (V, den, sign,
+phase) fold the maps along an address, so every traversal applies one map
+per child without building a `Fraction`.
 
 The grammar (``Su(s=5,u=2)``) is one table: `_KEYS` gives each kind's keys
 and `_GRAMMAR` each key's field, reader and writer, so `parse_family` and
@@ -166,7 +167,8 @@ class FamilySpec(_FamilySpecFields):
     def degenerate(self) -> bool:
         """True when the family collapses to a single point: one selector at
         every phase, counted from the spec.  A Cantor series' first #I phases
-        decide (phase p lists I_(p mod #I)); other kinds count alike at every phase."""
+        decide (phase p lists I_(p mod #I)); other kinds but MD count alike at
+        every phase, and MD, whose phase 1 has s >= 2, never is one."""
         phases = len(self.level_sets) if self.level_sets else 1
         return self.kind != "MD" and all(_counted(self, p)[0] < 2 for p in range(phases))
 
@@ -288,8 +290,9 @@ def parse_family(text: str) -> FamilySpec:
 @lru_cache(maxsize=256)
 def family_blocks(fam: FamilySpec) -> tuple[tuple[int, ...], ...]:
     """The digit-block language defining `fam`, sorted by length, then digits;
-    MDper's blocks span a gap period.  MD (infinitely many blocks) is refused
-    by `digit_maps`, a Cantor series (digits restricted per level) here."""
+    MDper's blocks span a gap period.  MD (infinitely many (gap, digit)
+    blocks) is refused by `digit_maps`, a Cantor series (digits restricted
+    per level) here."""
     if fam.kind == "Cantor":
         raise UnsupportedFamilyError("Cantor families restrict digits per level, not blocks")
     L = len(fam.period) if fam.kind == "MDper" else 1  # one block per rank-L cylinder
@@ -377,11 +380,13 @@ def _kind(fam: FamilySpec, phase: int) -> tuple:
     at a time (`_block_map` reads them).
 
     A selector is a run digit (S, Su, NSu, Sminus), a block index (Tilde,
-    Blocks) or a digit (MDper, Cantor).  MD has a selector for every odd gap
-    and is refused; `_walk` makes its maps."""
+    Blocks) or a digit (MDper, Cantor, MD).  An MD chunk 0^(m-1) a, m odd
+    >= 3, is (0 0)^k a with k >= 1, so MD's digits close to 0 0 (0 0 |
+    a 0 0)^omega: digit a writes `a 0 0` at phase 1, and 0 writes `0 0`."""
     kind, s, u = fam.kind, fam.s, fam.u or 0
     if kind == "MD":
-        raise UnsupportedFamilyError("MD has unbounded branching")
+        pairs = ((a, ((a, 1), (0, 2)) if a else ((0, 2),)) for a in range(s if phase else 1))
+        return s if phase else 1, 3 * s - 1 if phase else 2, -s, 1, 1, pairs
     if kind == "Cantor":  # phase p reads level p+1 (mod lcm(#d, #I)) in base d_(p+1)
         level, base = fam.level_sets[phase % len(fam.level_sets)], fam.basis[phase % len(fam.basis)]
         nxt = (phase + 1) % lcm(len(fam.basis), len(fam.level_sets))
@@ -443,15 +448,23 @@ def _md_pair(fam: FamilySpec, sel) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=256)
-def digit_maps(fam: FamilySpec, phase: int) -> Mapping[object, DigitMap]:
-    """selector -> (block, gn, sk, m, next_phase) of each admissible selector
-    at `phase`, in selector order: `_kind`'s runs, each read by `_block_map`.
+def _system_maps(fam: FamilySpec, phase: int) -> Mapping[object, DigitMap]:
+    """selector -> (block, gn, sk, m, next_phase) of each selector of the
+    set's system at `phase`, in order: `_kind`'s runs, read by `_block_map`.
     Refused past DEFAULT_CAP block digits, counted before any block is made,
     so no table grows without bound (S(s) writes s(s-1)/2 digits)."""
-    _, digits, base, flip, nxt, pairs = _counted(fam, phase)  # MD and over DEFAULT_CAP selectors are refused first
+    _, digits, base, flip, nxt, pairs = _counted(fam, phase)  # over DEFAULT_CAP selectors are refused first
     if digits > DEFAULT_CAP:
         raise CapExceededError(f"{fam.label()} blocks hold over {DEFAULT_CAP} digits, above the cap")
     return MappingProxyType({sel: _block_map(runs, base, nxt, flip) for sel, runs in pairs})
+
+
+def digit_maps(fam: FamilySpec, phase: int) -> Mapping[object, DigitMap]:
+    """The table of an address's selectors at `phase`, `_system_maps`'s;
+    MD's (gap, digit) pairs, one for every odd gap, have none."""
+    if fam.kind == "MD":
+        raise UnsupportedFamilyError("MD has unbounded branching")
+    return _system_maps(fam, phase)
 
 
 def _rank_maps(fam: FamilySpec, depth: int, phase: int = 0) -> Iterator[Mapping[object, DigitMap]]:
@@ -505,41 +518,25 @@ def _fold(fam: FamilySpec, sels: Sequence, frame: Frame) -> Frame:
 def membership_prefix(fam: FamilySpec, digits) -> bool:
     """Whether `digits` is a prefix of some admissible digit expansion.
 
-    Dynamic programming over (position, phase) through the digit maps: a
-    block read at a phase leads to its map's next phase (a Cantor series'
-    phase is its level).  Any parse counts, since the families are defined
-    by digit appearance rather than unique decodability.
+    Dynamic programming over (position, phase) through the system's digit
+    maps (`_system_maps`): a block read at a phase leads to its map's next
+    phase (a Cantor series' phase is its level, MD's phase 1 follows its
+    first `0 0`).  Any parse counts, since the families are defined by digit
+    appearance rather than unique decodability.
     """
     seq = DigitString(fam.s, digits).digits  # refuses a digit outside base s
-    if fam.kind == "MD":
-        return _md_prefix_ok(seq)
     n = len(seq)
     reach = [set() for _ in range(n + 1)]
     reach[0].add(0)
     for pos in range(n):
         for phase in reach[pos]:
-            for block, *_, nxt in digit_maps(fam, phase).values():
+            for block, *_, nxt in _system_maps(fam, phase).values():
                 tail = seq[pos : pos + len(block)]
                 if tail == block[: len(tail)]:
                     if pos + len(block) > n:
                         return True  # ends inside this block: extendable
                     reach[pos + len(block)].add(nxt)
     return bool(reach[n])
-
-
-def _md_prefix_ok(seq: tuple[int, ...]) -> bool:
-    """Prefix check for 0-run/odd-gap structure: each complete chunk 0^(m-1) a
-    needs odd m >= 3; a trailing zero run is always extendable."""
-    run = 0
-    for d in seq:
-        if d == 0:
-            run += 1
-        else:
-            m = run + 1
-            if m < 3 or m % 2 == 0:
-                return False
-            run = 0
-    return True
 
 
 # -- values --------------------------------------------------------------------

@@ -11,8 +11,10 @@ from cantorkit import (
     ScaleCount,
     box_dimension,
     cylinder_hull,
+    eval_family_point,
     family_dimension,
     fit_dimension,
+    md_closed_form,
     parse_family,
     set_interval,
 )
@@ -169,6 +171,57 @@ def test_adaptive_cover_matches_uniform_depth(text):
     for n in (1, 2, 3, 4):
         count = _cover_counts(fam, [n], 10**6, _mesh(fam))[0]
         assert [_hull_count(fam, F(1, fam.s**n), min_rank) for min_rank in (0, 2, 4)] == [count] * 3, (text, n)
+
+
+def _md_hull_count(fam, eps):
+    """Reference for MD: mesh cells touched by the hulls of MD's own (gap,
+    digit) cylinders, each from `cylinder_hull` in Fractions, claimed as
+    `_hull_count` claims them.  A cylinder wider than eps has a child for
+    every odd gap: the children of gaps G, G + 2, ... lie on one side of its
+    zero-tail point P, the farthest (gap G, digit s - 1) within
+    (s - 1) s^-G of it, and they converge on P.  So the hull of P and that
+    child is the one piece of all of them; the gaps are walked from 3 until
+    it claims one cell, which the children near P claim."""
+    whole, s = set_interval(fam), fam.s
+    last = math.ceil(whole.width / eps) - 1
+
+    def claim(lo, hi):
+        k1 = min(math.floor((lo - whole.lo) / eps), last)
+        k2 = math.ceil((hi - whole.lo) / eps) - 1  # a right end on a mesh line claims nothing beyond
+        return set(range(k1, min(max(k2, k1), last) + 1))
+
+    cells, stack = set(), [()]
+    while stack:
+        addr = stack.pop()
+        hull = cylinder_hull(fam, addr)
+        if hull.width <= eps:
+            cells |= claim(hull.lo, hull.hi)
+            continue
+        point, gap = eval_family_point(fam, addr), 3
+        while True:
+            far = cylinder_hull(fam, addr + ((gap, s - 1),))
+            rest = claim(min(point, far.lo), max(point, far.hi))
+            if len(rest) == 1:
+                break
+            stack.extend(addr + ((gap, a),) for a in range(1, s))
+            gap += 2
+        cells |= rest
+    return len(cells)
+
+
+@pytest.mark.parametrize("s, n_hi", [(2, 16), (3, 10), (4, 8), (7, 6), (11, 5)])
+def test_md_counts_equal_its_gap_digit_cylinders(s, n_hi):
+    # the type counter reads MD's two-phase system; the reference walks the
+    # paper's (gap, digit) cylinders, infinitely many under each
+    fam = FamilySpec("MD", s)
+    ns = range(n_hi + 1)
+    assert _type_counts(fam, ns, 10**6, _mesh(fam)) == [_md_hull_count(fam, F(1, s**n)) for n in ns]
+
+
+def test_md_box_dimension_is_its_cubic():
+    # at eps down to 3^-40 the fitted slope is within 1e-5 of the cube root's
+    fit, _ = box_dimension(FamilySpec("MD", 3), 4, 40)
+    assert abs(fit.slope - md_closed_form(3).alpha) <= 1e-5
 
 
 def _walk_size(fam, eps):

@@ -790,6 +790,28 @@ def test_md_eval_fits_int_string_limit(capsys, int_str_limit):
     capsys.readouterr()
 
 
+def test_md_cylinders_answer_and_refuse_long_gaps_at_once(capsys, int_str_limit):
+    # a cylinder reads MD's set from its two-phase system, and the gaps of an
+    # address are refused, as eval's are, before any frame is folded: a gap
+    # of 999,999 writes a block that takes seconds to fold
+    int_str_limit(4300)
+    code, out = run(capsys, "cylinder", "MD(s=3)")
+    assert code == 0 and out == (
+        '{"family":"MD(s=3)","address":[],"interval":{"lo":"-2/27","hi":"0/1"},'
+        '"diameter":"2/27","child_ratio":null,"orientation":null}\n'
+    )
+    for argv in (["MD(s=2)", "--addr", ",".join(["999999:1"] * 5)], ["MD(s=1000)", "--addr", "999999:1"]):
+        start = time.perf_counter()
+        assert main(["cylinder", *argv]) == 1
+        assert time.perf_counter() - start < 0.1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: MD gaps summing to ")
+        assert "sys.get_int_max_str_digits()" in captured.err
+    # a child is one of infinitely many (gap, digit) cylinders
+    assert main(["cylinder", "MD(s=3)", "--addr", "3:1", "--child", "0"]) == 1
+    assert capsys.readouterr().err == "error: MD has unbounded branching\n"
+
+
 def test_eval_and_cylinder_fit_int_string_limit(capsys, int_str_limit):
     # at a limit of 4300 an integer of the value or the interval passes it
     # one selector after the longest list that prints
@@ -884,11 +906,15 @@ def test_only_main_parses_the_family_and_writes_the_output():
     assert callers == {"main"}
 
 
-def test_boxcount_refuses_md_as_cover_and_enumerate_do(capsys):
-    for command in ("boxcount", "cover", "enumerate"):
+def test_cover_and_enumerate_refuse_md_where_boxcount_answers(capsys):
+    # box counts read MD's set, its two-phase system; a rank of MD's
+    # (gap, digit) addresses has infinitely many cylinders
+    for command in ("cover", "enumerate"):
         assert main([command, "MD(s=2)"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: MD has unbounded branching\n"
+    assert main(["boxcount", "MD(s=2)"]) == 0
+    assert capsys.readouterr().out.startswith("eps,count\n")
 
 
 #: one family of each kind
@@ -907,7 +933,6 @@ EVERY_KIND = (
 #: the runs that exit 1 at default flags; every other run exits 0
 REFUSED_AT_DEFAULTS = {
     ("blocks", "Cantor(d=[3],I=[{0,2}])"),  # per-level digits, no blocks
-    ("cylinder", "MD(s=2)"),  # unbounded branching: no local hull
     # no closed cylinder formula
     ("verify", "NSu(s=4,u=1)"),
     ("verify", "Tilde(s=4)"),
@@ -915,10 +940,10 @@ REFUSED_AT_DEFAULTS = {
     ("verify", "MDper(s=3,m=[3,5])"),
     ("verify", "Blocks(s=3,B=[0 2;1])"),
     ("verify", "Cantor(d=[3],I=[{0,2}])"),
-    ("cover", "MD(s=2)"),
     ("enumerate", "Tilde(s=4)"),
+    # a rank of MD's (gap, digit) addresses has infinitely many cylinders
+    ("cover", "MD(s=2)"),
     ("enumerate", "MD(s=2)"),
-    ("boxcount", "MD(s=2)"),
 }
 
 

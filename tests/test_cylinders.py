@@ -26,7 +26,7 @@ from cantorkit import (
 )
 from cantorkit.cli import main
 from cantorkit.cylinders import _local_hulls, _phase_maps, solve_phase_hulls
-from cantorkit.families import _block_map, digit_maps
+from cantorkit.families import _system_maps, digit_maps
 from fraction_kernels import fraction_hulls, fraction_system, integer_system, interval_step, over_lcm
 from fraction_kernels import solve_phase_hulls as ref_solve_phase_hulls
 
@@ -198,21 +198,35 @@ def test_big_denominator_hulls_match_the_reference(family):
 
 
 def md_digit_maps(s):
-    """MD(s) as a two-phase digit-map system in base -s: phase 0 writes 0 0,
-    phase 1 writes 0 0 or a 0 0 (a = 1..s-1), and both go to phase 1.  A
-    chunk 0^(m-1) a, m odd >= 3, is (0 0)^k a with k >= 1, so the closure of
-    MD's digit sequences is 0 0 (0 0 | a 0 0)^omega."""
-    runs = {0: [((0, 2),)], 1: [((0, 2),)] + [((a, 1), (0, 2)) for a in range(1, s)]}
-    return {p: [_block_map(r, -s, 1) for r in blocks] for p, blocks in runs.items()}
+    """`src`'s tables of MD(s)'s two-phase system, checked against its
+    statement: phase 0 writes 0 0, phase 1 writes 0 0 or a 0 0 (a = 1..s-1),
+    both go to phase 1, and each map is its block read in base -s,
+    x -> v + (-s)^-n x.  A chunk 0^(m-1) a, m odd >= 3, is (0 0)^k a with
+    k >= 1, so the closure of MD's digit sequences is 0 0 (0 0 | a 0 0)^omega."""
+    fam = FamilySpec("MD", s)
+    tables = {p: list(_system_maps(fam, p).values()) for p in (0, 1)}
+    blocks = {0: [(0, 0)], 1: [(0, 0)] + [(a, 0, 0) for a in range(1, s)]}
+    assert {p: [block for block, *_ in maps] for p, maps in tables.items()} == blocks
+    for block, gn, sk, m, nxt in tables[0] + tables[1]:
+        value = sum(d * F(-1, s) ** i for i, d in enumerate(block, 1))
+        assert (F(gn, m), F(sk, m), nxt) == (value, F(-1, s) ** len(block), 1)
+    return tables
 
 
-@pytest.mark.parametrize("s", range(2, 12))
+def md_hull(s):
+    """MD(s)'s hull written by hand: the sup 0 is the limit as the first gap
+    grows; the inf pairs the shortest gap with the largest digit and the sup tail."""
+    return IntervalR(F(-(s - 1), s**3), F(0))
+
+
+@pytest.mark.parametrize("s", range(2, 41))
 def test_md_hard_coded_hull_is_its_digit_map_systems_hull(s):
-    # `set_interval` writes MD's hull by hand; the system's solved hull is an
-    # independent witness of it: [-1/8, 0] at s = 2, ..., [-10/1331, 0] at s = 11
+    # `set_interval` solves MD's system; the hull written by hand and the
+    # `Fraction` reference solve of the checked tables are its witnesses:
+    # [-1/8, 0] at s = 2, ..., [-39/64000, 0] at s = 40
     system = {p: (*over_lcm([(gn, sk, m) for _, gn, sk, m, _ in maps]), 1) for p, maps in md_digit_maps(s).items()}
-    lo, hi = fraction_hulls(solve_phase_hulls(system))[0]
-    assert IntervalR(lo, hi) == set_interval(parse_family(f"MD(s={s})"))
+    reference = IntervalR(*ref_solve_phase_hulls(fraction_system(system))[0])
+    assert set_interval(parse_family(f"MD(s={s})")) == md_hull(s) == reference
 
 
 @pytest.mark.parametrize("L", [399, 2000])

@@ -180,6 +180,22 @@ def test_md_maps_are_blocks_read_in_base_minus_s(s, sels):
     assert Fraction(V, den) == eval_family_point(fam, sels) == eval_negasadic(expand_address(fam, sels))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), *(st.lists(md_selectors, min_size=k, max_size=3) for k in (0, 0, 1)))
+def test_md_hulls_contain_every_continuation(s, addr, more, tail):
+    # an MD address folds its (gap, digit) pairs to a frame over MD's whole
+    # set, whose hull its two-phase system gives: each point past the
+    # address, cut short or closed by a periodic tail, lies in that hull,
+    # and the hull is the whole set's [-(s-1)/s^3, 0] shrunk by s^-(its gaps)
+    fam = FamilySpec("MD", s)
+    addr, more, tail = ([(gap, 1 + (eps - 1) % (s - 1)) for gap, eps in sels] for sels in (addr, more, tail))
+    hull = cylinder_hull(fam, addr)
+    for point in (eval_family_point(fam, addr + more), eval_family_point(fam, addr + more, tail)):
+        assert hull.lo <= point <= hull.hi
+    assert hull.width == Fraction(s - 1, s**3) / s ** sum(gap for gap, _ in addr)
+    assert membership_prefix(fam, expand_address(fam, addr + more + tail).digits)
+
+
 @settings(max_examples=200, deadline=None)
 @given(cases(), st.integers(0, 6))
 def test_hulls_and_covering_sums_equal_the_fraction_solve(case, depth):

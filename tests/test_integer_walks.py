@@ -136,7 +136,7 @@ def test_hull_solve_builds_no_fraction(monkeypatch, text):
     assert _fractions_built(monkeypatch, lambda: cyl._local_hulls(fam)) == 0
 
 
-#: a family of every kind but MD, whose cover and box counts are refused, and NSu at u = 0 and u > 0
+#: a family of every kind but MD, whose cover is refused, and NSu at u = 0 and u > 0
 EVERY_KIND = [
     "S(s=4)",
     "Su(s=5,u=2)",
@@ -161,10 +161,17 @@ def test_cover_and_boxcount_build_no_fraction(monkeypatch, capsys, command, text
     assert codes == [0], capsys.readouterr().err
 
 
+def test_md_box_count_builds_no_fraction(monkeypatch, capsys):
+    # MD's box counts read its two-phase system, as every other kind's do
+    codes = []
+    assert _fractions_built(monkeypatch, lambda: codes.append(main(["boxcount", "MD(s=3)"]))) == 0
+    assert codes == [0], capsys.readouterr().err
+
+
 def test_clear_caches_empties_every_table():
     verify_family(parse_family("S(s=3)"), depth=2)
     families.family_blocks(parse_family("Tilde(s=3)"))
-    caches = (cyl._local_hulls, cyl._oracle_local, cyl._phase_maps, families.digit_maps, families.family_blocks)
+    caches = (cyl._local_hulls, cyl._oracle_local, cyl._phase_maps, families._system_maps, families.family_blocks)
     assert all(cache.cache_info().currsize for cache in caches)
     clear_caches()
     assert not any(cache.cache_info().currsize for cache in caches)
