@@ -40,7 +40,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .cylinders import _local_hulls
-from .families import DEFAULT_CAP, ROOT_FRAME, FamilySpec, _counted, _system_maps, box_walk, child_frames, type_work
+from .families import DEFAULT_CAP, ROOT_FRAME, FamilySpec, _system_maps, box_walk, child_frames, type_work
 
 
 class _ScaleCountFields(NamedTuple):
@@ -249,7 +249,7 @@ def box_dimension(
     smallest n >= 10 with s^(n-4) >= 100, the two decades `fit_dimension` needs."""
     if n_hi is None:
         n_hi = 10 + (fam.s**6 < 100)
-    _counted(fam, 0)  # a base of over DEFAULT_CAP selectors is refused first, MD's by `_mesh`
+    _system_maps(fam, 0)  # a table past DEFAULT_CAP selectors or block digits is refused first
     if n_lo < 0:
         raise ValueError("scale exponents must be >= 0")
     if n_hi - n_lo < 2:

@@ -185,7 +185,7 @@ def _cmd_eval(args) -> tuple[str, int]:
 
 
 def _parse_selectors(fam, *given) -> list[tuple]:
-    """The selectors of each (option, text) in `given`, () for no text.  MD's
+    """The selectors of each (option, text) in `given`, () for no or empty text.  MD's
     are gap:digit pairs, e.g. "3:2,5:1", each checked, and their gaps, summed
     over every option, refused past the int-to-str limit before a fold."""
     if fam.kind != "MD":
@@ -193,7 +193,7 @@ def _parse_selectors(fam, *given) -> list[tuple]:
     out = []
     for option, text in given:
         pairs = []
-        for part in () if text is None else text.split(","):
+        for part in text.split(",") if text else ():
             pair = _int_list(part.replace(":", " "), option)
             if part.count(":") != 1 or len(pair) != 2:
                 raise FamilyParseError(f"MD selectors are gap:digit pairs, got {part!r}")

@@ -26,14 +26,14 @@ x -> v + base^-n x for a block of n digits and value v, in base s, -s for
 NSu, MDper and MD, and d_j at level j of a Cantor series; Sminus negates each
 run's map.  `_kind` states each kind once per phase (counts, radix, next
 phase and each selector's runs) and `_system_maps` tabulates it.  MDper's gap
-period, a Cantor series' periodic basis and level sets, and MD's two phases
-make graph-directed systems; the other kinds have one phase.
+period and a Cantor series' periodic basis and level sets make graph-directed
+systems, each a cycle through phase 0; the other kinds have one phase.
 `digit_maps`, the table of an address's selectors, is the same but for MD,
-whose addresses are (gap, digit) pairs, a map for every odd gap: `_walk`
-makes those one at a time.  Every walk over a selector sequence (`_walk`)
-refuses the first inadmissible selector; integer frames (V, den, sign,
-phase) fold the maps along an address, so every traversal applies one map
-per child without building a `Fraction`.
+whose (gap, digit) addresses, one for every odd gap, are words of MD's
+table: `_walk` maps each in one step.  Every walk over a selector sequence
+(`_walk`) refuses the first inadmissible selector; integer frames (V, den,
+sign, phase) fold the maps along an address, so every traversal applies one
+map per child without building a `Fraction`.
 
 The grammar (``Su(s=5,u=2)``) is one table: `_KEYS` gives each kind's keys
 and `_GRAMMAR` each key's field, reader and writer, so `parse_family` and
@@ -166,11 +166,11 @@ class FamilySpec(_FamilySpecFields):
     @property
     def degenerate(self) -> bool:
         """True when the family collapses to a single point: one selector at
-        every phase, counted from the spec.  A Cantor series' first #I phases
-        decide (phase p lists I_(p mod #I)); other kinds but MD count alike at
-        every phase, and MD, whose phase 1 has s >= 2, never is one."""
+        every phase, counted by `_kind` from the spec, so no table is built
+        and no cap applies.  A Cantor series' first #I phases decide (phase p
+        lists I_(p mod #I)); every other kind counts alike at every phase."""
         phases = len(self.level_sets) if self.level_sets else 1
-        return self.kind != "MD" and all(_counted(self, p)[0] < 2 for p in range(phases))
+        return all(_kind(self, p)[0] < 2 for p in range(phases))
 
     def label(self) -> str:
         """Canonical grammar form of this family: its kind's keys in `_KEYS`
@@ -289,13 +289,15 @@ def parse_family(text: str) -> FamilySpec:
 
 @lru_cache(maxsize=256)
 def family_blocks(fam: FamilySpec) -> tuple[tuple[int, ...], ...]:
-    """The digit-block language defining `fam`, sorted by length, then digits;
-    MDper's blocks span a gap period.  MD (infinitely many (gap, digit)
-    blocks) is refused by `digit_maps`, a Cantor series (digits restricted
-    per level) here."""
+    """The digit-block language defining `fam`, sorted by length, then digits:
+    one block per cylinder of rank L, the length of `_kind`'s phase cycle
+    (MDper's gap period).  MD (infinitely many (gap, digit) blocks) is
+    refused by `digit_maps`, a Cantor series (digits per level) here."""
     if fam.kind == "Cantor":
         raise UnsupportedFamilyError("Cantor families restrict digits per level, not blocks")
-    L = len(fam.period) if fam.kind == "MDper" else 1  # one block per rank-L cylinder
+    L, phase = 1, _kind(fam, 0)[4]
+    while phase:
+        L, phase = L + 1, _kind(fam, phase)[4]
     walk_size(fam, L, DEFAULT_CAP, "")
     ranks = [[dmap[0] for dmap in maps.values()] for maps in _rank_maps(fam, L)]
     blocks = [sum(combo, ()) for combo in product(*ranks)]
@@ -381,12 +383,11 @@ def _kind(fam: FamilySpec, phase: int) -> tuple:
 
     A selector is a run digit (S, Su, NSu, Sminus), a block index (Tilde,
     Blocks) or a digit (MDper, Cantor, MD).  An MD chunk 0^(m-1) a, m odd
-    >= 3, is (0 0)^k a with k >= 1, so MD's digits close to 0 0 (0 0 |
-    a 0 0)^omega: digit a writes `a 0 0` at phase 1, and 0 writes `0 0`."""
+    >= 3, is (m-3)/2 copies of `0 0` then `0 0 a`, so MD is one phase:
+    selector 0 writes `0 0`, and a = 1..s-1 writes `0 0 a`."""
     kind, s, u = fam.kind, fam.s, fam.u or 0
     if kind == "MD":
-        pairs = ((a, ((a, 1), (0, 2)) if a else ((0, 2),)) for a in range(s if phase else 1))
-        return s if phase else 1, 3 * s - 1 if phase else 2, -s, 1, 1, pairs
+        return s, 3 * s - 1, -s, 1, 0, ((a, ((0, 2), (a, 1)) if a else ((0, 2),)) for a in range(s))
     if kind == "Cantor":  # phase p reads level p+1 (mod lcm(#d, #I)) in base d_(p+1)
         level, base = fam.level_sets[phase % len(fam.level_sets)], fam.basis[phase % len(fam.basis)]
         nxt = (phase + 1) % lcm(len(fam.basis), len(fam.level_sets))
@@ -405,15 +406,6 @@ def _kind(fam: FamilySpec, phase: int) -> tuple:
     pairs = ((a, ((u, a - 1), (a, 1))) for a in range(1, s) if a != u)
     base, flip = -s if kind == "NSu" else s, -1 if kind == "Sminus" else 1
     return s - 1 - bool(u), s * (s - 1) // 2 - u, base, flip, 0, pairs
-
-
-def _counted(fam: FamilySpec, phase: int) -> tuple:
-    """`_kind`, refused past DEFAULT_CAP selectors before any run is made;
-    `eval_family_point` reads only a radix, so it calls `_kind` itself."""
-    desc = _kind(fam, phase)
-    if desc[0] > DEFAULT_CAP:
-        raise CapExceededError(f"{fam.label()} has over {DEFAULT_CAP} selectors, above the cap")
-    return desc
 
 
 def _block_map(runs, base: int, nxt: int, flip: int = 1) -> DigitMap:
@@ -451,9 +443,12 @@ def _md_pair(fam: FamilySpec, sel) -> tuple[int, int]:
 def _system_maps(fam: FamilySpec, phase: int) -> Mapping[object, DigitMap]:
     """selector -> (block, gn, sk, m, next_phase) of each selector of the
     set's system at `phase`, in order: `_kind`'s runs, read by `_block_map`.
-    Refused past DEFAULT_CAP block digits, counted before any block is made,
-    so no table grows without bound (S(s) writes s(s-1)/2 digits)."""
-    _, digits, base, flip, nxt, pairs = _counted(fam, phase)  # over DEFAULT_CAP selectors are refused first
+    The one table guard: refused past DEFAULT_CAP selectors, then block
+    digits, each counted before any block is made (S(s) writes s(s-1)/2);
+    `degenerate` and `eval_family_point` read `_kind` alone, so no cap."""
+    selectors, digits, base, flip, nxt, pairs = _kind(fam, phase)
+    if selectors > DEFAULT_CAP:
+        raise CapExceededError(f"{fam.label()} has over {DEFAULT_CAP} selectors, above the cap")
     if digits > DEFAULT_CAP:
         raise CapExceededError(f"{fam.label()} blocks hold over {DEFAULT_CAP} digits, above the cap")
     return MappingProxyType({sel: _block_map(runs, base, nxt, flip) for sel, runs in pairs})
@@ -461,7 +456,7 @@ def _system_maps(fam: FamilySpec, phase: int) -> Mapping[object, DigitMap]:
 
 def digit_maps(fam: FamilySpec, phase: int) -> Mapping[object, DigitMap]:
     """The table of an address's selectors at `phase`, `_system_maps`'s;
-    MD's (gap, digit) pairs, one for every odd gap, have none."""
+    MD's (gap, digit) pairs, each a word of MD's table, have none."""
     if fam.kind == "MD":
         raise UnsupportedFamilyError("MD has unbounded branching")
     return _system_maps(fam, phase)
@@ -484,7 +479,7 @@ def _walk(fam: FamilySpec, sels: Sequence, phase: int = 0) -> Iterator[DigitMap]
     """The digit map of each selector of `sels`, read from `phase` on;
     raises at the first selector not admissible at the phase it is read in."""
     for sel in sels:
-        if fam.kind == "MD":  # a map for every odd gap, too many for a table
+        if fam.kind == "MD":  # (m, a) is the word 0^((m-3)/2) a of MD's table, one block here
             gap, eps = _md_pair(fam, sel)
             dmap = _block_map(((0, gap - 1), (eps, 1)), -fam.s, 0)
         else:
@@ -520,9 +515,9 @@ def membership_prefix(fam: FamilySpec, digits) -> bool:
 
     Dynamic programming over (position, phase) through the system's digit
     maps (`_system_maps`): a block read at a phase leads to its map's next
-    phase (a Cantor series' phase is its level, MD's phase 1 follows its
-    first `0 0`).  Any parse counts, since the families are defined by digit
-    appearance rather than unique decodability.
+    phase (a Cantor series' phase is its level, MDper's its gap).  Any parse
+    counts, since the families are defined by digit appearance rather than
+    unique decodability: MD's `0 0 0 0 a` reads as `0 0`, `0 0 a`.
     """
     seq = DigitString(fam.s, digits).digits  # refuses a digit outside base s
     n = len(seq)

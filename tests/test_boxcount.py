@@ -211,7 +211,7 @@ def _md_hull_count(fam, eps):
 
 @pytest.mark.parametrize("s, n_hi", [(2, 16), (3, 10), (4, 8), (7, 6), (11, 5)])
 def test_md_counts_equal_its_gap_digit_cylinders(s, n_hi):
-    # the type counter reads MD's two-phase system; the reference walks the
+    # the type counter reads MD's one-phase system; the reference walks the
     # paper's (gap, digit) cylinders, infinitely many under each
     fam = FamilySpec("MD", s)
     ns = range(n_hi + 1)

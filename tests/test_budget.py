@@ -129,7 +129,6 @@ def test_only_the_budget_and_the_table_guards_raise_at_a_cap():
         ("families", "box_walk"),
         ("families", "type_work"),
         ("families", "denominator_digits"),
-        ("families", "_counted"),
         ("families", "_system_maps"),
         ("families", "_md_pair"),
     }

@@ -652,12 +652,20 @@ def test_run_block_tables_are_capped(capsys):
     )
 
 
-@pytest.mark.parametrize(
-    "family", ["S(s=1000000000)", "Su(s=1000000000,u=5)", "Tilde(s=10000000000)", f"MDper(s={10**200},m=[3])"]
+HUGE_ALPHABETS = ("S(s=1000000000)", "Su(s=1000000000,u=5)", "Tilde(s=10000000000)", f"MDper(s={10**200},m=[3])")
+TABLE_COMMANDS = (
+    ("dim",), ("blocks",), ("cylinder",), ("cover",), ("eval", "--alphas", "1"), ("enumerate", "--depth", "0")
 )
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [("dim",), ("blocks",), ("cylinder",), ("cover",), ("eval", "--alphas", "1"), ("enumerate", "--depth", "0")],
+    "family, argv",
+    [
+        pytest.param(family, argv, id=f"argv{i}-{family}")
+        for i, argv in enumerate(TABLE_COMMANDS)
+        for family in HUGE_ALPHABETS
+        if (argv[0], family) != ("dim", HUGE_ALPHABETS[-1])  # MDper's dimension reads no table
+    ],
 )
 def test_huge_run_alphabets_are_refused_before_they_are_built(capsys, family, argv):
     start = time.perf_counter()
@@ -665,6 +673,16 @@ def test_huge_run_alphabets_are_refused_before_they_are_built(capsys, family, ar
     assert time.perf_counter() - start < 0.5
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {family} has over 1000000 selectors, above the cap\n"
+
+
+def test_dim_of_a_huge_gap_period_answers_without_a_selector_table(capsys):
+    # t/(m_1+...+m_t) and `degenerate` read `_kind`'s counts alone, so `dim`
+    # of MDper answers at any s, as `dim` of MD does
+    start = time.perf_counter()
+    code, out = run(capsys, "dim", HUGE_ALPHABETS[-1])
+    assert time.perf_counter() - start < 0.5
+    payload = json.loads(out)
+    assert code == 0 and payload["note"] == "exact 1/3" and payload["degenerate"] is False
 
 
 @pytest.mark.parametrize(
@@ -692,6 +710,12 @@ def test_boxcount_refuses_huge_bases_before_walking(capsys, family, error):
     assert time.perf_counter() - start < 0.1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {error}\n"
+
+
+def test_boxcount_refuses_an_over_cap_table_before_reading_its_scales(capsys):
+    # S(s=2000) writes 1,999,000 block digits: no --scales would make it run
+    assert main(["boxcount", "S(s=2000)", "--scales", "0:1"]) == 1
+    assert capsys.readouterr().err == "error: S(s=2000) blocks hold over 1000000 digits, above the cap\n"
 
 
 def test_boxcount_runs_a_huge_base_at_short_scales(capsys):
@@ -790,8 +814,17 @@ def test_md_eval_fits_int_string_limit(capsys, int_str_limit):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tail, value", [(None, "0/1"), ("3:1", "-1/9")])
+def test_md_empty_alphas_are_the_empty_address(capsys, tail, value):
+    # as for every kind, --alphas "" selects the root cylinder; a tail 3:1
+    # closes it with (0 0 1)^omega, -1/9 at s = 2
+    code, out = run(capsys, "eval", "MD(s=2)", "--alphas", "", *(("--tail", tail) if tail else ()))
+    payload = json.loads(out)
+    assert code == 0 and payload["value"] == value and payload["alphas"] == []
+
+
 def test_md_cylinders_answer_and_refuse_long_gaps_at_once(capsys, int_str_limit):
-    # a cylinder reads MD's set from its two-phase system, and the gaps of an
+    # a cylinder reads MD's set from its one-phase system, and the gaps of an
     # address are refused, as eval's are, before any frame is folded: a gap
     # of 999,999 writes a block that takes seconds to fold
     int_str_limit(4300)
@@ -907,7 +940,7 @@ def test_only_main_parses_the_family_and_writes_the_output():
 
 
 def test_cover_and_enumerate_refuse_md_where_boxcount_answers(capsys):
-    # box counts read MD's set, its two-phase system; a rank of MD's
+    # box counts read MD's set, its one-phase system; a rank of MD's
     # (gap, digit) addresses has infinitely many cylinders
     for command in ("cover", "enumerate"):
         assert main([command, "MD(s=2)"]) == 1

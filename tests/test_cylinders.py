@@ -198,19 +198,18 @@ def test_big_denominator_hulls_match_the_reference(family):
 
 
 def md_digit_maps(s):
-    """`src`'s tables of MD(s)'s two-phase system, checked against its
-    statement: phase 0 writes 0 0, phase 1 writes 0 0 or a 0 0 (a = 1..s-1),
-    both go to phase 1, and each map is its block read in base -s,
-    x -> v + (-s)^-n x.  A chunk 0^(m-1) a, m odd >= 3, is (0 0)^k a with
-    k >= 1, so the closure of MD's digit sequences is 0 0 (0 0 | a 0 0)^omega."""
-    fam = FamilySpec("MD", s)
-    tables = {p: list(_system_maps(fam, p).values()) for p in (0, 1)}
-    blocks = {0: [(0, 0)], 1: [(0, 0)] + [(a, 0, 0) for a in range(1, s)]}
-    assert {p: [block for block, *_ in maps] for p, maps in tables.items()} == blocks
-    for block, gn, sk, m, nxt in tables[0] + tables[1]:
+    """`src`'s table of MD(s)'s one-phase system, checked against its
+    statement: selector 0 writes 0 0, selector a writes 0 0 a (a = 1..s-1),
+    each returns to phase 0, and each map is its block read in base -s,
+    x -> v + (-s)^-n x.  A chunk 0^(m-1) a, m odd >= 3, is (m-3)/2 copies
+    of 0 0 then 0 0 a, so the closure of MD's digit sequences is
+    (0 0 | 0 0 a)^omega."""
+    table = list(_system_maps(FamilySpec("MD", s), 0).values())
+    assert [block for block, *_ in table] == [(0, 0)] + [(0, 0, a) for a in range(1, s)]
+    for block, gn, sk, m, nxt in table:
         value = sum(d * F(-1, s) ** i for i, d in enumerate(block, 1))
-        assert (F(gn, m), F(sk, m), nxt) == (value, F(-1, s) ** len(block), 1)
-    return tables
+        assert (F(gn, m), F(sk, m), nxt) == (value, F(-1, s) ** len(block), 0)
+    return table
 
 
 def md_hull(s):
@@ -224,7 +223,7 @@ def test_md_hard_coded_hull_is_its_digit_map_systems_hull(s):
     # `set_interval` solves MD's system; the hull written by hand and the
     # `Fraction` reference solve of the checked tables are its witnesses:
     # [-1/8, 0] at s = 2, ..., [-39/64000, 0] at s = 40
-    system = {p: (*over_lcm([(gn, sk, m) for _, gn, sk, m, _ in maps]), 1) for p, maps in md_digit_maps(s).items()}
+    system = {0: (*over_lcm([(gn, sk, m) for _, gn, sk, m, _ in md_digit_maps(s)]), 0)}
     reference = IntervalR(*ref_solve_phase_hulls(fraction_system(system))[0])
     assert set_interval(parse_family(f"MD(s={s})")) == md_hull(s) == reference
 

@@ -34,7 +34,8 @@ from cantorkit import (
 )
 from cantorkit.cylinders import _has_closed_form
 from cantorkit.cylinders import _local_hulls, _phase_maps
-from cantorkit.families import _block_map, _kind, _rank_maps, _walk, address_frame, digit_maps
+from cantorkit.families import ROOT_FRAME, _block_map, _kind, _rank_maps, _system_maps, _walk
+from cantorkit.families import address_frame, digit_maps
 from fraction_kernels import fraction_hulls, fraction_system
 from fraction_kernels import solve_phase_hulls as ref_solve_phase_hulls
 
@@ -180,11 +181,29 @@ def test_md_maps_are_blocks_read_in_base_minus_s(s, sels):
     assert Fraction(V, den) == eval_family_point(fam, sels) == eval_negasadic(expand_address(fam, sels))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 9), st.lists(st.tuples(st.integers(1, 6), st.integers(1, 8)), max_size=5))
+def test_an_md_address_is_a_word_of_its_table(s, pairs):
+    # (m, a) is (m-3)/2 copies of `0 0` then `0 0 a`: folded through MD's
+    # one table, that word reaches the frame `_walk`'s (gap, digit) map
+    # reaches and writes the same digits
+    fam = FamilySpec("MD", s)
+    addr = [(2 * k + 1, 1 + (eps - 1) % (s - 1)) for k, eps in pairs]
+    word = [sel for gap, a in addr for sel in [0] * ((gap - 3) // 2) + [a]]
+    table = _system_maps(fam, 0)
+    V, den, sign, phase = ROOT_FRAME
+    for sel in word:
+        _, gn, sk, m, phase = table[sel]
+        V, den, sign = V * m + sign * gn, den * m, sign * sk
+    assert address_frame(fam, addr) == (V, den, sign, phase)
+    assert expand_address(fam, addr).digits == tuple(d for sel in word for d in table[sel][0])
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 5), *(st.lists(md_selectors, min_size=k, max_size=3) for k in (0, 0, 1)))
 def test_md_hulls_contain_every_continuation(s, addr, more, tail):
     # an MD address folds its (gap, digit) pairs to a frame over MD's whole
-    # set, whose hull its two-phase system gives: each point past the
+    # set, whose hull its one-phase system gives: each point past the
     # address, cut short or closed by a periodic tail, lies in that hull,
     # and the hull is the whole set's [-(s-1)/s^3, 0] shrunk by s^-(its gaps)
     fam = FamilySpec("MD", s)

@@ -134,12 +134,13 @@ def test_md_closed_form():
 
 
 def test_md_cubic_is_its_digit_map_systems_block_equation():
-    # phase 1's blocks 0 0 and a 0 0 form a prefix code (the first digit tells
-    # them apart), so t^2 + (s-1) t^3 = 1, MD's cubic, gives the dimension: a
-    # bisection that shares no code with the cube-root formula
+    # the table's blocks 0 0 and 0 0 a form a suffix code (the last digit
+    # tells them apart), so uniquely decodable, and t^2 + (s-1) t^3 = 1, MD's
+    # cubic, gives the dimension: a bisection that shares no code with the
+    # cube-root formula
     for s in range(2, 40):
-        blocks = [block for block, *_ in md_digit_maps(s)[1]]
-        assert not any(b != c and c[: len(b)] == b for b in blocks for c in blocks)
+        blocks = [block for block, *_ in md_digit_maps(s)]
+        assert not any(b != c and c[len(c) - len(b) :] == b for b in blocks for c in blocks)
         hist = block_histogram(blocks)
         assert hist == {2: 1, 3: s - 1}
         alpha, closed = block_dimension(s, hist).alpha, md_closed_form(s)

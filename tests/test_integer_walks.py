@@ -162,7 +162,7 @@ def test_cover_and_boxcount_build_no_fraction(monkeypatch, capsys, command, text
 
 
 def test_md_box_count_builds_no_fraction(monkeypatch, capsys):
-    # MD's box counts read its two-phase system, as every other kind's do
+    # MD's box counts read its one-phase system, as every other kind's do
     codes = []
     assert _fractions_built(monkeypatch, lambda: codes.append(main(["boxcount", "MD(s=3)"]))) == 0
     assert codes == [0], capsys.readouterr().err

@@ -11,7 +11,7 @@ import cantorkit
 KIND_TEST = re.compile(r"\bkind (==|!=|in|not in)\s")
 
 #: the most kind-test lines each module may hold; any other module none
-CEILINGS = {"families.py": 16, "cylinders.py": 5, "dimension.py": 4, "cli.py": 3}
+CEILINGS = {"families.py": 14, "cylinders.py": 5, "dimension.py": 4, "cli.py": 3}
 
 
 def kind_test_lines(path: Path) -> int:

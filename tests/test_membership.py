@@ -134,9 +134,10 @@ def test_md_membership_is_the_odd_run_rule_on_every_short_string():
 
 
 def test_md_membership_reads_the_table_every_kind_reads():
-    # past 10^6 selectors MD's phase 1 is refused as every kind's table is;
-    # a string of at most phase 0's first 0 0 reads no phase-1 table
+    # past 10^6 selectors MD's one table is refused at the first digit, as
+    # every kind's table is; the empty string reads no table
     fam = FamilySpec("MD", 10**6 + 1)
-    assert membership_prefix(fam, (0,)) and membership_prefix(fam, (0, 0)) and not membership_prefix(fam, (1,))
-    with pytest.raises(CapExceededError, match="over 1000000 selectors"):
-        membership_prefix(fam, (0, 0, 0))
+    assert membership_prefix(fam, ())
+    for digits in ((0,), (1,)):
+        with pytest.raises(CapExceededError, match="over 1000000 selectors"):
+            membership_prefix(fam, digits)
